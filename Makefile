@@ -128,9 +128,13 @@ pathological:
 # mutate-check replays the single-file edit script (touch, benign edit,
 # source-introducing edit, sink-removing edit, file add/delete) over
 # every dataset template and asserts incremental findings ≡ cold-scan
-# findings after every step, under the race detector at Workers=4.
+# findings after every step, under the race detector at Workers=4. It
+# also runs the warm-state cache tests and the full-corpus oracle: a
+# pooled warm sweep (per-component fragments) ≡ a cold sweep (one
+# whole-package fragment) over the ground truth, the wild-corpus
+# stand-in and the crash corpus under four budget shapes.
 mutate-check:
-	$(GO) test -race -run 'Mutation|Incremental|CachedScanEqualsUncached|CacheEvicts' \
+	$(GO) test -race -run 'Mutation|Incremental|CachedScanEqualsUncached|CacheEvicts|CacheCompositionality|PooledSweepMatchesCold' \
 		./internal/scanner ./internal/metrics
 
 # chaos runs the supervised-sweep and persistent-store chaos harnesses

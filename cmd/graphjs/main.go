@@ -409,7 +409,7 @@ func printHuman(rep *scanner.Report, stats, trace bool) {
 		if rep.TreePackages > 0 {
 			fmt.Printf("  tree: %d packages, node_modules depth %d\n", rep.TreePackages, rep.TreeDepth)
 		}
-		fmt.Printf("  time: graph %s, traversals %s (engine %s)\n", rep.GraphTime, rep.QueryTime, rep.Engine)
+		fmt.Printf("  time: graph %s, traversals %s (engine %s)\n", rep.TotalTime()-rep.DetectTime(), rep.DetectTime(), rep.Engine)
 		for _, ph := range rep.Phases {
 			fmt.Printf("  phase %s: %d steps, %d nodes, %d edges, %s\n",
 				ph.Phase, ph.Steps, ph.Nodes, ph.Edges, ph.Dur.Round(time.Microsecond))
@@ -418,7 +418,8 @@ func printHuman(rep *scanner.Report, stats, trace bool) {
 			fmt.Printf("  budget exhausted in phase: %s\n", rep.ExhaustedPhase)
 		}
 		if rep.Engine == scanner.EngineDifferential {
-			fmt.Printf("  engines: query %s, native %s\n", rep.QueryEngineTime, rep.NativeTime)
+			fmt.Printf("  engines: query %s, native %s\n",
+				rep.PhaseTime(scanner.PhaseDetectQuery), rep.PhaseTime(scanner.PhaseDetectNative))
 		}
 		if rep.FuncsTotal > 0 || rep.SkippedByReach {
 			fmt.Printf("  reach: %d/%d functions pruned, skipped=%v, exports=%d, fallback=%v\n",

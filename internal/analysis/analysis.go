@@ -25,9 +25,6 @@ type Options struct {
 	// TreatAllFunctionsAsExported seeds taint on every function's
 	// parameters instead of only exported ones.
 	TreatAllFunctionsAsExported bool
-	// StepBudget aborts the analysis after this many abstract steps
-	// (0 = unlimited); used to emulate analysis timeouts in benchmarks.
-	StepBudget int
 	// NoExportFallback suppresses the script attack model (when no
 	// function anywhere is exported, treat every top-level function as
 	// reachable). The scanner's incremental mode analyzes a package one
@@ -48,9 +45,8 @@ type Options struct {
 	// every abstract step charges it (and MDG construction charges its
 	// node/edge caps via Graph.SetBudget), so a deadline or cap hit
 	// anywhere in the pipeline aborts the analysis cooperatively with
-	// Result.TimedOut set. Unlike StepBudget — a legacy knob local to
-	// this package — the Budget records *why* it tripped, letting the
-	// scanner classify the outcome and keep the partial MDG.
+	// Result.TimedOut set. The Budget records *why* it tripped, letting
+	// the scanner classify the outcome and keep the partial MDG.
 	Budget *budget.Budget
 }
 
@@ -71,7 +67,8 @@ type Result struct {
 	Functions map[string]*FuncSummary
 	// Root is the final top-level abstract store.
 	Root *mdg.Store
-	// TimedOut reports that the step budget was exhausted.
+	// TimedOut reports that Options.Budget tripped (deadline, cap or
+	// cancellation) and the analysis stopped early.
 	TimedOut bool
 	// Steps is the number of abstract steps executed.
 	Steps int
@@ -345,9 +342,6 @@ func (a *analyzer) qualify(name string) string {
 
 func (a *analyzer) tick() {
 	a.steps++
-	if a.opts.StepBudget > 0 && a.steps > a.opts.StepBudget {
-		panic(budgetExhausted{}) //lint:allow nakedpanic -- budgetExhausted is recovered by Run's local fence
-	}
 	if a.opts.Budget.Step() != nil {
 		panic(budgetExhausted{}) //lint:allow nakedpanic -- budgetExhausted is recovered by Run's local fence
 	}

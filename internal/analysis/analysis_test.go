@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/js/normalize"
 	"repro/internal/mdg"
@@ -458,9 +459,13 @@ func TestStepBudgetTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Analyze(prog, Options{MaxLoopIter: 30, StepBudget: 3})
+	b := budget.New(budget.Limits{MaxSteps: 3})
+	res := Analyze(prog, Options{MaxLoopIter: 30, Budget: b})
 	if !res.TimedOut {
 		t.Fatal("tiny step budget must report a timeout")
+	}
+	if budget.ClassOf(b.Err()) != budget.ClassBudget {
+		t.Fatalf("budget error %v, want a step-cap failure", b.Err())
 	}
 }
 

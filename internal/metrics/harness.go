@@ -139,13 +139,13 @@ func graphjsResult(p *dataset.Package, rep *scanner.Report) PackageResult {
 		Err:               rep.Err,
 		Failure:           rep.Failure,
 		Incomplete:        rep.Incomplete,
-		GraphTime:         rep.GraphTime,
-		QueryTime:         rep.QueryTime,
+		GraphTime:         rep.TotalTime() - rep.DetectTime(),
+		QueryTime:         rep.DetectTime(),
 		TotalNodes:        rep.TotalNodes(),
 		TotalEdges:        rep.TotalEdges(),
 		LoC:               rep.LoC,
-		QueryEngineTime:   rep.QueryEngineTime,
-		NativeTime:        rep.NativeTime,
+		QueryEngineTime:   rep.PhaseTime(scanner.PhaseDetectQuery),
+		NativeTime:        rep.PhaseTime(scanner.PhaseDetectNative),
 		FuncsTotal:        rep.FuncsTotal,
 		FuncsPruned:       rep.FuncsPruned,
 		SkippedByReach:    rep.SkippedByReach,

@@ -84,12 +84,11 @@ func compareReports(step string, cold, incr *scanner.Report) error {
 // scanning every step both cold and through a single persistent
 // incremental state, and returns the first divergence (nil when the
 // incremental scanner is observationally equivalent on this package).
-// opts.Incremental and opts.Cache are ignored.
+// opts.Incremental is ignored.
 func CheckMutationEquivalence(name, src string, opts scanner.Options) error {
 	st := scanner.NewIncrementalState()
 	coldOpts := opts
 	coldOpts.Incremental = nil
-	coldOpts.Cache = nil
 	incrOpts := coldOpts
 	incrOpts.Incremental = st
 

@@ -144,6 +144,53 @@ func TestLadderDegradesToFloor(t *testing.T) {
 	}
 }
 
+// TestLadderFloorWithPool: with warm per-package state attached (the
+// CLI's -incremental/-cache-dir sweeps, the daemon's POST /v1/sweep),
+// the floor rung still stops at the reach gate. Warm and cold scans run
+// one pipeline, so the package degrades at the floor exactly as in
+// TestLadderDegradesToFloor instead of re-running a capped analysis
+// there.
+func TestLadderFloorWithPool(t *testing.T) {
+	var huge *dataset.Package
+	for _, p := range dataset.Pathological().Packages {
+		if p.Name == "huge_object" {
+			huge = p
+		}
+	}
+	if huge == nil {
+		t.Fatal("huge_object missing from the pathological corpus")
+	}
+	pool := scanner.NewStatePool()
+	target := Target{
+		Name: huge.Name,
+		Hash: func() string { return "fixed" },
+		Scan: func(o scanner.Options) *scanner.Report {
+			o.Incremental = pool.Get(huge.Name)
+			return scanner.ScanSource(huge.Source, huge.Name, o)
+		},
+	}
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	sw, stats, err := SuperviseGraphJSTargets([]Target{target}, scanner.Options{Workers: 1, MaxSteps: 50},
+		SuperviseOptions{JournalPath: journal})
+	if err != nil {
+		t.Fatalf("supervised sweep: %v", err)
+	}
+	if stats.Degraded != 1 {
+		t.Fatalf("stats %+v, want exactly one degraded package", stats)
+	}
+	entries, _, err := sweepjournal.Load(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := entries[huge.Name]
+	if e.State != sweepjournal.StateDegraded || e.Rung != "reach-gate" || !e.Incomplete {
+		t.Errorf("state %q rung %q incomplete %v, want an incomplete degrade at reach-gate", e.State, e.Rung, e.Incomplete)
+	}
+	if r := sw.Results[0]; r.Failure != budget.ClassNone || len(r.Findings) != 0 {
+		t.Errorf("floor result class %q with %d findings, want a clean gate-only triage", r.Failure, len(r.Findings))
+	}
+}
+
 // TestTransientRetryRecovers: a deterministic injected panic on the
 // first attempt must be retried once on the fallback engine and
 // recover the plain sweep's findings, with both attempts on record.

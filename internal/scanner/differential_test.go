@@ -118,8 +118,9 @@ module.exports = git_reset;
 			t.Errorf("native finding %d has no witness path: %+v", i, n.Findings[i])
 		}
 	}
-	if n.NativeTime == 0 || q.QueryEngineTime == 0 {
-		t.Errorf("per-engine timings not recorded: native=%v query=%v", n.NativeTime, q.QueryEngineTime)
+	if n.PhaseTime(PhaseDetectNative) == 0 || q.PhaseTime(PhaseDetectQuery) == 0 {
+		t.Errorf("per-engine timings not recorded: native=%v query=%v",
+			n.PhaseTime(PhaseDetectNative), q.PhaseTime(PhaseDetectQuery))
 	}
 }
 

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -259,5 +260,71 @@ func TestFallbackHealthyMatchesNative(t *testing.T) {
 	}
 	if err := DiffFindings(native.Findings, fb.Findings); err != nil {
 		t.Errorf("fallback findings differ from native: %v", err)
+	}
+}
+
+// TestWarmReachGateOnly: the floor rung runs nothing past the reach
+// gate on a retained state either (the pipeline is the same), and
+// caches nothing past the front end on that path — a later full scan
+// of the same state still analyzes and finds everything.
+func TestWarmReachGateOnly(t *testing.T) {
+	cold := ScanSource(gitResetSrc, "git_reset.js", Options{ReachGateOnly: true})
+	st := NewIncrementalState()
+	warm := ScanSource(gitResetSrc, "git_reset.js", Options{ReachGateOnly: true, Incremental: st})
+	for _, rep := range []*Report{cold, warm} {
+		if len(rep.Findings) != 0 || !rep.Incomplete || rep.Failure != budget.ClassNone {
+			t.Fatalf("gate-only scan: findings=%d incomplete=%v class=%q, want 0/true/none",
+				len(rep.Findings), rep.Incomplete, rep.Failure)
+		}
+	}
+	if s := st.Stats(); st.Fragments() != 0 || len(st.facts) != 0 || s.FragmentMisses != 0 || s.DetectMisses != 0 {
+		t.Fatalf("gate-only scan did work past the gate: fragments=%d facts=%d stats=%+v",
+			st.Fragments(), len(st.facts), s)
+	}
+	full := ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: st})
+	sameFindings(t, ScanSource(gitResetSrc, "git_reset.js", Options{}), full)
+	if len(full.Findings) != 2 {
+		t.Fatalf("full scan after the floor found %d findings, want 2", len(full.Findings))
+	}
+}
+
+// phaseNames lists a report's phase rows in order.
+func phaseNames(rep *Report) []string {
+	var names []string
+	for _, u := range rep.Phases {
+		names = append(names, u.Phase)
+	}
+	return names
+}
+
+// TestWarmScanRecordsPhases: a scan through a retained state records
+// the same phase rows as a cold one, keeps recording them when every
+// fragment and detection result is a cache hit, and names the phase a
+// cap exhausted.
+func TestWarmScanRecordsPhases(t *testing.T) {
+	cold := ScanSource(gitResetSrc, "git_reset.js", Options{})
+	st := NewIncrementalState()
+	warm := ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: st})
+	want := []string{"front-end", "reach-gate", "partition", "analysis", PhaseDetectQuery}
+	for _, rep := range []*Report{cold, warm} {
+		if got := phaseNames(rep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("phases %v, want %v", got, want)
+		}
+	}
+	again := ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: st})
+	if again.IncrStats.DetectHits == 0 {
+		t.Fatalf("re-scan was not served from the cache: %+v", again.IncrStats)
+	}
+	if got := phaseNames(again); !reflect.DeepEqual(got, want[:4]) {
+		t.Fatalf("fully cached re-scan phases %v, want %v", got, want[:4])
+	}
+
+	coldCap := ScanSource(gitResetSrc, "git_reset.js", Options{MaxNodes: 5})
+	warmCap := ScanSource(gitResetSrc, "git_reset.js", Options{MaxNodes: 5, Incremental: NewIncrementalState()})
+	for _, rep := range []*Report{coldCap, warmCap} {
+		if rep.Failure != budget.ClassBudget || rep.ExhaustedPhase != "analysis" {
+			t.Errorf("node-capped scan: class=%q exhausted=%q, want budget-exceeded in analysis",
+				rep.Failure, rep.ExhaustedPhase)
+		}
 	}
 }

@@ -3,17 +3,13 @@ package scanner
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
-	"repro/internal/core"
 	"repro/internal/mdg"
 	"repro/internal/queries"
-	"repro/internal/reach"
 	"repro/internal/store"
 )
 
@@ -66,18 +62,25 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 }
 
 // IncrementalState carries everything a package's re-scans can reuse:
-// the per-file front end, per-file dependency facts, per-component MDG
-// fragments (immutable mdg.Fragment snapshots keyed by the component
-// files' content hashes), and per-fragment detection results. One
-// state serves one logical package; all methods are safe for
-// concurrent use (a scan holds the state's lock end to end, so
-// concurrent scans of the same state serialize).
+// the per-file front end (keyed by a content hash over path and
+// source), per-file dependency facts, per-component MDG fragments
+// (immutable mdg.Fragment snapshots keyed by the component files'
+// content hashes), and per-fragment detection results. One state
+// serves one logical package; all methods are safe for concurrent use
+// (a scan holds the state's lock end to end, so concurrent scans of
+// the same state serialize).
+//
+// Every scan runs against a state (see pipeline.go). The zero value is
+// the throwaway state of a cold scan: it retains nothing.
 type IncrementalState struct {
-	mu    sync.Mutex
-	cache *Cache
-	facts map[string]*factsEntry
-	frags map[string]*fragEntry
-	stats IncrementalStats
+	mu sync.Mutex
+	// retained is set by NewIncrementalState: the state keeps what it
+	// builds for the package's next scan.
+	retained bool
+	files    map[string]*frontEndEntry
+	facts    map[string]*factsEntry
+	frags    map[string]*fragEntry
+	stats    IncrementalStats
 	// store, when attached, backs the fragment/detect/facts families
 	// on disk (read-through on miss, write-through on clean build).
 	// See persist.go.
@@ -87,9 +90,10 @@ type IncrementalState struct {
 // NewIncrementalState returns an empty per-package incremental state.
 func NewIncrementalState() *IncrementalState {
 	return &IncrementalState{
-		cache: NewCache(),
-		facts: make(map[string]*factsEntry),
-		frags: make(map[string]*fragEntry),
+		retained: true,
+		files:    make(map[string]*frontEndEntry),
+		facts:    make(map[string]*factsEntry),
+		frags:    make(map[string]*fragEntry),
 	}
 }
 
@@ -97,13 +101,7 @@ func NewIncrementalState() *IncrementalState {
 func (st *IncrementalState) Stats() IncrementalStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.snapshotStats()
-}
-
-func (st *IncrementalState) snapshotStats() IncrementalStats {
-	s := st.stats
-	s.FrontEndHits, s.FrontEndMisses = st.cache.Stats()
-	return s
+	return st.stats
 }
 
 // Fragments returns the number of cached MDG fragments (test hook).
@@ -112,9 +110,6 @@ func (st *IncrementalState) Fragments() int {
 	defer st.mu.Unlock()
 	return len(st.frags)
 }
-
-// FrontEnd exposes the state's front-end cache (test hook).
-func (st *IncrementalState) FrontEnd() *Cache { return st.cache }
 
 type factsEntry struct {
 	hash  [sha256.Size]byte
@@ -137,7 +132,7 @@ type fragEntry struct {
 	detect       map[detectKey]*detectResult
 	// Cross-package linker side tables (tree mode): unresolved require
 	// placeholders, per-call callee/this value sets, and per-module
-	// CommonJS globals. Locations are fragment-local; ScanTree
+	// CommonJS globals. Locations are fragment-local; the tree linker
 	// translates them through the stitch remap (see analysis.Result).
 	externals  map[string]mdg.Loc
 	calleeLocs map[mdg.Loc][]mdg.Loc
@@ -338,360 +333,96 @@ func (st *IncrementalState) EstimateBytes() int64 {
 			b += 128 + int64(len(dr.findings))*160
 		}
 	}
-	b += st.cache.EstimateBytes()
+	for _, e := range st.files {
+		b += 1024 + int64(e.coreStmts)*96
+	}
 	b += int64(len(st.facts)) * 256
 	return b
 }
 
-// scan is the incremental counterpart of scanFiles: same inputs, same
-// report contract, but re-analysis is limited to the require-
-// components whose files changed since the previous scan of this
-// state. Equivalence with a cold scan (same findings, same failure
-// classification) is enforced by the mutation harness in
-// internal/metrics; the known report-level difference is that
-// MDGNodes/MDGEdges sum per-fragment sizes.
-func (st *IncrementalState) scan(files []SourceFile, name string, opts Options, preErr error) *Report {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// statsPtr snapshots the counters for a report.
+func (st *IncrementalState) statsPtr() *IncrementalStats {
+	s := st.stats
+	return &s
+}
 
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
-	rep := &Report{Name: name, Err: preErr}
-	engine, err := ParseEngine(string(opts.Engine))
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	rep.Engine = engine
-	b := newBudget(opts, name)
-	start := time.Now()
-
-	// Front end, through the state's cache.
-	type feItem struct {
-		rel   string
-		entry *cacheEntry
-	}
-	var items []feItem
-	keep := make(map[string]bool, len(files))
-	ferr := budget.Guard("front-end", func() error {
-		for _, f := range files {
-			keep[f.Rel] = true
-			entry, feErr := st.cache.frontEnd(f.Rel, f.Src, b)
-			if feErr != nil {
-				switch budget.ClassOf(feErr) {
-				case budget.ClassTimeout, budget.ClassBudget, budget.ClassCanceled:
-					return feErr
-				}
-				if rep.Err == nil {
-					rep.Err = fmt.Errorf("scanner: parse %s: %w", f.Rel, feErr)
-					rep.Failure = budget.ClassParse
-				}
-				continue
-			}
-			rep.LoC += entry.loc
-			rep.ASTNodes += entry.astNodes
-			rep.CoreStmts += entry.coreStmts
-			rep.CFGNodes += entry.cfgNodes
-			rep.CFGEdges += entry.cfgEdges
-			items = append(items, feItem{f.Rel, entry})
+// evictFiles drops the front-end entries and facts of files not in
+// keep. Callers hold st.mu.
+func (st *IncrementalState) evictFiles(keep map[string]bool) {
+	for rel := range st.files {
+		if !keep[rel] {
+			delete(st.files, rel)
+			st.stats.EvictedFiles++
 		}
-		b.CheckDeadline()
-		return b.Err()
-	})
-	// Deleted files are observable now: their front-end entries and
-	// facts must go, so nothing stale can join a later partition.
-	st.stats.EvictedFiles += st.cache.EvictExcept(keep)
+	}
 	for rel := range st.facts {
 		if !keep[rel] {
 			delete(st.facts, rel)
 		}
 	}
-	if ferr != nil {
-		frontEndFailure(rep, ferr, name)
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if len(items) == 0 {
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-
-	progs := make([]*core.Program, len(items))
-	for i, it := range items {
-		progs[i] = it.entry.prog
-	}
-
-	// Whole-package reach closure: cheap and cross-file, so it is
-	// recomputed from the (cached) lowered programs on every scan
-	// rather than stitched from per-file summaries.
-	skip := false
-	var rr *reach.Result
-	if gerr := budget.Guard("reach-gate", func() error {
-		rr, skip = gateSkips(rep, progs, cfgq, opts, b)
-		return nil
-	}); gerr != nil {
-		setFailure(rep, gerr, budget.ClassPanic)
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if gateCanceled(rep, b) {
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if skip {
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-
-	// Per-file dependency facts (cached by content hash) and the
-	// component partition.
-	rels := make([]string, len(items))
-	hashes := make([][sha256.Size]byte, len(items))
-	factsList := make([]*fileFacts, len(items))
-	for i, it := range items {
-		rels[i] = it.rel
-		hashes[i] = it.entry.hash
-		fe := st.facts[it.rel]
-		if fe == nil || fe.hash != it.entry.hash {
-			facts, fromStore := st.loadFacts(it.entry.hash)
-			if !fromStore {
-				facts = extractFacts(it.entry.prog)
-				st.saveFacts(it.entry.hash, facts)
-			}
-			fe = &factsEntry{hash: it.entry.hash, facts: facts}
-			st.facts[it.rel] = fe
-		}
-		factsList[i] = fe.facts
-	}
-	comps := partitionComponents(rels, factsList)
-
-	aopts := opts.Analysis
-	if aopts.MaxLoopIter == 0 {
-		aopts = analysis.DefaultOptions()
-	}
-	callerNoFallback := aopts.NoExportFallback
-	aopts.NoExportFallback = true
-	multiPass := aopts.ForceMultiPass || len(items) > 1
-	aopts.ForceMultiPass = multiPass
-	aoptsKey := fmt.Sprintf("v1|%d|%d|%t|%t", aopts.MaxLoopIter, aopts.StepBudget,
-		aopts.TreatAllFunctionsAsExported, multiPass)
-	aopts.Budget = b
-
-	// Build or fetch each component's fragment. A budget cap mid-build
-	// keeps the partial fragment for this scan's detection (mirroring
-	// the cold scan's partial-graph detection) but never caches it.
-	type liveFrag struct {
-		fe     *fragEntry
-		res    *analysis.Result // non-nil when built (possibly partially) this scan
-		stored bool             // fe lives in st.frags (cacheable detection)
-	}
-	var lives []liveFrag
-	currentKeys := make(map[string]bool, len(comps))
-	aborted := false
-	for _, comp := range comps {
-		ckey := componentKey(comp, hashes, aoptsKey)
-		currentKeys[ckey] = true
-		if fe, ok := st.frags[ckey]; ok {
-			st.stats.FragmentHits++
-			lives = append(lives, liveFrag{fe: fe, stored: true})
-			continue
-		}
-		// Warm restart: a fragment built by a previous process (or a
-		// replica sharing the directory) serves from the store instead
-		// of being rebuilt. Decode failure already quarantined and
-		// reported a miss, so the cold path below is the only fallback.
-		if fe, ok := st.loadFrag(ckey); ok {
-			st.stats.FragmentHits++
-			st.frags[ckey] = fe
-			lives = append(lives, liveFrag{fe: fe, stored: true})
-			continue
-		}
-		if aborted {
-			continue // cap already tripped; only cached components join
-		}
-		st.stats.FragmentMisses++
-		comprogs := make([]*core.Program, len(comp))
-		crels := make([]string, len(comp))
-		for j, i := range comp {
-			comprogs[j] = progs[i]
-			crels[j] = rels[i]
-		}
-		var res *analysis.Result
-		if aerr := budget.Guard("analysis", func() error {
-			res = analysis.AnalyzeModules(comprogs, aopts)
-			return nil
-		}); aerr != nil {
-			setFailure(rep, aerr, budget.ClassPanic)
-			rep.GraphTime = time.Since(start)
-			rep.IncrStats = st.statsPtr()
-			return rep
-		}
-		if res.TimedOut && b.Err() == nil {
-			rep.TimedOut = true
-			rep.Failure = budget.ClassBudget
-			rep.GraphTime = time.Since(start)
-			rep.IncrStats = st.statsPtr()
-			return rep
-		}
-		b.CheckDeadline()
-		if berr := b.Err(); berr != nil {
-			if c := budget.ClassOf(berr); c == budget.ClassTimeout || c == budget.ClassCanceled {
-				// Terminal for the whole scan; returning before
-				// newFragEntry guarantees nothing half-built — and no
-				// canceled result — ever enters the fragment cache.
-				rep.Failure = c
-				rep.TimedOut = c == budget.ClassTimeout
-				rep.Incomplete = c == budget.ClassCanceled
-				rep.GraphTime = time.Since(start)
-				rep.IncrStats = st.statsPtr()
-				return rep
-			}
-			// A step/node/edge cap: the fragment is incomplete. Use it
-			// for this scan's best-effort detection but do NOT cache
-			// it — a later uncapped scan must rebuild it in full.
-			rep.Incomplete = true
-			rep.Failure = budget.ClassOf(berr)
-			aborted = true
-			lives = append(lives, liveFrag{fe: partialFragEntry(ckey, crels, res), res: res})
-			continue
-		}
-		fe := newFragEntry(ckey, crels, res)
-		st.frags[ckey] = fe
-		st.saveFrag(fe)
-		lives = append(lives, liveFrag{fe: fe, res: res, stored: true})
-	}
-
-	// Package-wide export decision: the script fallback applies only
-	// when no fragment has a real export (exactly the cold rule).
-	anyReal := false
-	for _, lv := range lives {
-		if lv.fe.hasReal {
-			anyReal = true
-		}
-	}
-	fb := !anyReal && !aopts.TreatAllFunctionsAsExported && !callerNoFallback
-
-	for _, lv := range lives {
-		if lv.res != nil {
-			rep.MDGNodes += lv.res.Graph.NumNodes()
-			rep.MDGEdges += lv.res.Graph.NumEdges()
-		} else {
-			rep.MDGNodes += lv.fe.frag.NumNodes()
-			rep.MDGEdges += lv.fe.frag.NumEdges()
-		}
-	}
-	rep.GraphTime = time.Since(start)
-
-	detb := b
-	if aborted {
-		detb = b.DeadlineOnly()
-	}
-	// Detection results are keyed by the caller's config pointer; a nil
-	// Config means the canonical default (DefaultConfig allocates per
-	// call, so keying on cfgq would never hit).
-	for _, lv := range lives {
-		dkey := detectKey{engine: engine, fallback: fb, cfg: opts.Config}
-		if lv.stored {
-			if dr, ok := lv.fe.detect[dkey]; ok {
-				st.stats.DetectHits++
-				mergeCachedDetect(rep, dr)
-				continue
-			}
-			if dr, ok := st.loadDetect(lv.fe.key, engine, fb, opts.Config); ok {
-				st.stats.DetectHits++
-				lv.fe.detect[dkey] = dr
-				mergeCachedDetect(rep, dr)
-				continue
-			}
-		}
-		st.stats.DetectMisses++
-		res := lv.res
-		if res != nil {
-			if fb {
-				analysis.ApplyExportFallback(res)
-			}
-		} else {
-			res = rehydrate(lv.fe, fb)
-		}
-		scratch := &Report{Name: rep.Name, Engine: engine}
-		detectInto(scratch, res, cfgq, engine, detb)
-		mergeScratch(rep, scratch)
-		if lv.stored && detb.Err() == nil && !scratch.Incomplete && !scratch.TimedOut {
-			dr := &detectResult{
-				findings:    scratch.Findings,
-				truncated:   scratch.TruncatedSearches,
-				fellBack:    scratch.FellBack,
-				fallbackErr: scratch.FallbackErr,
-				err:         scratch.Err,
-				failure:     scratch.Failure,
-			}
-			lv.fe.detect[dkey] = dr
-			st.saveDetect(lv.fe.key, engine, fb, opts.Config, dr)
-		}
-	}
-	rep.Findings = queries.SortFindings(rep.Findings)
-	// Provenance is recomputed from this scan's whole-package gate
-	// result; merge paths append finding copies, so annotating here
-	// can never corrupt cached detection entries.
-	annotateProvenance(rep, rr)
-
-	b.CheckDeadline()
-	switch budget.ClassOf(b.Err()) {
-	case budget.ClassTimeout:
-		rep.TimedOut = true
-		rep.Incomplete = true
-		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassTimeout
-		}
-	case budget.ClassCanceled:
-		rep.Incomplete = true
-		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassCanceled
-		}
-	}
-
-	// Fragment invalidation: after a complete scan, any component key
-	// not part of the package anymore (changed or deleted files) is
-	// stale for good — a changed file can never produce the old key
-	// again without also reproducing the old content.
-	if !aborted {
-		for k := range st.frags {
-			// Tree-mode fragments live in their own key namespace and
-			// are invalidated by scanTree, never by a component scan.
-			if strings.HasPrefix(k, treeKeyPrefix) {
-				continue
-			}
-			if !currentKeys[k] {
-				delete(st.frags, k)
-				st.stats.EvictedFragments++
-			}
-		}
-	}
-	rep.IncrStats = st.statsPtr()
-	return rep
 }
 
-// statsPtr snapshots the counters for a report.
-func (st *IncrementalState) statsPtr() *IncrementalStats {
-	s := st.snapshotStats()
-	return &s
+// evictStale runs after a complete scan: any fragment key of the same
+// mode (tree or component) that is not one of comps' keys belongs to
+// changed or deleted files and is stale for good — a changed file can
+// never produce the old key again without also reproducing the old
+// content. The two modes' key namespaces never invalidate each other.
+// Callers hold st.mu.
+func (st *IncrementalState) evictStale(comps []component, tree bool) {
+	current := make(map[string]bool, len(comps))
+	for _, c := range comps {
+		current[c.key] = true
+	}
+	for k := range st.frags {
+		if strings.HasPrefix(k, treeKeyPrefix) == tree && !current[k] {
+			delete(st.frags, k)
+			st.stats.EvictedFragments++
+		}
+	}
+}
+
+// fragment returns the cached fragment for key from memory or, on a
+// warm restart, from the store (a fragment built by a previous process
+// or a replica sharing the directory). nil is a miss; a decode failure
+// has already been quarantined and counted. Callers hold st.mu.
+func (st *IncrementalState) fragment(key string) *fragEntry {
+	if key == "" {
+		return nil
+	}
+	if fe, ok := st.frags[key]; ok {
+		return fe
+	}
+	fe, ok := st.loadFrag(key)
+	if !ok {
+		return nil
+	}
+	st.frags[key] = fe
+	return fe
+}
+
+// detection returns fe's cached detection result for dkey from memory
+// or the store (nil on a miss). Callers hold st.mu.
+func (st *IncrementalState) detection(fe *fragEntry, dkey detectKey) *detectResult {
+	if dr, ok := fe.detect[dkey]; ok {
+		return dr
+	}
+	dr, ok := st.loadDetect(fe.key, dkey)
+	if !ok {
+		return nil
+	}
+	fe.detect[dkey] = dr
+	return dr
 }
 
 // componentKey identifies a component by its files' content hashes
 // (which cover both path and source) plus the analysis options that
 // shape the fragment.
-func componentKey(comp []int, hashes [][sha256.Size]byte, aoptsKey string) string {
+func componentKey(units []fileUnit, aoptsKey string) string {
 	h := sha256.New()
 	h.Write([]byte(aoptsKey))
-	for _, i := range comp {
+	for _, u := range units {
 		h.Write([]byte{0})
-		h.Write(hashes[i][:])
+		h.Write(u.fe.hash[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -727,10 +458,9 @@ func partialFragEntry(key string, rels []string, res *analysis.Result) *fragEntr
 
 // rehydrate rebuilds a detection-ready analysis result from a cached
 // fragment: a fresh graph via the stitching API (a single-fragment
-// stitch preserves locations, so the stored summaries stay valid), the
-// export marks reset to the build-time truth, and the package-wide
-// fallback applied if requested.
-func rehydrate(fe *fragEntry, fallback bool) *analysis.Result {
+// stitch preserves locations, so the stored summaries stay valid) with
+// the export marks reset to the build-time truth.
+func rehydrate(fe *fragEntry) *analysis.Result {
 	g, _ := mdg.Stitch(fe.frag)
 	res := &analysis.Result{
 		Graph: g, Functions: fe.functions, HasRealExports: fe.hasReal,
@@ -743,54 +473,5 @@ func rehydrate(fe *fragEntry, fallback bool) *analysis.Result {
 			n.Exported = fn.Exported
 		}
 	}
-	if fallback {
-		analysis.ApplyExportFallback(res)
-	}
 	return res
-}
-
-// mergeCachedDetect folds a cached detection result into the report.
-func mergeCachedDetect(rep *Report, dr *detectResult) {
-	rep.Findings = append(rep.Findings, dr.findings...)
-	rep.TruncatedSearches += dr.truncated
-	if dr.fellBack {
-		rep.FellBack = true
-		if rep.FallbackErr == nil {
-			rep.FallbackErr = dr.fallbackErr
-		}
-	}
-	if dr.err != nil && rep.Err == nil {
-		rep.Err = dr.err
-	}
-	if dr.failure != budget.ClassNone && rep.Failure == budget.ClassNone {
-		rep.Failure = dr.failure
-	}
-}
-
-// mergeScratch folds a live per-fragment detection report into the
-// package report.
-func mergeScratch(rep, scratch *Report) {
-	rep.Findings = append(rep.Findings, scratch.Findings...)
-	rep.TruncatedSearches += scratch.TruncatedSearches
-	rep.NativeTime += scratch.NativeTime
-	rep.QueryEngineTime += scratch.QueryEngineTime
-	rep.QueryTime += scratch.QueryTime
-	if scratch.Incomplete {
-		rep.Incomplete = true
-	}
-	if scratch.TimedOut {
-		rep.TimedOut = true
-	}
-	if scratch.FellBack {
-		rep.FellBack = true
-		if rep.FallbackErr == nil {
-			rep.FallbackErr = scratch.FallbackErr
-		}
-	}
-	if scratch.Err != nil && rep.Err == nil {
-		rep.Err = scratch.Err
-	}
-	if scratch.Failure != budget.ClassNone && rep.Failure == budget.ClassNone {
-		rep.Failure = scratch.Failure
-	}
 }

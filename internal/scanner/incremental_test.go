@@ -146,8 +146,8 @@ func TestIncrementalDeletedFileFindingsDisappear(t *testing.T) {
 	if len(rep1.Findings) == 0 {
 		t.Fatal("seed scan found nothing; test is vacuous")
 	}
-	if st.FrontEnd().Len() != 2 {
-		t.Fatalf("front-end entries = %d, want 2", st.FrontEnd().Len())
+	if len(st.files) != 2 {
+		t.Fatalf("front-end entries = %d, want 2", len(st.files))
 	}
 
 	shrunk := files[:1]
@@ -155,8 +155,8 @@ func TestIncrementalDeletedFileFindingsDisappear(t *testing.T) {
 	if len(rep2.Findings) != 0 {
 		t.Fatalf("deleted file's findings survived: %v", rep2.Findings)
 	}
-	if st.FrontEnd().Len() != 1 {
-		t.Fatalf("stale front-end entry not evicted: len=%d", st.FrontEnd().Len())
+	if len(st.files) != 1 {
+		t.Fatalf("stale front-end entry not evicted: len=%d", len(st.files))
 	}
 	if rep2.IncrStats.EvictedFiles == 0 {
 		t.Fatalf("eviction not recorded: %+v", rep2.IncrStats)
@@ -169,11 +169,14 @@ func TestIncrementalDeletedFileFindingsDisappear(t *testing.T) {
 	sameFindings(t, rep1, rep3)
 }
 
-// The cold Cache must evict deleted files' entries too (the same
-// hazard through the non-incremental path).
+// Deleted files' front-end entries and facts must go after a
+// sequence of scans too (the stale-cache hazard: an entry keyed by a
+// removed rel would otherwise live forever and, worse, be served again
+// if a file with the same path and content reappeared after
+// incompatible sibling changes).
 func TestCacheEvictsDeletedFiles(t *testing.T) {
-	cache := NewCache()
-	opts := Options{Cache: cache}
+	st := NewIncrementalState()
+	opts := Options{Incremental: st}
 	files := []SourceFile{
 		{Rel: "a.js", Src: "function fa(x) { return x; }\nmodule.exports = fa;\n"},
 		{Rel: "vuln.js", Src: gitResetSrc},
@@ -182,12 +185,15 @@ func TestCacheEvictsDeletedFiles(t *testing.T) {
 	if len(rep1.Findings) == 0 {
 		t.Fatal("seed scan found nothing")
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2", cache.Len())
+	if len(st.files) != 2 || len(st.facts) != 2 {
+		t.Fatalf("entries = %d files/%d facts, want 2/2", len(st.files), len(st.facts))
 	}
 	rep2 := ScanFiles(files[:1], "pkg", opts)
-	if cache.Len() != 1 {
-		t.Fatalf("stale entry survived: len = %d", cache.Len())
+	if len(st.files) != 1 || len(st.facts) != 1 {
+		t.Fatalf("stale entries survived: %d files/%d facts", len(st.files), len(st.facts))
+	}
+	if _, ok := st.files["vuln.js"]; ok {
+		t.Fatal("the deleted file's front-end entry survived")
 	}
 	if len(rep2.Findings) != 0 {
 		t.Fatalf("deleted file's findings survived: %v", rep2.Findings)

@@ -443,11 +443,11 @@ func (st *IncrementalState) saveFrag(fe *fragEntry) {
 }
 
 // loadDetect reads one detection result through the store.
-func (st *IncrementalState) loadDetect(ckey string, engine Engine, fallback bool, cfg *queries.Config) (*detectResult, bool) {
+func (st *IncrementalState) loadDetect(ckey string, dk detectKey) (*detectResult, bool) {
 	if st.store == nil {
 		return nil, false
 	}
-	key, ok := detectStoreKey(ckey, engine, fallback, cfg)
+	key, ok := detectStoreKey(ckey, dk.engine, dk.fallback, dk.cfg)
 	if !ok {
 		return nil, false
 	}
@@ -467,7 +467,7 @@ func (st *IncrementalState) loadDetect(ckey string, engine Engine, fallback bool
 }
 
 // saveDetect persists a clean detection result.
-func (st *IncrementalState) saveDetect(ckey string, engine Engine, fallback bool, cfg *queries.Config, dr *detectResult) {
+func (st *IncrementalState) saveDetect(ckey string, dk detectKey, dr *detectResult) {
 	if st.store == nil {
 		return
 	}
@@ -475,7 +475,7 @@ func (st *IncrementalState) saveDetect(ckey string, engine Engine, fallback bool
 	if !ok {
 		return
 	}
-	key, ok := detectStoreKey(ckey, engine, fallback, cfg)
+	key, ok := detectStoreKey(ckey, dk.engine, dk.fallback, dk.cfg)
 	if !ok {
 		return
 	}

@@ -338,7 +338,8 @@ func FuzzStoreDecode(f *testing.F) {
 			_, _ = mdg.Stitch(fr) // an accepted fragment must be stitchable
 		}
 		if fe, err := decodeFragEntry("k", data); err == nil {
-			_ = rehydrate(fe, true) // and rehydratable without panicking
+			// and rehydratable (with the export fallback) without panicking
+			analysis.ApplyExportFallback(rehydrate(fe))
 		}
 		_, _ = decodeFacts(data)
 		_, _ = decodeDetectResult(data)

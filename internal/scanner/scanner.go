@@ -15,11 +15,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
-	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/js/ast"
-	"repro/internal/js/normalize"
-	"repro/internal/js/parser"
 	"repro/internal/queries"
 	"repro/internal/reach"
 	"repro/internal/taint"
@@ -82,15 +78,12 @@ type Options struct {
 	MaxSteps int
 	MaxNodes int
 	MaxEdges int
-	// Cache, when set, memoizes the per-file front end across scans
-	// (see Cache). Ignored when Incremental is set — the incremental
-	// state owns its own front-end cache.
-	Cache *Cache
-	// Incremental, when set, reuses MDG fragments and detection
-	// results across scans of the same package: only the
-	// require-components touched by changed files are re-analyzed
-	// (see IncrementalState). The state must be dedicated to one
-	// logical package; use a StatePool for corpus sweeps.
+	// Incremental, when set, reuses the per-file front end, MDG
+	// fragments and detection results across scans of the same
+	// package: only the require-components touched by changed files
+	// are re-analyzed (see IncrementalState). The state must be
+	// dedicated to one logical package; use a StatePool for corpus
+	// sweeps. Without it a scan runs against a throwaway state.
 	Incremental *IncrementalState
 	// NoReachGate disables the call-graph reachability pre-pass that
 	// skips graph construction for packages whose reachable code
@@ -100,8 +93,8 @@ type Options struct {
 	// the cheapest-possible triage, used as the floor rung of the sweep
 	// supervisor's degradation ladder. A package the gate can prove
 	// finding-free completes cleanly; anything else returns an
-	// Incomplete report with no findings. Ignored by incremental scans
-	// (the fragment cache would be poisoned by gate-only results).
+	// Incomplete report with no findings. Nothing past the front end
+	// is cached on this path.
 	ReachGateOnly bool
 	// FaultLabel overrides the budget label used for deterministic
 	// fault injection and diagnostics (default: the scan name). Sweep
@@ -154,16 +147,6 @@ type Report struct {
 	// Engine records the backend that produced Findings.
 	Engine Engine
 
-	// Phase timings (Table 6).
-	GraphTime time.Duration // parse + normalize + MDG build
-	QueryTime time.Duration // detection with the selected backend
-	// Per-backend detection timings: NativeTime is filled when the
-	// native engine ran, QueryEngineTime when the query engine ran
-	// (differential mode fills both; the query engine's time includes
-	// the database load).
-	NativeTime      time.Duration
-	QueryEngineTime time.Duration
-
 	// Reachability pre-pass results: how many functions the package
 	// defines, how many are unreachable from its exported API, and
 	// whether detection was skipped outright because reachable code
@@ -188,8 +171,11 @@ type Report struct {
 	// graph nodes/edges charged, wall time) in pipeline order, and
 	// ExhaustedPhase names the phase the first budget failure tripped
 	// in ("" when the budget held) — so callers see *which* phase
-	// starved, not just that one did. Incremental scans do not fill
-	// these (fragments interleave phases across cache hits).
+	// starved, not just that one did. The rows are the report's only
+	// timing record (Table 6): they cover the pipeline contiguously
+	// from the front end through detection, cold or warm, so
+	// TotalTime and DetectTime are sums over them. A re-entered phase
+	// (detection per fragment) accumulates into one row.
 	Phases         []budget.PhaseUsage
 	ExhaustedPhase string
 
@@ -224,8 +210,41 @@ func (r *Report) TotalNodes() int { return r.ASTNodes + r.CFGNodes + r.MDGNodes 
 // TotalEdges returns the edge count as Table 7 reports it.
 func (r *Report) TotalEdges() int { return r.CFGEdges + r.MDGEdges }
 
-// TotalTime returns the end-to-end analysis time.
-func (r *Report) TotalTime() time.Duration { return r.GraphTime + r.QueryTime }
+// Detection phase names: each backend runs under its own phase.
+const (
+	PhaseDetectNative = "detect-native"
+	PhaseDetectQuery  = "detect-query"
+)
+
+// PhaseTime sums the wall time of the named phase rows.
+func (r *Report) PhaseTime(names ...string) time.Duration {
+	var d time.Duration
+	for _, u := range r.Phases {
+		for _, n := range names {
+			if u.Phase == n {
+				d += u.Dur
+			}
+		}
+	}
+	return d
+}
+
+// DetectTime returns the time spent in detection backends (the query
+// engine's time includes the database load).
+func (r *Report) DetectTime() time.Duration {
+	return r.PhaseTime(PhaseDetectNative, PhaseDetectQuery)
+}
+
+// TotalTime returns the end-to-end analysis time: every phase row,
+// front end through detection. TotalTime - DetectTime is the graph
+// construction time of Table 6.
+func (r *Report) TotalTime() time.Duration {
+	var d time.Duration
+	for _, u := range r.Phases {
+		d += u.Dur
+	}
+	return d
+}
 
 // testHookNative, when set, runs at the start of native detection.
 // Tests use it to inject engine panics or burn the scan's budget; it
@@ -273,181 +292,6 @@ func setFailure(rep *Report, err error, def budget.Class) {
 	default:
 		rep.Err = err
 	}
-}
-
-// frontEndFailure classifies an error out of the front-end phase.
-// Plain errors are parse errors (the parser is the only component in
-// that phase that returns them).
-func frontEndFailure(rep *Report, err error, name string) {
-	switch budget.ClassOf(err) {
-	case budget.ClassTimeout:
-		rep.Failure = budget.ClassTimeout
-		rep.TimedOut = true
-	case budget.ClassBudget:
-		rep.Failure = budget.ClassBudget
-		rep.Incomplete = true
-	case budget.ClassCanceled:
-		rep.Failure = budget.ClassCanceled
-		rep.Incomplete = true
-	case budget.ClassPanic:
-		rep.Failure = budget.ClassPanic
-		rep.Err = err
-	default:
-		rep.Failure = budget.ClassParse
-		rep.Err = fmt.Errorf("scanner: parse %s: %w", name, err)
-	}
-}
-
-// ScanSource scans one JavaScript source text.
-//
-// ScanSource is safe for concurrent use by multiple goroutines, which
-// is what makes parallel corpus sweeps (metrics.SweepGraphJS) sound:
-// every pipeline stage — parser, normalizer, CFG builder, abstract
-// interpreter, reach gate, and all detection backends — allocates its
-// state per call, the shared opts.Config is read-only after
-// construction, and opts.Cache (when set) is internally locked.
-func ScanSource(src, name string, opts Options) *Report {
-	if opts.Incremental != nil {
-		return opts.Incremental.scan([]SourceFile{{Rel: name, Src: src}}, name, opts, nil)
-	}
-	rep := &Report{Name: name, LoC: strings.Count(src, "\n") + 1}
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
-	engine, err := ParseEngine(string(opts.Engine))
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	rep.Engine = engine
-	b := newBudget(opts, name)
-	defer func() { recordPhases(rep, b) }()
-
-	start := time.Now()
-
-	var nprog *core.Program
-	b.BeginPhase("front-end")
-	ferr := budget.Guard("front-end", func() error {
-		prog, perr := parser.ParseBudget(src, b)
-		if perr != nil {
-			return perr
-		}
-		rep.ASTNodes = ast.Count(prog)
-		nprog = normalize.NormalizeBudget(prog, name, b)
-		rep.CoreStmts = core.CountStmts(nprog.Body)
-		rep.CFGNodes, rep.CFGEdges = cfg.TotalSize(cfg.BuildAll(nprog))
-		b.CheckDeadline()
-		return b.Err()
-	})
-	if ferr != nil {
-		frontEndFailure(rep, ferr, name)
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-
-	analyze := func(ao analysis.Options) *analysis.Result {
-		return analysis.Analyze(nprog, ao)
-	}
-	return finishScan(rep, []*core.Program{nprog}, analyze, cfgq, opts, b, start)
-}
-
-// finishScan runs the shared back half of a scan — reach gate, MDG
-// construction, and detection — over already-lowered programs.
-func finishScan(rep *Report, progs []*core.Program, analyze func(analysis.Options) *analysis.Result,
-	cfgq *queries.Config, opts Options, b *budget.Budget, start time.Time) *Report {
-
-	skip := false
-	var rr *reach.Result
-	b.BeginPhase("reach-gate")
-	if gerr := budget.Guard("reach-gate", func() error {
-		rr, skip = gateSkips(rep, progs, cfgq, opts, b)
-		return nil
-	}); gerr != nil {
-		// Panic-fenced like every other pass: the Guard recovers the
-		// panic and the scan fails with a classified error (retry
-		// ladders and quarantine handle it uniformly), instead of
-		// silently absorbing faults inside the gate.
-		setFailure(rep, gerr, budget.ClassPanic)
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-	if gateCanceled(rep, b) {
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-	if skip {
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-	if opts.ReachGateOnly {
-		// Triage floor: the gate could not prove the package
-		// finding-free, and the caller asked for nothing deeper. No
-		// findings were established, so the report is best-effort.
-		rep.Incomplete = true
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-
-	aopts := opts.Analysis
-	if aopts.MaxLoopIter == 0 {
-		aopts = analysis.DefaultOptions()
-	}
-	aopts.Budget = b
-	var res *analysis.Result
-	b.BeginPhase("analysis")
-	if aerr := budget.Guard("analysis", func() error {
-		res = analyze(aopts)
-		return nil
-	}); aerr != nil {
-		setFailure(rep, aerr, budget.ClassPanic)
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-	rep.MDGNodes = res.Graph.NumNodes()
-	rep.MDGEdges = res.Graph.NumEdges()
-
-	if res.TimedOut && b.Err() == nil {
-		// Legacy analysis.Options.StepBudget exhaustion: keep the old
-		// contract (TimedOut, no findings).
-		rep.TimedOut = true
-		rep.Failure = budget.ClassBudget
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-	b.CheckDeadline()
-	if berr := b.Err(); berr != nil {
-		rep.Failure = budget.ClassOf(berr)
-		if rep.Failure == budget.ClassTimeout {
-			rep.TimedOut = true
-			rep.GraphTime = time.Since(start)
-			return rep
-		}
-		if rep.Failure == budget.ClassCanceled {
-			// Nobody is waiting for findings-so-far; skip the grace
-			// detection pass entirely.
-			rep.Incomplete = true
-			rep.GraphTime = time.Since(start)
-			return rep
-		}
-		// A cap (steps/nodes/edges) tripped: still report the findings
-		// the partial graph supports, under the remaining wall clock.
-		rep.Incomplete = true
-		b = b.DeadlineOnly()
-	}
-
-	runDetection(rep, res, cfgq, rep.Engine, start, b)
-	annotateProvenance(rep, rr)
-
-	b.CheckDeadline()
-	if budget.ClassOf(b.Err()) == budget.ClassTimeout {
-		rep.TimedOut = true
-		rep.Incomplete = true
-		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassTimeout
-		}
-	}
-	return rep
 }
 
 // gateSkips runs the export-graph reachability gate and reports
@@ -511,13 +355,12 @@ func annotateProvenance(rep *Report, rr *reach.Result) {
 }
 
 // detectNative runs the native taint engine inside a panic guard and
-// returns its findings. Timing and truncation stats are recorded on
-// the report even when the engine fails.
+// returns its findings. Truncation stats are recorded on the report
+// even when the engine fails.
 func detectNative(rep *Report, res *analysis.Result, cfgq *queries.Config, b *budget.Budget) ([]queries.Finding, error) {
-	qStart := time.Now()
 	var fs []queries.Finding
-	b.BeginPhase("detect-native")
-	err := budget.Guard("detect-native", func() error {
+	b.BeginPhase(PhaseDetectNative)
+	err := budget.Guard(PhaseDetectNative, func() error {
 		if testHookNative != nil {
 			testHookNative(rep.Name, b)
 		}
@@ -529,18 +372,16 @@ func detectNative(rep *Report, res *analysis.Result, cfgq *queries.Config, b *bu
 		}
 		return nil
 	})
-	rep.NativeTime = time.Since(qStart)
 	return fs, err
 }
 
 // detectQuery loads the MDG into the graph database and runs the
-// Table 2 queries inside a panic guard. The load is included in
-// QueryEngineTime.
+// Table 2 queries inside a panic guard. The load is part of the
+// detect-query phase.
 func detectQuery(rep *Report, res *analysis.Result, cfgq *queries.Config, b *budget.Budget) ([]queries.Finding, error) {
-	qStart := time.Now()
 	var fs []queries.Finding
-	b.BeginPhase("detect-query")
-	err := budget.Guard("detect-query", func() error {
+	b.BeginPhase(PhaseDetectQuery)
+	err := budget.Guard(PhaseDetectQuery, func() error {
 		lg := queries.LoadBudget(res, b)
 		out, derr := queries.Detect(lg, cfgq)
 		if derr != nil {
@@ -553,25 +394,16 @@ func detectQuery(rep *Report, res *analysis.Result, cfgq *queries.Config, b *bud
 		}
 		return nil
 	})
-	rep.QueryEngineTime = time.Since(qStart)
 	return fs, err
 }
 
-// runDetection executes the selected backend over an analysis result.
-// GraphTime is closed here, before detection starts.
-func runDetection(rep *Report, res *analysis.Result, cfgq *queries.Config, engine Engine, start time.Time, b *budget.Budget) {
-	rep.GraphTime = time.Since(start)
-	detectInto(rep, res, cfgq, engine, b)
-}
-
-// detectInto runs the selected backend and records findings, timings
-// and failure state on rep, leaving GraphTime alone — the incremental
-// path calls it once per fragment with a scratch report.
+// detectInto runs the selected backend and records findings and
+// failure state on rep. The pipeline calls it once per detection unit
+// with a scratch report (see mergeScratch).
 func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine Engine, b *budget.Budget) {
 	switch engine {
 	case EngineNative:
 		fs, err := detectNative(rep, res, cfgq, b)
-		rep.QueryTime = rep.NativeTime
 		if err != nil {
 			setFailure(rep, err, budget.ClassQuery)
 			return
@@ -580,13 +412,11 @@ func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine 
 
 	case EngineDifferential:
 		qf, qErr := detectQuery(rep, res, cfgq, b)
-		rep.QueryTime = rep.QueryEngineTime
 		if qErr != nil {
 			setFailure(rep, qErr, budget.ClassQuery)
 			return
 		}
 		nf, nErr := detectNative(rep, res, cfgq, b)
-		rep.QueryTime = rep.QueryEngineTime + rep.NativeTime
 		if nErr != nil {
 			setFailure(rep, nErr, budget.ClassQuery)
 			return
@@ -604,7 +434,6 @@ func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine 
 
 	case EngineFallback:
 		fs, err := detectNative(rep, res, cfgq, b)
-		rep.QueryTime = rep.NativeTime
 		if err == nil {
 			rep.Findings = fs
 			return
@@ -627,7 +456,6 @@ func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine 
 		rep.FellBack = true
 		rep.FallbackErr = err
 		qf, qErr := detectQuery(rep, res, cfgq, b)
-		rep.QueryTime = rep.NativeTime + rep.QueryEngineTime
 		if qErr != nil {
 			setFailure(rep, qErr, budget.ClassQuery)
 			return
@@ -636,7 +464,6 @@ func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine 
 
 	default: // EngineQuery
 		fs, err := detectQuery(rep, res, cfgq, b)
-		rep.QueryTime = rep.QueryEngineTime
 		if err != nil {
 			setFailure(rep, err, budget.ClassQuery)
 			return
@@ -694,6 +521,21 @@ func DiffFindings(query, native []queries.Finding) error {
 	sort.Strings(diffs)
 	return fmt.Errorf("finding sets differ (%d discrepancies):\n  %s",
 		len(diffs), strings.Join(diffs, "\n  "))
+}
+
+// ScanSource scans one JavaScript source text: a one-file package
+// whose file is named name (Options.Tree does not apply).
+//
+// ScanSource, like every entry point, is safe for concurrent use by
+// multiple goroutines, which is what makes parallel corpus sweeps
+// (metrics.SweepGraphJS) sound: every pipeline stage — parser,
+// normalizer, CFG builder, abstract interpreter, reach gate, and all
+// detection backends — allocates its state per call, the shared
+// opts.Config is read-only after construction, and opts.Incremental
+// (when set) serializes the scans that share it.
+func ScanSource(src, name string, opts Options) *Report {
+	opts.Tree = false
+	return scanFiles([]SourceFile{{Rel: name, Src: src}}, name, opts, nil)
 }
 
 // ScanFile scans one JavaScript file.
@@ -769,82 +611,14 @@ func ScanFiles(files []SourceFile, name string, opts Options) *Report {
 	return scanFiles(files, name, opts, nil)
 }
 
-// scanFiles is the shared package-scan body. preErr is a pre-existing
-// non-fatal error (e.g. an unreadable file) recorded on the report.
+// scanFiles hands a package to the scan pipeline: the caller's
+// incremental state, or a throwaway one for a cold scan. preErr is a
+// pre-existing non-fatal error (e.g. an unreadable file) recorded on
+// the report.
 func scanFiles(files []SourceFile, name string, opts Options, preErr error) *Report {
-	if opts.Tree {
-		return scanTree(files, name, opts, preErr)
+	st := opts.Incremental
+	if st == nil {
+		st = &IncrementalState{}
 	}
-	if opts.Incremental != nil {
-		return opts.Incremental.scan(files, name, opts, preErr)
-	}
-
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
-	rep := &Report{Name: name, Err: preErr}
-	engine, err := ParseEngine(string(opts.Engine))
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	rep.Engine = engine
-	b := newBudget(opts, name)
-	defer func() { recordPhases(rep, b) }()
-	start := time.Now()
-
-	frontEnd := noCacheFrontEnd
-	if opts.Cache != nil {
-		frontEnd = opts.Cache.frontEnd
-	}
-	var progs []*core.Program
-	keep := make(map[string]bool, len(files))
-	b.BeginPhase("front-end")
-	ferr := budget.Guard("front-end", func() error {
-		for _, f := range files {
-			keep[f.Rel] = true
-			entry, feErr := frontEnd(f.Rel, f.Src, b)
-			if feErr != nil {
-				switch budget.ClassOf(feErr) {
-				case budget.ClassTimeout, budget.ClassBudget, budget.ClassCanceled:
-					return feErr // the whole package's budget is gone
-				}
-				// A parse error in one file does not doom the package;
-				// record the first one and keep going.
-				if rep.Err == nil {
-					rep.Err = fmt.Errorf("scanner: parse %s: %w", f.Rel, feErr)
-					rep.Failure = budget.ClassParse
-				}
-				continue
-			}
-			rep.LoC += entry.loc
-			rep.ASTNodes += entry.astNodes
-			rep.CoreStmts += entry.coreStmts
-			rep.CFGNodes += entry.cfgNodes
-			rep.CFGEdges += entry.cfgEdges
-			progs = append(progs, entry.prog)
-		}
-		b.CheckDeadline()
-		return b.Err()
-	})
-	// Scan completion is when deleted files become observable: drop
-	// cache entries for paths no longer in the package so stale
-	// programs can never resurface in a later scan.
-	if opts.Cache != nil {
-		opts.Cache.EvictExcept(keep)
-	}
-	if ferr != nil {
-		frontEndFailure(rep, ferr, name)
-		rep.GraphTime = time.Since(start)
-		return rep
-	}
-	if len(progs) == 0 {
-		return rep
-	}
-
-	analyze := func(ao analysis.Options) *analysis.Result {
-		return analysis.AnalyzeModules(progs, ao)
-	}
-	return finishScan(rep, progs, analyze, cfgq, opts, b, start)
+	return st.scan(files, name, opts, preErr)
 }

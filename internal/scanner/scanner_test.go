@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/queries"
 )
@@ -60,7 +60,7 @@ func TestScanMetrics(t *testing.T) {
 	if rep.TotalNodes() != rep.ASTNodes+rep.CFGNodes+rep.MDGNodes {
 		t.Error("TotalNodes mismatch")
 	}
-	if rep.GraphTime <= 0 {
+	if rep.TotalTime()-rep.DetectTime() <= 0 {
 		t.Error("graph time not measured")
 	}
 }
@@ -72,15 +72,19 @@ func TestScanParseError(t *testing.T) {
 	}
 }
 
+// TestScanTimeoutViaStepBudget: a step cap small enough to trip in the
+// front end ends the scan there — classified as budget exhaustion, no
+// findings, and the exhausted phase named.
 func TestScanTimeoutViaStepBudget(t *testing.T) {
-	rep := ScanSource(gitResetSrc, "t.js", Options{
-		Analysis: analysis.Options{MaxLoopIter: 30, StepBudget: 2},
-	})
-	if !rep.TimedOut {
-		t.Fatal("expected timeout")
+	rep := ScanSource(gitResetSrc, "t.js", Options{MaxSteps: 2})
+	if rep.Failure != budget.ClassBudget || !rep.Incomplete {
+		t.Fatalf("failure=%q incomplete=%v, want a budget-exceeded incomplete scan", rep.Failure, rep.Incomplete)
 	}
 	if len(rep.Findings) != 0 {
-		t.Fatal("timed-out scan must not report findings")
+		t.Fatal("a scan capped in the front end must not report findings")
+	}
+	if rep.ExhaustedPhase != "front-end" {
+		t.Errorf("exhausted phase %q, want front-end", rep.ExhaustedPhase)
 	}
 }
 
@@ -250,21 +254,25 @@ func TestCacheCompositionality(t *testing.T) {
 	mustWrite(t, filepath.Join(dir, "b.js"), "function fb(y) { return y; }\nmodule.exports = fb;\n")
 	mustWrite(t, filepath.Join(dir, "c.js"), gitResetSrc)
 
-	cache := NewCache()
-	opts := Options{Cache: cache}
+	st := NewIncrementalState()
+	opts := Options{Incremental: st}
+	frontEnd := func() (hits, misses int) {
+		s := st.Stats()
+		return s.FrontEndHits, s.FrontEndMisses
+	}
 
 	rep1 := ScanPackage(dir, opts)
 	if rep1.Err != nil {
 		t.Fatal(rep1.Err)
 	}
-	hits, misses := cache.Stats()
+	hits, misses := frontEnd()
 	if hits != 0 || misses != 3 {
 		t.Fatalf("first scan: hits=%d misses=%d", hits, misses)
 	}
 
 	// Unchanged re-scan: all hits.
 	rep2 := ScanPackage(dir, opts)
-	hits, misses = cache.Stats()
+	hits, misses = frontEnd()
 	if hits != 3 || misses != 3 {
 		t.Fatalf("second scan: hits=%d misses=%d", hits, misses)
 	}
@@ -275,7 +283,7 @@ func TestCacheCompositionality(t *testing.T) {
 	// Edit one file: exactly one extra miss.
 	mustWrite(t, filepath.Join(dir, "b.js"), "function fb(y) { return y + 1; }\nmodule.exports = fb;\n")
 	rep3 := ScanPackage(dir, opts)
-	hits, misses = cache.Stats()
+	hits, misses = frontEnd()
 	if hits != 5 || misses != 4 {
 		t.Fatalf("third scan: hits=%d misses=%d", hits, misses)
 	}
@@ -284,24 +292,24 @@ func TestCacheCompositionality(t *testing.T) {
 	}
 }
 
-// zeroTimings clears the wall-clock fields so reports can be compared
-// byte for byte.
-func zeroTimings(rep *Report) {
-	rep.GraphTime = 0
-	rep.QueryTime = 0
-	rep.NativeTime = 0
-	rep.QueryEngineTime = 0
-	// Phase usage measures effort, not outcome: a warm cache hit
-	// legitimately spends zero front-end steps.
+// stripEffort clears what legitimately differs between a cold and a
+// warm report of the same input, so the rest can be compared byte for
+// byte: phase usage measures effort, not outcome (a warm cache hit
+// spends zero front-end steps), and only a retained state reports its
+// cache counters.
+func stripEffort(rep *Report) {
 	rep.Phases = nil
+	rep.IncrStats = nil
 }
 
-// TestCachedScanEqualsUncached: the front-end cache must be
-// observationally transparent. Table-driven over every dataset
-// template (all CWEs crossed with every behavioural class) plus the
-// pathological crash corpus under deterministic step caps: the cached
-// report must be byte-identical to the uncached one (timings aside),
-// and the cache's hit/miss counters must grow monotonically.
+// TestCachedScanEqualsUncached: warm state must be observationally
+// transparent. Table-driven over every dataset template (all CWEs
+// crossed with every behavioural class) plus the pathological crash
+// corpus under deterministic step caps: a scan through a retained
+// incremental state must be byte-identical to a cold one (phases and
+// cache counters aside) — first scan and, when no budget is involved,
+// warm re-scan — and the pool's front-end counters must grow
+// monotonically.
 func TestCachedScanEqualsUncached(t *testing.T) {
 	type testCase struct {
 		name string
@@ -322,36 +330,39 @@ func TestCachedScanEqualsUncached(t *testing.T) {
 		cases = append(cases, testCase{p.Name, p.Source, Options{MaxSteps: 100000}})
 	}
 
-	cache := NewCache()
+	pool := NewStatePool()
 	prevHits, prevMisses := 0, 0
 	for _, tc := range cases {
 		files := []SourceFile{{Rel: "index.js", Src: tc.src}}
 		plain := ScanFiles(files, tc.name, tc.opts)
-		copts := tc.opts
-		copts.Cache = cache
-		cached := ScanFiles(files, tc.name, copts)
-		zeroTimings(plain)
-		zeroTimings(cached)
-		if !reflect.DeepEqual(plain, cached) {
-			t.Errorf("%s: cached report differs from uncached:\n%+v\nvs\n%+v", tc.name, cached, plain)
+		wopts := tc.opts
+		wopts.Incremental = pool.Get(tc.name)
+		warm := ScanFiles(files, tc.name, wopts)
+		if warm.IncrStats == nil || plain.IncrStats != nil {
+			t.Fatalf("%s: incremental stats on the wrong report: cold=%v warm=%v", tc.name, plain.IncrStats, warm.IncrStats)
 		}
-		hits, misses := cache.Stats()
-		if hits < prevHits || misses < prevMisses {
-			t.Fatalf("%s: cache stats not monotone: %d/%d after %d/%d", tc.name, hits, misses, prevHits, prevMisses)
+		stripEffort(plain)
+		stripEffort(warm)
+		if !reflect.DeepEqual(plain, warm) {
+			t.Errorf("%s: warm-state report differs from cold:\n%+v\nvs\n%+v", tc.name, warm, plain)
 		}
-		prevHits, prevMisses = hits, misses
+		s := pool.Stats()
+		if s.FrontEndHits < prevHits || s.FrontEndMisses < prevMisses {
+			t.Fatalf("%s: front-end stats not monotone: %d/%d after %d/%d", tc.name, s.FrontEndHits, s.FrontEndMisses, prevHits, prevMisses)
+		}
+		prevHits, prevMisses = s.FrontEndHits, s.FrontEndMisses
 
 		// A warm re-scan must hit and, when no budget is involved,
 		// still produce the identical report.
 		if tc.opts.MaxSteps == 0 {
-			warm := ScanFiles(files, tc.name, copts)
-			zeroTimings(warm)
-			if !reflect.DeepEqual(plain, warm) {
-				t.Errorf("%s: warm cached report differs:\n%+v\nvs\n%+v", tc.name, warm, plain)
+			again := ScanFiles(files, tc.name, wopts)
+			stripEffort(again)
+			if !reflect.DeepEqual(plain, again) {
+				t.Errorf("%s: warm re-scan report differs:\n%+v\nvs\n%+v", tc.name, again, plain)
 			}
-			hits2, _ := cache.Stats()
-			if hits2 <= hits {
-				t.Errorf("%s: warm re-scan did not hit the cache", tc.name)
+			hits2 := pool.Stats().FrontEndHits
+			if hits2 <= prevHits {
+				t.Errorf("%s: warm re-scan did not hit the front-end cache", tc.name)
 			}
 			prevHits = hits2
 		}

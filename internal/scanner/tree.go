@@ -19,17 +19,13 @@ package scanner
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/budget"
-	"repro/internal/core"
 	"repro/internal/deptree"
 	"repro/internal/mdg"
 	"repro/internal/queries"
@@ -86,342 +82,18 @@ func ScanTreeDir(dir string, opts Options) *Report {
 // either mode invalidating the other's entries.
 const treeKeyPrefix = "tree|"
 
-// scanTree is the Options.Tree entry point, reached via scanFiles. A
-// dedicated (possibly throwaway) IncrementalState supplies the
-// front-end cache, the per-package fragment cache, and the persistent
-// store plumbing.
-func scanTree(files []SourceFile, name string, opts Options, preErr error) *Report {
-	st := opts.Incremental
-	if st == nil {
-		st = NewIncrementalState()
-	}
-	return st.scanTree(files, name, opts, preErr)
-}
-
-// treeLive is one package's fragment in this scan, in stitch order.
-type treeLive struct {
-	pkg    *deptree.Package
-	fe     *fragEntry
-	built  bool // analyzed this scan (fragment snapshotted either way)
-	stored bool // fe lives in st.frags (cacheable)
-}
-
-func (st *IncrementalState) scanTree(files []SourceFile, name string, opts Options, preErr error) *Report {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
-	rep := &Report{Name: name, Err: preErr}
-	engine, err := ParseEngine(string(opts.Engine))
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	rep.Engine = engine
-	b := newBudget(opts, name)
-	defer func() { recordPhases(rep, b) }()
-	start := time.Now()
-
-	// Resolve the dependency tree first: a broken tree (missing or
-	// unusable node_modules entry) is a deterministic, classified
-	// failure — no rung of the retry ladder can fix the layout on
-	// disk, so the supervisor treats ClassResolve like ClassParse.
-	fmap := make(map[string]string, len(files))
-	for _, f := range files {
-		fmap[f.Rel] = f.Src
-	}
-	tree := deptree.Build(fmap)
-	if probs := tree.Problems(); len(probs) > 0 {
-		rep.Failure = budget.ClassResolve
-		rep.Err = fmt.Errorf("scanner: dependency tree %s: %w", name, errors.Join(probs...))
-		return rep
-	}
-	rep.TreePackages = len(tree.Packages)
-	for _, p := range tree.Packages {
-		if d := strings.Count(p.Dir, "node_modules"); d > rep.TreeDepth {
-			rep.TreeDepth = d
-		}
-	}
-
-	// Front end over every .js file in the tree, through the state's
-	// cache (package.json manifests feed the resolver only).
-	type feItem struct {
-		rel   string
-		entry *cacheEntry
-	}
-	var items []feItem
-	keep := make(map[string]bool, len(files))
-	b.BeginPhase("front-end")
-	ferr := budget.Guard("front-end", func() error {
-		for _, f := range files {
-			if !strings.HasSuffix(f.Rel, ".js") {
-				continue
-			}
-			keep[f.Rel] = true
-			entry, feErr := st.cache.frontEnd(f.Rel, f.Src, b)
-			if feErr != nil {
-				switch budget.ClassOf(feErr) {
-				case budget.ClassTimeout, budget.ClassBudget, budget.ClassCanceled:
-					return feErr
-				}
-				if rep.Err == nil {
-					rep.Err = fmt.Errorf("scanner: parse %s: %w", f.Rel, feErr)
-					rep.Failure = budget.ClassParse
-				}
-				continue
-			}
-			rep.LoC += entry.loc
-			rep.ASTNodes += entry.astNodes
-			rep.CoreStmts += entry.coreStmts
-			rep.CFGNodes += entry.cfgNodes
-			rep.CFGEdges += entry.cfgEdges
-			items = append(items, feItem{f.Rel, entry})
-		}
-		b.CheckDeadline()
-		return b.Err()
-	})
-	st.stats.EvictedFiles += st.cache.EvictExcept(keep)
-	if ferr != nil {
-		frontEndFailure(rep, ferr, name)
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if len(items) == 0 {
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	byRel := make(map[string]*cacheEntry, len(items))
-	progs := make([]*core.Program, len(items))
-	for i, it := range items {
-		byRel[it.rel] = it.entry
-		progs[i] = it.entry.prog
-	}
-
-	// Whole-tree reach gate: all packages' programs, all export roots.
-	// Bare requires stay opaque to the gate's export interpreter, but
-	// the gate remains sound — a dependency's reachable sink keeps the
-	// tree un-skippable through the dependency's own export surface.
-	skip := false
-	var rr *reach.Result
-	b.BeginPhase("reach-gate")
-	if gerr := budget.Guard("reach-gate", func() error {
-		rr, skip = gateSkips(rep, progs, cfgq, opts, b)
-		return nil
-	}); gerr != nil {
-		setFailure(rep, gerr, budget.ClassPanic)
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if gateCanceled(rep, b) {
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if skip {
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if opts.ReachGateOnly {
-		rep.Incomplete = true
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-
-	aopts := opts.Analysis
-	if aopts.MaxLoopIter == 0 {
-		aopts = analysis.DefaultOptions()
-	}
-	callerNoFallback := aopts.NoExportFallback
-	aopts.NoExportFallback = true
-	// Every package runs the full cross-module fixpoint, matching the
-	// pass count a combined whole-tree analysis would use.
-	aopts.ForceMultiPass = true
-	aoptsKey := fmt.Sprintf("%sv1|%d|%d|%t", treeKeyPrefix, aopts.MaxLoopIter,
-		aopts.StepBudget, aopts.TreatAllFunctionsAsExported)
-	aopts.Budget = b
-
-	// Build or fetch each package's fragment, in stitch order (root
-	// first, then dependencies sorted by directory — so relative
-	// location order matches a flattened scan's file order).
-	var lives []treeLive
-	currentKeys := make(map[string]bool, len(tree.Packages))
-	aborted := false
-	b.BeginPhase("analysis")
-	for _, pkg := range tree.Packages {
-		var crels []string
-		var hashes [][sha256.Size]byte
-		var comprogs []*core.Program
-		for _, rel := range pkg.Files {
-			entry := byRel[rel]
-			if entry == nil {
-				continue // unparseable file, already classified
-			}
-			crels = append(crels, rel)
-			hashes = append(hashes, entry.hash)
-			comprogs = append(comprogs, entry.prog)
-		}
-		if len(comprogs) == 0 {
-			continue
-		}
-		pkey := treePackageKey(pkg.Dir, crels, hashes, aoptsKey)
-		currentKeys[pkey] = true
-		if fe, ok := st.frags[pkey]; ok {
-			st.stats.FragmentHits++
-			lives = append(lives, treeLive{pkg: pkg, fe: fe, stored: true})
-			continue
-		}
-		if fe, ok := st.loadFrag(pkey); ok {
-			st.stats.FragmentHits++
-			st.frags[pkey] = fe
-			lives = append(lives, treeLive{pkg: pkg, fe: fe, stored: true})
-			continue
-		}
-		if aborted {
-			continue
-		}
-		st.stats.FragmentMisses++
-		var res *analysis.Result
-		if aerr := budget.Guard("analysis", func() error {
-			res = analysis.AnalyzeModules(comprogs, aopts)
-			return nil
-		}); aerr != nil {
-			setFailure(rep, aerr, budget.ClassPanic)
-			rep.GraphTime = time.Since(start)
-			rep.IncrStats = st.statsPtr()
-			return rep
-		}
-		if res.TimedOut && b.Err() == nil {
-			rep.TimedOut = true
-			rep.Failure = budget.ClassBudget
-			rep.GraphTime = time.Since(start)
-			rep.IncrStats = st.statsPtr()
-			return rep
-		}
-		b.CheckDeadline()
-		if berr := b.Err(); berr != nil {
-			if c := budget.ClassOf(berr); c == budget.ClassTimeout || c == budget.ClassCanceled {
-				rep.Failure = c
-				rep.TimedOut = c == budget.ClassTimeout
-				rep.Incomplete = c == budget.ClassCanceled
-				rep.GraphTime = time.Since(start)
-				rep.IncrStats = st.statsPtr()
-				return rep
-			}
-			// A step/node/edge cap: keep the partial fragment for this
-			// scan's best-effort stitch but never cache it.
-			rep.Incomplete = true
-			rep.Failure = budget.ClassOf(berr)
-			aborted = true
-			fe := newFragEntry(pkey, crels, res)
-			lives = append(lives, treeLive{pkg: pkg, fe: fe, built: true})
-			continue
-		}
-		fe := newFragEntry(pkey, crels, res)
-		st.frags[pkey] = fe
-		st.saveFrag(fe)
-		lives = append(lives, treeLive{pkg: pkg, fe: fe, built: true, stored: true})
-	}
-	if len(lives) == 0 {
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-
-	// Package-tree-wide export decision, exactly the cold rule: the
-	// script fallback applies only when no package has a real export.
-	anyReal := false
-	for _, lv := range lives {
-		if lv.fe.hasReal {
-			anyReal = true
-		}
-	}
-	fb := !anyReal && !aopts.TreatAllFunctionsAsExported && !callerNoFallback
-
-	// Stitch all package fragments into one graph and translate every
-	// fragment-local side table through the stitch remap.
-	frags := make([]*mdg.Fragment, len(lives))
-	for i, lv := range lives {
-		frags[i] = lv.fe.frag
-	}
-	var g *mdg.Graph
-	var remaps []map[mdg.Loc]mdg.Loc
-	var res *analysis.Result
-	var ln *treeLinker
-	if serr := budget.Guard("stitch-link", func() error {
-		g, remaps = mdg.Stitch(frags...)
-		res, ln = linkTree(g, remaps, lives, tree, anyReal)
-		return nil
-	}); serr != nil {
-		setFailure(rep, serr, budget.ClassPanic)
-		rep.GraphTime = time.Since(start)
-		rep.IncrStats = st.statsPtr()
-		return rep
-	}
-	if fb {
-		analysis.ApplyExportFallback(res)
-	}
-	rep.MDGNodes = g.NumNodes()
-	rep.MDGEdges = g.NumEdges()
-	rep.GraphTime = time.Since(start)
-
-	detb := b
-	if aborted {
-		detb = b.DeadlineOnly()
-	}
-	// One detection pass over the stitched, linked graph (per-fragment
-	// detection caching does not apply: findings can span packages).
-	detectInto(rep, res, cfgq, engine, detb)
-	rep.Findings = queries.SortFindings(rep.Findings)
-	annotateTreeProvenance(rep, rr, tree, ln)
-
-	b.CheckDeadline()
-	switch budget.ClassOf(b.Err()) {
-	case budget.ClassTimeout:
-		rep.TimedOut = true
-		rep.Incomplete = true
-		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassTimeout
-		}
-	case budget.ClassCanceled:
-		rep.Incomplete = true
-		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassCanceled
-		}
-	}
-
-	// Stale-key invalidation within the tree namespace (mirrors the
-	// per-component rule; other-mode keys are untouched).
-	if !aborted {
-		for k := range st.frags {
-			if strings.HasPrefix(k, treeKeyPrefix) && !currentKeys[k] {
-				delete(st.frags, k)
-				st.stats.EvictedFragments++
-			}
-		}
-	}
-	rep.IncrStats = st.statsPtr()
-	return rep
-}
-
 // treePackageKey identifies one package's fragment by its directory,
 // its files' content hashes, and the analysis options shaping it.
-func treePackageKey(dir string, rels []string, hashes [][sha256.Size]byte, aoptsKey string) string {
+func treePackageKey(dir string, units []fileUnit, aoptsKey string) string {
 	h := sha256.New()
 	h.Write([]byte(aoptsKey))
 	h.Write([]byte{0})
 	h.Write([]byte(dir))
 	h.Write([]byte{0})
-	for i, rel := range rels {
-		h.Write([]byte(rel))
+	for _, u := range units {
+		h.Write([]byte(u.rel))
 		h.Write([]byte{0})
-		h.Write(hashes[i][:])
+		h.Write(u.fe.hash[:])
 	}
 	return treeKeyPrefix + fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -461,7 +133,7 @@ type phInfo struct {
 
 // linkTree builds the merged analysis result for a stitched tree and
 // runs the cross-package linker over it.
-func linkTree(g *mdg.Graph, remaps []map[mdg.Loc]mdg.Loc, lives []treeLive, tree *deptree.Tree, anyReal bool) (*analysis.Result, *treeLinker) {
+func linkTree(g *mdg.Graph, remaps []map[mdg.Loc]mdg.Loc, lives []liveFrag, tree *deptree.Tree, anyReal bool) *analysis.Result {
 	ln := &treeLinker{
 		g:        g,
 		tree:     tree,
@@ -516,11 +188,11 @@ func linkTree(g *mdg.Graph, remaps []map[mdg.Loc]mdg.Loc, lives []treeLive, tree
 	}
 
 	ln.graft(lives, remaps)
-	return res, ln
+	return res
 }
 
 // graft runs the three linking passes in deterministic order.
-func (ln *treeLinker) graft(lives []treeLive, remaps []map[mdg.Loc]mdg.Loc) {
+func (ln *treeLinker) graft(lives []liveFrag, remaps []map[mdg.Loc]mdg.Loc) {
 	// Pass 1 — require grafting: every require('pkg') call node gains
 	// value edges to the dependency's real exports, replaying the
 	// resolved-require branch of the abstract interpreter.
@@ -746,7 +418,7 @@ func dedupeSortedLocs(ls []mdg.Loc) []mdg.Loc {
 // dependencies cannot collide) and a dependency-hop path: the chain of
 // packages the call path crosses, root first. Every tree finding
 // carries at least the sink's owning package.
-func annotateTreeProvenance(rep *Report, rr *reach.Result, tree *deptree.Tree, ln *treeLinker) {
+func annotateTreeProvenance(rep *Report, rr *reach.Result, tree *deptree.Tree) {
 	for i := range rep.Findings {
 		f := &rep.Findings[i]
 		var hops []string

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +268,29 @@ func TestTreeWarmRescan(t *testing.T) {
 	}
 	if len(after.Findings) != 0 {
 		t.Fatalf("defused dependency still yields findings:\n%s", identityList(after.Findings))
+	}
+}
+
+// TestTreeStitchLinkPhase: the stitch+link pass is its own phase row,
+// not time charged to analysis, on every tree the gate does not skip.
+func TestTreeStitchLinkPhase(t *testing.T) {
+	stitched := 0
+	for _, tc := range dataset.TreeCases() {
+		rep := ScanFiles(treeSources(tc.Files), tc.Name, Options{Tree: true, Timeout: 30 * time.Second})
+		if rep.Err != nil {
+			t.Fatalf("%s: %v", tc.Name, rep.Err)
+		}
+		names := phaseNames(rep)
+		if rep.SkippedByReach {
+			continue
+		}
+		if len(names) < 5 || !reflect.DeepEqual(names[:5], []string{"front-end", "reach-gate", "partition", "analysis", "stitch-link"}) {
+			t.Errorf("%s: phases %v, want stitch-link right after analysis", tc.Name, names)
+		}
+		stitched++
+	}
+	if stitched == 0 {
+		t.Fatal("every tree case was skipped by the reach gate; the test is vacuous")
 	}
 }
 

@@ -229,8 +229,8 @@ func scanResponse(rep *scanner.Report, eff EffectiveJSON) ScanResponse {
 		Truncated:      rep.TruncatedSearches,
 		Stats: ScanStatsJSON{
 			LoC: rep.LoC, MDGNodes: rep.MDGNodes, MDGEdges: rep.MDGEdges,
-			GraphMs:    float64(rep.GraphTime.Microseconds()) / 1000,
-			DetectMs:   float64(rep.QueryTime.Microseconds()) / 1000,
+			GraphMs:    float64((rep.TotalTime() - rep.DetectTime()).Microseconds()) / 1000,
+			DetectMs:   float64(rep.DetectTime().Microseconds()) / 1000,
 			FuncsTotal: rep.FuncsTotal, FuncsPruned: rep.FuncsPruned,
 			SkippedByReach: rep.SkippedByReach, ExportCount: rep.ExportCount,
 			ReachFallback: rep.ReachFallback, ProvenanceDepth: rep.ProvenanceDepth,

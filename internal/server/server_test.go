@@ -488,3 +488,27 @@ func TestPanicFence(t *testing.T) {
 	}
 	ok.Body.Close()
 }
+
+// TestWarmScanReportsPhases: a warm (pooled) scan carries the phase
+// rows and names the phase a tiny node cap exhausted, exactly like a
+// cold one — both run the same pipeline.
+func TestWarmScanReportsPhases(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	vuln := "module.exports = function(c){ require('child_process').exec(c) }\n"
+	for _, cold := range []bool{false, true} {
+		req := ScanRequest{Name: "capped", Source: vuln, MaxNodes: 5, Cold: cold}
+		resp := decodeResp[ScanResponse](t, postJSON(t, ts.URL+"/v1/scan", req), http.StatusOK)
+		if resp.Effective.Warm == cold {
+			t.Fatalf("cold=%v: effective warm=%v", cold, resp.Effective.Warm)
+		}
+		if len(resp.Phases) == 0 {
+			t.Errorf("cold=%v: response carries no phases", cold)
+		}
+		if resp.ExhaustedPhase != "analysis" {
+			t.Errorf("cold=%v: exhaustedPhase %q, want analysis", cold, resp.ExhaustedPhase)
+		}
+		if resp.Stats.GraphMs <= 0 {
+			t.Errorf("cold=%v: graphMs %v not derived from the phase rows", cold, resp.Stats.GraphMs)
+		}
+	}
+}
