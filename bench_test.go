@@ -487,6 +487,7 @@ func BenchmarkTaintSearch(b *testing.B) {
 		b.Fatal("no sources")
 	}
 	src := lg.ByLoc[res.Sources[0]]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reach := lg.TaintReach(src, 64)

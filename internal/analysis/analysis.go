@@ -527,11 +527,10 @@ func (a *analyzer) fixpoint(body []core.Stmt, st *mdg.Store, line int) {
 	for i := 0; i < a.opts.MaxLoopIter; i++ {
 		before := st.Copy()
 		gSnap := a.g.Snap()
-		sSnap := st.Snapshot()
 		a.stmts(body, st)
 		// Join with the pre-iteration store: the loop may run 0 times.
 		st.Join(before)
-		if a.g.Snap() == gSnap && st.Snapshot() == sSnap {
+		if a.g.Snap() == gSnap && st.Equal(before) {
 			return
 		}
 	}

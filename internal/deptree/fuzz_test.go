@@ -14,6 +14,7 @@ func FuzzDepResolve(f *testing.F) {
 	f.Add("node_modules/@o/p/index.js", `{"main":"../../x"}`, "@o/p")
 	f.Add("node_modules/a/node_modules/b/index.js", `{nope}`, "b")
 	f.Add("a/../../x.js", `{"main":"/etc/passwd"}`, "../escape")
+	f.Add("..js", "0", "0") // a root file whose name starts with "..", not a parent path
 	f.Fuzz(func(t *testing.T, rel, pkgjson, spec string) {
 		files := map[string]string{
 			"index.js":     "module.exports = 1;",
@@ -30,7 +31,7 @@ func FuzzDepResolve(f *testing.F) {
 		}
 		for _, p := range tree.Packages {
 			for _, fr := range p.Files {
-				if strings.HasPrefix(fr, "..") || strings.HasPrefix(fr, "/") {
+				if outsideTree(fr) {
 					t.Fatalf("package %q owns file %q outside the tree", p.Dir, fr)
 				}
 			}
@@ -41,7 +42,7 @@ func FuzzDepResolve(f *testing.F) {
 			if _, ok := files[got]; !ok {
 				t.Fatalf("Resolve(%q, %q) = %q: not a tree file", p.Dir, spec, got)
 			}
-			if strings.HasPrefix(got, "..") || strings.HasPrefix(got, "/") {
+			if outsideTree(got) {
 				t.Fatalf("Resolve(%q, %q) = %q escapes the tree", p.Dir, spec, got)
 			}
 		}
@@ -50,4 +51,10 @@ func FuzzDepResolve(f *testing.F) {
 			_ = tree.Owner(rel)
 		}
 	})
+}
+
+// outsideTree reports whether tree-relative path p leaves the tree: it is
+// absolute or its first segment is "..".
+func outsideTree(p string) bool {
+	return p == ".." || strings.HasPrefix(p, "../") || strings.HasPrefix(p, "/")
 }

@@ -8,7 +8,10 @@
 // property map; directed relationships carry a type and a property
 // map. The query language (see query.go / exec.go) supports MATCH
 // patterns with variable-length relationships, WHERE filters, and
-// RETURN projections with DISTINCT and LIMIT.
+// RETURN projections with DISTINCT and LIMIT. A query parsed once
+// (ParseQuery) can run many times through Exec, or through ExecBound
+// with some pattern variables bound in advance; execution never
+// modifies a parsed query, so one may be shared across goroutines.
 //
 // A DB instance is not internally synchronized: concurrent scans each
 // load their own instance (see queries.Load), which is what makes the

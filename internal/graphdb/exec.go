@@ -3,6 +3,7 @@ package graphdb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -18,15 +19,47 @@ type Result struct {
 
 // Binding values can be *Node, []*Rel (relationship variable), Path, or
 // a plain Value.
-
+//
+// One binding map serves a whole query execution: the matcher binds a
+// variable for the duration of a recursive call and restores the map
+// before returning, so nothing may keep a binding past the callback it
+// was passed to (emit copies what it projects into a Row).
 type binding map[string]any
 
-func (b binding) clone() binding {
-	c := make(binding, len(b))
-	for k, v := range b {
-		c[k] = v
+// set binds name to v and returns the previous state for restore.
+func (b binding) set(name string, v any) (prev any, had bool) {
+	prev, had = b[name]
+	b[name] = v
+	return prev, had
+}
+
+// restore undoes a set.
+func (b binding) restore(name string, prev any, had bool) {
+	if had {
+		b[name] = prev
+	} else {
+		delete(b, name)
 	}
-	return c
+}
+
+// isNodeVar reports whether name is the variable of some node pattern
+// and of no relationship pattern or path.
+func isNodeVar(patterns []Pattern, name string) bool {
+	node := false
+	for _, p := range patterns {
+		if p.PathVar == name {
+			return false
+		}
+		for _, np := range p.Nodes {
+			node = node || np.Var == name
+		}
+		for _, rp := range p.Rels {
+			if rp.Var == name {
+				return false
+			}
+		}
+	}
+	return node
 }
 
 // ExecError is a query-evaluation error.
@@ -38,7 +71,9 @@ func execErrf(format string, args ...any) error {
 	return &ExecError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Query parses and executes src against the database.
+// Query parses src and executes it against the database. It parses on
+// every call; a caller running one fixed query many times parses it
+// once with ParseQuery and runs the result with Exec or ExecBound.
 func (db *DB) Query(src string) (*Result, error) {
 	q, err := ParseQuery(src)
 	if err != nil {
@@ -47,11 +82,33 @@ func (db *DB) Query(src string) (*Result, error) {
 	return db.Exec(q)
 }
 
-// Exec executes a parsed query.
-func (db *DB) Exec(q *Query) (*Result, error) {
+// Exec executes a parsed query. Execution only reads q, so one parsed
+// query may run concurrently against different databases.
+func (db *DB) Exec(q *Query) (*Result, error) { return db.ExecBound(q, nil) }
+
+// ExecBound executes a parsed query with some node-pattern variables
+// bound in advance to nodes of this database. A bound variable's node
+// pattern matches only its node (when the node passes the pattern's
+// labels and properties), so the rows are those of the query with
+// `WHERE id(v) = <id>` added for every bound v, in the same order, but
+// matching starts from the bound nodes instead of scanning every node.
+// Binding a name that is not a node-pattern variable of q (absent, or
+// a relationship or path variable) is an error.
+func (db *DB) ExecBound(q *Query, bound map[string]*Node) (*Result, error) {
 	var patterns []Pattern
 	for _, m := range q.Matches {
 		patterns = append(patterns, m.Patterns...)
+	}
+
+	start := make(binding, len(bound))
+	for name, n := range bound {
+		if !isNodeVar(patterns, name) {
+			return nil, execErrf("bound variable %q is not a node-pattern variable of the query", name)
+		}
+		if n == nil || db.NodeByID(n.ID) != n {
+			return nil, execErrf("bound variable %q is not a node of this database", name)
+		}
+		start[name] = n
 	}
 
 	res := &Result{}
@@ -78,7 +135,8 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 	}
 	counts := make([]int64, len(q.Return.Items))
 
-	seen := map[string]bool{}
+	seen := map[string]struct{}{}
+	var keyBuf []byte
 	limitReached := false
 	// ORDER BY needs every row before truncation.
 	earlyStop := q.Return.OrderBy == nil
@@ -89,8 +147,7 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 	}
 	var sortable []sortedRow
 
-	var emit func(b binding) error
-	emit = func(b binding) error {
+	emit := func(b binding) error {
 		if q.Where != nil {
 			ok, err := evalBool(q.Where, b, db)
 			if err != nil {
@@ -117,7 +174,7 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 			}
 			return nil
 		}
-		row := Row{}
+		row := make(Row, len(q.Return.Items))
 		for i, item := range q.Return.Items {
 			v, err := evalExpr(item.Expr, b, db)
 			if err != nil {
@@ -126,11 +183,11 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 			row[res.Columns[i]] = v
 		}
 		if q.Return.Distinct {
-			key := rowKey(res.Columns, row)
-			if seen[key] {
+			keyBuf = appendRowKey(keyBuf[:0], res.Columns, row)
+			if _, dup := seen[string(keyBuf)]; dup {
 				return nil
 			}
-			seen[key] = true
+			seen[string(keyBuf)] = struct{}{}
 		}
 		if q.Return.OrderBy != nil {
 			k, err := evalExpr(q.Return.OrderBy, b, db)
@@ -159,7 +216,7 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 			return match(pi+1, nb)
 		})
 	}
-	if err := match(0, binding{}); err != nil {
+	if err := match(0, start); err != nil {
 		return nil, err
 	}
 
@@ -217,171 +274,225 @@ func lessValues(a, b Value) bool {
 }
 
 // matchPattern enumerates all bindings of one pattern, invoking k for
-// each. Bound variables already present in b constrain the match.
+// each. Variables already bound in b constrain the match. b is
+// extended in place while k runs and restored before matchPattern
+// returns.
 func (db *DB) matchPattern(p *Pattern, b binding, k func(binding) error) error {
-	// Enumerate candidates for the first node.
-	first := p.Nodes[0]
-	cands, err := db.nodeCandidates(first, b)
-	if err != nil {
-		return err
+	m := &chainMatch{db: db, p: p, b: b, k: k}
+	first := &p.Nodes[0]
+	if first.Var != "" {
+		if v, ok := b[first.Var]; ok {
+			n, isNode := v.(*Node)
+			if !isNode {
+				return execErrf("variable %q is not a node", first.Var)
+			}
+			if !nodeMatches(first, n) {
+				return nil
+			}
+			if err := db.bud.Step(); err != nil {
+				return err
+			}
+			return m.start(n)
+		}
 	}
-	for _, n := range cands {
+	// Candidates: a label index scan, or every node in id order.
+	pool := db.nodes
+	if len(first.Labels) > 0 {
+		pool = db.byLabel[first.Labels[0]]
+	}
+	for _, n := range pool {
+		if !nodeMatches(first, n) {
+			continue
+		}
 		if err := db.bud.Step(); err != nil {
 			return err
 		}
-		nb := b.clone()
 		if first.Var != "" {
-			nb[first.Var] = n
+			b[first.Var] = n
 		}
-		path := Path{Nodes: []*Node{n}}
-		if err := db.matchChain(p, 0, n, nb, path, k); err != nil {
+		err := m.start(n)
+		if first.Var != "" {
+			delete(b, first.Var)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// matchChain extends the match from node index i along relationship i.
-func (db *DB) matchChain(p *Pattern, i int, cur *Node, b binding, path Path, k func(binding) error) error {
-	if i == len(p.Rels) {
-		if p.PathVar != "" {
-			b = b.clone()
-			b[p.PathVar] = path
-		}
-		return k(b)
-	}
-	rp := &p.Rels[i]
-	np := &p.Nodes[i+1]
-	return db.expandRel(rp, cur, path, func(target *Node, rels []*Rel, npath Path) error {
-		if !db.nodeMatches(np, target, b) {
-			return nil
-		}
-		nb := b.clone()
-		if np.Var != "" {
-			if existing, ok := nb[np.Var]; ok {
-				en, isNode := existing.(*Node)
-				if !isNode || en.ID != target.ID {
-					return nil
-				}
-			} else {
-				nb[np.Var] = target
-			}
-		}
-		if rp.Var != "" {
-			nb[rp.Var] = rels
-		}
-		return db.matchChain(p, i+1, target, nb, npath, k)
-	})
+// chainMatch extends one pattern's match from its first node along
+// its relationship patterns, depth first.
+type chainMatch struct {
+	db *DB
+	p  *Pattern
+	b  binding
+	k  func(binding) error
+	// rels is the stack of relationships matched so far; the
+	// variable-length expansion of relationship pattern i owns the
+	// suffix from the depth it started at.
+	rels []*Rel
+	// nodes is the path's node stack, kept only when the pattern binds
+	// a path variable.
+	nodes []*Node
 }
 
-// expandRel enumerates matches of one relationship pattern from cur,
+// start matches the rest of the pattern from first node n.
+func (m *chainMatch) start(n *Node) error {
+	if m.p.PathVar != "" {
+		m.nodes = append(m.nodes[:0], n)
+	}
+	return m.chain(0, n)
+}
+
+// chain matches relationship pattern i (and everything after it) from
+// node cur.
+func (m *chainMatch) chain(i int, cur *Node) error {
+	if i == len(m.p.Rels) {
+		return m.emit()
+	}
+	if m.p.Rels[i].MinHops == 0 {
+		// Zero-length match allowed: the target is cur itself.
+		if err := m.hit(i, cur, len(m.rels)); err != nil {
+			return err
+		}
+	}
+	return m.expand(i, cur, 0, len(m.rels))
+}
+
+// expand enumerates matches of relationship pattern i from n, which is
+// depth hops into the expansion whose relationships are m.rels[seg:],
 // following trail semantics (no relationship repeated within one
 // variable-length expansion).
-func (db *DB) expandRel(rp *RelPattern, cur *Node, path Path, k func(*Node, []*Rel, Path) error) error {
-	typeOK := func(r *Rel) bool {
-		if len(rp.Types) == 0 {
-			return true
-		}
-		for _, t := range rp.Types {
-			if r.Type == t {
-				return true
-			}
-		}
-		return false
+func (m *chainMatch) expand(i int, n *Node, depth, seg int) error {
+	if err := m.db.bud.Step(); err != nil {
+		return err
 	}
-	propsOK := func(r *Rel) bool {
-		for name, want := range rp.Props {
-			if !valueEq(r.Props[name], want) {
-				return false
-			}
-		}
-		return true
-	}
-	step := func(n *Node) []*Rel {
-		if rp.Reverse {
-			return db.in[n.ID]
-		}
-		return db.out[n.ID]
-	}
-	other := func(r *Rel) *Node {
-		if rp.Reverse {
-			return db.nodes[r.From]
-		}
-		return db.nodes[r.To]
-	}
-
-	used := map[int64]bool{}
-	var rec func(n *Node, depth int, rels []*Rel, pth Path) error
-	rec = func(n *Node, depth int, rels []*Rel, pth Path) error {
-		if err := db.bud.Step(); err != nil {
+	rp := &m.p.Rels[i]
+	// depth 0 (zero-length) is handled by chain.
+	if depth > 0 && depth >= rp.MinHops {
+		if err := m.hit(i, n, seg); err != nil {
 			return err
 		}
-		// depth 0 (zero-length) is handled by the caller below.
-		if depth > 0 && depth >= rp.MinHops {
-			if err := k(n, append([]*Rel(nil), rels...), pth); err != nil {
-				return err
-			}
-		}
-		if depth == rp.MaxHops {
-			return nil
-		}
-		for _, r := range step(n) {
-			if used[r.ID] || !typeOK(r) || !propsOK(r) {
-				continue
-			}
-			used[r.ID] = true
-			t := other(r)
-			np := Path{
-				Nodes: append(append([]*Node(nil), pth.Nodes...), t),
-				Rels:  append(append([]*Rel(nil), pth.Rels...), r),
-			}
-			if err := rec(t, depth+1, append(rels, r), np); err != nil {
-				return err
-			}
-			used[r.ID] = false
-		}
+	}
+	if depth == rp.MaxHops {
 		return nil
 	}
-	if rp.MinHops == 0 {
-		// Zero-length match allowed: target is cur itself.
-		if err := k(cur, nil, path); err != nil {
+	adj := m.db.out[n.ID-1]
+	if rp.Reverse {
+		adj = m.db.in[n.ID-1]
+	}
+	for _, r := range adj {
+		if !relMatches(rp, r) || inTrail(m.rels[seg:], r) {
+			continue
+		}
+		t := m.db.nodes[r.To-1]
+		if rp.Reverse {
+			t = m.db.nodes[r.From-1]
+		}
+		m.rels = append(m.rels, r)
+		if m.p.PathVar != "" {
+			m.nodes = append(m.nodes, t)
+		}
+		err := m.expand(i, t, depth+1, seg)
+		m.rels = m.rels[:len(m.rels)-1]
+		if m.p.PathVar != "" {
+			m.nodes = m.nodes[:len(m.nodes)-1]
+		}
+		if err != nil {
 			return err
 		}
 	}
-	return rec(cur, 0, nil, path)
+	return nil
 }
 
-// nodeCandidates returns the candidate nodes for a node pattern: the
-// already-bound node, a label index scan, or all nodes.
-func (db *DB) nodeCandidates(np NodePattern, b binding) ([]*Node, error) {
+// hit handles one match of relationship pattern i ending at target,
+// the expansion's relationships being m.rels[seg:]: it checks and
+// binds node pattern i+1 and the relationship variable, then matches
+// the rest of the pattern.
+func (m *chainMatch) hit(i int, target *Node, seg int) error {
+	np := &m.p.Nodes[i+1]
+	if !nodeMatches(np, target) {
+		return nil
+	}
+	bindNode := false
 	if np.Var != "" {
-		if v, ok := b[np.Var]; ok {
-			n, isNode := v.(*Node)
-			if !isNode {
-				return nil, execErrf("variable %q is not a node", np.Var)
+		if existing, ok := m.b[np.Var]; ok {
+			en, isNode := existing.(*Node)
+			if !isNode || en.ID != target.ID {
+				return nil
 			}
-			if db.nodeMatches(&np, n, b) {
-				return []*Node{n}, nil
-			}
-			return nil, nil
+		} else {
+			m.b[np.Var] = target
+			bindNode = true
 		}
 	}
-	var pool []*Node
-	if len(np.Labels) > 0 {
-		pool = db.NodesByLabel(np.Labels[0])
-	} else {
-		pool = db.AllNodes()
+	rp := &m.p.Rels[i]
+	var prev any
+	var had bool
+	if rp.Var != "" {
+		prev, had = m.b.set(rp.Var, append([]*Rel(nil), m.rels[seg:]...))
 	}
-	var out []*Node
-	for _, n := range pool {
-		if db.nodeMatches(&np, n, b) {
-			out = append(out, n)
-		}
+	err := m.chain(i+1, target)
+	if rp.Var != "" {
+		m.b.restore(rp.Var, prev, had)
 	}
-	return out, nil
+	if bindNode {
+		delete(m.b, np.Var)
+	}
+	return err
 }
 
-func (db *DB) nodeMatches(np *NodePattern, n *Node, _ binding) bool {
+// emit hands a complete match to k, binding the path variable (a
+// fresh copy of the path stacks) when the pattern has one.
+func (m *chainMatch) emit() error {
+	if m.p.PathVar == "" {
+		return m.k(m.b)
+	}
+	path := Path{
+		Nodes: append([]*Node(nil), m.nodes...),
+		Rels:  append([]*Rel(nil), m.rels...),
+	}
+	prev, had := m.b.set(m.p.PathVar, path)
+	err := m.k(m.b)
+	m.b.restore(m.p.PathVar, prev, had)
+	return err
+}
+
+// inTrail reports whether r is already used in trail.
+func inTrail(trail []*Rel, r *Rel) bool {
+	for _, x := range trail {
+		if x == r {
+			return true
+		}
+	}
+	return false
+}
+
+// relMatches reports whether r passes the pattern's type and property
+// filters.
+func relMatches(rp *RelPattern, r *Rel) bool {
+	if len(rp.Types) > 0 {
+		ok := false
+		for _, t := range rp.Types {
+			if r.Type == t {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	for name, want := range rp.Props {
+		if !valueEq(r.Props[name], want) {
+			return false
+		}
+	}
+	return true
+}
+
+func nodeMatches(np *NodePattern, n *Node) bool {
 	for _, l := range np.Labels {
 		if !n.HasLabel(l) {
 			return false
@@ -652,33 +763,73 @@ func renderExpr(e Expr) string {
 	return ""
 }
 
-func rowKey(cols []string, row Row) string {
-	var sb strings.Builder
-	sorted := append([]string(nil), cols...)
-	sort.Strings(sorted)
-	for _, c := range sorted {
-		fmt.Fprintf(&sb, "%s=%v;", c, keyOf(row[c]))
+// appendRowKey appends the DISTINCT identity of a row: the keys of its
+// values in column order.
+func appendRowKey(buf []byte, cols []string, row Row) []byte {
+	for _, c := range cols {
+		buf = appendKey(buf, row[c])
 	}
-	return sb.String()
+	return buf
 }
 
-func keyOf(v Value) string {
+// appendKey appends a type-tagged, self-delimiting key of v to buf.
+// Values of different kinds never share a key (5 and '5' differ);
+// numbers key by value, as valueEq compares them, so 5 and 5.0 agree.
+// A path's key is its start node plus its relationships, so zero-length
+// paths from different nodes differ.
+func appendKey(buf []byte, v Value) []byte {
 	switch tv := v.(type) {
+	case nil:
+		return append(buf, '0')
 	case *Node:
-		return fmt.Sprintf("n%d", tv.ID)
+		return appendInt(append(buf, 'N'), int64(tv.ID))
 	case Path:
-		var sb strings.Builder
-		for _, r := range tv.Rels {
-			fmt.Fprintf(&sb, "r%d,", r.ID)
+		buf = append(buf, 'P')
+		if len(tv.Nodes) > 0 {
+			buf = appendInt(buf, int64(tv.Start().ID))
 		}
-		return sb.String()
+		return appendRelKeys(buf, tv.Rels)
 	case []*Rel:
-		var sb strings.Builder
-		for _, r := range tv {
-			fmt.Fprintf(&sb, "r%d,", r.ID)
+		return appendRelKeys(append(buf, 'R'), tv)
+	case string:
+		buf = appendInt(append(buf, 'S'), int64(len(tv)))
+		return append(buf, tv...)
+	case bool:
+		if tv {
+			return append(buf, 'T')
 		}
-		return sb.String()
-	default:
-		return fmt.Sprintf("%v", v)
+		return append(buf, 'F')
+	case int64:
+		return appendInt(append(buf, '#'), tv)
+	case int:
+		return appendInt(append(buf, '#'), int64(tv))
+	case float64:
+		if i := int64(tv); float64(i) == tv {
+			return appendInt(append(buf, '#'), i)
+		}
+		buf = strconv.AppendFloat(append(buf, '#'), tv, 'g', -1, 64)
+		return append(buf, ';')
+	case []Value:
+		buf = appendInt(append(buf, 'L'), int64(len(tv)))
+		for _, e := range tv {
+			buf = appendKey(buf, e)
+		}
+		return buf
 	}
+	s := fmt.Sprintf("%T:%v", v, v)
+	buf = appendInt(append(buf, '?'), int64(len(s)))
+	return append(buf, s...)
+}
+
+func appendRelKeys(buf []byte, rels []*Rel) []byte {
+	buf = appendInt(buf, int64(len(rels)))
+	for _, r := range rels {
+		buf = appendInt(buf, r.ID)
+	}
+	return buf
+}
+
+// appendInt appends n terminated by ';'.
+func appendInt(buf []byte, n int64) []byte {
+	return append(strconv.AppendInt(buf, n, 10), ';')
 }

@@ -2,7 +2,6 @@ package graphdb
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/budget"
 )
@@ -44,15 +43,15 @@ type Rel struct {
 // Prop returns the named property (nil when absent).
 func (r *Rel) Prop(name string) Value { return r.Props[name] }
 
-// DB is an in-memory property graph.
+// DB is an in-memory property graph. Node ids are dense (1..N in
+// creation order), so nodes and their adjacency lists live in slices
+// indexed by id-1.
 type DB struct {
-	nodes   map[NodeID]*Node
-	rels    map[int64]*Rel
-	out     map[NodeID][]*Rel
-	in      map[NodeID][]*Rel
-	byLabel map[string][]NodeID
-	nextN   NodeID
-	nextR   int64
+	nodes   []*Node
+	out     [][]*Rel
+	in      [][]*Rel
+	byLabel map[string][]*Node
+	numRels int
 
 	// bud, when set, is charged one step per node visited during query
 	// execution, so runaway variable-length expansions abort with a
@@ -66,80 +65,77 @@ func (db *DB) SetBudget(b *budget.Budget) { db.bud = b }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{
-		nodes:   make(map[NodeID]*Node),
-		rels:    make(map[int64]*Rel),
-		out:     make(map[NodeID][]*Rel),
-		in:      make(map[NodeID][]*Rel),
-		byLabel: make(map[string][]NodeID),
-	}
+	return &DB{byLabel: make(map[string][]*Node)}
 }
 
 // CreateNode adds a node with the given labels and properties and
 // returns it.
 func (db *DB) CreateNode(labels []string, props map[string]Value) *Node {
-	db.nextN++
 	if props == nil {
 		props = map[string]Value{}
 	}
-	n := &Node{ID: db.nextN, Labels: append([]string(nil), labels...), Props: props}
-	db.nodes[n.ID] = n
+	n := &Node{ID: NodeID(len(db.nodes) + 1), Labels: append([]string(nil), labels...), Props: props}
+	db.nodes = append(db.nodes, n)
+	db.out = append(db.out, nil)
+	db.in = append(db.in, nil)
 	for _, l := range labels {
-		db.byLabel[l] = append(db.byLabel[l], n.ID)
+		db.byLabel[l] = append(db.byLabel[l], n)
 	}
 	return n
 }
 
 // CreateRel adds a relationship from → to with the given type.
 func (db *DB) CreateRel(from, to NodeID, typ string, props map[string]Value) (*Rel, error) {
-	if db.nodes[from] == nil || db.nodes[to] == nil {
+	if db.NodeByID(from) == nil || db.NodeByID(to) == nil {
 		return nil, fmt.Errorf("graphdb: relationship endpoints must exist (%d -> %d)", from, to)
 	}
-	db.nextR++
+	db.numRels++
 	if props == nil {
 		props = map[string]Value{}
 	}
-	r := &Rel{ID: db.nextR, From: from, To: to, Type: typ, Props: props}
-	db.rels[r.ID] = r
-	db.out[from] = append(db.out[from], r)
-	db.in[to] = append(db.in[to], r)
+	r := &Rel{ID: int64(db.numRels), From: from, To: to, Type: typ, Props: props}
+	db.out[from-1] = append(db.out[from-1], r)
+	db.in[to-1] = append(db.in[to-1], r)
 	return r, nil
 }
 
 // NodeByID returns the node with the given id, or nil.
-func (db *DB) NodeByID(id NodeID) *Node { return db.nodes[id] }
+func (db *DB) NodeByID(id NodeID) *Node {
+	if id < 1 || int64(id) > int64(len(db.nodes)) {
+		return nil
+	}
+	return db.nodes[id-1]
+}
 
 // NumNodes returns the node count.
 func (db *DB) NumNodes() int { return len(db.nodes) }
 
 // NumRels returns the relationship count.
-func (db *DB) NumRels() int { return len(db.rels) }
+func (db *DB) NumRels() int { return db.numRels }
 
 // NodesByLabel returns all nodes carrying label l, in insertion order.
 func (db *DB) NodesByLabel(l string) []*Node {
-	ids := db.byLabel[l]
-	out := make([]*Node, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, db.nodes[id])
-	}
-	return out
+	return append([]*Node(nil), db.byLabel[l]...)
 }
 
 // AllNodes returns every node in id order.
-func (db *DB) AllNodes() []*Node {
-	out := make([]*Node, 0, len(db.nodes))
-	for _, n := range db.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (db *DB) AllNodes() []*Node { return append([]*Node(nil), db.nodes...) }
 
 // Out returns the outgoing relationships of id.
-func (db *DB) Out(id NodeID) []*Rel { return db.out[id] }
+func (db *DB) Out(id NodeID) []*Rel {
+	if db.NodeByID(id) == nil {
+		return nil
+	}
+	return db.out[id-1]
+}
 
 // In returns the incoming relationships of id.
-func (db *DB) In(id NodeID) []*Rel { return db.in[id] }
+func (db *DB) In(id NodeID) []*Rel {
+	if db.NodeByID(id) == nil {
+		return nil
+	}
+	return db.in[id-1]
+}
 
 // Path is a bound path: nodes and the relationships connecting them
 // (len(Rels) = len(Nodes)-1).

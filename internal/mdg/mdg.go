@@ -230,7 +230,7 @@ func (g *Graph) NodesOfKind(kind NodeKind) []*Node {
 
 // Edges returns all edges in a deterministic order.
 func (g *Graph) Edges() []Edge {
-	var out []Edge
+	out := make([]Edge, 0, len(g.edgeSet))
 	for _, n := range g.Nodes() {
 		out = append(out, g.out[n.Loc]...)
 	}
@@ -586,6 +586,8 @@ func (g *Graph) DOT() string {
 	return sb.String()
 }
 
+// dedupe drops repeated locations in place, keeping first occurrences
+// in order.
 func dedupe(ls []Loc) []Loc {
 	if len(ls) < 2 {
 		return ls

@@ -2,6 +2,7 @@ package mdg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -109,7 +110,7 @@ func (s *Store) WeakReplace(repl map[Loc]Loc) {
 // Copy returns a deep copy of this scope (sharing the parent chain), for
 // branch-local analysis.
 func (s *Store) Copy() *Store {
-	c := NewStore(s.parent)
+	c := &Store{m: make(map[string][]Loc, len(s.m)), parent: s.parent}
 	for x, ls := range s.m {
 		c.m[x] = append([]Loc(nil), ls...)
 	}
@@ -156,8 +157,47 @@ func (s *Store) Vars() []string {
 	return out
 }
 
-// Snapshot returns a canonical rendering of the local bindings; equal
-// snapshots mean equal local stores (used by loop fixpoints).
+// Equal reports whether s and o bind the same variables in their local
+// scopes to the same location lists, compared as sorted lists (so
+// order is ignored and duplicates count). It is exactly Snapshot
+// equality without rendering either store; parent scopes are not
+// compared. The loop fixpoint uses it as its convergence check.
+func (s *Store) Equal(o *Store) bool {
+	if len(s.m) != len(o.m) {
+		return false
+	}
+	for x, ls := range s.m {
+		os, ok := o.m[x]
+		if !ok || !sameLocs(ls, os) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLocs reports whether a and b are equal as sorted lists. The
+// common case, identical lists, allocates nothing.
+func sameLocs(a, b []Loc) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	i := 0
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	if i == len(a) {
+		return true
+	}
+	as := append([]Loc(nil), a[i:]...)
+	bs := append([]Loc(nil), b[i:]...)
+	slices.Sort(as)
+	slices.Sort(bs)
+	return slices.Equal(as, bs)
+}
+
+// Snapshot returns a canonical rendering of the local bindings, for
+// diagnostics and tests: two local stores render equally exactly when
+// Equal holds.
 func (s *Store) Snapshot() string {
 	var sb strings.Builder
 	for _, x := range s.Vars() {

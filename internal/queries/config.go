@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // CWE identifies a vulnerability class.
@@ -128,22 +127,10 @@ func MatchSink(calleeName, sinkName string) bool {
 	if calleeName == sinkName {
 		return true
 	}
-	cs := strings.Split(calleeName, ".")
-	ss := strings.Split(sinkName, ".")
-	if len(ss) == 1 {
-		return cs[len(cs)-1] == ss[0]
-	}
-	if len(cs) < len(ss) {
-		return false
-	}
-	// Compare the trailing segments.
-	off := len(cs) - len(ss)
-	for i := range ss {
-		if cs[off+i] != ss[i] {
-			return false
-		}
-	}
-	return true
+	// The sink's dotted segments must be the callee's trailing ones:
+	// a proper suffix starting right after a dot.
+	i := len(calleeName) - len(sinkName)
+	return i > 0 && calleeName[i-1] == '.' && calleeName[i:] == sinkName
 }
 
 // SinksFor returns the sinks of one class.

@@ -35,10 +35,11 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 	}
 
 	// Step 1 (declarative): all candidate paths from taint sources.
-	q := fmt.Sprintf(`
-MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
-RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
-	res, err := lg.DB.Query(q)
+	qp, err := plans()
+	if err != nil {
+		return nil, err
+	}
+	res, err := lg.DB.Exec(qp.taint)
 	if err != nil {
 		return nil, fmt.Errorf("queries: cypher taint query: %w", err)
 	}
@@ -154,10 +155,8 @@ func pathSanitized(lg *LoadedGraph, p graphdb.Path) bool {
 // RenderTaintQuery returns the declarative query text for
 // documentation and the CLI's -show-query flag.
 func RenderTaintQuery() string {
-	return strings.TrimSpace(fmt.Sprintf(`
-MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
-RETURN p, id(s) AS src, id(t) AS dst
+	return strings.TrimSpace(taintQueryText() + `
 // post-filter: drop paths matching UntaintedPath — a V(prop) edge
 // followed by a P(prop) edge on the same property (Table 1) — then
-// chain with Arg(f, n) for every configured sink f.`, cypherMaxHops))
+// chain with Arg(f, n) for every configured sink f.`)
 }

@@ -142,7 +142,11 @@ func SortFindings(out []Finding) []Finding { return sortFindings(out) }
 // sources returns the taint-source nodes (parameters of exported
 // functions), found via the query engine.
 func (lg *LoadedGraph) sources() ([]*graphdb.Node, error) {
-	res, err := lg.DB.Query(`MATCH (p:Param {source: true}) RETURN p`)
+	qp, err := plans()
+	if err != nil {
+		return nil, err
+	}
+	res, err := lg.DB.Exec(qp.sources)
 	if err != nil {
 		return nil, fmt.Errorf("queries: sources: %w", err)
 	}
@@ -269,6 +273,10 @@ func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The dynamic assignments are the same for every sub: query them
+	// once, on the first tainted sub.
+	var assigns [][3]*graphdb.Node
+	queried := false
 	for _, pair := range pairs {
 		sub := pair[1]
 		// The lookup property must be attacker-controlled: sub is
@@ -277,11 +285,13 @@ func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
 		if !ok {
 			continue
 		}
-		avs, err := lg.ObjAssignmentStar(sub, cfg.MaxHops)
-		if err != nil {
-			return nil, err
+		if !queried {
+			if assigns, err = lg.dynamicAssignments(); err != nil {
+				return nil, err
+			}
+			queried = true
 		}
-		for _, av := range avs {
+		for _, av := range lg.assignmentsFrom(assigns, sub, cfg.MaxHops) {
 			ver, val := av[0], av[1]
 			if _, ok := tainted(ver.ID); !ok {
 				continue // assigned property name not controlled
@@ -310,6 +320,16 @@ func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
 	return out, nil
 }
 
+// protoWrites runs the write scan over prototype object sub: every
+// (ver, val) written on a version of it. The scan starts bound at sub.
+func (lg *LoadedGraph) protoWrites(sub *graphdb.Node) (*graphdb.Result, error) {
+	qp, err := plans()
+	if err != nil {
+		return nil, err
+	}
+	return lg.DB.ExecBound(qp.protoWrite, map[string]*graphdb.Node{"sub": sub})
+}
+
 // detectLiteralProtoPollution finds the static `__proto__` pattern:
 // (o)-[:P {prop:'__proto__'}]->(sub) with any later write on sub whose
 // value is tainted, or the constructor.prototype two-step equivalent.
@@ -324,10 +344,12 @@ func detectLiteralProtoPollution(lg *LoadedGraph, reach []map[graphdb.NodeID]boo
 		return 0, false
 	}
 
+	qp, err := plans()
+	if err != nil {
+		return nil, err
+	}
 	// Both `__proto__` lookups and `constructor` → `prototype` chains.
-	res, err := lg.DB.Query(`
-MATCH (o)-[:P {prop: '__proto__'}]->(sub)
-RETURN DISTINCT sub`)
+	res, err := lg.DB.Exec(qp.protoLookup)
 	if err != nil {
 		return nil, fmt.Errorf("queries: proto lookup: %w", err)
 	}
@@ -336,9 +358,7 @@ RETURN DISTINCT sub`)
 		sub := row["sub"].(*graphdb.Node)
 		subs[sub.ID] = sub
 	}
-	res, err = lg.DB.Query(`
-MATCH (o)-[:P {prop: 'constructor'}]->(c)-[:P {prop: 'prototype'}]->(sub)
-RETURN DISTINCT sub`)
+	res, err = lg.DB.Exec(qp.ctorProtoLookup)
 	if err != nil {
 		return nil, fmt.Errorf("queries: constructor.prototype lookup: %w", err)
 	}
@@ -360,11 +380,7 @@ RETURN DISTINCT sub`)
 		sub := subs[id]
 		// Any write on (a version of) the prototype object whose value
 		// is attacker-controlled.
-		vq := `
-MATCH (sub)-[:V*0..6]->(mid)-[v:V]->(ver)-[p:P]->(val)
-WHERE id(sub) = ` + fmt.Sprint(int64(sub.ID)) + `
-RETURN DISTINCT ver, val`
-		vres, err := lg.DB.Query(vq)
+		vres, err := lg.protoWrites(sub)
 		if err != nil {
 			return nil, fmt.Errorf("queries: proto write scan: %w", err)
 		}

@@ -11,5 +11,7 @@
 // search bound (DefaultMaxHops), loaded from JSON so new taint-style
 // classes are configuration, not code (§6). A Config is never written
 // after construction, so one instance may be shared by concurrent
-// scans; each Load call builds its own database instance.
+// scans; each Load call builds its own database instance. The
+// detectors' query texts are parsed once per process and the parsed
+// queries are likewise shared read-only (compiled.go).
 package queries

@@ -64,6 +64,15 @@ const (
 	StarProp = "*"
 )
 
+// Node label sets by MDG node kind (CreateNode copies them).
+var (
+	callLabels    = []string{"Call"}
+	funcLabels    = []string{"Func"}
+	paramLabels   = []string{"Param"}
+	literalLabels = []string{"Literal"}
+	objectLabels  = []string{"Object"}
+)
+
 // Load stores the analysis result's MDG into a fresh database. Node
 // labels follow the MDG node kinds (Object, Call, Func, Param,
 // Literal); edges become typed relationships with a `prop` property
@@ -79,10 +88,11 @@ func Load(res *analysis.Result) *LoadedGraph {
 // database so query execution cooperates with it.
 func LoadBudget(res *analysis.Result, b *budget.Budget) *LoadedGraph {
 	db := graphdb.NewDB()
-	byLoc := make(map[mdg.Loc]graphdb.NodeID)
+	nodes := res.Graph.Nodes()
+	byLoc := make(map[mdg.Loc]graphdb.NodeID, len(nodes))
 	lg := &LoadedGraph{DB: db, ByLoc: byLoc, Result: res, Budget: b}
 
-	for _, n := range res.Graph.Nodes() {
+	for _, n := range nodes {
 		if b.Step() != nil {
 			db.SetBudget(b)
 			return lg
@@ -94,23 +104,21 @@ func LoadBudget(res *analysis.Result, b *budget.Budget) *LoadedGraph {
 			"line":  int64(n.Line),
 			"file":  n.File,
 		}
-		var labels []string
+		labels := objectLabels
 		switch n.Kind {
 		case mdg.KindCall:
-			labels = []string{"Call"}
+			labels = callLabels
 			props["name"] = n.CallName
 		case mdg.KindFunc:
-			labels = []string{"Func"}
+			labels = funcLabels
 			props["name"] = n.FuncName
 			props["exported"] = n.Exported
 		case mdg.KindParam:
-			labels = []string{"Param"}
+			labels = paramLabels
 			props["name"] = n.Label
 			props["source"] = n.Source
 		case mdg.KindLiteral:
-			labels = []string{"Literal"}
-		default:
-			labels = []string{"Object"}
+			labels = literalLabels
 		}
 		if n.Source {
 			props["source"] = true

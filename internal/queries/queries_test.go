@@ -289,6 +289,51 @@ func TestMatchSink(t *testing.T) {
 	}
 }
 
+// matchSinkBySplit is the segment-splitting definition of MatchSink,
+// kept as the reference for the suffix-check implementation.
+func matchSinkBySplit(calleeName, sinkName string) bool {
+	if calleeName == sinkName {
+		return true
+	}
+	cs := strings.Split(calleeName, ".")
+	ss := strings.Split(sinkName, ".")
+	if len(ss) == 1 {
+		return cs[len(cs)-1] == ss[0]
+	}
+	if len(cs) < len(ss) {
+		return false
+	}
+	off := len(cs) - len(ss)
+	for i := range ss {
+		if cs[off+i] != ss[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMatchSinkEqualsSplitReference: over every pair drawn from callee
+// and sink names with empty segments, doubled dots and near-miss
+// suffixes, MatchSink agrees with the split-based reference.
+func TestMatchSinkEqualsSplitReference(t *testing.T) {
+	names := []string{
+		"", ".", "..", "exec", ".exec", "exec.", "cp.exec", "cp..exec", "a..b",
+		"b", ".b", "a.", "a.b", "x.a..b", "a..b.c", "xexec", "cp.xexec",
+		"fs.readFile", "x.fs.readFile", "xfs.readFile", "fs..readFile",
+		"child_process.spawn", "spawn", "require('fs').readFile", "a.b.c.d",
+	}
+	for _, sink := range DefaultConfig().Sinks {
+		names = append(names, sink.Name, "x."+sink.Name, "x"+sink.Name)
+	}
+	for _, callee := range names {
+		for _, sink := range names {
+			if got, want := MatchSink(callee, sink), matchSinkBySplit(callee, sink); got != want {
+				t.Errorf("MatchSink(%q, %q) = %v, split reference says %v", callee, sink, got, want)
+			}
+		}
+	}
+}
+
 func TestFindingString(t *testing.T) {
 	f := Finding{CWE: CWECommandInjection, SinkName: "exec", SinkLine: 3, Source: "a"}
 	if f.String() == "" {

@@ -191,7 +191,11 @@ type CallArg struct {
 // ObjLookupStar finds all dynamic-property lookups: pairs (o, sub) with
 // o -P(*)-> sub. Table 1's ObjLookup*.
 func (lg *LoadedGraph) ObjLookupStar() ([][2]*graphdb.Node, error) {
-	res, err := lg.DB.Query(`MATCH (o)-[:P {prop: '*'}]->(sub) RETURN o, sub`)
+	qp, err := plans()
+	if err != nil {
+		return nil, err
+	}
+	res, err := lg.DB.Exec(qp.objLookupStar)
 	if err != nil {
 		return nil, fmt.Errorf("queries: ObjLookupStar: %w", err)
 	}
@@ -204,32 +208,42 @@ func (lg *LoadedGraph) ObjLookupStar() ([][2]*graphdb.Node, error) {
 	return out, nil
 }
 
-// ObjAssignmentStar finds, for a given sub-object, the dynamic
-// assignments over it: (ver, val) pairs where some object reachable
-// from sub (via version edges or dependency edges — the latter covers
-// the recursive-merge idiom where the sub-object flows into a callee
-// parameter before being assigned) has mid -V(*)-> ver -P(*)-> val.
-// Table 1's ObjAssignment* composed with the chaining of Table 2.
-func (lg *LoadedGraph) ObjAssignmentStar(sub *graphdb.Node, maxHops int) ([][2]*graphdb.Node, error) {
-	// All dynamic assignments in the graph, via the query engine.
-	res, err := lg.DB.Query(`
-MATCH (mid)-[:V {prop: '*'}]->(ver)-[:P {prop: '*'}]->(val)
-RETURN DISTINCT mid, ver, val`)
+// dynamicAssignments returns every dynamic assignment in the graph,
+// mid -V(*)-> ver -P(*)-> val, as (mid, ver, val) triples via the query
+// engine: Table 1's ObjAssignment*. It runs once per Detect; each
+// sub-object then keeps its own assignments with assignmentsFrom.
+func (lg *LoadedGraph) dynamicAssignments() ([][3]*graphdb.Node, error) {
+	qp, err := plans()
 	if err != nil {
-		return nil, fmt.Errorf("queries: ObjAssignmentStar: %w", err)
+		return nil, err
 	}
-	if len(res.Rows) == 0 {
-		return nil, nil
+	res, err := lg.DB.Exec(qp.objAssignmentStar)
+	if err != nil {
+		return nil, fmt.Errorf("queries: ObjAssignment*: %w", err)
+	}
+	out := make([][3]*graphdb.Node, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = [3]*graphdb.Node{row["mid"].(*graphdb.Node), row["ver"].(*graphdb.Node), row["val"].(*graphdb.Node)}
+	}
+	return out, nil
+}
+
+// assignmentsFrom keeps the (ver, val) pairs of the assignments whose
+// mid is sub or some object reachable from it (via version edges or
+// dependency edges — the latter covers the recursive-merge idiom where
+// the sub-object flows into a callee parameter before being assigned):
+// Table 1's ObjAssignment* composed with the chaining of Table 2.
+func (lg *LoadedGraph) assignmentsFrom(assigns [][3]*graphdb.Node, sub *graphdb.Node, maxHops int) [][2]*graphdb.Node {
+	if len(assigns) == 0 {
+		return nil
 	}
 	reach := lg.TaintReach(sub.ID, maxHops)
 	reach[sub.ID] = true
 	var out [][2]*graphdb.Node
-	for _, row := range res.Rows {
-		mid := row["mid"].(*graphdb.Node)
-		if !reach[mid.ID] {
-			continue
+	for _, a := range assigns {
+		if reach[a[0].ID] {
+			out = append(out, [2]*graphdb.Node{a[1], a[2]})
 		}
-		out = append(out, [2]*graphdb.Node{row["ver"].(*graphdb.Node), row["val"].(*graphdb.Node)})
 	}
-	return out, nil
+	return out
 }

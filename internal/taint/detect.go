@@ -145,7 +145,7 @@ func (e *Engine) detectPrototypePollution() []queries.Finding {
 		subBit := e.rootOf[sub.Loc]
 		for _, av := range assigns {
 			// The assignment must act on an object the sub-object
-			// taints (ObjAssignmentStar's reachability filter).
+			// taints (Table 1's ObjAssignment* reachability filter).
 			if av.mid.Loc != sub.Loc && !e.taintedBy(av.mid.Loc, subBit) {
 				continue
 			}
