@@ -18,13 +18,18 @@
 // to both, and a package with no property-reachable exported function
 // falls back to treating every function as a root.
 //
+// Each Analyze lowers the programs once (interp.go) into a flat op
+// array over dense variable, property, function and allocation-site
+// ids, and runs the fixpoint passes over that array; strings appear
+// again only in the Result.
+//
 // All function identifiers are uniformly file-qualified as
 // "file:name" ("file:" is the file's top-level scope), for single-
 // and multi-file packages alike.
 package exports
 
 import (
-	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -78,31 +83,36 @@ type Result struct {
 	// Fallback is forced in that case.
 	Converged bool
 
-	entryName map[string]string // exported func -> canonical API name
-	ownerOf   map[lineKey]string
+	entryName map[string]string   // exported func -> canonical API name
+	ownerOf   map[string][]string // file -> owner qname by line ("" unknown)
 
-	// Call-path provenance tree: every reachable function's BFS parent
-	// and the entry label of its root.
-	parent    map[string]string
-	rootEntry map[string]string
-	reachable map[string]bool
-}
-
-type lineKey struct {
-	file string
-	line int
+	// Call-path provenance tree over call-graph nodes (functions and
+	// the per-file top-level pseudo-nodes "file:"): every reachable
+	// node's BFS parent (-1 at a root) and the entry label of its root.
+	nodes     map[string]int32
+	names     []string
+	parent    []int32
+	rootEntry []string
+	reachable []bool
 }
 
 // Reachable reports whether the function qname is reachable from the
 // package's roots (exported ∪ escaped ∪ top-level, or everything
 // under Fallback).
-func (r *Result) Reachable(qname string) bool { return r.reachable[qname] }
+func (r *Result) Reachable(qname string) bool {
+	n, ok := r.nodes[qname]
+	return ok && r.reachable[n]
+}
 
 // OwnerOf returns the qualified name of the function whose shallow
 // body contains file:line ("file:" for top-level code, "" when the
 // line is unknown to the pass).
 func (r *Result) OwnerOf(file string, line int) string {
-	return r.ownerOf[lineKey{file, line}]
+	lines := r.ownerOf[file]
+	if line < 0 || line >= len(lines) {
+		return ""
+	}
+	return lines[line]
 }
 
 // EntryName returns the canonical API name of an exported function
@@ -122,11 +132,11 @@ func (r *Result) PathTo(file string, line int) (entry string, hops []string, ok 
 	if strings.HasSuffix(owner, ":") {
 		return "(module)", []string{owner}, true
 	}
-	if !r.reachable[owner] {
+	if !r.Reachable(owner) {
 		return "", nil, false
 	}
-	for cur := owner; cur != ""; cur = r.parent[cur] {
-		hops = append(hops, cur)
+	for cur := r.nodes[owner]; cur >= 0; cur = r.parent[cur] {
+		hops = append(hops, r.names[cur])
 	}
 	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
 		hops[i], hops[j] = hops[j], hops[i]
@@ -137,57 +147,7 @@ func (r *Result) PathTo(file string, line int) (entry string, hops []string, ok 
 		// load).
 		return "(module)", hops, true
 	}
-	return r.rootEntry[root], hops, true
-}
-
-// ---------------------------------------------------------------------------
-// Abstract domain
-// ---------------------------------------------------------------------------
-
-// A value is a function (Fn != "") or an abstract object (index into
-// interp.objs).
-type value struct {
-	Fn  string
-	Obj int
-}
-
-type valSet map[value]struct{}
-
-func (s valSet) add(v value) bool {
-	if _, ok := s[v]; ok {
-		return false
-	}
-	s[v] = struct{}{}
-	return true
-}
-
-// object is one abstract allocation site: named properties plus a
-// star bucket for dynamic writes and builtin merges.
-type object struct {
-	props map[string]valSet
-	dyn   valSet
-}
-
-type interp struct {
-	bud     *budget.Budget
-	progs   []*core.Program
-	modules map[string]bool
-
-	objs    []*object
-	site    map[string]int    // stable alloc key -> object id
-	env     map[string]valSet // "file:var" -> values
-	funcs   map[string]*FuncInfo
-	order   []string
-	calls   map[string]map[string]bool
-	escaped map[string]bool
-
-	moduleObj  map[string]int
-	exportsObj map[string]int
-
-	ownerOf map[lineKey]string
-
-	changed bool
-	aborted bool
+	return r.rootEntry[r.nodes[root]], hops, true
 }
 
 // Analyze runs the export-graph pass over the normalized programs of
@@ -195,36 +155,25 @@ type interp struct {
 // cooperative steps and aborts (to the fallback attack model) once
 // the budget trips.
 func Analyze(progs []*core.Program, b *budget.Budget) *Result {
-	ip := &interp{
-		bud:        b,
-		progs:      progs,
-		modules:    map[string]bool{},
-		site:       map[string]int{},
-		env:        map[string]valSet{},
-		funcs:      map[string]*FuncInfo{},
-		calls:      map[string]map[string]bool{},
-		escaped:    map[string]bool{},
-		moduleObj:  map[string]int{},
-		exportsObj: map[string]int{},
-		ownerOf:    map[lineKey]string{},
-	}
+	ip := newInterp(progs, b)
 	// The coarse per-file/per-pass consults use b.Err — observing a
 	// budget failure recorded elsewhere without charging checkpoints —
 	// so the gate does not shift the deterministic fault-injection
 	// ordinals of the phases around it. Fine-grained accounting (and
-	// deadline checking) happens per statement in ip.step.
-	for _, p := range progs {
-		ip.modules[p.FileName] = true
+	// deadline checking) happens per op in ip.pass.
+	for i, p := range progs {
+		ip.progFile[i] = ip.internFile(p)
 		if b.Err() != nil {
 			ip.aborted = true
 		}
 	}
-	for _, p := range progs {
+	ip.ownerNames = make([]string, 0, len(ip.files)+len(progs)*4)
+	for i := range progs {
 		if b.Err() != nil {
 			ip.aborted = true
 			break
 		}
-		ip.collect(p)
+		ip.lower(i)
 	}
 	converged := false
 	for pass := 0; pass < maxPasses && !ip.aborted; pass++ {
@@ -232,10 +181,8 @@ func Analyze(progs []*core.Program, b *budget.Budget) *Result {
 			ip.aborted = true
 			break
 		}
-		ip.changed = false
-		//lint:allow budgetloop -- walkStmts consults the budget per statement via ip.step
-		for _, p := range ip.progs {
-			ip.walkStmts(p.FileName, p.FileName+":", p.Body)
+		if !ip.pass() {
+			break
 		}
 		if !ip.changed {
 			converged = true
@@ -248,555 +195,193 @@ func Analyze(progs []*core.Program, b *budget.Budget) *Result {
 	return ip.finish(converged)
 }
 
-// step charges one cooperative budget step; once the budget trips the
-// whole pass aborts and the caller degrades to the fallback model.
-func (ip *interp) step() bool {
-	if err := ip.bud.Step(); err != nil {
-		ip.aborted = true
-		return false
-	}
-	return true
-}
-
-func (ip *interp) newObject(key string) int {
-	if id, ok := ip.site[key]; ok {
-		return id
-	}
-	ip.objs = append(ip.objs, &object{props: map[string]valSet{}, dyn: valSet{}})
-	id := len(ip.objs) - 1
-	ip.site[key] = id
-	ip.changed = true
-	return id
-}
-
-// collect pre-binds the per-file module/exports objects and hoists
-// every function definition into the environment (including the base
-// name of normalizer-renamed duplicates, which shadow by source name).
-func (ip *interp) collect(p *core.Program) {
-	file := p.FileName
-	mo := ip.newObject("module@" + file)
-	eo := ip.newObject("exports@" + file)
-	ip.moduleObj[file] = mo
-	ip.exportsObj[file] = eo
-	ip.propSet(mo, "exports").add(value{Obj: eo})
-	ip.envSet(file, "module").add(value{Obj: mo})
-	ip.envSet(file, "exports").add(value{Obj: eo})
-
-	var walk func(stmts []core.Stmt, owner string)
-	walk = func(stmts []core.Stmt, owner string) {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *core.FuncDef:
-				q := file + ":" + st.Name
-				if _, dup := ip.funcs[q]; !dup {
-					ip.funcs[q] = &FuncInfo{Def: st, File: file, QName: q, Owner: owner}
-					ip.order = append(ip.order, q)
-				}
-				fv := value{Fn: q}
-				ip.envSet(file, st.Name).add(fv)
-				if base := baseFnName(st.Name); base != st.Name {
-					ip.envSet(file, base).add(fv)
-				}
-				for i, pn := range st.Params {
-					ip.envSet(file, pn).add(value{Obj: ip.newObject("param@" + q + "#" + itoa(i))})
-				}
-				walk(st.Body, q)
-			case *core.If:
-				walk(st.Then, owner)
-				walk(st.Else, owner)
-			case *core.While:
-				walk(st.Body, owner)
-			case *core.ForIn:
-				walk(st.Body, owner)
-			}
-		}
-	}
-	walk(p.Body, file+":")
-}
-
-// baseFnName strips the normalizer's `$N` duplicate suffix.
-func baseFnName(name string) string {
-	i := strings.LastIndex(name, "$")
-	if i <= 0 {
-		return name
-	}
-	for _, c := range name[i+1:] {
-		if c < '0' || c > '9' {
-			return name
-		}
-	}
-	return name[:i]
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
-}
-
-func (ip *interp) envSet(file, name string) valSet {
-	k := file + ":" + name
-	s := ip.env[k]
-	if s == nil {
-		s = valSet{}
-		ip.env[k] = s
-	}
-	return s
-}
-
-func (ip *interp) propSet(obj int, prop string) valSet {
-	o := ip.objs[obj]
-	s := o.props[prop]
-	if s == nil {
-		s = valSet{}
-		o.props[prop] = s
-	}
-	return s
-}
-
-func (ip *interp) envAdd(file, name string, vs valSet) {
-	if len(vs) == 0 {
-		return
-	}
-	dst := ip.envSet(file, name)
-	for v := range vs {
-		if dst.add(v) {
-			ip.changed = true
-		}
-	}
-}
-
-// eval resolves an expression to its abstract values. Unbound
-// variables are lazily materialized as per-file global objects, the
-// same way the analyzer's store lazily allocates nodes for them.
-func (ip *interp) eval(file string, e core.Expr) valSet {
-	v, ok := e.(core.Var)
-	if !ok {
-		return nil
-	}
-	k := file + ":" + v.Name
-	if s, ok := ip.env[k]; ok && len(s) > 0 {
-		return s
-	}
-	s := ip.envSet(file, v.Name)
-	if s.add(value{Obj: ip.newObject("global@" + k)}) {
-		ip.changed = true
-	}
-	return s
-}
-
-// funcObj returns the property object of a function value (functions
-// are objects too: `module.exports = f; f.helper = g`).
-func (ip *interp) funcObj(qname string) int {
-	return ip.newObject("fnprops@" + qname)
-}
-
-// lookup models `x := obj.p` over one abstract value, including the
-// analyzer's lazy property materialization.
-func (ip *interp) lookup(v value, prop string, out valSet) {
-	obj := v.Obj
-	if v.Fn != "" {
-		obj = ip.funcObj(v.Fn)
-	}
-	ps := ip.propSet(obj, prop)
-	if len(ps) == 0 {
-		ps.add(value{Obj: ip.newObject("prop@" + itoa(obj) + "." + prop)})
-	}
-	for pv := range ps {
-		out.add(pv)
-	}
-	for pv := range ip.objs[obj].dyn {
-		out.add(pv)
-	}
-}
-
-// allProps collects every named and dynamic property value of v.
-func (ip *interp) allProps(v value, out valSet) {
-	obj := v.Obj
-	if v.Fn != "" {
-		obj = ip.funcObj(v.Fn)
-	}
-	for _, ps := range ip.objs[obj].props {
-		for pv := range ps {
-			out.add(pv)
-		}
-	}
-	for pv := range ip.objs[obj].dyn {
-		out.add(pv)
-	}
-}
-
-func (ip *interp) storeProp(targets valSet, prop string, vs valSet) {
-	for t := range targets {
-		obj := t.Obj
-		if t.Fn != "" {
-			obj = ip.funcObj(t.Fn)
-		}
-		dst := ip.propSet(obj, prop)
-		for v := range vs {
-			if dst.add(v) {
-				ip.changed = true
-			}
-		}
-	}
-}
-
-func (ip *interp) storeDyn(targets valSet, vs valSet) {
-	for t := range targets {
-		obj := t.Obj
-		if t.Fn != "" {
-			obj = ip.funcObj(t.Fn)
-		}
-		dst := ip.objs[obj].dyn
-		for v := range vs {
-			if dst.add(v) {
-				ip.changed = true
-			}
-		}
-	}
-}
-
-func (ip *interp) addCall(owner, callee string) {
-	m := ip.calls[owner]
-	if m == nil {
-		m = map[string]bool{}
-		ip.calls[owner] = m
-	}
-	if !m[callee] {
-		m[callee] = true
-		ip.changed = true
-	}
-}
-
-func (ip *interp) walkStmts(file, owner string, stmts []core.Stmt) {
-	for _, s := range stmts {
-		if !ip.step() {
-			return
-		}
-		if ln := s.Line(); ln > 0 {
-			ip.ownerOf[lineKey{file, ln}] = owner
-		}
-		switch st := s.(type) {
-		case *core.Assign:
-			ip.envAdd(file, st.X, ip.eval(file, st.E))
-		case *core.BinOp:
-			ip.envSet(file, st.X).add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		case *core.UnOp:
-			ip.envSet(file, st.X).add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		case *core.NewObj:
-			ip.envSet(file, st.X).add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		case *core.Lookup:
-			out := valSet{}
-			for v := range ip.eval(file, st.Obj) {
-				ip.lookup(v, st.Prop, out)
-			}
-			ip.envAdd(file, st.X, out)
-		case *core.DynLookup:
-			out := valSet{}
-			for v := range ip.eval(file, st.Obj) {
-				ip.allProps(v, out)
-			}
-			out.add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-			ip.envAdd(file, st.X, out)
-		case *core.Update:
-			ip.storeProp(ip.eval(file, st.Obj), st.Prop, ip.eval(file, st.Val))
-		case *core.DynUpdate:
-			ip.storeDyn(ip.eval(file, st.Obj), ip.eval(file, st.Val))
-		case *core.Call:
-			ip.call(file, owner, st)
-		case *core.FuncDef:
-			ip.walkStmts(file, file+":"+st.Name, st.Body)
-		case *core.If:
-			ip.walkStmts(file, owner, st.Then)
-			ip.walkStmts(file, owner, st.Else)
-		case *core.While:
-			ip.walkStmts(file, owner, st.Body)
-		case *core.ForIn:
-			// Loop keys are strings/fresh values; the analyzer wires
-			// them with dependency edges only, which neither export
-			// marking nor call resolution can see.
-			ip.envSet(file, st.Key).add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-			ip.walkStmts(file, owner, st.Body)
-		case *core.Return:
-			// Return values reach callers through dependency edges
-			// only (the call result is the call node itself), so they
-			// carry no export evidence and no call resolution.
-		}
-		if ip.aborted {
-			return
-		}
-	}
-}
-
-func siteKey(file string, idx int) string { return "site@" + file + "#" + itoa(idx) }
-
-// call models one call site, mirroring the analyzer's order: require
-// resolution, builtin models, then summary linking with the callback
-// escape for unresolved callees.
-func (ip *interp) call(file, owner string, st *core.Call) {
-	resultObj := func() valSet {
-		s := valSet{}
-		s.add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		return s
-	}
-
-	if st.CalleeName == "require" && len(st.Args) == 1 && !st.IsNew {
-		if lit, ok := st.Args[0].(core.Lit); ok && lit.Kind == core.LitString {
-			if target, ok := ip.resolveModule(file, lit.Value); ok {
-				out := valSet{}
-				for v := range ip.propSet(ip.moduleObj[target], "exports") {
-					out.add(v)
-				}
-				out.add(value{Obj: ip.exportsObj[target]})
-				ip.envAdd(file, st.X, out)
-				return
-			}
-		}
-		// External module: an opaque object (lazy props track member
-		// reads like require('fs').readFile).
-		ip.envAdd(file, st.X, resultObj())
-		return
-	}
-
-	if ip.builtin(file, st) {
-		return
-	}
-
-	callees := ip.eval(file, st.Callee)
-	resolved := false
-	for v := range callees {
-		if v.Fn != "" {
-			resolved = true
-			ip.addCall(owner, v.Fn)
-		}
-	}
-	if !resolved {
-		// The analyzer's callback heuristic: function-valued arguments
-		// of an unresolvable callee may be invoked with tainted data.
-		for _, arg := range st.Args {
-			for v := range ip.eval(file, arg) {
-				if v.Fn != "" && !ip.escaped[v.Fn] {
-					ip.escaped[v.Fn] = true
-					ip.changed = true
-				}
-			}
-		}
-	}
-	ip.envAdd(file, st.X, resultObj())
-}
-
-// builtin mirrors analysis.builtinCall's models: property-merging
-// builtins move values between objects without escaping arguments.
-func (ip *interp) builtin(file string, st *core.Call) bool {
-	name := st.CalleeName
-	switch {
-	case name == "Object.assign":
-		if len(st.Args) == 0 {
-			return false
-		}
-		targets := ip.eval(file, st.Args[0])
-		merged := valSet{}
-		for _, src := range st.Args[1:] {
-			for v := range ip.eval(file, src) {
-				ip.allProps(v, merged)
-			}
-		}
-		ip.storeDyn(targets, merged)
-		ip.envAdd(file, st.X, targets)
-		return true
-	case name == "JSON.parse":
-		out := valSet{}
-		out.add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		ip.envAdd(file, st.X, out)
-		return true
-	case name == "Object.keys" || name == "Object.values" || name == "Object.entries":
-		res := valSet{}
-		res.add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		vals := valSet{}
-		for _, arg := range st.Args {
-			for v := range ip.eval(file, arg) {
-				ip.allProps(v, vals)
-			}
-		}
-		ip.storeDyn(res, vals)
-		ip.envAdd(file, st.X, res)
-		return true
-	case strings.HasSuffix(name, ".push") || strings.HasSuffix(name, ".unshift"):
-		recv := valSet{}
-		if st.This != nil {
-			recv = ip.eval(file, st.This)
-		}
-		elems := valSet{}
-		for _, arg := range st.Args {
-			for v := range ip.eval(file, arg) {
-				elems.add(v)
-			}
-		}
-		ip.storeDyn(recv, elems)
-		out := valSet{}
-		out.add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		ip.envAdd(file, st.X, out)
-		return true
-	case strings.HasSuffix(name, ".concat"):
-		res := valSet{}
-		res.add(value{Obj: ip.newObject(siteKey(file, st.Idx))})
-		elems := valSet{}
-		if st.This != nil {
-			for v := range ip.eval(file, st.This) {
-				ip.allProps(v, elems)
-			}
-		}
-		for _, arg := range st.Args {
-			for v := range ip.eval(file, arg) {
-				elems.add(v)
-				ip.allProps(v, elems)
-			}
-		}
-		ip.storeDyn(res, elems)
-		ip.envAdd(file, st.X, res)
-		return true
-	}
-	return false
-}
-
-// resolveModule mirrors analysis.resolveModule: relative specifiers
-// against the requiring file's directory, then a basename fallback.
-func (ip *interp) resolveModule(fromFile, spec string) (string, bool) {
-	if !strings.HasPrefix(spec, "./") && !strings.HasPrefix(spec, "../") {
-		return "", false
-	}
-	target := path.Clean(path.Join(path.Dir(fromFile), spec))
-	for _, c := range []string{target, target + ".js", path.Join(target, "index.js")} {
-		if ip.modules[c] {
-			return c, true
-		}
-	}
-	base := path.Base(target)
-	files := make([]string, 0, len(ip.modules))
-	for f := range ip.modules {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		fb := strings.TrimSuffix(path.Base(f), ".js")
-		if fb == base || fb == strings.TrimSuffix(base, ".js") {
-			return f, true
-		}
-	}
-	return "", false
-}
-
 // ---------------------------------------------------------------------------
 // Export closure, reachability and provenance
 // ---------------------------------------------------------------------------
 
 func (ip *interp) finish(converged bool) *Result {
+	// Every file's top-level pseudo-node is a call-graph root, lowered
+	// or not (a budget abort can stop the lowering early).
+	tops := make([]int32, len(ip.progs))
+	for i, p := range ip.progs {
+		tops[i] = ip.ownerID(p.FileName + ":")
+	}
 	r := &Result{
 		Funcs:     ip.funcs,
 		Order:     ip.order,
-		Calls:     map[string][]string{},
+		Calls:     make(map[string][]string, len(ip.calls)),
 		Exported:  map[string]bool{},
 		Escaped:   map[string]bool{},
 		Converged: converged,
 		entryName: map[string]string{},
-		ownerOf:   ip.ownerOf,
-		parent:    map[string]string{},
-		rootEntry: map[string]string{},
-		reachable: map[string]bool{},
+		ownerOf:   ip.ownerLines(),
+		nodes:     ip.ownerIndex,
+		names:     ip.ownerNames,
 	}
-	for q := range ip.escaped {
-		r.Escaped[q] = true
-	}
-	for owner, callees := range ip.calls {
-		out := make([]string, 0, len(callees))
-		for c := range callees {
-			out = append(out, c)
+	for fid, esc := range ip.escaped {
+		if esc {
+			r.Escaped[ip.fnNames[fid]] = true
 		}
-		sort.Strings(out)
-		r.Calls[owner] = out
+	}
+	ip.rankFuncs()
+	for owner, callees := range ip.calls {
+		if len(callees) == 0 {
+			continue
+		}
+		ip.byName(callees)
+		out := make([]string, len(callees))
+		for i, fid := range callees {
+			out[i] = ip.fnNames[fid]
+		}
+		r.Calls[ip.ownerNames[owner]] = out
 	}
 
+	var exported []int32
 	if converged {
-		ip.exportClosure(r)
+		exported = ip.exportClosure(r)
 	}
 	r.Fallback = !converged || len(r.Exported) == 0
 
-	ip.solveReach(r)
+	ip.solveReach(r, tops, exported)
 	return r
+}
+
+// rankFuncs orders the function ids by qname, the order every
+// qname-sorted output of the pass uses.
+func (ip *interp) rankFuncs() {
+	ip.rank = make([]int32, len(ip.fnNames))
+	if len(ip.rank) == 0 {
+		return
+	}
+	byName := make([]int32, len(ip.fnNames))
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	sort.Slice(byName, func(i, j int) bool { return ip.fnNames[byName[i]] < ip.fnNames[byName[j]] })
+	for pos, fid := range byName {
+		ip.rank[fid] = int32(pos)
+	}
+}
+
+// byName sorts function ids by qname.
+func (ip *interp) byName(fids []int32) {
+	slices.SortFunc(fids, func(a, b int32) int { return int(ip.rank[a]) - int(ip.rank[b]) })
+}
+
+// ownerLines replays the op order with last-write-wins: the last
+// complete pass, then the prefix a budget-cut pass managed to visit —
+// exactly the ownership map a per-statement write during the passes
+// would leave behind.
+func (ip *interp) ownerLines() map[string][]string {
+	lines := make([][]string, len(ip.files))
+	if ip.full {
+		ip.replayOwners(lines, len(ip.ops))
+	}
+	if ip.cut > 0 {
+		ip.replayOwners(lines, ip.cut)
+	}
+	out := make(map[string][]string, len(ip.files))
+	for f, ls := range lines {
+		if ls != nil {
+			out[ip.files[f].name] = ls
+		}
+	}
+	return out
+}
+
+func (ip *interp) replayOwners(lines [][]string, end int) {
+	start := 0
+	for pi, stop := range ip.progEnd {
+		if start >= end {
+			return
+		}
+		f := ip.progFile[pi]
+		ls := lines[f]
+		for i := start; i < int(stop) && i < end; i++ {
+			o := &ip.ops[i]
+			if o.line <= 0 {
+				continue
+			}
+			if ls == nil {
+				ls = make([]string, ip.files[f].maxLine+1)
+				lines[f] = ls
+			}
+			ls[o.line] = ip.ownerNames[o.owner]
+		}
+		start = int(stop)
+	}
 }
 
 // exportClosure walks the export surface of every module: the values
 // of module.exports plus the original exports object, through object
 // properties (named and dynamic), stopping at functions — exactly the
-// flows analysis.markExported traverses.
-func (ip *interp) exportClosure(r *Result) {
+// flows analysis.markExported traverses. It returns the exported
+// function ids in discovery order.
+func (ip *interp) exportClosure(r *Result) []int32 {
 	type item struct {
-		v    value
-		name string
-		file string
+		v     int32
+		depth int32 // dots in name
+		name  string
+		file  string
 	}
+	var exported []int32
 	var queue []item
-	push := func(v value, name, file string) {
-		queue = append(queue, item{v, name, file})
-	}
-	for _, p := range ip.progs {
+	for pi, p := range ip.progs {
 		file := p.FileName
-		direct := ip.propSet(ip.moduleObj[file], "exports")
-		for _, v := range sortedVals(direct) {
-			if v.Obj == ip.exportsObj[file] {
+		fs := &ip.files[ip.progFile[pi]]
+		for _, v := range ip.sortedVals(ip.propVals(fs.module, ip.exportsProp)) {
+			if v == fs.exports {
 				continue // seeded alias; named "exports" below
 			}
-			if v.Fn != "" {
-				push(v, "module.exports", file)
+			if v < 0 {
+				queue = append(queue, item{v, 1, "module.exports", file})
 			} else {
-				push(v, "exports", file)
+				queue = append(queue, item{v, 0, "exports", file})
 			}
 		}
-		push(value{Obj: ip.exportsObj[file]}, "exports", file)
+		queue = append(queue, item{fs.exports, 0, "exports", file})
 	}
 
-	seenObj := map[int]bool{}
+	seenObj := make([]bool, len(ip.objs))
 	const maxDepth = 6 // matches the pollution query's version bound; API surfaces are shallow
 	for len(queue) > 0 {
 		if !ip.step() {
-			return
+			return exported
 		}
 		it := queue[0]
 		queue = queue[1:]
-		if it.v.Fn != "" {
-			q := it.v.Fn
+		if it.v < 0 {
+			q := ip.fnNames[fnID(it.v)]
 			if !r.Exported[q] {
 				r.Exported[q] = true
 				r.entryName[q] = it.name
 				r.Exports = append(r.Exports, Export{Name: it.name, File: it.file, Func: q})
+				exported = append(exported, fnID(it.v))
 			}
 			continue
 		}
-		if seenObj[it.v.Obj] || strings.Count(it.name, ".") > maxDepth {
+		if seenObj[it.v] || it.depth > maxDepth {
 			continue
 		}
-		seenObj[it.v.Obj] = true
-		o := ip.objs[it.v.Obj]
-		props := make([]string, 0, len(o.props))
-		for p := range o.props {
-			props = append(props, p)
+		seenObj[it.v] = true
+		// The closure runs after the fixpoint, so sorting the object's
+		// property list in place is safe.
+		props := ip.objs[it.v].props
+		if len(props) > 1 {
+			sort.Slice(props, func(i, j int) bool {
+				return ip.propNames[props[i].prop] < ip.propNames[props[j].prop]
+			})
 		}
-		sort.Strings(props)
 		for _, p := range props {
-			for _, v := range sortedVals(o.props[p]) {
-				push(v, it.name+"."+p, it.file)
+			pname := ip.propNames[p.prop]
+			name := it.name + "." + pname
+			depth := it.depth + 1 + int32(strings.Count(pname, "."))
+			for _, v := range ip.sortedVals(p.vals) {
+				queue = append(queue, item{v, depth, name, it.file})
 			}
 		}
-		for _, v := range sortedVals(o.dyn) {
-			push(v, it.name+"[*]", it.file)
+		for _, v := range ip.sortedVals(ip.objs[it.v].dyn) {
+			queue = append(queue, item{v, it.depth, it.name + "[*]", it.file})
 		}
 	}
 	sort.Slice(r.Exports, func(i, j int) bool {
@@ -809,19 +394,24 @@ func (ip *interp) exportClosure(r *Result) {
 		}
 		return a.Func < b.Func
 	})
+	return exported
 }
 
-func sortedVals(s valSet) []value {
-	out := make([]value, 0, len(s))
-	for v := range s {
-		out = append(out, v)
+// sortedVals orders a value set for the export closure: objects by id,
+// then functions by qname.
+func (ip *interp) sortedVals(s []int32) []int32 {
+	k := 0
+	for k < len(s) && s[k] < 0 {
+		k++
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fn != out[j].Fn {
-			return out[i].Fn < out[j].Fn
-		}
-		return out[i].Obj < out[j].Obj
-	})
+	if k == 0 {
+		return s
+	}
+	out := make([]int32, 0, len(s))
+	out = append(out, s[k:]...)
+	out = append(out, s[:k]...)
+	fns := out[len(s)-k:]
+	slices.SortFunc(fns, func(a, b int32) int { return int(ip.rank[fnID(a)]) - int(ip.rank[fnID(b)]) })
 	return out
 }
 
@@ -830,39 +420,44 @@ func sortedVals(s valSet) []value {
 // in priority order — exported functions, module top-level code,
 // escaped callbacks, then (under Fallback) every remaining function —
 // so each function's provenance prefers an export-rooted path.
-func (ip *interp) solveReach(r *Result) {
-	var queue []string
-	enqueue := func(q, entry string) {
-		if r.reachable[q] {
+func (ip *interp) solveReach(r *Result, tops, exported []int32) {
+	n := len(ip.ownerNames)
+	r.reachable = make([]bool, n)
+	r.rootEntry = make([]string, n)
+	r.parent = make([]int32, n)
+	for i := range r.parent {
+		r.parent[i] = -1
+	}
+	queue := make([]int32, 0, n)
+	enqueue := func(node int32, entry string) {
+		if r.reachable[node] {
 			return
 		}
-		r.reachable[q] = true
-		r.rootEntry[q] = entry
-		queue = append(queue, q)
+		r.reachable[node] = true
+		r.rootEntry[node] = entry
+		queue = append(queue, node)
 	}
 
-	var exported []string
-	for q := range r.Exported {
-		exported = append(exported, q)
+	ip.byName(exported)
+	for _, fid := range exported {
+		enqueue(ip.fnNode[fid], r.entryName[ip.fnNames[fid]])
 	}
-	sort.Strings(exported)
-	for _, q := range exported {
-		enqueue(q, r.entryName[q])
+	for _, top := range tops {
+		enqueue(top, "(module)")
 	}
-	for _, p := range ip.progs {
-		enqueue(p.FileName+":", "(module)")
+	var escaped []int32
+	for fid, esc := range ip.escaped {
+		if esc {
+			escaped = append(escaped, int32(fid))
+		}
 	}
-	var escaped []string
-	for q := range r.Escaped {
-		escaped = append(escaped, q)
-	}
-	sort.Strings(escaped)
-	for _, q := range escaped {
-		enqueue(q, "(callback)")
+	ip.byName(escaped)
+	for _, fid := range escaped {
+		enqueue(ip.fnNode[fid], "(callback)")
 	}
 	if r.Fallback {
-		for _, q := range r.Order {
-			enqueue(q, "(fallback)")
+		for _, node := range ip.fnNode {
+			enqueue(node, "(fallback)")
 		}
 	}
 
@@ -871,19 +466,21 @@ func (ip *interp) solveReach(r *Result) {
 			// Budget tripped mid-closure: degrade to keep-everything so
 			// the caller never prunes on a half-computed graph.
 			r.Fallback = true
-			for _, q := range r.Order {
-				enqueue(q, "(fallback)")
-				queue = nil
+			for _, node := range ip.fnNode {
+				enqueue(node, "(fallback)")
 			}
-			for _, q := range r.Order {
-				r.reachable[q] = true
+			for _, node := range ip.fnNode {
+				r.reachable[node] = true
 			}
 			return
 		}
 		cur := queue[0]
 		queue = queue[1:]
-		for _, callee := range r.Calls[cur] {
-			if !r.reachable[callee] {
+		if int(cur) >= len(ip.calls) {
+			continue
+		}
+		for _, fid := range ip.calls[cur] {
+			if callee := ip.fnNode[fid]; !r.reachable[callee] {
 				r.reachable[callee] = true
 				r.parent[callee] = cur
 				r.rootEntry[callee] = r.rootEntry[cur]

@@ -467,68 +467,187 @@ func (l *Lexer) scanRegex(tok token.Token) token.Token {
 
 // scanOperator handles punctuation and operators, longest match first.
 func (l *Lexer) scanOperator(tok token.Token) token.Token {
-	type op struct {
-		text string
-		kind token.Kind
-	}
-	// Ordered longest-first within each leading byte.
 	c := l.peek()
 	if c == '/' && l.regexAllowed() {
 		return l.scanRegex(tok)
 	}
-	ops := []op{
-		{">>>=", token.USHR_ASSIGN},
-		{"...", token.ELLIPSIS}, {"===", token.STRICTEQ},
-		{"!==", token.STRICTNEQ}, {">>>", token.USHR},
-		{"<<=", token.SHL_ASSIGN}, {">>=", token.SHR_ASSIGN},
-		{"**=", token.POW_ASSIGN}, {"&&=", token.LOGAND_ASSIGN},
-		{"||=", token.LOGOR_ASSIGN}, {"??=", token.NULLISH_ASSIGN},
-		{"=>", token.ARROW}, {"==", token.EQ}, {"!=", token.NEQ},
-		{"<=", token.LEQ}, {">=", token.GEQ}, {"&&", token.LOGAND},
-		{"||", token.LOGOR}, {"??", token.NULLISH}, {"?.", token.OPTCHAIN},
-		{"++", token.INC}, {"--", token.DEC}, {"+=", token.PLUS_ASSIGN},
-		{"-=", token.MINUS_ASSIGN}, {"*=", token.STAR_ASSIGN},
-		{"/=", token.SLASH_ASSIGN}, {"%=", token.PERCENT_ASSIGN},
-		{"&=", token.AND_ASSIGN}, {"|=", token.OR_ASSIGN},
-		{"^=", token.XOR_ASSIGN}, {"**", token.POW}, {"<<", token.SHL},
-		{">>", token.SHR},
-		{"(", token.LPAREN}, {")", token.RPAREN}, {"{", token.LBRACE},
-		{"}", token.RBRACE}, {"[", token.LBRACKET}, {"]", token.RBRACKET},
-		{";", token.SEMI}, {",", token.COMMA}, {".", token.DOT},
-		{":", token.COLON}, {"?", token.QUESTION}, {"=", token.ASSIGN},
-		{"+", token.PLUS}, {"-", token.MINUS}, {"*", token.STAR},
-		{"/", token.SLASH}, {"%", token.PERCENT}, {"<", token.LT},
-		{">", token.GT}, {"!", token.NOT}, {"&", token.AND},
-		{"|", token.OR}, {"^", token.XOR}, {"~", token.TILD},
-	}
-	rest := l.src[l.off:]
-	for _, o := range ops {
-		if strings.HasPrefix(rest, o.text) {
-			for range o.text {
-				l.advance()
-			}
-			tok.Kind = o.kind
-			tok.Lit = o.text
-			tok.Raw = o.text
-			return tok
+	kind, text := l.operator(c)
+	if kind == token.ILLEGAL {
+		p := l.pos()
+		r, size := utf8.DecodeRuneInString(l.src[l.off:])
+		for i := 0; i < size; i++ {
+			l.advance()
 		}
+		l.errorf(p, "unexpected character %q", r)
+		tok.Kind = token.ILLEGAL
+		tok.Lit = string(r)
+		return tok
 	}
-	p := l.pos()
-	r, size := utf8.DecodeRuneInString(rest)
-	for i := 0; i < size; i++ {
-		l.advance()
-	}
-	l.errorf(p, "unexpected character %q", r)
-	tok.Kind = token.ILLEGAL
-	tok.Lit = string(r)
+	// Operators never contain a line terminator.
+	l.off += len(text)
+	l.col += len(text)
+	tok.Kind = kind
+	tok.Lit = text
+	tok.Raw = text
 	return tok
+}
+
+// operator returns the longest operator at the current offset, whose
+// first byte is c, or ILLEGAL. It dispatches on c and then tries only
+// that byte's few candidates, longest first.
+func (l *Lexer) operator(c byte) (token.Kind, string) {
+	c1, c2 := l.peekAt(1), l.peekAt(2)
+	switch c {
+	case '(':
+		return token.LPAREN, "("
+	case ')':
+		return token.RPAREN, ")"
+	case '{':
+		return token.LBRACE, "{"
+	case '}':
+		return token.RBRACE, "}"
+	case '[':
+		return token.LBRACKET, "["
+	case ']':
+		return token.RBRACKET, "]"
+	case ';':
+		return token.SEMI, ";"
+	case ',':
+		return token.COMMA, ","
+	case ':':
+		return token.COLON, ":"
+	case '~':
+		return token.TILD, "~"
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			return token.ELLIPSIS, "..."
+		}
+		return token.DOT, "."
+	case '?':
+		switch {
+		case c1 == '?' && c2 == '=':
+			return token.NULLISH_ASSIGN, "??="
+		case c1 == '?':
+			return token.NULLISH, "??"
+		case c1 == '.' && !isDigit(c2):
+			// OptionalChainingPunctuator is `?.` [lookahead ∉
+			// DecimalDigit]: `c?.5:1` is a conditional on `.5`.
+			return token.OPTCHAIN, "?."
+		}
+		return token.QUESTION, "?"
+	case '=':
+		switch {
+		case c1 == '=' && c2 == '=':
+			return token.STRICTEQ, "==="
+		case c1 == '>':
+			return token.ARROW, "=>"
+		case c1 == '=':
+			return token.EQ, "=="
+		}
+		return token.ASSIGN, "="
+	case '!':
+		switch {
+		case c1 == '=' && c2 == '=':
+			return token.STRICTNEQ, "!=="
+		case c1 == '=':
+			return token.NEQ, "!="
+		}
+		return token.NOT, "!"
+	case '<':
+		switch {
+		case c1 == '<' && c2 == '=':
+			return token.SHL_ASSIGN, "<<="
+		case c1 == '=':
+			return token.LEQ, "<="
+		case c1 == '<':
+			return token.SHL, "<<"
+		}
+		return token.LT, "<"
+	case '>':
+		switch {
+		case c1 == '>' && c2 == '>' && l.peekAt(3) == '=':
+			return token.USHR_ASSIGN, ">>>="
+		case c1 == '>' && c2 == '>':
+			return token.USHR, ">>>"
+		case c1 == '>' && c2 == '=':
+			return token.SHR_ASSIGN, ">>="
+		case c1 == '=':
+			return token.GEQ, ">="
+		case c1 == '>':
+			return token.SHR, ">>"
+		}
+		return token.GT, ">"
+	case '*':
+		switch {
+		case c1 == '*' && c2 == '=':
+			return token.POW_ASSIGN, "**="
+		case c1 == '=':
+			return token.STAR_ASSIGN, "*="
+		case c1 == '*':
+			return token.POW, "**"
+		}
+		return token.STAR, "*"
+	case '&':
+		switch {
+		case c1 == '&' && c2 == '=':
+			return token.LOGAND_ASSIGN, "&&="
+		case c1 == '&':
+			return token.LOGAND, "&&"
+		case c1 == '=':
+			return token.AND_ASSIGN, "&="
+		}
+		return token.AND, "&"
+	case '|':
+		switch {
+		case c1 == '|' && c2 == '=':
+			return token.LOGOR_ASSIGN, "||="
+		case c1 == '|':
+			return token.LOGOR, "||"
+		case c1 == '=':
+			return token.OR_ASSIGN, "|="
+		}
+		return token.OR, "|"
+	case '+':
+		switch c1 {
+		case '+':
+			return token.INC, "++"
+		case '=':
+			return token.PLUS_ASSIGN, "+="
+		}
+		return token.PLUS, "+"
+	case '-':
+		switch c1 {
+		case '-':
+			return token.DEC, "--"
+		case '=':
+			return token.MINUS_ASSIGN, "-="
+		}
+		return token.MINUS, "-"
+	case '/':
+		if c1 == '=' {
+			return token.SLASH_ASSIGN, "/="
+		}
+		return token.SLASH, "/"
+	case '%':
+		if c1 == '=' {
+			return token.PERCENT_ASSIGN, "%="
+		}
+		return token.PERCENT, "%"
+	case '^':
+		if c1 == '=' {
+			return token.XOR_ASSIGN, "^="
+		}
+		return token.XOR, "^"
+	}
+	return token.ILLEGAL, ""
 }
 
 // ScanAll tokenizes the whole input, returning all tokens up to and
 // including EOF, or the first error.
 func ScanAll(src string) ([]token.Token, error) {
 	l := New(src)
-	var out []token.Token
+	// Sources average about three bytes per token.
+	out := make([]token.Token, 0, len(src)/3+16)
 	for {
 		t := l.Next()
 		if l.Err() != nil {

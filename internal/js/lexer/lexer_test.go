@@ -267,13 +267,20 @@ func TestOperatorMaximalMunch(t *testing.T) {
 }
 
 func TestQuestionDotVsTernary(t *testing.T) {
-	// `a ? .5 : 1` must not lex `?.`… actually ECMAScript requires a
-	// lookahead here; our lexer scans `?.` greedily, so the ternary with
-	// a leading-dot number needs parens/space — document the limitation
-	// by asserting current behaviour on the unambiguous form.
 	ks := kinds(t, "a ? b : c")
 	if !eqKinds(ks, token.IDENT, token.QUESTION, token.IDENT, token.COLON, token.IDENT, token.EOF) {
 		t.Fatalf("got %v", ks)
+	}
+	// `?.` is only an optional chain when no decimal digit follows
+	// (ECMAScript's OptionalChainingPunctuator lookahead), so minified
+	// `c?.5:1` is a conditional on the number `.5`.
+	ks = kinds(t, "c?.5:1")
+	if !eqKinds(ks, token.IDENT, token.QUESTION, token.NUMBER, token.COLON, token.NUMBER, token.EOF) {
+		t.Fatalf("c?.5:1: got %v", ks)
+	}
+	ks = kinds(t, "c?.d")
+	if !eqKinds(ks, token.IDENT, token.OPTCHAIN, token.IDENT, token.EOF) {
+		t.Fatalf("c?.d: got %v", ks)
 	}
 }
 

@@ -108,6 +108,23 @@ func TestTernary(t *testing.T) {
 	}
 }
 
+func TestTernaryOnLeadingDotNumber(t *testing.T) {
+	// Minified code writes `c?.5:1`; `?.` before a digit is not an
+	// optional chain.
+	prog := mustParse(t, "var x = c?.5:1;")
+	if len(prog.Body) != 1 {
+		t.Fatalf("body = %#v", prog.Body)
+	}
+	e := mustParseExpr(t, "c?.5:1")
+	cond, ok := e.(*ast.CondExpr)
+	if !ok {
+		t.Fatalf("top = %#v", e)
+	}
+	if lit, ok := cond.Then.(*ast.Literal); !ok || lit.Kind != ast.LitNumber || lit.Value != ".5" {
+		t.Fatalf("then = %#v", cond.Then)
+	}
+}
+
 func TestMemberChain(t *testing.T) {
 	e := mustParseExpr(t, "a.b.c[d]")
 	m, ok := e.(*ast.MemberExpr)
