@@ -162,7 +162,7 @@ chaos:
 # sweep to a journal finding-equivalent to the pre-chaos baseline. The
 # cancellation, breaker, and health-machine regressions ride along.
 chaos-serve:
-	$(GO) test -race -count=1 -run 'TestChaosServe|TestSlowloris|TestClientDisconnect|TestCanceled|TestOversizedBody|TestOffender|TestEngineBreaker|TestHealthz|TestStoreWriteFault|TestPoolEviction' \
+	$(GO) test -race -count=1 -run 'TestChaosServe|TestSlowloris|TestClientDisconnect|TestCanceled|TestOversizedBody|TestOffender|TestHealthz|TestStoreWriteFault|TestPoolEviction' \
 		./internal/server
 
 # bench-resilience snapshots what hostile traffic costs honest clients

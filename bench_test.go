@@ -103,12 +103,12 @@ func BenchmarkTable3(b *testing.B) {
 }
 
 // BenchmarkTable4GraphJS measures the Graph.js side of Table 4 on a
-// stratified 40-package sample.
+// stratified 40-package sample, on the paper's (query) engine.
 func BenchmarkTable4GraphJS(b *testing.B) {
 	c := sampleCorpus(40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs := metrics.RunGraphJS(c, scanner.Options{})
+		rs := metrics.RunGraphJS(c, scanner.Options{Engine: scanner.EngineQuery})
 		out := metrics.Evaluate("graphjs", rs, false)
 		if out.Packages != len(c.Packages) {
 			b.Fatal("bad run")
@@ -205,7 +205,7 @@ func BenchmarkFigure6(b *testing.B) {
 }
 
 // BenchmarkTable5 measures the wild-corpus scan (Collected dataset) at
-// a reduced size.
+// a reduced size, on the paper's (query) engine.
 func BenchmarkTable5(b *testing.B) {
 	c := dataset.Collected(7, dataset.DefaultCollectedMix(40))
 	cfg := queries.DefaultConfig()
@@ -214,7 +214,7 @@ func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := 0
 		for _, p := range c.Packages {
-			rep := scanner.ScanSource(p.Source, p.Name, scanner.Options{Config: cfg})
+			rep := scanner.ScanSource(p.Source, p.Name, scanner.Options{Engine: scanner.EngineQuery, Config: cfg})
 			total += len(rep.Findings)
 		}
 		if total == 0 {

@@ -12,6 +12,10 @@
 //	benchtables -faults       failure-class counts on the crash corpus
 //	benchtables -all          everything
 //
+// Every Graph.js sweep here runs the query engine explicitly, not the
+// scanner's native default: the paper's rows (Tables 4-7, the
+// per-engine traversal timings) measure its graph-database detection.
+//
 // Corpus scans run on a bounded worker pool; -workers N bounds it
 // (default GOMAXPROCS). Results are printed with the paper's reference
 // values alongside the measured ones where applicable.
@@ -155,10 +159,10 @@ func (r *runner) run() {
 	if r.journal != "" {
 		var stats *metrics.SuperviseStats
 		var err error
-		gs, stats, err = metrics.SuperviseGraphJS(r.combined, scanner.Options{Workers: r.workers}, r.superviseOpts("graphjs"))
+		gs, stats, err = metrics.SuperviseGraphJS(r.combined, scanner.Options{Engine: scanner.EngineQuery, Workers: r.workers}, r.superviseOpts("graphjs"))
 		reportSupervised("Graph.js", stats, err)
 	} else {
-		gs = metrics.SweepGraphJS(r.combined, scanner.Options{Workers: r.workers})
+		gs = metrics.SweepGraphJS(r.combined, scanner.Options{Engine: scanner.EngineQuery, Workers: r.workers})
 	}
 	r.gjs = gs.Results
 	fmt.Fprintf(os.Stderr, "  %d workers: wall %s, cpu %s (%.2fx)\n",
@@ -191,7 +195,7 @@ func (r *runner) sweepTable() {
 	var rows [][]string
 	var baseline *metrics.Sweep
 	for _, w := range []int{1, 2, 4, 8} {
-		sw := metrics.SweepGraphJS(r.combined, scanner.Options{Workers: w})
+		sw := metrics.SweepGraphJS(r.combined, scanner.Options{Engine: scanner.EngineQuery, Workers: w})
 		if baseline == nil {
 			baseline = sw
 		}
@@ -216,8 +220,8 @@ func (r *runner) sweepTable() {
 // findings (the differential oracle, rendered as a column).
 func (r *runner) provenanceTable() {
 	fmt.Println("== Reach-gate precision: export-graph gate over the ground-truth corpus ==")
-	gated := metrics.SweepGraphJS(r.combined, scanner.Options{Workers: r.workers})
-	ungated := metrics.SweepGraphJS(r.combined, scanner.Options{Workers: r.workers, NoReachGate: true})
+	gated := metrics.SweepGraphJS(r.combined, scanner.Options{Engine: scanner.EngineQuery, Workers: r.workers})
+	ungated := metrics.SweepGraphJS(r.combined, scanner.Options{Engine: scanner.EngineQuery, Workers: r.workers, NoReachGate: true})
 	row := func(label string, sw *metrics.Sweep) []string {
 		ea := metrics.EngineAverages(sw.Results)
 		n := 0
@@ -249,7 +253,7 @@ func (r *runner) provenanceTable() {
 func (r *runner) faultsTable() {
 	c := dataset.Pathological()
 	fmt.Printf("== Failure classes: %d crash-corpus packages, 2s/package budget ==\n", len(c.Packages))
-	gs := metrics.SweepGraphJS(c, scanner.Options{Timeout: 2 * time.Second, Workers: r.workers})
+	gs := metrics.SweepGraphJS(c, scanner.Options{Engine: scanner.EngineQuery, Timeout: 2 * time.Second, Workers: r.workers})
 	od := odgen.DefaultOptions()
 	od.StepBudget = 20000
 	od.Timeout = 2 * time.Second
@@ -409,7 +413,7 @@ func (r *runner) table5() {
 	confirmed := map[string]map[queries.CWE]bool{}
 	// Scans run on the worker pool; the confirmation pass below stays
 	// sequential because it shares the memoization maps.
-	results := metrics.RunGraphJS(c, scanner.Options{Config: cfg, Workers: r.workers})
+	results := metrics.RunGraphJS(c, scanner.Options{Engine: scanner.EngineQuery, Config: cfg, Workers: r.workers})
 	for i, p := range c.Packages {
 		rep := results[i]
 		for _, f := range rep.Findings {

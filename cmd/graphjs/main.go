@@ -9,7 +9,7 @@
 // Flags:
 //
 //	-config FILE    sink configuration (JSON); default: built-in sinks
-//	-engine NAME    detection engine: query, native, differential, or fallback
+//	-engine NAME    detection engine: native (default), query, or differential
 //	-workers N      scan targets on N parallel workers (0 = GOMAXPROCS)
 //	-timeout DUR    per-target analysis timeout (default 5m, as in §5.1)
 //	-max-steps N    per-target abstract-step cap (0 = unlimited)
@@ -63,7 +63,7 @@ import (
 
 func main() {
 	configPath := flag.String("config", "", "sink configuration file (JSON)")
-	engineName := flag.String("engine", "query", "detection engine: query, native, differential, or fallback")
+	engineName := flag.String("engine", "native", "detection engine: native, query (the paper's graph queries), or differential")
 	workers := flag.Int("workers", 1, "parallel workers for multi-target scans (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-target analysis timeout")
 	maxSteps := flag.Int("max-steps", 0, "per-target abstract-step cap (0 = unlimited)")
@@ -384,9 +384,6 @@ func printHuman(rep *scanner.Report, stats, trace bool) {
 	}
 	if rep.Incomplete {
 		fmt.Println("  incomplete: findings below are the subset established before the budget tripped")
-	}
-	if rep.FellBack {
-		fmt.Printf("  fell back to the query engine (native failed: %v)\n", rep.FallbackErr)
 	}
 	if len(rep.Findings) == 0 {
 		fmt.Println("  no vulnerabilities found")

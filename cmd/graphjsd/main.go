@@ -17,7 +17,7 @@
 //	-queue int        admitted requests that may wait for a slot
 //	                  (default 2×workers; negative = shed immediately)
 //	-retry-after dur  Retry-After hint on 429 responses (default 1s)
-//	-engine string    default detection engine (default "query")
+//	-engine string    default detection engine (default "native")
 //	-timeout dur      default per-request scan timeout (default 5m)
 //	-max-timeout dur  ceiling a request may raise its timeout to
 //	-steps/-nodes/-edges int          default per-request budget caps
@@ -48,10 +48,6 @@
 //	                        is quarantined (default 3; negative disables)
 //	-breaker-cooldown dur   quarantine window before a half-open probe
 //	                        (default 30s)
-//	-engine-break-window int  rolling native-outcome sample window
-//	                          (default 20)
-//	-engine-break-rate float  native panic rate that pins the fallback
-//	                          engine (default 0.5; negative disables)
 //	-degraded-cooldown dur  how long degraded mode lingers after the
 //	                        last substrate fault (default 30s)
 //
@@ -83,7 +79,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent scan slots (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "admission queue depth (0 = 2x workers, negative = none)")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-		engine     = flag.String("engine", "query", "default engine: query, native, differential, fallback")
+		engine     = flag.String("engine", "native", "default engine: native, query, differential")
 		timeout    = flag.Duration("timeout", 5*time.Minute, "default per-request scan timeout")
 		maxTimeout = flag.Duration("max-timeout", 0, "ceiling for per-request timeouts (0 = default timeout)")
 		steps      = flag.Int("steps", 0, "default per-request abstract-interpretation step cap (0 = unlimited)")
@@ -105,11 +101,9 @@ func main() {
 		idleTimeout       = flag.Duration("idle-timeout", 0, "bound on idle keep-alive connections (0 = 2m; negative disables)")
 		maxHeaderBytes    = flag.Int("max-header-bytes", 0, "request header size cap (0 = 64 KiB; negative = stdlib default)")
 
-		breakerStrikes    = flag.Int("breaker-strikes", 0, "panic/timeout strikes before content is quarantined (0 = 3; negative disables)")
-		breakerCooldown   = flag.Duration("breaker-cooldown", 0, "quarantine window before a half-open probe (0 = 30s)")
-		engineBreakWindow = flag.Int("engine-break-window", 0, "rolling native-engine outcome window (0 = 20)")
-		engineBreakRate   = flag.Float64("engine-break-rate", 0, "native panic rate that pins the fallback engine (0 = 0.5; negative disables)")
-		degradedCooldown  = flag.Duration("degraded-cooldown", 0, "degraded-mode linger after the last substrate fault (0 = 30s)")
+		breakerStrikes   = flag.Int("breaker-strikes", 0, "panic/timeout strikes before content is quarantined (0 = 3; negative disables)")
+		breakerCooldown  = flag.Duration("breaker-cooldown", 0, "quarantine window before a half-open probe (0 = 30s)")
+		degradedCooldown = flag.Duration("degraded-cooldown", 0, "degraded-mode linger after the last substrate fault (0 = 30s)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -152,11 +146,9 @@ func main() {
 		Store:           st,
 		NoFsync:         *noFsync,
 
-		BreakerStrikes:    *breakerStrikes,
-		BreakerCooldown:   *breakerCooldown,
-		EngineBreakWindow: *engineBreakWindow,
-		EngineBreakRate:   *engineBreakRate,
-		DegradedCooldown:  *degradedCooldown,
+		BreakerStrikes:   *breakerStrikes,
+		BreakerCooldown:  *breakerCooldown,
+		DegradedCooldown: *degradedCooldown,
 	})
 	httpSrv := srv.NewHTTPServer(*addr, server.HTTPOptions{
 		ReadHeaderTimeout: *readHeaderTimeout,

@@ -284,14 +284,6 @@ func (b *Budget) Err() error {
 // Exceeded reports whether any limit has been hit.
 func (b *Budget) Exceeded() bool { return b != nil && b.failure != nil }
 
-// Limits returns the budget's configured limits (zero for nil).
-func (b *Budget) Limits() Limits {
-	if b == nil {
-		return Limits{}
-	}
-	return b.limits
-}
-
 // Steps returns the cooperative steps consumed so far.
 func (b *Budget) Steps() int {
 	if b == nil {

@@ -103,23 +103,3 @@ func TestODGenPathologicalSweep(t *testing.T) {
 		t.Error("unroll_bomb lost its pre-timeout finding")
 	}
 }
-
-// TestFallbackSweepMatchesNative is the acceptance check for the
-// fallback engine: with both backends healthy it must produce, package
-// by package, the surviving (native) engine's findings across the
-// ground-truth corpus.
-func TestFallbackSweepMatchesNative(t *testing.T) {
-	c := groundTruth(t)
-	native := SweepGraphJS(c, scanner.Options{Engine: scanner.EngineNative})
-	fb := SweepGraphJS(c, scanner.Options{Engine: scanner.EngineFallback})
-	for i := range c.Packages {
-		nr, fr := native.Results[i], fb.Results[i]
-		if fr.Err != nil {
-			t.Errorf("package %s: fallback errored: %v", fr.Package.Name, fr.Err)
-			continue
-		}
-		if err := scanner.DiffFindings(nr.Findings, fr.Findings); err != nil {
-			t.Errorf("package %s: fallback differs from native: %v", fr.Package.Name, err)
-		}
-	}
-}

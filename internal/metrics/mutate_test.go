@@ -74,12 +74,12 @@ func TestMutationEquivalenceAllTemplates(t *testing.T) {
 	}
 }
 
-// TestMutationEquivalenceNativeEngine repeats the sweep with the native
-// taint backend, whose per-fragment dedup/merge paths are independent
-// of the query engine's.
-func TestMutationEquivalenceNativeEngine(t *testing.T) {
+// TestMutationEquivalenceQueryEngine repeats the sweep with the query
+// backend (the default run above is native), whose per-fragment
+// dedup/merge paths are independent of the native engine's.
+func TestMutationEquivalenceQueryEngine(t *testing.T) {
 	c := templateCorpus(11)
-	if err := MutationSweep(c, scanner.Options{Workers: 4, Engine: scanner.EngineNative}); err != nil {
+	if err := MutationSweep(c, scanner.Options{Workers: 4, Engine: scanner.EngineQuery}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,7 +31,7 @@ import (
 //
 //   - A degradation ladder: failures are retried according to their
 //     class. Transient classes (engine-panic, query-error) get one
-//     retry on the fallback engine after a deterministically jittered
+//     retry on the same engine after a deterministically jittered
 //     backoff; budget classes (timeout, budget-exceeded) descend to
 //     progressively cheaper configurations — reduced caps, and finally
 //     a reach-gate-only triage floor — each attempt on a fresh budget.
@@ -224,17 +224,16 @@ func resultFromEntry(p *dataset.Package, e sweepjournal.Entry) PackageResult {
 }
 
 // runLadder drives one package through the degradation ladder. run
-// executes a single attempt (transientRetries > 0 means an earlier
-// attempt died transiently, so engines with a fallback should use it)
-// and returns the row plus the engine label for the attempt history.
+// executes a single attempt and returns the row plus the engine label
+// for the attempt history.
 func runLadder(pkg, hash, fp string, ladder []rung, backoff time.Duration,
-	run func(r rung, attempt, transientRetries int) (PackageResult, string)) (PackageResult, sweepjournal.Entry) {
+	run func(r rung, attempt int) (PackageResult, string)) (PackageResult, sweepjournal.Entry) {
 
 	entry := sweepjournal.Entry{Package: pkg, Hash: hash, Opts: fp}
 	attempt, transientRetries, ri := 0, 0, 0
 	for {
 		r := ladder[ri]
-		res, engine := runAttempt(run, r, attempt, transientRetries)
+		res, engine := runAttempt(run, r, attempt)
 		attempt++
 		entry.Attempts = append(entry.Attempts, sweepjournal.Attempt{
 			Rung:     r.Name,
@@ -274,8 +273,8 @@ func runLadder(pkg, hash, fp string, ladder []rung, backoff time.Duration,
 			return terminal(sweepjournal.StateCanceled)
 
 		case budget.ClassPanic, budget.ClassQuery:
-			// Transient: one retry (engines with a fallback switch to it),
-			// after a deterministic jittered backoff. A second transient
+			// Transient: one retry on the same engine, after a
+			// deterministic jittered backoff. A second transient
 			// death is a real bug, not bad luck — quarantine.
 			if transientRetries == 0 {
 				transientRetries++
@@ -301,8 +300,8 @@ func runLadder(pkg, hash, fp string, ladder []rung, backoff time.Duration,
 // harness itself) still comes back as a classified transient row, so
 // the ladder keeps control and the package still reaches a terminal
 // journal state.
-func runAttempt(run func(r rung, attempt, transientRetries int) (PackageResult, string),
-	r rung, attempt, transientRetries int) (pr PackageResult, engine string) {
+func runAttempt(run func(r rung, attempt int) (PackageResult, string),
+	r rung, attempt int) (pr PackageResult, engine string) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			pr = PackageResult{
@@ -311,12 +310,13 @@ func runAttempt(run func(r rung, attempt, transientRetries int) (PackageResult, 
 			}
 		}
 	}()
-	return run(r, attempt, transientRetries)
+	return run(r, attempt)
 }
 
 // graphjsFingerprint is the resume-relevant slice of scanner.Options:
 // anything that changes what a scan computes must be in here, so a
 // journal written under different options never satisfies a resume.
+// Engine is the resolved engine, so "" and its default name agree.
 type graphjsFingerprint struct {
 	Engine      string
 	Timeout     time.Duration
@@ -325,6 +325,35 @@ type graphjsFingerprint struct {
 	MaxEdges    int
 	NoReachGate bool
 	Ladder      []string
+}
+
+// graphjsFingerprintOf fingerprints opts for a sweep over ladder.
+func graphjsFingerprintOf(opts scanner.Options, ladder []rung) string {
+	engine := string(opts.Engine)
+	if eng, err := scanner.ParseEngine(engine); err == nil {
+		engine = string(eng)
+	}
+	return sweepjournal.Fingerprint(graphjsFingerprint{
+		Engine:      engine,
+		Timeout:     opts.Timeout,
+		MaxSteps:    opts.MaxSteps,
+		MaxNodes:    opts.MaxNodes,
+		MaxEdges:    opts.MaxEdges,
+		NoReachGate: opts.NoReachGate,
+		Ladder:      ladderNames(ladder),
+	})
+}
+
+// graphjsRun adapts a scan function to one ladder attempt: rung
+// options, a deterministic fault label, and the engine the scan ran as
+// the attempt's label.
+func graphjsRun(opts scanner.Options, scan func(p *dataset.Package, o scanner.Options) *scanner.Report) func(p *dataset.Package, r rung, attempt int) (PackageResult, string) {
+	return func(p *dataset.Package, r rung, attempt int) (PackageResult, string) {
+		o := rungScanOptions(opts, r)
+		o.FaultLabel = fmt.Sprintf("%s#%d", p.Name, attempt)
+		rep := scan(p, o)
+		return graphjsResult(p, rep), string(rep.Engine)
+	}
 }
 
 // rungScanOptions derives the scanner options for one ladder rung.
@@ -348,28 +377,8 @@ func rungScanOptions(base scanner.Options, r rung) scanner.Options {
 // (resumed packages included); stats counts how packages terminated.
 func SuperviseGraphJS(c *dataset.Corpus, opts scanner.Options, sup SuperviseOptions) (*Sweep, *SuperviseStats, error) {
 	ladder := defaultLadder()
-	fp := sweepjournal.Fingerprint(graphjsFingerprint{
-		Engine:      string(opts.Engine),
-		Timeout:     opts.Timeout,
-		MaxSteps:    opts.MaxSteps,
-		MaxNodes:    opts.MaxNodes,
-		MaxEdges:    opts.MaxEdges,
-		NoReachGate: opts.NoReachGate,
-		Ladder:      ladderNames(ladder),
-	})
-	run := func(p *dataset.Package, r rung, attempt, transientRetries int) (PackageResult, string) {
-		o := rungScanOptions(opts, r)
-		if transientRetries > 0 {
-			o.Engine = scanner.EngineFallback
-		}
-		o.FaultLabel = fmt.Sprintf("%s#%d", p.Name, attempt)
-		engine := o.Engine
-		if engine == "" {
-			engine = scanner.EngineQuery
-		}
-		return graphjsResult(p, scanPackage(p, o)), string(engine)
-	}
-	return supervise(c, opts.Workers, fp, ladder, sup, nil, run)
+	fp := graphjsFingerprintOf(opts, ladder)
+	return supervise(c, opts.Workers, fp, ladder, sup, nil, graphjsRun(opts, scanPackage))
 }
 
 // Target is one named scan unit of a supervised CLI sweep: a file or
@@ -391,15 +400,7 @@ type Target struct {
 // journal and a corpus journal are interchangeable formats.
 func SuperviseGraphJSTargets(targets []Target, opts scanner.Options, sup SuperviseOptions) (*Sweep, *SuperviseStats, error) {
 	ladder := defaultLadder()
-	fp := sweepjournal.Fingerprint(graphjsFingerprint{
-		Engine:      string(opts.Engine),
-		Timeout:     opts.Timeout,
-		MaxSteps:    opts.MaxSteps,
-		MaxNodes:    opts.MaxNodes,
-		MaxEdges:    opts.MaxEdges,
-		NoReachGate: opts.NoReachGate,
-		Ladder:      ladderNames(ladder),
-	})
+	fp := graphjsFingerprintOf(opts, ladder)
 	c := &dataset.Corpus{Name: "targets"}
 	byName := make(map[string]Target, len(targets))
 	for _, t := range targets {
@@ -407,19 +408,8 @@ func SuperviseGraphJSTargets(targets []Target, opts scanner.Options, sup Supervi
 		byName[t.Name] = t
 	}
 	hash := func(p *dataset.Package) string { return byName[p.Name].Hash() }
-	run := func(p *dataset.Package, r rung, attempt, transientRetries int) (PackageResult, string) {
-		o := rungScanOptions(opts, r)
-		if transientRetries > 0 {
-			o.Engine = scanner.EngineFallback
-		}
-		o.FaultLabel = fmt.Sprintf("%s#%d", p.Name, attempt)
-		engine := o.Engine
-		if engine == "" {
-			engine = scanner.EngineQuery
-		}
-		return graphjsResult(p, byName[p.Name].Scan(o)), string(engine)
-	}
-	return supervise(c, opts.Workers, fp, ladder, sup, hash, run)
+	scan := func(p *dataset.Package, o scanner.Options) *scanner.Report { return byName[p.Name].Scan(o) }
+	return supervise(c, opts.Workers, fp, ladder, sup, hash, graphjsRun(opts, scan))
 }
 
 // odgenFingerprint is the resume-relevant slice of odgen.Options.
@@ -469,7 +459,7 @@ func SuperviseODGen(c *dataset.Corpus, opts odgen.Options, sup SuperviseOptions)
 		Timeout:     opts.Timeout,
 		Ladder:      ladderNames(ladder),
 	})
-	run := func(p *dataset.Package, r rung, attempt, transientRetries int) (PackageResult, string) {
+	run := func(p *dataset.Package, r rung, attempt int) (PackageResult, string) {
 		o := rungODGenOptions(opts, r)
 		return odgenResult(p, odgen.Scan(p.Source, p.Name, o)), "odgen"
 	}
@@ -481,7 +471,7 @@ func SuperviseODGen(c *dataset.Corpus, opts odgen.Options, sup SuperviseOptions)
 // fingerprints a package's content (nil = hash p.Source).
 func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup SuperviseOptions,
 	hash func(p *dataset.Package) string,
-	run func(p *dataset.Package, r rung, attempt, transientRetries int) (PackageResult, string)) (*Sweep, *SuperviseStats, error) {
+	run func(p *dataset.Package, r rung, attempt int) (PackageResult, string)) (*Sweep, *SuperviseStats, error) {
 
 	if hash == nil {
 		hash = func(p *dataset.Package) string { return sweepjournal.ContentHash(packageContent(p)) }
@@ -522,8 +512,8 @@ func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup Sup
 			}
 		}
 		res, entry := runLadder(p.Name, h, fp, ladder, sup.Backoff,
-			func(r rung, attempt, transientRetries int) (PackageResult, string) {
-				return run(p, r, attempt, transientRetries)
+			func(r rung, attempt int) (PackageResult, string) {
+				return run(p, r, attempt)
 			})
 		aerr := w.Append(entry)
 		stats.Entries[i] = entry

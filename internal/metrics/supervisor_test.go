@@ -230,8 +230,10 @@ func TestTransientRetryRecovers(t *testing.T) {
 	if e.Attempts[0].Class != string(budget.ClassPanic) {
 		t.Errorf("first attempt class %q, want engine-panic", e.Attempts[0].Class)
 	}
-	if e.Attempts[1].Engine != string(scanner.EngineFallback) {
-		t.Errorf("retry ran on %q, want the fallback engine", e.Attempts[1].Engine)
+	for i, a := range e.Attempts {
+		if a.Engine != string(scanner.EngineNative) {
+			t.Errorf("attempt %d ran on %q, want the configured (default native) engine", i, a.Engine)
+		}
 	}
 }
 
@@ -243,9 +245,7 @@ func TestPersistentTransientQuarantines(t *testing.T) {
 	c := &dataset.Corpus{Name: "one", Packages: vul.Packages[:1]}
 	name := c.Packages[0].Name
 
-	// Every attempt faults, but keep the fault early (Spread 2) so it
-	// lands before detection — a detection-phase panic on the fallback
-	// engine would be absorbed by its internal query retry.
+	// Every attempt faults early (Spread 2), before detection.
 	budget.SetFaultPlan(&budget.FaultPlan{Seed: 13, PanicProb: 1, Spread: 2})
 	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
 	sup := SuperviseOptions{JournalPath: journal}
@@ -355,6 +355,49 @@ func TestResumeSkipsAndRefingerprints(t *testing.T) {
 	}
 	if stats.Resumed != 0 {
 		t.Errorf("%d packages resumed across an options change", stats.Resumed)
+	}
+}
+
+// TestResumeFingerprintsResolvedEngine: the fingerprint names the
+// engine a scan runs, not the option's spelling. A journal written
+// under the query engine never satisfies a default ("" = native)
+// resume, while "" and "native" satisfy each other; the journal's
+// attempt history names the engine that ran.
+func TestResumeFingerprintsResolvedEngine(t *testing.T) {
+	vul, _ := dataset.GroundTruth(42)
+	c := &dataset.Corpus{Name: "engines", Packages: vul.Packages[:3]}
+	for _, tc := range []struct {
+		wrote, resumed scanner.Engine
+		wantResumed    int
+	}{
+		{scanner.EngineQuery, "", 0},
+		{"", scanner.EngineNative, len(c.Packages)},
+		{scanner.EngineNative, "", len(c.Packages)},
+	} {
+		journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+		sup := SuperviseOptions{JournalPath: journal}
+		if _, _, err := SuperviseGraphJS(c, scanner.Options{Workers: 1, Engine: tc.wrote}, sup); err != nil {
+			t.Fatal(err)
+		}
+		entries, _, err := sweepjournal.Load(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := scanner.ParseEngine(string(tc.wrote))
+		for name, e := range entries {
+			if got := e.Attempts[0].Engine; got != string(want) {
+				t.Errorf("%q sweep journaled %s as engine %q, want %q", tc.wrote, name, got, want)
+			}
+		}
+		sup.Resume = true
+		_, stats, err := SuperviseGraphJS(c, scanner.Options{Workers: 1, Engine: tc.resumed}, sup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Resumed != tc.wantResumed {
+			t.Errorf("journal written under %q, resumed under %q: %d resumed, want %d",
+				tc.wrote, tc.resumed, stats.Resumed, tc.wantResumed)
+		}
 	}
 }
 

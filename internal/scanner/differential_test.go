@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/queries"
 )
@@ -88,6 +89,20 @@ func TestDifferentialEnginesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestDifferentialEnginesWild runs differential mode over the
+// wild-corpus stand-in (60% benign, dynamic requires, sanitized and
+// vulnerable packages) with the reach gate on: the input the
+// production default engine sees most. It is cheap enough to run in
+// full under -short.
+func TestDifferentialEnginesWild(t *testing.T) {
+	for _, p := range dataset.Collected(1, dataset.DefaultCollectedMix(2000)).Packages {
+		rep := scanAliasPkg(p, Options{Engine: EngineDifferential})
+		if rep.Err != nil || rep.Failure != budget.ClassNone {
+			t.Errorf("%s: class=%q err=%v", p.Name, rep.Failure, rep.Err)
+		}
+	}
+}
+
 // TestEngineReportedFindingsAgree pins the native backend's findings
 // to the query backend's on a known-vulnerable program, including the
 // reported metadata.
@@ -125,13 +140,18 @@ module.exports = git_reset;
 }
 
 func TestParseEngine(t *testing.T) {
-	for _, s := range []string{"", "query", "native", "differential"} {
-		if _, err := ParseEngine(s); err != nil {
-			t.Errorf("ParseEngine(%q): %v", s, err)
+	for s, want := range map[string]Engine{
+		"": EngineNative, "native": EngineNative,
+		"query": EngineQuery, "differential": EngineDifferential,
+	} {
+		if got, err := ParseEngine(s); err != nil || got != want {
+			t.Errorf("ParseEngine(%q) = %q, %v; want %q", s, got, err, want)
 		}
 	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("ParseEngine must reject unknown engines")
+	for _, s := range []string{"bogus", "fallback"} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Errorf("ParseEngine(%q) must be rejected", s)
+		}
 	}
 	rep := ScanSource("module.exports = 1;", "x.js", Options{Engine: "bogus"})
 	if rep.Err == nil {

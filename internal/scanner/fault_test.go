@@ -126,75 +126,6 @@ func TestEnginePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestFallbackEngine: when the native backend dies, the fallback
-// engine must retry on the query backend and produce exactly the
-// query engine's findings.
-func TestFallbackEngine(t *testing.T) {
-	src := pathologicalSource(t, "proto_cycle")
-	want := ScanSource(src, "proto_cycle", Options{Engine: EngineQuery})
-	if want.Err != nil || len(want.Findings) == 0 {
-		t.Fatalf("query engine baseline unusable: err=%v findings=%d", want.Err, len(want.Findings))
-	}
-
-	testHookNative = func(string, *budget.Budget) { panic("injected engine bug") }
-	defer func() { testHookNative = nil }()
-
-	rep := ScanSource(src, "proto_cycle", Options{Engine: EngineFallback})
-	if !rep.FellBack {
-		t.Fatal("fallback engine did not record FellBack")
-	}
-	if rep.FallbackErr == nil {
-		t.Error("FellBack without FallbackErr")
-	}
-	if rep.Err != nil {
-		t.Fatalf("fallback scan errored: %v", rep.Err)
-	}
-	if err := DiffFindings(want.Findings, rep.Findings); err != nil {
-		t.Errorf("fallback findings differ from the surviving engine: %v", err)
-	}
-}
-
-// TestFallbackBudgetRetriesFresh is the regression for the old
-// fallback behaviour that refused to retry after a cap trip ("the
-// budget is spent; a retry would trip it again"): when the native
-// backend exhausts its step cap, the fallback must derive a fresh,
-// smaller allowance and still produce the query engine's findings
-// instead of giving up.
-func TestFallbackBudgetRetriesFresh(t *testing.T) {
-	src := pathologicalSource(t, "proto_cycle")
-	want := ScanSource(src, "proto_cycle", Options{Engine: EngineQuery})
-	if want.Err != nil || len(want.Findings) == 0 {
-		t.Fatalf("query engine baseline unusable: err=%v findings=%d", want.Err, len(want.Findings))
-	}
-
-	// Burn the scan's entire step allowance inside the native backend,
-	// then unwind with the budget's own error (a cooperative abort the
-	// Guard passes through as ClassBudget).
-	testHookNative = func(_ string, b *budget.Budget) {
-		for b.Step() == nil {
-		}
-		panic(b.Err())
-	}
-	defer func() { testHookNative = nil }()
-
-	rep := ScanSource(src, "proto_cycle", Options{Engine: EngineFallback, MaxSteps: 2_000_000})
-	if !rep.FellBack {
-		t.Fatal("budget-exhausted native backend did not fall back")
-	}
-	if budget.ClassOf(rep.FallbackErr) != budget.ClassBudget {
-		t.Errorf("FallbackErr class %q, want budget-exceeded", budget.ClassOf(rep.FallbackErr))
-	}
-	if !rep.Incomplete {
-		t.Error("budget-driven fallback not marked Incomplete")
-	}
-	if rep.Err != nil {
-		t.Fatalf("fallback scan errored: %v", rep.Err)
-	}
-	if err := DiffFindings(want.Findings, rep.Findings); err != nil {
-		t.Errorf("fallback findings differ from the query baseline: %v", err)
-	}
-}
-
 // TestReachGateOnlyTriage: the ladder's floor rung runs nothing past
 // the reach gate — a package the gate cannot prove clean comes back
 // Incomplete with no findings and no failure, quickly.
@@ -249,20 +180,6 @@ func TestPhaseAccounting(t *testing.T) {
 	}
 }
 
-// TestFallbackHealthyMatchesNative: with both backends healthy the
-// fallback engine is just the native engine.
-func TestFallbackHealthyMatchesNative(t *testing.T) {
-	src := pathologicalSource(t, "proto_cycle")
-	native := ScanSource(src, "proto_cycle", Options{Engine: EngineNative})
-	fb := ScanSource(src, "proto_cycle", Options{Engine: EngineFallback})
-	if fb.FellBack {
-		t.Error("healthy fallback scan reported FellBack")
-	}
-	if err := DiffFindings(native.Findings, fb.Findings); err != nil {
-		t.Errorf("fallback findings differ from native: %v", err)
-	}
-}
-
 // TestWarmReachGateOnly: the floor rung runs nothing past the reach
 // gate on a retained state either (the pipeline is the same), and
 // caches nothing past the front end on that path — a later full scan
@@ -305,7 +222,7 @@ func TestWarmScanRecordsPhases(t *testing.T) {
 	cold := ScanSource(gitResetSrc, "git_reset.js", Options{})
 	st := NewIncrementalState()
 	warm := ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: st})
-	want := []string{"front-end", "reach-gate", "partition", "analysis", PhaseDetectQuery}
+	want := []string{"front-end", "reach-gate", "partition", "analysis", PhaseDetectNative}
 	for _, rep := range []*Report{cold, warm} {
 		if got := phaseNames(rep); !reflect.DeepEqual(got, want) {
 			t.Fatalf("phases %v, want %v", got, want)

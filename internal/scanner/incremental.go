@@ -149,12 +149,10 @@ type detectKey struct {
 // detectResult is a cached detection outcome for one fragment. Only
 // complete runs (no budget interference) are cached.
 type detectResult struct {
-	findings    []queries.Finding
-	truncated   int
-	fellBack    bool
-	fallbackErr error
-	err         error
-	failure     budget.Class
+	findings  []queries.Finding
+	truncated int
+	err       error
+	failure   budget.Class
 }
 
 // StatePool hands out one IncrementalState per package name — the

@@ -241,7 +241,7 @@ func TestIncrementalFragmentEviction(t *testing.T) {
 // Incremental scans across engines must match their cold counterparts
 // (the detection cache is keyed per engine).
 func TestIncrementalMatchesColdAllEngines(t *testing.T) {
-	for _, eng := range []Engine{EngineQuery, EngineNative, EngineDifferential, EngineFallback} {
+	for _, eng := range []Engine{EngineQuery, EngineNative, EngineDifferential} {
 		st := NewIncrementalState()
 		opts := Options{Engine: eng, Incremental: st}
 		cold := ScanSource(gitResetSrc, "t.js", Options{Engine: eng})

@@ -29,8 +29,8 @@ import (
 //     contents (and analysis options) that produced it come back, and
 //     then it is valid again by construction.
 //   - KindDetect: one cached detection result, keyed by componentKey ×
-//     engine × fallback bit × sink-config fingerprint. Only clean
-//     results (no error, no fallback error, no failure class) are
+//     engine × export-fallback bit × sink-config fingerprint. Only
+//     clean results (no error, no failure class) are
 //     persisted; the rare error-carrying entries recompute on restart,
 //     which changes speed, never findings.
 //   - KindFrontEnd: per-file dependency facts keyed by the file's
@@ -273,7 +273,6 @@ type detectRecord struct {
 	V         int               `json:"v"`
 	Findings  []queries.Finding `json:"findings,omitempty"`
 	Truncated int               `json:"truncated,omitempty"`
-	FellBack  bool              `json:"fellBack,omitempty"`
 }
 
 // encodeDetectResult serializes dr if it is persistable: only clean
@@ -281,14 +280,13 @@ type detectRecord struct {
 // round-trip, and they are rare enough that recomputing them is the
 // simpler correctness argument).
 func encodeDetectResult(dr *detectResult) ([]byte, bool) {
-	if dr.err != nil || dr.fallbackErr != nil || dr.failure != budget.ClassNone {
+	if dr.err != nil || dr.failure != budget.ClassNone {
 		return nil, false
 	}
 	body, err := json.Marshal(detectRecord{
 		V:         persistVersion,
 		Findings:  dr.findings,
 		Truncated: dr.truncated,
-		FellBack:  dr.fellBack,
 	})
 	if err != nil {
 		return nil, false
@@ -307,7 +305,6 @@ func decodeDetectResult(data []byte) (*detectResult, error) {
 	return &detectResult{
 		findings:  rec.Findings,
 		truncated: rec.Truncated,
-		fellBack:  rec.FellBack,
 	}, nil
 }
 

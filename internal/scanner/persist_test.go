@@ -1,8 +1,10 @@
 package scanner
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -172,6 +174,61 @@ func TestStoreUndecodableEntryQuarantined(t *testing.T) {
 	}
 }
 
+// A store written before the fallback engine was removed can hold
+// detection records under the "fallback" engine key carrying
+// "fellBack":true. Such a store must open cleanly, never serve those
+// records (no scan computes that key any more), and scan to the cold
+// findings. The records are poisoned with an empty finding list, so a
+// served one would show as lost findings.
+func TestStoreLegacyFallbackRecordsIgnored(t *testing.T) {
+	cold := ScanFiles(persistFiles, "pkg", Options{})
+	src := openStoreT(t, t.TempDir(), store.Options{})
+	st := NewIncrementalState()
+	st.AttachStore(src)
+	ScanFiles(persistFiles, "pkg", Options{Incremental: st})
+
+	// Rebuild the store as the pre-removal build could have left it:
+	// the same fragments and facts, detection only under "fallback".
+	dir := t.TempDir()
+	legacy := openStoreT(t, dir, store.Options{})
+	legacyBody := fmt.Sprintf(`{"v":%d,"fellBack":true}`, persistVersion)
+	if _, err := decodeDetectResult([]byte(legacyBody)); err != nil {
+		t.Fatalf("legacy detection record no longer decodes: %v", err)
+	}
+	n := 0
+	for _, kind := range []store.Kind{store.KindFragment, store.KindFrontEnd, store.KindDetect} {
+		for _, key := range src.Keys(kind) {
+			body, _ := src.Get(kind, key)
+			if kind == store.KindDetect {
+				key = strings.Replace(key, "|"+string(EngineNative)+"|", "|fallback|", 1)
+				body = []byte(legacyBody)
+				n++
+			}
+			if err := legacy.Put(kind, key, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no detection records to rewrite")
+	}
+	if err := legacy.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := openStoreT(t, dir, store.Options{})
+	if q := reopened.Stats().Quarantined; q != 0 {
+		t.Fatalf("legacy store quarantined %d records on open", q)
+	}
+	warm := NewIncrementalState()
+	warm.AttachStore(reopened)
+	rep := ScanFiles(persistFiles, "pkg", Options{Incremental: warm})
+	sameFindings(t, cold, rep)
+	if s := rep.IncrStats; s.FragmentMisses != 0 || s.DetectHits != 0 || s.DetectMisses == 0 {
+		t.Fatalf("want fragments served and detection recomputed: %+v", s)
+	}
+}
+
 func readStoreLog(t *testing.T, dir string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, "store.dat"))
@@ -246,7 +303,6 @@ func TestDetectResultRoundTrip(t *testing.T) {
 			SinkFile: "a.js", Source: "x",
 		}},
 		truncated: 2,
-		fellBack:  true,
 	}
 	body, ok := encodeDetectResult(dr)
 	if !ok {
@@ -259,7 +315,7 @@ func TestDetectResultRoundTrip(t *testing.T) {
 	if err := DiffFindings(dr.findings, got.findings); err != nil {
 		t.Fatal(err)
 	}
-	if got.truncated != 2 || !got.fellBack || got.err != nil {
+	if got.truncated != 2 || got.err != nil {
 		t.Fatalf("round trip: %+v", got)
 	}
 	// Error-carrying results never go to disk.

@@ -469,7 +469,8 @@ func (r *scanRun) detect() bool {
 		if lv.stored {
 			if dr := st.detection(lv.fe, dkey); dr != nil {
 				st.stats.DetectHits++
-				mergeCachedDetect(rep, dr)
+				mergeScratch(rep, &Report{Findings: dr.findings, TruncatedSearches: dr.truncated,
+					Err: dr.err, Failure: dr.failure})
 				continue
 			}
 		}
@@ -488,12 +489,10 @@ func (r *scanRun) detect() bool {
 		mergeScratch(rep, scratch)
 		if lv.stored && detb.Err() == nil && !scratch.Incomplete && !scratch.TimedOut {
 			dr := &detectResult{
-				findings:    scratch.Findings,
-				truncated:   scratch.TruncatedSearches,
-				fellBack:    scratch.FellBack,
-				fallbackErr: scratch.FallbackErr,
-				err:         scratch.Err,
-				failure:     scratch.Failure,
+				findings:  scratch.Findings,
+				truncated: scratch.TruncatedSearches,
+				err:       scratch.Err,
+				failure:   scratch.Failure,
 			}
 			lv.fe.detect[dkey] = dr
 			st.saveDetect(lv.fe.key, dkey, dr)
@@ -537,18 +536,6 @@ func (r *scanRun) finish() {
 	}
 }
 
-// mergeCachedDetect folds a cached detection result into the report.
-func mergeCachedDetect(rep *Report, dr *detectResult) {
-	mergeScratch(rep, &Report{
-		Findings:          dr.findings,
-		TruncatedSearches: dr.truncated,
-		FellBack:          dr.fellBack,
-		FallbackErr:       dr.fallbackErr,
-		Err:               dr.err,
-		Failure:           dr.failure,
-	})
-}
-
 // mergeScratch folds one detection unit's report into the package
 // report. The first error and failure class win.
 func mergeScratch(rep, scratch *Report) {
@@ -556,12 +543,6 @@ func mergeScratch(rep, scratch *Report) {
 	rep.TruncatedSearches += scratch.TruncatedSearches
 	rep.Incomplete = rep.Incomplete || scratch.Incomplete
 	rep.TimedOut = rep.TimedOut || scratch.TimedOut
-	if scratch.FellBack {
-		rep.FellBack = true
-		if rep.FallbackErr == nil {
-			rep.FallbackErr = scratch.FallbackErr
-		}
-	}
 	if scratch.Err != nil && rep.Err == nil {
 		rep.Err = scratch.Err
 	}

@@ -55,7 +55,7 @@ func oraclePackages() []*dataset.Package {
 // finding.
 func TestReachGateDifferentialOracle(t *testing.T) {
 	pkgs := oraclePackages()
-	engines := []Engine{EngineQuery, EngineNative, EngineFallback}
+	engines := []Engine{EngineQuery, EngineNative, EngineDifferential}
 
 	type job struct {
 		p      *dataset.Package

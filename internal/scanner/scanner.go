@@ -1,7 +1,8 @@
 // Package scanner is Graph.js proper: the end-to-end pipeline that
 // takes JavaScript sources (npm-package style), parses and normalizes
-// them, builds the MDG, loads it into the embedded graph database, and
-// runs the vulnerability queries (paper §4, "Implementation").
+// them, builds the MDG, and detects vulnerabilities on it — natively by
+// default, or by loading it into the embedded graph database and running
+// the paper's vulnerability queries (paper §4, "Implementation").
 package scanner
 
 import (
@@ -24,41 +25,35 @@ import (
 // Engine selects the detection backend.
 type Engine string
 
-// Detection backends. The query engine loads the MDG into the graph
-// database and runs the Table 2 queries; the native engine computes
-// taint facts with one dataflow fixpoint directly on the MDG;
-// differential mode runs both and fails loudly when their finding
-// sets disagree; fallback mode runs the native engine and retries on
-// the query engine when the native backend fails (and vice versa is
-// unnecessary: the query engine retrying on native would re-run the
-// same MDG, so one direction suffices).
+// Detection backends. The native engine, the default, computes taint
+// facts with one dataflow fixpoint directly on the MDG; the query
+// engine reproduces the paper's detection path, loading the MDG into
+// the graph database and running the Table 2 queries; differential
+// mode runs both and fails loudly when their finding sets disagree.
 const (
 	EngineQuery        Engine = "query"
 	EngineNative       Engine = "native"
 	EngineDifferential Engine = "differential"
-	EngineFallback     Engine = "fallback"
 )
 
-// ParseEngine validates an engine name ("" means the default, query).
+// ParseEngine validates an engine name ("" means the default, native).
 func ParseEngine(s string) (Engine, error) {
 	switch Engine(s) {
-	case "", EngineQuery:
-		return EngineQuery, nil
-	case EngineNative:
+	case "", EngineNative:
 		return EngineNative, nil
+	case EngineQuery:
+		return EngineQuery, nil
 	case EngineDifferential:
 		return EngineDifferential, nil
-	case EngineFallback:
-		return EngineFallback, nil
 	}
-	return "", fmt.Errorf("scanner: unknown engine %q (want query, native, differential, or fallback)", s)
+	return "", fmt.Errorf("scanner: unknown engine %q (want native, query, or differential)", s)
 }
 
 // Options tunes a scan.
 type Options struct {
 	// Config is the sink configuration (DefaultConfig when nil).
 	Config *queries.Config
-	// Engine selects the detection backend ("" = EngineQuery).
+	// Engine selects the detection backend ("" = EngineNative).
 	Engine Engine
 	// Analysis options forwarded to the MDG builder.
 	Analysis analysis.Options
@@ -138,12 +133,6 @@ type Report struct {
 	// Incomplete marks reports whose Findings are a sound subset
 	// computed before a budget tripped.
 	Incomplete bool
-	// FellBack records that the fallback engine's primary backend
-	// failed and Findings came from the secondary; FallbackErr keeps
-	// the primary backend's error for diagnostics.
-	FellBack    bool
-	FallbackErr error
-
 	// Engine records the backend that produced Findings.
 	Engine Engine
 
@@ -432,36 +421,6 @@ func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine 
 			rep.Failure = budget.ClassQuery
 		}
 
-	case EngineFallback:
-		fs, err := detectNative(rep, res, cfgq, b)
-		if err == nil {
-			rep.Findings = fs
-			return
-		}
-		switch budget.ClassOf(err) {
-		case budget.ClassTimeout, budget.ClassCanceled:
-			// The wall clock is shared by every retry; it ran out (or the
-			// client is gone), so the fallback would be dead on arrival.
-			setFailure(rep, err, budget.ClassQuery)
-			return
-		case budget.ClassBudget:
-			// A step/node/edge cap tripped. The caps measure *engine*
-			// effort, so an exhausted native budget says nothing about
-			// what the query backend needs — retry it on a fresh, smaller
-			// allowance (under the same wall clock) instead of inheriting
-			// a budget that would trip on its first step.
-			b = b.Derive(halfCaps(b.Limits()))
-			rep.Incomplete = true
-		}
-		rep.FellBack = true
-		rep.FallbackErr = err
-		qf, qErr := detectQuery(rep, res, cfgq, b)
-		if qErr != nil {
-			setFailure(rep, qErr, budget.ClassQuery)
-			return
-		}
-		rep.Findings = qf
-
 	default: // EngineQuery
 		fs, err := detectQuery(rep, res, cfgq, b)
 		if err != nil {
@@ -470,22 +429,6 @@ func detectInto(rep *Report, res *analysis.Result, cfgq *queries.Config, engine 
 		}
 		rep.Findings = fs
 	}
-}
-
-// halfCaps halves each finite step/node/edge cap (never below 1) and
-// keeps the wall clock, sizing a retry's fresh allowance.
-func halfCaps(l budget.Limits) budget.Limits {
-	half := func(n int) int {
-		if n <= 0 {
-			return n
-		}
-		if n/2 < 1 {
-			return 1
-		}
-		return n / 2
-	}
-	return budget.Limits{Timeout: l.Timeout, MaxSteps: half(l.MaxSteps),
-		MaxNodes: half(l.MaxNodes), MaxEdges: half(l.MaxEdges)}
 }
 
 // DiffFindings compares the finding sets of the two backends on the

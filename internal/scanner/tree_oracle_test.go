@@ -43,7 +43,7 @@ func identityList(fs []queries.Finding) string {
 	return strings.Join(ids, "\n")
 }
 
-var treeOracleEngines = []Engine{EngineQuery, EngineNative, EngineFallback}
+var treeOracleEngines = []Engine{EngineQuery, EngineNative, EngineDifferential}
 
 func TestTreeEquivalenceOracle(t *testing.T) {
 	for _, tc := range dataset.TreeCases() {

@@ -42,7 +42,6 @@ type ReportJSON struct {
 	TimedOut   bool          `json:"timedOut"`
 	Failure    string        `json:"failure,omitempty"`
 	Incomplete bool          `json:"incomplete,omitempty"`
-	FellBack   bool          `json:"fellBack,omitempty"`
 	Findings   []FindingJSON `json:"findings"`
 }
 
@@ -50,7 +49,7 @@ type ReportJSON struct {
 func ReportToJSON(rep *scanner.Report) ReportJSON {
 	out := ReportJSON{
 		Name: rep.Name, TimedOut: rep.TimedOut, Failure: string(rep.Failure),
-		Incomplete: rep.Incomplete, FellBack: rep.FellBack, Findings: []FindingJSON{},
+		Incomplete: rep.Incomplete, Findings: []FindingJSON{},
 	}
 	for _, f := range rep.Findings {
 		out.Findings = append(out.Findings, FindingJSON{
@@ -89,8 +88,8 @@ type ScanRequest struct {
 	// package (require('./sibling') flows connect across files).
 	Files []SourceFileJSON `json:"files,omitempty"`
 
-	// Engine selects the detection backend (query, native,
-	// differential, fallback; "" = the server default).
+	// Engine selects the detection backend (native, query,
+	// differential; "" = the server default).
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMs requests a wall-clock budget in milliseconds, clamped
 	// to the server's ceiling (0 = server default).
@@ -193,10 +192,6 @@ type EffectiveJSON struct {
 	// Warm reports whether the scan used (and updated) the shared
 	// incremental StatePool.
 	Warm bool `json:"warm"`
-	// EnginePinned reports that the engine-level circuit breaker
-	// overrode the requested native/differential engine with fallback
-	// because the native engine's rolling panic rate tripped it.
-	EnginePinned bool `json:"enginePinned,omitempty"`
 }
 
 // ScanResponse is the body of a successful POST /v1/scan: the shared
@@ -213,7 +208,6 @@ type ScanResponse struct {
 	Incremental    *IncrStatsJSON `json:"incremental,omitempty"`
 	Truncated      int            `json:"truncatedSearches,omitempty"`
 	ScanError      string         `json:"scanError,omitempty"`
-	FallbackErr    string         `json:"fallbackErr,omitempty"`
 }
 
 // SweepRequest is the body of POST /v1/sweep: a corpus directory on
@@ -342,8 +336,7 @@ type MetricsResponse struct {
 	// HealthTransitions counts state-machine transitions since start,
 	// keyed "from->to" (e.g. "healthy->degraded").
 	HealthTransitions map[string]int64 `json:"healthTransitions"`
-	// Breakers snapshots the per-content-hash offender ledger and the
-	// engine-level circuit breaker.
+	// Breakers snapshots the per-content-hash offender ledger.
 	Breakers BreakersJSON `json:"breakers"`
 }
 
@@ -358,12 +351,6 @@ type BreakersJSON struct {
 	OffenderTrips     int64 `json:"offenderTrips"`
 	OffenderShed      int64 `json:"offenderShed"`
 	OffenderRecovered int64 `json:"offenderRecovered"`
-	// Engine breaker: whether the fallback engine is currently pinned,
-	// the native engine's rolling panic rate, and pin/unpin transitions.
-	EnginePinned    bool    `json:"enginePinned"`
-	EnginePanicRate float64 `json:"enginePanicRate"`
-	EnginePins      int64   `json:"enginePins"`
-	EngineUnpins    int64   `json:"engineUnpins"`
 }
 
 // HealthResponse is the body of GET /healthz: pure liveness. It

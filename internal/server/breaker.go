@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/scanner"
 )
 
 // Circuit breakers: the daemon's memory of repeat offenders.
@@ -17,14 +16,6 @@ import (
 // run slot on input the server already knows wedges it. After the
 // cooldown a single half-open probe is admitted; a clean probe clears
 // the hash, a failed one re-opens it for another cooldown.
-//
-// The engine breaker is coarser: a rolling window of native-engine
-// outcomes across all requests. When the native panic rate trips the
-// threshold, requests asking for the native or differential engine are
-// pinned to the fallback engine (which still runs native first, so the
-// window keeps refreshing and the breaker un-pins itself once the
-// panic rate drops — the half-open probe is built into the fallback
-// engine's shape).
 
 // offenderEntry tracks one content hash's recent behavior.
 type offenderEntry struct {
@@ -202,119 +193,4 @@ func (l *offenderLedger) snapshot(out *BreakersJSON) {
 	out.OffenderTrips = l.trips
 	out.OffenderShed = l.shed
 	out.OffenderRecovered = l.recovered
-}
-
-// engineBreaker watches the native engine's rolling panic rate. A nil
-// breaker never pins.
-type engineBreaker struct {
-	mu         sync.Mutex
-	window     []bool // ring of native outcomes, true = panicked
-	idx, n     int
-	minSamples int
-	threshold  float64 // panic rate at/above which fallback is pinned
-
-	pinned bool
-	pins   int64
-	unpins int64
-}
-
-func newEngineBreaker(window int, rate float64) *engineBreaker {
-	if rate < 0 {
-		return nil
-	}
-	if window <= 0 {
-		window = 20
-	}
-	if rate == 0 {
-		rate = 0.5
-	}
-	min := window / 2
-	if min < 1 {
-		min = 1
-	}
-	return &engineBreaker{window: make([]bool, window), minSamples: min, threshold: rate}
-}
-
-// pin substitutes the fallback engine for native-first engines while
-// the breaker is open. The query engine never ran native, so it is
-// never rewritten; an explicit fallback request already has the shape
-// the breaker wants.
-func (eb *engineBreaker) pin(eng scanner.Engine) (scanner.Engine, bool) {
-	if eb == nil {
-		return eng, false
-	}
-	eb.mu.Lock()
-	defer eb.mu.Unlock()
-	if eb.pinned && (eng == scanner.EngineNative || eng == scanner.EngineDifferential) {
-		return scanner.EngineFallback, true
-	}
-	return eng, false
-}
-
-// record folds one native-engine outcome into the rolling window and
-// re-evaluates the breaker. Because the fallback engine still runs
-// native first, a pinned breaker keeps receiving fresh samples and
-// un-pins itself once the panic rate drops below the threshold — the
-// half-open probe is continuous rather than discrete.
-func (eb *engineBreaker) record(panicked bool) {
-	if eb == nil {
-		return
-	}
-	eb.mu.Lock()
-	defer eb.mu.Unlock()
-	eb.window[eb.idx] = panicked
-	eb.idx = (eb.idx + 1) % len(eb.window)
-	if eb.n < len(eb.window) {
-		eb.n++
-	}
-	rate := eb.rateLocked()
-	if !eb.pinned && eb.n >= eb.minSamples && rate >= eb.threshold {
-		eb.pinned = true
-		eb.pins++
-	} else if eb.pinned && rate < eb.threshold {
-		eb.pinned = false
-		eb.unpins++
-	}
-}
-
-func (eb *engineBreaker) rateLocked() float64 {
-	if eb.n == 0 {
-		return 0
-	}
-	panics := 0
-	for i := 0; i < eb.n; i++ {
-		if eb.window[i] {
-			panics++
-		}
-	}
-	return float64(panics) / float64(eb.n)
-}
-
-// snapshot fills the engine breaker's slice of the metrics response.
-func (eb *engineBreaker) snapshot(out *BreakersJSON) {
-	if eb == nil {
-		return
-	}
-	eb.mu.Lock()
-	defer eb.mu.Unlock()
-	out.EnginePinned = eb.pinned
-	out.EnginePanicRate = eb.rateLocked()
-	out.EnginePins = eb.pins
-	out.EngineUnpins = eb.unpins
-}
-
-// nativeOutcome reports whether a scan ran the native engine and, if
-// so, whether native panicked. Differential runs both engines and a
-// panic cannot be attributed cleanly, so it contributes no sample.
-func nativeOutcome(eng scanner.Engine, rep *scanner.Report) (ran, panicked bool) {
-	switch eng {
-	case scanner.EngineNative:
-		return true, rep.Failure == budget.ClassPanic
-	case scanner.EngineFallback:
-		if rep.FellBack {
-			return true, budget.ClassOf(rep.FallbackErr) == budget.ClassPanic
-		}
-		return true, rep.Failure == budget.ClassPanic
-	}
-	return false, false
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/scanner"
 )
 
 // fakeClock is an injectable time source for breaker cooldown tests.
@@ -109,40 +108,6 @@ func TestOffenderLedgerBounded(t *testing.T) {
 	}
 }
 
-func TestEngineBreakerWindow(t *testing.T) {
-	eb := newEngineBreaker(4, 0.5)
-	eb.record(true)
-	if _, pinned := eb.pin(scanner.EngineNative); pinned {
-		t.Fatal("pinned below minSamples")
-	}
-	eb.record(true) // rate 1.0 over 2 samples >= minSamples 2
-	if eng, pinned := eb.pin(scanner.EngineNative); !pinned || eng != scanner.EngineFallback {
-		t.Fatalf("native not pinned to fallback: %v %v", eng, pinned)
-	}
-	if eng, pinned := eb.pin(scanner.EngineDifferential); !pinned || eng != scanner.EngineFallback {
-		t.Fatalf("differential not pinned to fallback: %v %v", eng, pinned)
-	}
-	// The query engine never ran native; it is left alone.
-	if eng, pinned := eb.pin(scanner.EngineQuery); pinned || eng != scanner.EngineQuery {
-		t.Fatalf("query engine rewritten: %v %v", eng, pinned)
-	}
-	// Clean samples wash the panics out of the window and un-pin.
-	eb.record(false)
-	eb.record(false) // window [t t f f] rate 0.5 — still pinned
-	if _, pinned := eb.pin(scanner.EngineNative); !pinned {
-		t.Fatal("un-pinned while rate still at threshold")
-	}
-	eb.record(false) // overwrites a panic: rate 0.25 → closed
-	if _, pinned := eb.pin(scanner.EngineNative); pinned {
-		t.Fatal("still pinned after rate dropped below threshold")
-	}
-	var bj BreakersJSON
-	eb.snapshot(&bj)
-	if bj.EnginePins != 1 || bj.EngineUnpins != 1 {
-		t.Fatalf("pin transitions = %+v", bj)
-	}
-}
-
 // End-to-end offender flow over HTTP: repeated engine panics on the
 // same content quarantine its hash (429 + Retry-After + quarantined
 // code), a half-open probe after the cooldown recovers it, and the
@@ -205,60 +170,5 @@ func TestOffenderQuarantineHTTP(t *testing.T) {
 	m := decodeResp[MetricsResponse](t, getURL(t, ts.URL+"/v1/metrics"), http.StatusOK)
 	if m.Breakers.OffenderTrips < 1 || m.Breakers.OffenderShed < 1 || m.Breakers.OffenderRecovered != 1 {
 		t.Fatalf("breaker metrics = %+v", m.Breakers)
-	}
-}
-
-// End-to-end engine-breaker flow: native panics push the rolling rate
-// over the threshold, subsequent native requests are pinned to the
-// fallback engine (advertised via effective.enginePinned), and clean
-// traffic closes the breaker again.
-func TestEngineBreakerPinsFallbackHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		Workers: 1, Engine: scanner.EngineNative,
-		EngineBreakWindow: 4, EngineBreakRate: 0.5,
-	})
-
-	budget.SetFaultPlan(&budget.FaultPlan{
-		Seed: 11, PanicProb: 1, Spread: 1,
-		Arm: func(label string) bool { return label == "eb" },
-	})
-
-	req := ScanRequest{Name: "eb", Source: "module.exports = function (x) { return x; };"}
-	for i := 0; i < 2; i++ {
-		resp := decodeResp[ScanResponse](t, postJSON(t, ts.URL+"/v1/scan", req), http.StatusOK)
-		if resp.Failure != string(budget.ClassPanic) {
-			t.Fatalf("sample %d: failure %q, want panic", i, resp.Failure)
-		}
-	}
-
-	// Breaker open: the same request now runs pinned to fallback.
-	budget.SetFaultPlan(nil)
-	pinned := decodeResp[ScanResponse](t, postJSON(t, ts.URL+"/v1/scan", req), http.StatusOK)
-	if !pinned.Effective.EnginePinned || pinned.Effective.Engine != string(scanner.EngineFallback) {
-		t.Fatalf("effective = %+v, want pinned fallback", pinned.Effective)
-	}
-	m := decodeResp[MetricsResponse](t, getURL(t, ts.URL+"/v1/metrics"), http.StatusOK)
-	if !m.Breakers.EnginePinned || m.Breakers.EnginePins != 1 {
-		t.Fatalf("breaker metrics = %+v", m.Breakers)
-	}
-
-	// Clean native outcomes (fallback runs native first) wash the
-	// window; the breaker closes on its own — the built-in half-open.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp := decodeResp[ScanResponse](t, postJSON(t, ts.URL+"/v1/scan", req), http.StatusOK)
-		if !resp.Effective.EnginePinned {
-			if resp.Effective.Engine != string(scanner.EngineNative) {
-				t.Fatalf("unpinned engine = %q, want native", resp.Effective.Engine)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never closed under clean traffic")
-		}
-	}
-	m = decodeResp[MetricsResponse](t, getURL(t, ts.URL+"/v1/metrics"), http.StatusOK)
-	if m.Breakers.EnginePinned || m.Breakers.EngineUnpins != 1 {
-		t.Fatalf("post-recovery metrics = %+v", m.Breakers)
 	}
 }

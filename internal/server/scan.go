@@ -62,13 +62,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("content quarantined after repeated %s failures; retry later", dec.lastClass))
 		return
 	}
-	// Engine breaker: while the native engine's rolling panic rate is
-	// tripped, native-first requests run the fallback engine instead.
-	if pinnedEng, pinned := s.engines.pin(opts.Engine); pinned {
-		opts.Engine = pinnedEng
-		eff.Engine = string(pinnedEng)
-		eff.EnginePinned = true
-	}
 
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -105,9 +98,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.offenders.record(hash, rep.Failure, strikeEligible)
-	if ran, panicked := nativeOutcome(opts.Engine, rep); ran {
-		s.engines.record(panicked)
-	}
 	s.recordFailure(rep.Failure)
 	s.observeHealth()
 	if rep.Failure == budget.ClassCanceled {
@@ -239,9 +229,6 @@ func scanResponse(rep *scanner.Report, eff EffectiveJSON) ScanResponse {
 	}
 	if rep.Err != nil {
 		resp.ScanError = rep.Err.Error()
-	}
-	if rep.FallbackErr != nil {
-		resp.FallbackErr = rep.FallbackErr.Error()
 	}
 	for _, ph := range rep.Phases {
 		resp.Phases = append(resp.Phases, PhaseJSON{

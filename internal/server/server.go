@@ -61,7 +61,7 @@ type Options struct {
 	// (0 = 1s).
 	RetryAfter time.Duration
 
-	// Engine is the default detection backend ("" = query).
+	// Engine is the default detection backend ("" = native).
 	Engine scanner.Engine
 	// Config is the sink configuration shared by every scan
 	// (nil = queries.DefaultConfig()).
@@ -103,12 +103,6 @@ type Options struct {
 	// is the quarantine window before a half-open probe (0 = 30s).
 	BreakerStrikes  int
 	BreakerCooldown time.Duration
-	// EngineBreakWindow is the rolling sample window for the native
-	// engine's panic rate (0 = 20 outcomes); EngineBreakRate is the
-	// rate at/above which native/differential requests are pinned to
-	// the fallback engine (0 = 0.5; negative disables the breaker).
-	EngineBreakWindow int
-	EngineBreakRate   float64
 	// DegradedCooldown is how long the daemon stays degraded after the
 	// last substrate fault signal before healing to healthy (0 = 30s).
 	DegradedCooldown time.Duration
@@ -129,7 +123,7 @@ func (o Options) withDefaults() Options {
 		o.RetryAfter = time.Second
 	}
 	if o.Engine == "" {
-		o.Engine = scanner.EngineQuery
+		o.Engine = scanner.EngineNative
 	}
 	if o.Config == nil {
 		o.Config = queries.DefaultConfig()
@@ -197,9 +191,8 @@ type Server struct {
 	lastEvictedBytes                 int64
 	canceled                         atomic.Int64
 
-	// Circuit breakers (breaker.go); either may be nil (disabled).
+	// Offender circuit breaker (breaker.go); nil when disabled.
 	offenders *offenderLedger
-	engines   *engineBreaker
 
 	// now is the clock, injectable so breaker/degraded cooldown tests
 	// don't sleep.
@@ -227,7 +220,6 @@ func New(opts Options) *Server {
 		health:      HealthHealthy,
 		transitions: map[string]int64{},
 		offenders:   newOffenderLedger(o.BreakerStrikes, o.BreakerCooldown),
-		engines:     newEngineBreaker(o.EngineBreakWindow, o.EngineBreakRate),
 		now:         time.Now,
 	}
 	s.idle = sync.NewCond(&s.mu)

@@ -391,6 +391,9 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown engine", func() *http.Response {
 			return postJSON(t, ts.URL+"/v1/scan", ScanRequest{Source: "1", Engine: "nope"})
 		}, CodeBadRequest, 400},
+		{"removed fallback engine", func() *http.Response {
+			return postJSON(t, ts.URL+"/v1/scan", ScanRequest{Source: "1", Engine: "fallback"})
+		}, CodeBadRequest, 400},
 		{"unknown field", func() *http.Response {
 			resp, err := http.Post(ts.URL+"/v1/scan", "application/json",
 				bytes.NewReader([]byte(`{"source":"1","bogus":true}`)))
@@ -456,8 +459,8 @@ func TestBudgetClamping(t *testing.T) {
 
 	def := decodeResp[ScanResponse](t,
 		postJSON(t, ts.URL+"/v1/scan", ScanRequest{Source: src}), http.StatusOK)
-	if def.Effective.TimeoutMs != 2000 {
-		t.Fatalf("default effective = %+v, want 2000ms", def.Effective)
+	if def.Effective.TimeoutMs != 2000 || def.Effective.Engine != string(scanner.EngineNative) {
+		t.Fatalf("default effective = %+v, want 2000ms on the native engine", def.Effective)
 	}
 }
 

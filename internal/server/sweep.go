@@ -208,7 +208,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	_, _, resp.HealthTransitions = s.healthSnapshot()
 	s.offenders.snapshot(&resp.Breakers)
-	s.engines.snapshot(&resp.Breakers)
 	if s.pool != nil {
 		ps := s.pool.Stats()
 		resp.StatePool = IncrStatsJSON{
