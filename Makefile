@@ -122,7 +122,7 @@ tables:
 # crash-corpus package must terminate under a tight budget with its
 # expected failure class, and sweeps must survive injected panics.
 pathological:
-	$(GO) test -race -run 'Pathological|Fault|Fallback|PanicIsolation|SweepSurvives' \
+	$(GO) test -race -run 'Pathological|Fallback|PanicIsolation|SweepSurvives' \
 		./internal/scanner ./internal/metrics
 
 # mutate-check replays the single-file edit script (touch, benign edit,
@@ -139,15 +139,16 @@ mutate-check:
 
 # chaos runs the supervised-sweep and persistent-store chaos harnesses
 # under the race detector: Workers=4 sweeps with deterministic injected
-# panics and timeouts, simulated SIGKILLs (journal torn mid-line, store
-# log torn mid-record, crash mid-compaction), injected disk faults
-# (short write, ENOSPC), bit flips, and resumes that must reproduce the
-# uninterrupted run exactly — corruption may change speed, never
-# findings.
+# panics and timeouts, simulated SIGKILLs (journal and store logs torn
+# mid-record, crash mid-compaction), injected disk faults (short write,
+# ENOSPC), bit flips, and resumes that must reproduce the uninterrupted
+# run exactly — corruption may change speed, never findings. Sweep
+# journals are store directories, so the store tests cover their
+# durability too.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestCreateRepairsTornTail|TestConcurrentWriters|TestCompactCrashBeforeTruncate' \
+	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
 		./internal/metrics ./internal/sweepjournal
-	$(GO) test -race -count=1 -run 'TestCrashMidCompactionLeavesOldLogIntact|TestInjectedDiskFaultsRollBackAndCount|TestTornTailRepairedOnOpen|TestBitFlipQuarantinesRecord|TestGarbageHeaderQuarantinesWholeLog|TestConcurrentPutGet' \
+	$(GO) test -race -count=1 -run 'TestCrashMidCompactionLeavesOldLogIntact|TestInjectedDiskFaultsRollBackAndCount|TestTornTailRepairedOnOpen|TestBitFlipQuarantinesRecord|TestGarbageHeaderQuarantinesWholeLog|TestConcurrentPutGet|TestAckedPutVisibleToReadOnlyOpen' \
 		./internal/store
 	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined' \
 		./internal/scanner

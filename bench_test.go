@@ -659,16 +659,16 @@ func BenchmarkResumeSweep(b *testing.B) {
 	dir := b.TempDir()
 	var coldNs, resumeNs int64
 	for i := 0; i < b.N; i++ {
-		journal := filepath.Join(dir, fmt.Sprintf("sweep-%d.jsonl", i))
+		journal := filepath.Join(dir, fmt.Sprintf("sweep-%d", i))
 		t0 := time.Now()
-		_, _, err := metrics.SuperviseGraphJS(c, opts, metrics.SuperviseOptions{JournalPath: journal})
+		_, _, err := metrics.SuperviseGraphJS(c, opts, metrics.SuperviseOptions{Journal: journal})
 		coldNs += time.Since(t0).Nanoseconds()
 		if err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
 		_, stats, err := metrics.SuperviseGraphJS(c, opts,
-			metrics.SuperviseOptions{JournalPath: journal, Resume: true})
+			metrics.SuperviseOptions{Journal: journal, Resume: true})
 		resumeNs += time.Since(t1).Nanoseconds()
 		if err != nil {
 			b.Fatal(err)

@@ -20,10 +20,9 @@
 // (default GOMAXPROCS). Results are printed with the paper's reference
 // values alongside the measured ones where applicable.
 //
-// With -journal FILE the ground-truth sweeps run supervised: each
-// worker appends its package's terminal outcome (after the
-// retry/degradation ladder) to FILE-graphjs.jsonl / FILE-odgen.jsonl
-// as it finishes, and -resume skips packages already journaled under
+// With -journal P the ground-truth sweeps run supervised: each worker
+// records its package's terminal outcome (after the retry/degradation
+// ladder) in the journal directory P-graphjs / P-odgen as it finishes, and -resume skips packages already journaled under
 // the same content hash and options. Resumed rows carry findings and
 // classification but no timings, so timing tables reflect only the
 // packages actually re-scanned.
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/budget"
@@ -56,7 +54,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "print worker-pool scaling (1/2/4/8 workers)")
 	faults := flag.Bool("faults", false, "print failure-class counts on the crash corpus")
 	provenance := flag.Bool("provenance", false, "print the reach-gate precision table (pruned %, gate-skip rate, provenance depth) gated vs ungated")
-	journal := flag.String("journal", "", "supervise the ground-truth sweeps and journal outcomes to FILE-graphjs.jsonl / FILE-odgen.jsonl")
+	journal := flag.String("journal", "", "supervise the ground-truth sweeps and journal outcomes to the directories P-graphjs / P-odgen")
 	resume := flag.Bool("resume", false, "with -journal: skip packages whose journal entry matches")
 	requarantine := flag.Bool("requarantine", false, "with -resume: re-scan quarantined packages")
 	flag.Parse()
@@ -127,11 +125,11 @@ func newRunner(seed int64, collectedN int) *runner {
 }
 
 // superviseOpts derives the supervised-sweep options for one tool's
-// journal (distinct files per tool: the journal keys entries by
+// journal (distinct directories per tool: the journal keys entries by
 // package name, and both tools sweep the same corpus).
 func (r *runner) superviseOpts(tool string) metrics.SuperviseOptions {
 	return metrics.SuperviseOptions{
-		JournalPath:  strings.TrimSuffix(r.journal, ".jsonl") + "-" + tool + ".jsonl",
+		Journal:      r.journal + "-" + tool,
 		Resume:       r.resume,
 		Requarantine: r.requarantine,
 	}
@@ -147,8 +145,8 @@ func reportSupervised(tool string, stats *metrics.SuperviseStats, err error) {
 }
 
 // run executes both tools over the ground truth once (memoized). With
-// -journal the sweeps run supervised: each worker appends its
-// package's terminal outcome to the tool's journal as it finishes, and
+// -journal the sweeps run supervised: each worker records its
+// package's terminal outcome in the tool's journal as it finishes, and
 // -resume skips the packages already journaled.
 func (r *runner) run() {
 	if r.ran {

@@ -24,11 +24,10 @@
 //	                survive across invocations (implies -incremental)
 //	-no-fsync       skip store/journal fsyncs (benchmarks only)
 //	-sweep          supervised sweep: retry/degradation ladder per target
-//	-journal FILE   with -sweep: append per-target outcomes to a JSONL journal
+//	-journal DIR    with -sweep: record per-target outcomes in a journal
+//	                directory (a crash-safe store, compacted after the sweep)
 //	-resume         with -sweep -journal: skip targets whose entry matches
 //	-requarantine   with -resume: re-scan quarantined targets
-//	-compact-journal  with -sweep -journal -cache-dir: fold the journal's
-//	                live entries into the store and truncate the log
 //	-dump-mdg       print the MDG in Graphviz DOT format and exit
 //	-dump-core      print the normalized Core JavaScript and exit
 //	-export-db      write the loaded property graph as JSON and exit
@@ -74,9 +73,8 @@ func main() {
 	incremental := flag.Bool("incremental", false, "reuse MDG fragments and detection results across scans of repeated targets; -stats prints hit/miss/rebuild counters")
 	cacheDir := flag.String("cache-dir", "", "persistent analysis store directory; cached work survives across invocations (implies -incremental)")
 	noFsync := flag.Bool("no-fsync", false, "skip store/journal fsyncs (benchmarks only; a crash may lose cached work)")
-	compactJournal := flag.Bool("compact-journal", false, "with -sweep -journal -cache-dir: fold the journal's live entries into the store and truncate the log")
 	sweepMode := flag.Bool("sweep", false, "supervised sweep: retry failures down a degradation ladder until every target reaches a terminal state")
-	journalPath := flag.String("journal", "", "with -sweep: append per-target outcomes to this JSONL journal as workers finish")
+	journalPath := flag.String("journal", "", "with -sweep: record per-target outcomes in this journal directory as workers finish")
 	resume := flag.Bool("resume", false, "with -sweep -journal: skip targets whose journal entry matches the current content and options")
 	requarantine := flag.Bool("requarantine", false, "with -resume: re-scan quarantined targets instead of skipping them")
 	dumpMDG := flag.Bool("dump-mdg", false, "print the MDG in DOT format")
@@ -152,10 +150,6 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	if *compactJournal && (!*sweepMode || *journalPath == "" || st == nil) {
-		fmt.Fprintln(os.Stderr, "graphjs: -compact-journal requires -sweep, -journal, and -cache-dir")
-		finish(2)
-	}
 	if *sweepMode {
 		if *dumpMDG || *dumpCore || *exportDB {
 			fmt.Fprintln(os.Stderr, "graphjs: -sweep cannot be combined with dump modes")
@@ -163,12 +157,10 @@ func main() {
 		}
 		opts.Workers = *workers
 		finish(runSweep(targets, opts, pool, metrics.SuperviseOptions{
-			JournalPath:    *journalPath,
-			Resume:         *resume,
-			Requarantine:   *requarantine,
-			Store:          st,
-			CompactJournal: *compactJournal,
-			NoFsync:        *noFsync,
+			Journal:      *journalPath,
+			Resume:       *resume,
+			Requarantine: *requarantine,
+			NoFsync:      *noFsync,
 		}, *asJSON))
 	}
 	if !(*dumpMDG || *dumpCore || *exportDB) {

@@ -1,7 +1,8 @@
 // Command graphjsd runs the MDG vulnerability scanner as a long-lived
 // HTTP/JSON service: concurrent scans from one static binary, with
 // admission control, warm incremental state shared across requests,
-// and journal-backed resumable corpus sweeps.
+// and journal-backed resumable corpus sweeps (a sweep's journal is a
+// store directory the request names; it must not be -cache-dir).
 //
 // See docs/API.md for the endpoint reference and docs/OPERATIONS.md
 // for deployment and tuning guidance.
@@ -52,8 +53,8 @@
 //	                        last substrate fault (default 30s)
 //
 // SIGINT/SIGTERM stop the listener, drain in-flight scans (new
-// requests get 503), flush journals, sync and close the store, and
-// exit 0.
+// requests get 503), close sweep journals, sync and close the store,
+// and exit 0.
 package main
 
 import (

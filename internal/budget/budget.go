@@ -99,9 +99,9 @@ type Budget struct {
 	// never on goroutine interleaving. inj is the resolved decision.
 	checks int
 	inj    injection
-	// plog accumulates per-phase consumption; shared with budgets
-	// derived via DeadlineOnly/Derive so grace and retry phases land in
-	// the same report.
+	// plog accumulates per-phase consumption; shared with the budget
+	// derived via DeadlineOnly so the grace detection pass lands in the
+	// same report.
 	plog *phaseLog
 
 	// done is the request context's cancellation channel (nil when no
@@ -153,22 +153,6 @@ func (b *Budget) DeadlineOnly() *Budget {
 	}
 	return &Budget{deadline: b.deadline, limits: Limits{Timeout: b.limits.Timeout},
 		label: b.label, plog: b.plog, done: b.done}
-}
-
-// Derive starts a fresh budget with new caps but this budget's
-// wall-clock deadline, label and phase log: counters and any recorded
-// failure are reset. Retry paths use it so a second attempt gets its
-// own, typically smaller, allowance instead of inheriting an already
-// exhausted one.
-func (b *Budget) Derive(l Limits) *Budget {
-	if b == nil {
-		return New(l)
-	}
-	nb := &Budget{limits: l, deadline: b.deadline, label: b.label, plog: b.plog, done: b.done}
-	if b.deadline.IsZero() && l.Timeout > 0 {
-		nb.deadline = time.Now().Add(l.Timeout)
-	}
-	return nb
 }
 
 // Step consumes one cooperative step. It returns the recorded failure

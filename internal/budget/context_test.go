@@ -61,16 +61,12 @@ func TestWithContextCancelTripsStep(t *testing.T) {
 	}
 }
 
-// Derived budgets (retry allowances, the DeadlineOnly grace budget)
-// inherit the done channel: a canceled client cancels the grace phase
-// and every retry too.
+// The derived DeadlineOnly grace budget inherits the done channel: a
+// canceled client cancels the grace phase too.
 func TestWithContextPropagatesThroughDeriveAndDeadlineOnly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := New(Limits{MaxSteps: 10}).WithContext(ctx)
 	cancel()
-	if err := b.Derive(Limits{MaxSteps: 5}).CheckDeadline(); ClassOf(err) != ClassCanceled {
-		t.Fatalf("Derive dropped the context: %v", err)
-	}
 	if err := b.DeadlineOnly().CheckDeadline(); ClassOf(err) != ClassCanceled {
 		t.Fatalf("DeadlineOnly dropped the context: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 // burn drives a budget through n checkpoints inside a Guard, the way a
@@ -151,45 +150,29 @@ func TestPhaseUsageAccounting(t *testing.T) {
 	}
 }
 
-// TestPhaseLogSharedAcrossDerive: consumption on a derived retry
-// budget must accumulate into the parent's phase log, merged by phase
-// name.
+// TestPhaseLogSharedAcrossDerive: consumption on the grace budget
+// DeadlineOnly derives must accumulate into the parent's phase log,
+// merged by phase name.
 func TestPhaseLogSharedAcrossDerive(t *testing.T) {
 	b := New(Limits{MaxSteps: 10})
 	b.BeginPhase("detect")
 	for b.Step() == nil {
 	}
-	rb := b.Derive(Limits{MaxSteps: 100})
-	if rb.Err() != nil || rb.Steps() != 0 {
-		t.Fatalf("derived budget inherited exhaustion: err=%v steps=%d", rb.Err(), rb.Steps())
+	gb := b.DeadlineOnly()
+	if gb.Err() != nil || gb.Steps() != 0 {
+		t.Fatalf("derived budget inherited exhaustion: err=%v steps=%d", gb.Err(), gb.Steps())
 	}
-	rb.BeginPhase("detect")
+	gb.BeginPhase("detect")
 	for i := 0; i < 20; i++ {
-		if err := rb.Step(); err != nil {
+		if err := gb.Step(); err != nil {
 			t.Fatalf("fresh budget tripped: %v", err)
 		}
 	}
-	us := rb.PhaseUsages()
+	us := gb.PhaseUsages()
 	if len(us) != 1 || us[0].Phase != "detect" {
 		t.Fatalf("phases %+v", us)
 	}
 	if us[0].Steps != 11+20 {
 		t.Errorf("merged detect steps %d, want 31", us[0].Steps)
-	}
-}
-
-// TestDeriveKeepsDeadline: Derive must preserve a running wall clock
-// (a retry is not an excuse to run forever) while resetting caps.
-func TestDeriveKeepsDeadline(t *testing.T) {
-	b := New(Limits{Timeout: time.Nanosecond, MaxSteps: 1})
-	time.Sleep(time.Millisecond)
-	rb := b.Derive(Limits{MaxSteps: 1000})
-	if ClassOf(rb.CheckDeadline()) != ClassTimeout {
-		t.Error("derived budget dropped the parent's expired deadline")
-	}
-	// And a parent without a deadline starts one if the new limits ask.
-	rb2 := (New(Limits{})).Derive(Limits{Timeout: time.Hour})
-	if err := rb2.CheckDeadline(); err != nil {
-		t.Errorf("fresh hour-long deadline already expired: %v", err)
 	}
 }

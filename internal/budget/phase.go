@@ -17,9 +17,9 @@ type PhaseUsage struct {
 }
 
 // phaseLog accumulates PhaseUsage rows for one scan. It is owned by
-// the scan goroutine (like the Budget itself) and shared across
-// derived budgets, so a grace detection pass on a DeadlineOnly budget
-// or a fallback retry on a Derive'd one still lands in the same log.
+// the scan goroutine (like the Budget itself) and shared with the
+// budget DeadlineOnly derives, so a grace detection pass still lands
+// in the same log.
 type phaseLog struct {
 	phases []PhaseUsage
 	cur    string

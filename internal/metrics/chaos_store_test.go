@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,57 +8,64 @@ import (
 	"time"
 
 	"repro/internal/scanner"
-	"repro/internal/store"
 	"repro/internal/sweepjournal"
 )
 
-// Store chaos (`make chaos` runs this under -race): supervised sweeps
-// whose journals are backed by the persistent store, killed at the two
-// nastiest moments — mid-compaction (entries duplicated between store
-// and log, log tail torn) and mid-commit (the store log itself torn
-// mid-record). The invariant in both cases: a resumed sweep converges
-// to entry-for-entry the same journal state as the uninterrupted run,
-// with the damage visible only as re-scans and quarantine counters.
-
-func openChaosStore(t *testing.T, dir string) *store.Store {
-	t.Helper()
-	s, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
+// Journal-store chaos (`make chaos` runs this under -race): a
+// supervised sweep whose journal log is killed mid-commit — the store
+// log itself torn mid-record. The invariant: a resumed sweep converges
+// to entry-for-entry the same journal as the uninterrupted run, with
+// the damage visible only as re-scans and the Torn flag.
 func TestChaosStoreKillResume(t *testing.T) {
 	c := superviseCorpus()
 	opts := scanner.Options{Workers: 4, Timeout: 30 * time.Second}
 
-	// Ground truth: an uninterrupted store-backed sweep with journal
-	// compaction. Afterwards the log is empty and every entry lives in
-	// the store.
-	baseDir := t.TempDir()
-	baseStore := openChaosStore(t, filepath.Join(baseDir, "cache"))
-	baseJournal := filepath.Join(baseDir, "j.jsonl")
-	_, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{
-		JournalPath: baseJournal, Store: baseStore, CompactJournal: true})
-	if err != nil {
+	// Ground truth: an uninterrupted journaled sweep.
+	baseJournal := filepath.Join(t.TempDir(), "journal")
+	if _, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: baseJournal}); err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
-	if fi, err := os.Stat(baseJournal); err != nil || fi.Size() != 0 {
-		t.Fatalf("baseline journal not compacted: size=%v err=%v", fi.Size(), err)
-	}
-	truth, _, err := sweepjournal.LoadWithStore(baseJournal, baseStore)
+	truth, _, err := sweepjournal.Load(baseJournal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(truth) != len(c.Packages) {
-		t.Fatalf("baseline store holds %d entries for %d packages", len(truth), len(c.Packages))
+		t.Fatalf("baseline journal holds %d entries for %d packages", len(truth), len(c.Packages))
 	}
 
-	requireTruth := func(t *testing.T, journal string, s *store.Store) {
-		t.Helper()
-		got, _, err := sweepjournal.LoadWithStore(journal, s)
+	// Kill mid-commit: the journal's log is torn mid-record. Opening it
+	// repairs the tail, the lost entry re-scans cold, and the resumed
+	// state converges to truth.
+	t.Run("mid-commit", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "journal")
+		if _, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: journal}); err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		logPath := filepath.Join(journal, "store.dat")
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(logPath, fi.Size()-7); err != nil {
+			t.Fatal(err)
+		}
+
+		if got, _, err := sweepjournal.Load(journal); err != nil || len(got) != len(c.Packages)-1 {
+			t.Fatalf("torn journal holds %d entries (err %v), want %d (one lost to the tear)",
+				len(got), err, len(c.Packages)-1)
+		}
+		_, rstats, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: journal, Resume: true})
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		if !rstats.Torn {
+			t.Error("resume did not report the torn journal log")
+		}
+		if rstats.Resumed != len(c.Packages)-1 {
+			t.Errorf("resumed %d packages, want %d (exactly the torn entry re-scans)",
+				rstats.Resumed, len(c.Packages)-1)
+		}
+		got, _, err := sweepjournal.Load(journal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,97 +75,6 @@ func TestChaosStoreKillResume(t *testing.T) {
 					t.Errorf("%s: resumed entry differs:\n%+v\nvs truth\n%+v", k, got[k], want)
 				}
 			}
-			for k := range got {
-				if _, ok := truth[k]; !ok {
-					t.Errorf("%s: extra entry after resume", k)
-				}
-			}
 		}
-	}
-
-	// Kill mid-compaction: the store half of Compact committed (Puts +
-	// Sync) but the process died before the log truncate — every entry
-	// is duplicated — and the fatal append also tore the log's tail.
-	t.Run("mid-compaction", func(t *testing.T) {
-		dir := t.TempDir()
-		s := openChaosStore(t, filepath.Join(dir, "cache"))
-		journal := filepath.Join(dir, "j.jsonl")
-		if _, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{JournalPath: journal, Store: s}); err != nil {
-			t.Fatalf("sweep: %v", err)
-		}
-		entries, _, err := sweepjournal.Load(journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, e := range entries {
-			body, merr := json.Marshal(&e)
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			if err := s.Put(store.KindJournal, k, body); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		// The kill also lands mid-append: tear the log's tail. The torn
-		// entries still live in the store, so nothing should re-scan.
-		truncateJournal(t, journal)
-
-		_, rstats, err := SuperviseGraphJS(c, opts,
-			SuperviseOptions{JournalPath: journal, Store: s, Resume: true})
-		if err != nil {
-			t.Fatalf("resume: %v", err)
-		}
-		if rstats.Resumed != len(c.Packages) {
-			t.Errorf("resumed %d packages, want all %d (store held the torn entries)",
-				rstats.Resumed, len(c.Packages))
-		}
-		requireTruth(t, journal, s)
-	})
-
-	// Kill mid-commit: the store's own log is torn mid-record. Open
-	// repairs the tail, the lost entry re-scans cold, and the resumed
-	// state converges to truth.
-	t.Run("mid-commit", func(t *testing.T) {
-		dir := t.TempDir()
-		cacheDir := filepath.Join(dir, "cache")
-		journal := filepath.Join(dir, "j.jsonl")
-		s, err := store.Open(cacheDir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{
-			JournalPath: journal, Store: s, CompactJournal: true}); err != nil {
-			t.Fatalf("sweep: %v", err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		logPath := filepath.Join(cacheDir, "store.dat")
-		fi, err := os.Stat(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(logPath, fi.Size()-7); err != nil {
-			t.Fatal(err)
-		}
-
-		s2 := openChaosStore(t, cacheDir)
-		if got := s2.Stats().Entries; got != len(c.Packages)-1 {
-			t.Fatalf("repaired store holds %d entries, want %d (one lost to the tear)",
-				got, len(c.Packages)-1)
-		}
-		_, rstats, err := SuperviseGraphJS(c, opts,
-			SuperviseOptions{JournalPath: journal, Store: s2, Resume: true})
-		if err != nil {
-			t.Fatalf("resume: %v", err)
-		}
-		if rstats.Resumed != len(c.Packages)-1 {
-			t.Errorf("resumed %d packages, want %d (exactly the torn entry re-scans)",
-				rstats.Resumed, len(c.Packages)-1)
-		}
-		requireTruth(t, journal, s2)
 	})
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,12 +11,13 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/scanner"
+	"repro/internal/store"
 	"repro/internal/sweepjournal"
 )
 
 // Chaos harness (`make chaos` runs this under -race): supervised
 // sweeps at Workers=4 with deterministic injected panics and timeouts,
-// then a simulated SIGKILL (journal truncated mid-line) and a resume.
+// then a simulated SIGKILL (journal log torn mid-record) and a resume.
 // The invariants:
 //
 //  1. The pool drains — the sweep returns one row per package no
@@ -29,32 +29,25 @@ import (
 //  4. Kill-and-resume reproduces the uninterrupted run's journal
 //     exactly, entry for entry.
 
-// truncateJournal simulates a SIGKILL mid-append: it drops the last
-// complete line and tears the (new) final line in half.
-func truncateJournal(t *testing.T, path string) int {
+// tearJournal simulates a SIGKILL mid-put: it drops the journal log's
+// last whole record and tears the record before it in half, so two
+// entries are lost.
+func tearJournal(t *testing.T, dir string) int {
 	t.Helper()
+	path := filepath.Join(dir, "store.dat")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trimmed := bytes.TrimRight(data, "\n")
-	cut := bytes.LastIndexByte(trimmed, '\n') // start of the last complete line
-	if cut < 0 {
-		t.Fatal("journal too small to truncate")
-	}
-	lost := 1
-	keep := trimmed[:cut]
-	tear := bytes.LastIndexByte(keep, '\n')
-	if tear < 0 {
+	recs, _ := store.DecodeRecords(data)
+	if len(recs) < 2 {
 		t.Fatal("journal too small to tear")
 	}
-	lost++
-	torn := append([]byte(nil), data[:tear+1]...)
-	torn = append(torn, keep[tear+1:tear+1+(cut-tear-1)/2]...) // half a line, no newline
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	prev := recs[len(recs)-2]
+	if err := os.WriteFile(path, data[:prev.Offset+4+int64(prev.PayloadLen)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return lost
+	return 2
 }
 
 func TestChaosKillResume(t *testing.T) {
@@ -74,8 +67,8 @@ func TestChaosKillResume(t *testing.T) {
 			defer budget.SetFaultPlan(nil)
 
 			dir := t.TempDir()
-			full := filepath.Join(dir, "full.jsonl")
-			sw, stats, err := SuperviseGraphJS(c, opts, SuperviseOptions{JournalPath: full})
+			full := filepath.Join(dir, "full-journal")
+			sw, stats, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: full})
 			if err != nil {
 				t.Fatalf("supervised sweep: %v", err)
 			}
@@ -131,17 +124,20 @@ func TestChaosKillResume(t *testing.T) {
 
 			// Kill-and-resume: copy the journal, kill it mid-write, resume
 			// under the same fault plan.
-			killed := filepath.Join(dir, "killed.jsonl")
-			data, err := os.ReadFile(full)
+			killed := filepath.Join(dir, "killed-journal")
+			data, err := os.ReadFile(filepath.Join(full, "store.dat"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(killed, data, 0o644); err != nil {
+			if err := os.MkdirAll(killed, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			lost := truncateJournal(t, killed)
+			if err := os.WriteFile(filepath.Join(killed, "store.dat"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lost := tearJournal(t, killed)
 			resumed, rstats, err := SuperviseGraphJS(c, opts,
-				SuperviseOptions{JournalPath: killed, Resume: true})
+				SuperviseOptions{Journal: killed, Resume: true})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}

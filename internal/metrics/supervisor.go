@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime/debug"
@@ -23,11 +24,11 @@ import (
 // fidelity and reports whatever happened. The supervisor wraps the
 // same worker pool with two robustness layers:
 //
-//   - A crash-safe journal: each worker appends the package's terminal
-//     outcome to an append-only JSONL file as it finishes, so a sweep
-//     killed mid-corpus loses at most the packages in flight, and a
-//     resume skips every package whose journal entry still matches its
-//     content hash and options fingerprint.
+//   - A crash-safe journal: each worker puts the package's terminal
+//     outcome into the journal's store directory as it finishes, so a
+//     sweep killed mid-corpus loses at most the packages in flight, and
+//     a resume skips every package whose journal entry still matches
+//     its content hash and options fingerprint.
 //
 //   - A degradation ladder: failures are retried according to their
 //     class. Transient classes (engine-panic, query-error) get one
@@ -48,10 +49,12 @@ import (
 
 // SuperviseOptions configures a supervised sweep.
 type SuperviseOptions struct {
-	// JournalPath, when non-empty, appends one terminal Entry per
-	// package to this JSONL file as workers finish.
-	JournalPath string
-	// Resume loads JournalPath first and skips packages whose entry
+	// Journal, when non-empty, is the journal's store directory
+	// (created if absent): one terminal Entry per package is put as
+	// workers finish, and the store is compacted after a sweep that
+	// put records and hit no journal error.
+	Journal string
+	// Resume reads Journal first and skips packages whose entry
 	// matches the current content hash and options fingerprint.
 	Resume bool
 	// Requarantine re-scans quarantined packages on resume instead of
@@ -61,20 +64,16 @@ type SuperviseOptions struct {
 	// immediately). The actual delay is jittered deterministically from
 	// the package name so parallel retries do not stampede in lockstep.
 	Backoff time.Duration
-	// Store, when non-nil, backs the journal with the persistent
-	// analysis store: resume overlays the live JSONL log over entries
-	// previously compacted into the store, and CompactJournal folds
-	// the log into the store when the sweep finishes.
-	Store *store.Store
-	// CompactJournal rewrites the journal's live entries into Store
-	// and truncates the JSONL log after a successful sweep (no-op
-	// without Store and JournalPath).
-	CompactJournal bool
-	// NoFsync disables the journal's per-append group-commit fsync
+	// NoFsync disables the journal's per-put group-commit fsync
 	// (benchmarks; a kill may then lose acknowledged entries, which
 	// resume re-scans).
 	NoFsync bool
 }
+
+// ErrJournalOpen marks a supervised sweep that could not open the
+// journal directory it was given: another writer holds it, or the path
+// is not a directory (a journal file from an older format, say).
+var ErrJournalOpen = errors.New("cannot open sweep journal")
 
 // SuperviseStats summarizes how a supervised sweep terminated.
 type SuperviseStats struct {
@@ -83,7 +82,7 @@ type SuperviseStats struct {
 	Degraded    int  // results produced by a lower ladder rung
 	Quarantined int  // packages that failed every rung
 	Canceled    int  // packages abandoned because the request context died
-	Torn        bool // the loaded journal ended in a torn line
+	Torn        bool // the journal's log ended in a torn record
 	// Entries holds each package's terminal journal entry in corpus
 	// order (resumed packages keep their prior entry), so callers can
 	// report per-package states without re-loading the journal.
@@ -467,7 +466,7 @@ func SuperviseODGen(c *dataset.Corpus, opts odgen.Options, sup SuperviseOptions)
 }
 
 // supervise is the shared supervised-sweep body: resume filter, worker
-// pool, ladder, journal appends, terminal-state accounting. hash
+// pool, ladder, journal puts, terminal-state accounting. hash
 // fingerprints a package's content (nil = hash p.Source).
 func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup SuperviseOptions,
 	hash func(p *dataset.Package) string,
@@ -478,18 +477,18 @@ func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup Sup
 	}
 	stats := &SuperviseStats{Entries: make([]sweepjournal.Entry, len(c.Packages))}
 	prior := map[string]sweepjournal.Entry{}
-	if sup.Resume && sup.JournalPath != "" {
-		loaded, torn, err := sweepjournal.LoadWithStore(sup.JournalPath, sup.Store)
+	var journal *store.Store
+	if sup.Journal != "" {
+		// The constant fault label keeps disk-fault plans armed for the
+		// analysis store ("store") away from journals.
+		js, err := store.Open(sup.Journal, store.Options{NoFsync: sup.NoFsync, FaultLabel: "journal"})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%w %s: %w", ErrJournalOpen, sup.Journal, err)
 		}
-		prior, stats.Torn = loaded, torn
-	}
-	var w *sweepjournal.Writer
-	if sup.JournalPath != "" {
-		var err error
-		if w, err = sweepjournal.CreateOpts(sup.JournalPath, sweepjournal.WriterOptions{NoFsync: sup.NoFsync}); err != nil {
-			return nil, nil, err
+		journal = js
+		stats.Torn = js.Stats().TruncatedBytes > 0
+		if sup.Resume {
+			prior = sweepjournal.Entries(js)
 		}
 	}
 
@@ -515,27 +514,27 @@ func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup Sup
 			func(r rung, attempt int) (PackageResult, string) {
 				return run(p, r, attempt)
 			})
-		aerr := w.Append(entry)
+		perr := sweepjournal.Put(journal, entry)
 		stats.Entries[i] = entry
 		mu.Lock()
 		stats.tally(entry.State)
-		if aerr != nil && journalErr == nil {
-			journalErr = aerr
+		if perr != nil && journalErr == nil {
+			journalErr = perr
 		}
 		mu.Unlock()
 		return res
 	}), c)
 
-	if w != nil {
-		if cerr := w.Close(); cerr != nil && journalErr == nil {
-			journalErr = cerr
+	if journal != nil {
+		// Compaction keeps one record per package however many sweeps
+		// the journal has seen. It only runs on a healthy sweep that put
+		// something: after a failed put the log is left exactly as the
+		// failure left it, and a sweep satisfied entirely from the
+		// journal has nothing to fold.
+		if journalErr == nil && journal.Stats().Puts > 0 {
+			journalErr = journal.Compact()
 		}
-	}
-	// Compaction only runs on a fully healthy sweep: a journal error
-	// means the log may be missing entries the store would then
-	// truncate away.
-	if journalErr == nil && sup.CompactJournal && sup.Store != nil && sup.JournalPath != "" {
-		if _, cerr := sweepjournal.Compact(sup.JournalPath, sup.Store); cerr != nil {
+		if cerr := journal.Close(); cerr != nil && journalErr == nil {
 			journalErr = cerr
 		}
 	}

@@ -57,8 +57,8 @@ func TestSupervisedMatchesPlainSweep(t *testing.T) {
 	opts := scanner.Options{Workers: 4, Timeout: 30 * time.Second}
 	plain := SweepGraphJS(c, opts)
 
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	sw, stats, err := SuperviseGraphJS(c, opts, SuperviseOptions{JournalPath: journal})
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
+	sw, stats, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -112,11 +112,11 @@ func TestLadderDegradesToFloor(t *testing.T) {
 		t.Fatal("huge_object missing from the pathological corpus")
 	}
 
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
 	// 50 steps is far under what huge_object needs at any capped rung,
 	// so full, half and quarter all trip ClassBudget.
 	opts := scanner.Options{Workers: 1, MaxSteps: 50}
-	_, stats, err := SuperviseGraphJS(c, opts, SuperviseOptions{JournalPath: journal})
+	_, stats, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -169,9 +169,9 @@ func TestLadderFloorWithPool(t *testing.T) {
 			return scanner.ScanSource(huge.Source, huge.Name, o)
 		},
 	}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
 	sw, stats, err := SuperviseGraphJSTargets([]Target{target}, scanner.Options{Workers: 1, MaxSteps: 50},
-		SuperviseOptions{JournalPath: journal})
+		SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -208,8 +208,8 @@ func TestTransientRetryRecovers(t *testing.T) {
 		Arm: func(label string) bool { return strings.HasSuffix(label, "#0") }})
 	defer budget.SetFaultPlan(nil)
 
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	sw, stats, err := SuperviseGraphJS(c, scanner.Options{Workers: 1}, SuperviseOptions{JournalPath: journal})
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
+	sw, stats, err := SuperviseGraphJS(c, scanner.Options{Workers: 1}, SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -247,8 +247,8 @@ func TestPersistentTransientQuarantines(t *testing.T) {
 
 	// Every attempt faults early (Spread 2), before detection.
 	budget.SetFaultPlan(&budget.FaultPlan{Seed: 13, PanicProb: 1, Spread: 2})
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	sup := SuperviseOptions{JournalPath: journal}
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
+	sup := SuperviseOptions{Journal: journal}
 	_, stats, err := SuperviseGraphJS(c, scanner.Options{Workers: 1}, sup)
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
@@ -302,19 +302,54 @@ func TestPersistentTransientQuarantines(t *testing.T) {
 	}
 }
 
+// TestJournalsDoNotShareEntries: each journal is its own store
+// directory, so a resume of a fresh journal finds nothing to resume —
+// not another journal's entries, and not its quarantines.
+func TestJournalsDoNotShareEntries(t *testing.T) {
+	c := superviseCorpus()
+	quarantine := map[string]bool{c.Packages[0].Name: true, c.Packages[1].Name: true}
+	// Every attempt on the two armed packages faults early (Spread 2),
+	// so both end quarantined in journal A.
+	budget.SetFaultPlan(&budget.FaultPlan{Seed: 13, PanicProb: 1, Spread: 2,
+		Arm: func(label string) bool { return quarantine[strings.SplitN(label, "#", 2)[0]] }})
+	defer budget.SetFaultPlan(nil)
+	dir := t.TempDir()
+	opts := scanner.Options{Workers: 4}
+	_, statsA, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: filepath.Join(dir, "a")})
+	if err != nil {
+		t.Fatalf("sweep into journal A: %v", err)
+	}
+	if statsA.Quarantined != len(quarantine) {
+		t.Fatalf("journal A quarantined %d packages, want %d", statsA.Quarantined, len(quarantine))
+	}
+
+	budget.SetFaultPlan(nil)
+	_, statsB, err := SuperviseGraphJS(c, opts,
+		SuperviseOptions{Journal: filepath.Join(dir, "b"), Resume: true})
+	if err != nil {
+		t.Fatalf("resume of fresh journal B: %v", err)
+	}
+	if statsB.Resumed != 0 {
+		t.Errorf("fresh journal B resumed %d of %d packages, want 0", statsB.Resumed, len(c.Packages))
+	}
+	if statsB.Quarantined != 0 {
+		t.Errorf("fresh journal B skipped %d packages as quarantined, want 0", statsB.Quarantined)
+	}
+}
+
 // TestResumeSkipsAndRefingerprints: a resume under identical options
 // skips every journaled package; changing the options fingerprint (or
 // the package contents) forces a re-scan.
 func TestResumeSkipsAndRefingerprints(t *testing.T) {
 	c := superviseCorpus()
 	opts := scanner.Options{Workers: 4}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	first, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{JournalPath: journal})
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
+	first, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sup := SuperviseOptions{JournalPath: journal, Resume: true}
+	sup := SuperviseOptions{Journal: journal, Resume: true}
 	resumed, stats, err := SuperviseGraphJS(c, opts, sup)
 	if err != nil {
 		t.Fatal(err)
@@ -374,8 +409,8 @@ func TestResumeFingerprintsResolvedEngine(t *testing.T) {
 		{"", scanner.EngineNative, len(c.Packages)},
 		{scanner.EngineNative, "", len(c.Packages)},
 	} {
-		journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-		sup := SuperviseOptions{JournalPath: journal}
+		journal := filepath.Join(t.TempDir(), "sweep-journal")
+		sup := SuperviseOptions{Journal: journal}
 		if _, _, err := SuperviseGraphJS(c, scanner.Options{Workers: 1, Engine: tc.wrote}, sup); err != nil {
 			t.Fatal(err)
 		}
@@ -405,12 +440,12 @@ func TestResumeFingerprintsResolvedEngine(t *testing.T) {
 // pathological package to a terminal journal state too, degrading the
 // unroll bound and step budget instead of MDG caps.
 func TestSupervisedODGenTerminates(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "odgen.jsonl")
+	journal := filepath.Join(t.TempDir(), "odgen-journal")
 	oopts := odgen.DefaultOptions()
 	oopts.Timeout = 20 * time.Second
 	oopts.Workers = 2
 	_, stats, err := SuperviseODGen(dataset.Pathological(), oopts,
-		SuperviseOptions{JournalPath: journal})
+		SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatalf("supervised baseline sweep: %v", err)
 	}

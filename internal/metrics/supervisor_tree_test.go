@@ -81,9 +81,9 @@ func TestSupervisedTreeTargets(t *testing.T) {
 		treeTarget("tree-shadowed", sourceFiles(shadowed.Files)),
 	}
 
-	journal := filepath.Join(t.TempDir(), "tree-sweep.jsonl")
+	journal := filepath.Join(t.TempDir(), "tree-sweep-journal")
 	opts := scanner.Options{Workers: 2, Timeout: 30 * time.Second}
-	_, stats, err := SuperviseGraphJSTargets(targets, opts, SuperviseOptions{JournalPath: journal})
+	_, stats, err := SuperviseGraphJSTargets(targets, opts, SuperviseOptions{Journal: journal})
 	if err != nil {
 		t.Fatalf("supervised tree sweep: %v", err)
 	}

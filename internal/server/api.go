@@ -217,18 +217,16 @@ type ScanResponse struct {
 type SweepRequest struct {
 	// Path is the corpus directory on the server's disk.
 	Path string `json:"path"`
-	// Journal, when non-empty, appends per-target terminal outcomes to
-	// this JSONL file (created if absent; a torn tail is repaired).
+	// Journal, when non-empty, records per-target terminal outcomes in
+	// this journal directory on the server's disk (a crash-safe store,
+	// created if absent and compacted after the sweep). One sweep at a
+	// time may write a journal.
 	Journal string `json:"journal,omitempty"`
 	// Resume skips targets whose journal entry matches their current
 	// content hash and options fingerprint.
 	Resume bool `json:"resume,omitempty"`
 	// Requarantine re-scans quarantined targets on resume.
 	Requarantine bool `json:"requarantine,omitempty"`
-	// CompactJournal folds the journal's live entries into the daemon's
-	// persistent store and truncates the JSONL log after the sweep
-	// finishes. Requires Journal and a daemon started with -cache-dir.
-	CompactJournal bool `json:"compactJournal,omitempty"`
 
 	// Engine and budget knobs, clamped exactly like ScanRequest's.
 	Engine      string `json:"engine,omitempty"`

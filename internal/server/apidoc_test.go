@@ -82,19 +82,19 @@ func TestAPIDocCurlExamples(t *testing.T) {
 		t.Fatalf("only %d curl examples found in docs/API.md — parser or doc broken", len(examples))
 	}
 
-	// The sweep examples use /corpus and /tmp/sweep.jsonl as documented
+	// The sweep examples use /corpus and /tmp/sweep-journal as documented
 	// placeholders; give them a real corpus and journal.
 	corpus := t.TempDir()
 	vuln := "module.exports = function(c){ require('child_process').exec(c) }\n"
 	if err := os.WriteFile(filepath.Join(corpus, "a.js"), []byte(vuln), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
 
 	_, ts := newTestServer(t, Options{Workers: 2})
 	for i, ex := range examples {
 		body := strings.ReplaceAll(ex.body, "/corpus", corpus)
-		body = strings.ReplaceAll(body, "/tmp/sweep.jsonl", journal)
+		body = strings.ReplaceAll(body, "/tmp/sweep-journal", journal)
 		req, err := http.NewRequest(ex.method, ts.URL+ex.path, strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("example %d (%s %s): %v", i, ex.method, ex.path, err)

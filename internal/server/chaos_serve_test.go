@@ -125,8 +125,8 @@ func canonicalFindings(e sweepjournal.Entry) []string {
 func TestChaosServe(t *testing.T) {
 	corpus := chaosCorpus(t)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
-	jBase := filepath.Join(t.TempDir(), "base.jsonl")
-	jPost := filepath.Join(t.TempDir(), "post.jsonl")
+	jBase := filepath.Join(t.TempDir(), "base-journal")
+	jPost := filepath.Join(t.TempDir(), "post-journal")
 
 	opts := Options{Workers: 4, QueueDepth: 32, DegradedCooldown: time.Hour}
 

@@ -271,7 +271,7 @@ func TestDrainLeavesReplayableJournal(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(corpus, "pkg", "index.js"), []byte(vuln), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
 
 	opts := Options{Workers: 2}
 	srv, ts := newTestServer(t, opts)

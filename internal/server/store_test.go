@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -125,8 +126,10 @@ func TestStatePoolEvictionCounters(t *testing.T) {
 	}
 }
 
-// TestSweepCompactJournalValidation: compactJournal without a journal
-// or without a cache dir is a client error, not a silent no-op.
+// TestSweepCompactJournalValidation: the compactJournal field is gone
+// (every journal is compacted after its sweep). decodeBody rejects
+// unknown fields, so an old client that still sends it gets a 400
+// instead of a silently ignored knob.
 func TestSweepCompactJournalValidation(t *testing.T) {
 	corpus := t.TempDir()
 	if err := os.WriteFile(filepath.Join(corpus, "a.js"),
@@ -134,16 +137,18 @@ func TestSweepCompactJournalValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Options{Workers: 1})
-	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Path: corpus, CompactJournal: true})
-	decodeResp[ErrorJSON](t, resp, http.StatusBadRequest)
-	resp = postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
-		Path: corpus, Journal: filepath.Join(t.TempDir(), "j.jsonl"), CompactJournal: true})
-	decodeResp[ErrorJSON](t, resp, http.StatusBadRequest)
+	resp := postJSON(t, ts.URL+"/v1/sweep", map[string]any{
+		"path": corpus, "journal": filepath.Join(t.TempDir(), "journal"), "compactJournal": true})
+	e := decodeResp[ErrorJSON](t, resp, http.StatusBadRequest)
+	if !strings.Contains(e.Error.Message, "compactJournal") {
+		t.Errorf("error %q does not name the rejected field", e.Error.Message)
+	}
 }
 
-// TestSweepCompactJournalThroughStore runs a journal-backed sweep with
-// compaction, checks the log is truncated, and that a resume on a
-// fresh server backed by the same store skips every target.
+// TestSweepCompactJournalThroughStore: a journal is a store directory
+// compacted after every sweep, so re-sweeping the same targets keeps
+// one record per target, and a fresh daemon resumes every target from
+// it.
 func TestSweepCompactJournalThroughStore(t *testing.T) {
 	corpus := t.TempDir()
 	vuln := "module.exports = function(c){ require('child_process').exec(c) }\n"
@@ -152,38 +157,72 @@ func TestSweepCompactJournalThroughStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	dir := filepath.Join(t.TempDir(), "cache")
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
 
-	st1, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts1 := newTestServer(t, Options{Workers: 2, Store: st1})
-	sweep := decodeResp[SweepResponse](t, postJSON(t, ts1.URL+"/v1/sweep", SweepRequest{
-		Path: corpus, Journal: journal, CompactJournal: true,
-	}), http.StatusOK)
-	if sweep.Completed != 2 {
-		t.Fatalf("sweep completed %d targets, want 2", sweep.Completed)
+	_, ts1 := newTestServer(t, Options{Workers: 2})
+	for i := 0; i < 2; i++ {
+		sweep := decodeResp[SweepResponse](t, postJSON(t, ts1.URL+"/v1/sweep", SweepRequest{
+			Path: corpus, Journal: journal,
+		}), http.StatusOK)
+		if sweep.Completed != 2 {
+			t.Fatalf("sweep %d completed %d targets, want 2", i, sweep.Completed)
+		}
+		data, err := os.ReadFile(filepath.Join(journal, "store.dat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, _ := store.DecodeRecords(data); len(recs) != 2 {
+			t.Fatalf("after sweep %d the journal log holds %d records, want 2 (compacted)", i, len(recs))
+		}
 	}
 	ts1.Close()
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(journal); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal not compacted away: size=%v err=%v", fi.Size(), err)
-	}
 
-	// A fresh daemon on the same store resumes from the compacted
-	// entries: every target skipped, nothing re-scanned.
-	st2 := openServerStore(t, dir)
-	_, ts2 := newTestServer(t, Options{Workers: 2, Store: st2})
+	_, ts2 := newTestServer(t, Options{Workers: 2})
 	resumed := decodeResp[SweepResponse](t, postJSON(t, ts2.URL+"/v1/sweep", SweepRequest{
 		Path: corpus, Journal: journal, Resume: true,
 	}), http.StatusOK)
 	if resumed.Resumed != 2 {
-		t.Fatalf("resumed %d targets from the compacted store, want 2", resumed.Resumed)
+		t.Fatalf("resumed %d targets from the compacted journal, want 2", resumed.Resumed)
 	}
+}
+
+// TestSweepUnopenableJournalIsBadRequest: a journal the daemon cannot
+// open is the client's error — 400 bad_request naming the path, not a
+// 500.
+func TestSweepUnopenableJournalIsBadRequest(t *testing.T) {
+	corpus := t.TempDir()
+	if err := os.WriteFile(filepath.Join(corpus, "a.js"),
+		[]byte("module.exports = 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireBadRequest := func(t *testing.T, ts string, journal string) {
+		t.Helper()
+		resp := postJSON(t, ts+"/v1/sweep", SweepRequest{Path: corpus, Journal: journal})
+		e := decodeResp[ErrorJSON](t, resp, http.StatusBadRequest)
+		if e.Error.Code != CodeBadRequest || !strings.Contains(e.Error.Message, journal) {
+			t.Errorf("error %s %q, want %s naming %s", e.Error.Code, e.Error.Message, CodeBadRequest, journal)
+		}
+	}
+
+	t.Run("held-by-concurrent-sweep", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "journal")
+		openServerStore(t, journal) // the other sweep's writer lock
+		_, ts := newTestServer(t, Options{Workers: 1})
+		requireBadRequest(t, ts.URL, journal)
+	})
+	t.Run("daemon-cache-dir", func(t *testing.T) {
+		cacheDir := filepath.Join(t.TempDir(), "cache")
+		_, ts := newTestServer(t, Options{Workers: 1, Store: openServerStore(t, cacheDir)})
+		requireBadRequest(t, ts.URL, cacheDir)
+	})
+	t.Run("regular-file", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+		if err := os.WriteFile(journal, []byte(`{"pkg":"a.js"}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Options{Workers: 1})
+		requireBadRequest(t, ts.URL, journal)
+	})
 }
 
 func getURL(t *testing.T, url string) *http.Response {

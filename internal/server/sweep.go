@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -36,17 +37,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Resume && req.Journal == "" {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "resume requires a journal")
 		return
-	}
-	if req.CompactJournal {
-		if req.Journal == "" {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "compactJournal requires a journal")
-			return
-		}
-		if s.opts.Store == nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				"compactJournal requires a daemon started with -cache-dir")
-			return
-		}
 	}
 	opts, _, err := s.scanOptions(req.Engine, req.TimeoutMs, req.MaxSteps,
 		req.MaxNodes, req.MaxEdges, req.NoReachGate)
@@ -87,16 +77,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	gerr := budget.Guard("serve-sweep", func() error {
 		var serr error
 		sw, stats, serr = metrics.SuperviseGraphJSTargets(targets, opts, metrics.SuperviseOptions{
-			JournalPath:    req.Journal,
-			Resume:         req.Resume,
-			Requarantine:   req.Requarantine,
-			Store:          s.opts.Store,
-			CompactJournal: req.CompactJournal,
-			NoFsync:        s.opts.NoFsync,
+			Journal:      req.Journal,
+			Resume:       req.Resume,
+			Requarantine: req.Requarantine,
+			NoFsync:      s.opts.NoFsync,
 		})
 		return serr
 	})
 	s.sweeps.Add(1)
+	if errors.Is(gerr, metrics.ErrJournalOpen) {
+		// The journal the client named is unusable (held by another
+		// sweep, the daemon's own cache directory, not a directory):
+		// a request error, not a server fault. The message names the path.
+		writeError(w, http.StatusBadRequest, CodeBadRequest, gerr.Error())
+		return
+	}
 	if gerr != nil {
 		s.recordFailure(budget.ClassOf(gerr))
 		writeError(w, http.StatusInternalServerError, CodeInternal,

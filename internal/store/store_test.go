@@ -531,3 +531,38 @@ func fileSize(t *testing.T, path string) int64 {
 	}
 	return fi.Size()
 }
+
+// TestAckedPutVisibleToReadOnlyOpen: a Put that has returned is
+// already in the log, so a read-only Open of the same directory sees
+// it before the writer closes. A process killed right after the Put
+// therefore keeps the record. NoFsync skips the fsync (a machine crash
+// may lose the record) but never the write itself.
+func TestAckedPutVisibleToReadOnlyOpen(t *testing.T) {
+	for _, noFsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noFsync=%v", noFsync), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, Options{NoFsync: noFsync})
+			for i := 0; i < 3; i++ {
+				key, body := fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("body-%d", i))
+				if err := s.Put(KindJournal, key, body); err != nil {
+					t.Fatal(err)
+				}
+				ro, err := Open(dir, Options{ReadOnly: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, ok := ro.Get(KindJournal, key)
+				n := ro.Len()
+				if err := ro.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !ok || !bytes.Equal(got, body) {
+					t.Fatalf("acked Put %s not visible to a read-only open: %q, %v", key, got, ok)
+				}
+				if n != i+1 {
+					t.Fatalf("read-only open after %d puts sees %d records", i+1, n)
+				}
+			}
+		})
+	}
+}

@@ -1,30 +1,31 @@
-// Package sweepjournal persists per-package sweep outcomes as an
-// append-only JSONL journal, the crash-safety substrate for resumable
-// corpus sweeps: each worker appends one terminal Entry as it finishes
-// a package, so a sweep that is SIGKILLed mid-corpus loses at most the
-// packages still in flight. Re-running with resume enabled loads the
-// journal, skips every package whose entry matches the current content
-// hash and analysis-options fingerprint, and re-scans the rest.
+// Package sweepjournal defines the per-package sweep journal, the
+// crash-safety substrate for resumable corpus sweeps: each worker puts
+// one terminal Entry as it finishes a package, so a sweep that is
+// SIGKILLed mid-corpus loses at most the packages still in flight.
+// Re-running with resume enabled reads the journal, skips every
+// package whose entry matches the current content hash and
+// analysis-options fingerprint, and re-scans the rest.
 //
-// The format is deliberately dumb: one self-contained JSON object per
-// line, no header, no index, no compaction. A torn final line — the
-// signature of a kill mid-write — is detected and ignored on load, and
-// when several entries exist for one package (a re-scan after an edit,
-// a requarantine override) the last complete line wins. Entries carry
-// no wall-clock timestamps, so a journal is a deterministic function
-// of (corpus, options, fault plan) and two journals can be compared
-// byte-for-byte per package in the chaos harness.
+// A journal is a store directory (internal/store): one KindJournal
+// record per package, keyed by package name, with a JSON body. The
+// store supplies the durability story (CRC'd records, group-commit
+// fsync, torn-tail repair, quarantine, atomic compaction, one writer
+// per directory); this package only owns the record schema, the
+// hashing helpers and the Entry codec. When a package is re-scanned
+// the newest record wins. Entries carry no wall-clock timestamps, so a
+// journal is a deterministic function of (corpus, options, fault plan)
+// and two journals can be compared entry for entry in the chaos
+// harness.
 package sweepjournal
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
-	"sync"
+
+	"repro/internal/store"
 )
 
 // Terminal states of a supervised package. Every package a supervised
@@ -99,243 +100,60 @@ func (e *Entry) Matches(hash, opts string) bool {
 	return e.Hash == hash && e.Opts == opts
 }
 
-// Writer appends entries to a journal file. It is safe for concurrent
-// use: each entry is marshaled and written under a lock as a single
-// buffered write followed by a flush, so concurrently finishing
-// workers never interleave bytes within a line. By default every
-// Append is also fsynced before it returns — batched as a group
-// commit, so concurrently finishing workers share one Sync — making
-// an acknowledged entry durable, not merely handed to the OS.
-// WriterOptions.NoFsync is the escape hatch for benchmarks and
-// throwaway sweeps.
-type Writer struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-
-	noFsync bool
-	// Group commit: written counts flushed appends, synced the highest
-	// append known durable. An Append needing durability only issues
-	// its own Sync if a concurrent one didn't already cover it.
-	written int64
-	synced  int64
-	syncMu  sync.Mutex
-}
-
-// WriterOptions configures CreateOpts.
-type WriterOptions struct {
-	// NoFsync skips the per-append group-commit fsync. A kill can then
-	// lose acknowledged entries (the OS had the bytes, the disk did
-	// not); resume re-scans them, so this trades durability for
-	// throughput, never correctness.
-	NoFsync bool
-}
-
-// Create opens (creating or appending to) a journal file for writing
-// with default options (fsync on append).
-func Create(path string) (*Writer, error) {
-	return CreateOpts(path, WriterOptions{})
-}
-
-// CreateOpts opens (creating or appending to) a journal file for
-// writing. A torn final line left by a kill mid-append is repaired
-// first — otherwise the next Append would concatenate onto the torn
-// bytes and corrupt a line in the middle of the file.
-func CreateOpts(path string, opts WriterOptions) (*Writer, error) {
-	if err := repairTail(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("sweepjournal: %w", err)
-	}
-	return &Writer{f: f, w: bufio.NewWriter(f), noFsync: opts.NoFsync}, nil
-}
-
-// repairTail fixes a journal whose final line has no terminating
-// newline: a tail that parses as an Entry (the kill landed between the
-// payload and the newline) is completed with the missing newline; torn
-// bytes are truncated back to the last complete line.
-func repairTail(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("sweepjournal: %w", err)
-	}
-	if len(data) == 0 || data[len(data)-1] == '\n' {
+// Put journals one terminal entry as a KindJournal record keyed by
+// package name; a later Put for the same package supersedes it. A nil
+// store (no journal configured) makes Put a no-op.
+func Put(s *store.Store, e Entry) error {
+	if s == nil {
 		return nil
 	}
-	tail := data
-	if i := lastNewline(data); i >= 0 {
-		tail = data[i+1:]
-	}
-	var e Entry
-	if json.Unmarshal(tail, &e) == nil && e.Package != "" {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("sweepjournal: %w", err)
-		}
-		if _, err := f.Write([]byte("\n")); err != nil {
-			// The close error is secondary here — the write already
-			// failed — but it must not mask nor be masked silently.
-			if cerr := f.Close(); cerr != nil {
-				return fmt.Errorf("sweepjournal: repair %s: %w (and close: %v)", path, err, cerr)
-			}
-			return fmt.Errorf("sweepjournal: repair %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("sweepjournal: repair %s: close: %w", path, err)
-		}
-		return nil
-	}
-	if err := os.Truncate(path, int64(len(data)-len(tail))); err != nil {
-		return fmt.Errorf("sweepjournal: repair %s: %w", path, err)
-	}
-	return nil
-}
-
-func lastNewline(data []byte) int {
-	for i := len(data) - 1; i >= 0; i-- {
-		if data[i] == '\n' {
-			return i
-		}
-	}
-	return -1
-}
-
-// Append writes one entry as a JSONL line, flushes it, and (unless
-// NoFsync) group-commits it to disk, so an entry a worker saw
-// acknowledged survives not just a process kill but a machine crash.
-func (w *Writer) Append(e Entry) error {
-	if w == nil {
-		return nil
-	}
-	data, err := json.Marshal(&e)
+	body, err := json.Marshal(&e)
 	if err != nil {
 		return fmt.Errorf("sweepjournal: marshal %s: %w", e.Package, err)
 	}
-	data = append(data, '\n')
-	w.mu.Lock()
-	if _, err := w.w.Write(data); err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("sweepjournal: append %s: %w", e.Package, err)
+	if err := s.Put(store.KindJournal, e.Key(), body); err != nil {
+		return fmt.Errorf("sweepjournal: put %s: %w", e.Package, err)
 	}
-	if err := w.w.Flush(); err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("sweepjournal: flush: %w", err)
-	}
-	w.written++
-	seq := w.written
-	w.mu.Unlock()
-
-	if w.noFsync {
-		return nil
-	}
-	return w.syncTo(seq)
-}
-
-// syncTo is the group commit: whoever acquires the sync lock first
-// fsyncs on behalf of every append flushed before it, so N workers
-// finishing together cost ~1 fsync, not N.
-func (w *Writer) syncTo(seq int64) error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.synced >= seq {
-		return nil
-	}
-	w.mu.Lock()
-	target := w.written
-	w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("sweepjournal: sync: %w", err)
-	}
-	w.synced = target
 	return nil
 }
 
-// Close flushes, syncs (unless NoFsync), and closes the underlying
-// file. Every error on the way out is reported — an unreported close
-// error on a writable file is a lost write.
-func (w *Writer) Close() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var first error
-	if err := w.w.Flush(); err != nil {
-		first = fmt.Errorf("sweepjournal: flush: %w", err)
-	}
-	if first == nil && !w.noFsync {
-		if err := w.f.Sync(); err != nil {
-			first = fmt.Errorf("sweepjournal: sync: %w", err)
-		}
-	}
-	if err := w.f.Close(); err != nil && first == nil {
-		first = fmt.Errorf("sweepjournal: close: %w", err)
-	}
-	return first
-}
-
-// Load replays a journal into a per-package map (last complete entry
-// wins). A torn final line — no trailing newline, or bytes that do not
-// parse as an Entry — is tolerated and reported via torn, exactly the
-// state a SIGKILL mid-append leaves behind. A torn or unparsable line
-// anywhere but the end is an error: that is corruption, not a crash
-// artifact. A missing file loads as an empty journal.
-func Load(path string) (entries map[string]Entry, torn bool, err error) {
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		if os.IsNotExist(rerr) {
-			return map[string]Entry{}, false, nil
-		}
-		return nil, false, fmt.Errorf("sweepjournal: %w", rerr)
-	}
-	entries = map[string]Entry{}
-	for len(data) > 0 {
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		line := data
-		last := nl < 0
-		if !last {
-			line = data[:nl]
-			data = data[nl+1:]
-		} else {
-			data = nil
-		}
-		if len(line) == 0 {
-			continue
+// Entries reads every journal record in s into a per-package map. A
+// record whose CRC-clean body does not decode to an Entry for its key
+// is quarantined and skipped: that package re-scans, findings
+// unchanged.
+func Entries(s *store.Store) map[string]Entry {
+	entries := map[string]Entry{}
+	for _, k := range s.Keys(store.KindJournal) {
+		body, ok := s.Get(store.KindJournal, k)
+		if !ok {
+			continue // CRC failure: already quarantined by the store
 		}
 		var e Entry
-		if uerr := json.Unmarshal(line, &e); uerr != nil || e.Package == "" {
-			if last {
-				return entries, true, nil // torn final line: kill artifact
-			}
-			return nil, false, fmt.Errorf("sweepjournal: corrupt line in %s: %q", path, truncate(line, 80))
+		if err := json.Unmarshal(body, &e); err != nil || e.Key() != k {
+			s.Quarantine(store.KindJournal, k)
+			continue
 		}
-		if last {
-			// A complete JSON object with no trailing newline: the kill
-			// landed between the payload and the newline. The entry is
-			// intact; keep it but still report the tear.
-			torn = true
-		}
-		entries[e.Key()] = e
+		entries[k] = e
 	}
-	return entries, torn, nil
+	return entries
 }
 
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
+// Load opens the journal directory read-only and returns its entries.
+// torn reports that the log ended in a partial record, the state a
+// kill mid-append leaves behind. A missing directory loads as an empty
+// journal; a path that is not a directory (such as a journal file from
+// an older format) is an error naming it.
+func Load(dir string) (entries map[string]Entry, torn bool, err error) {
+	s, err := store.Open(dir, store.Options{ReadOnly: true})
+	if err != nil {
+		return nil, false, fmt.Errorf("sweepjournal: %s: %w", dir, err)
 	}
-	return string(b[:n]) + "..."
+	entries = Entries(s)
+	torn = s.Stats().TruncatedBytes > 0
+	if err := s.Close(); err != nil {
+		return nil, false, fmt.Errorf("sweepjournal: %s: %w", dir, err)
+	}
+	return entries, torn, nil
 }
 
 // ContentHash fingerprints one source text.
