@@ -183,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 3s ./internal/js/parser
 	$(GO) test -run xxx -fuzz FuzzParseQuery -fuzztime 3s ./internal/graphdb
 	$(GO) test -run xxx -fuzz FuzzStoreEqual -fuzztime 3s ./internal/mdg
+	$(GO) test -run xxx -fuzz FuzzAnalysisEquivalence -fuzztime 3s -fuzzminimizetime 5s ./internal/analysis
 	$(GO) test -run xxx -fuzz FuzzIncrementalEquivalence -fuzztime 3s -fuzzminimizetime 5s ./internal/metrics
 	$(GO) test -run xxx -fuzz FuzzReachSoundness -fuzztime 3s -fuzzminimizetime 5s ./internal/scanner
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 3s -fuzzminimizetime 5s ./internal/scanner

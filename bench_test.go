@@ -450,9 +450,10 @@ func BenchmarkAblationLoopIter(b *testing.B) {
 	for _, iters := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("maxIter=%d", iters), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := analysis.Analyze(prog, analysis.Options{MaxLoopIter: iters})
-				if res.TimedOut {
-					b.Fatal("unexpected timeout")
+				bud := budget.New(budget.Limits{})
+				analysis.Analyze(prog, analysis.Options{MaxLoopIter: iters, Budget: bud})
+				if err := bud.Err(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

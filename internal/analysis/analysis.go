@@ -7,8 +7,8 @@
 package analysis
 
 import (
-	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,9 +44,9 @@ type Options struct {
 	// Budget, when set, is the scan-wide fault-containment budget:
 	// every abstract step charges it (and MDG construction charges its
 	// node/edge caps via Graph.SetBudget), so a deadline or cap hit
-	// anywhere in the pipeline aborts the analysis cooperatively with
-	// Result.TimedOut set. The Budget records *why* it tripped, letting
-	// the scanner classify the outcome and keep the partial MDG.
+	// anywhere in the pipeline aborts the analysis cooperatively. The
+	// Budget records *why* it tripped (Budget.Err), letting the scanner
+	// classify the outcome and keep the partial MDG.
 	Budget *budget.Budget
 }
 
@@ -65,13 +65,9 @@ type Result struct {
 	Sources []mdg.Loc
 	// Functions maps unique function names to their summaries.
 	Functions map[string]*FuncSummary
-	// Root is the final top-level abstract store.
-	Root *mdg.Store
-	// TimedOut reports that Options.Budget tripped (deadline, cap or
-	// cancellation) and the analysis stopped early.
-	TimedOut bool
-	// Steps is the number of abstract steps executed.
-	Steps int
+	// Root is the final top-level abstract store: the last analyzed
+	// module's bindings over the global ones.
+	Root *Bindings
 	// HasRealExports reports that export marking found at least one
 	// function genuinely reachable from module.exports/exports —
 	// i.e. the script-mode fallback (everything exported) did not or
@@ -101,6 +97,39 @@ type Result struct {
 	ModuleEnv map[string]ModuleLocs
 }
 
+// Bindings is a read-only view of a top-level abstract store.
+type Bindings struct {
+	module *frame
+	slots  []string // the module frame's slot names
+	global *frame
+	names  map[string]int32
+	gslot  []int32 // global-frame slot by name id (-1: none)
+}
+
+// Get returns the locations bound to name (nil when unbound).
+func (b *Bindings) Get(name string) []mdg.Loc {
+	if b.module != nil {
+		if s := slices.Index(b.slots, name); s >= 0 {
+			if ls := b.module.at(int32(s)); ls != nil {
+				return nonEmpty(ls)
+			}
+		}
+	}
+	if id, ok := b.names[name]; ok {
+		if rs := b.gslot[id]; rs >= 0 {
+			return nonEmpty(b.global.at(rs))
+		}
+	}
+	return nil
+}
+
+func nonEmpty(ls []mdg.Loc) []mdg.Loc {
+	if len(ls) == 0 {
+		return nil
+	}
+	return ls
+}
+
 // ModuleLocs is one module's CommonJS globals (see Result.ModuleEnv).
 type ModuleLocs struct {
 	Module  mdg.Loc
@@ -122,15 +151,24 @@ type FuncSummary struct {
 type budgetExhausted struct{}
 
 type analyzer struct {
-	g     *mdg.Graph
-	opts  Options
-	funcs map[string]*FuncSummary
-	calls []mdg.Loc
-	root  *mdg.Store
+	g    *mdg.Graph
+	opts Options
+	// fnByID holds the latest summary of each qualified function name
+	// (qnames[id]); locFn maps a function node to its name id + 1.
+	fnByID []*FuncSummary
+	qnames []string
+	locFn  []int32
+	calls  []mdg.Loc
+	isCall []bool // by Loc: already in calls
 	// fnStack tracks the summaries of functions whose bodies are being
 	// analyzed (innermost last), for return-edge wiring.
 	fnStack []*FuncSummary
-	steps   int
+
+	// The global frame's slot of each name id (-1: not bound there
+	// yet), and the next free one; the global object of each name id.
+	rootSlot  []int32
+	nextRoot  int32
+	globalLoc []mdg.Loc
 
 	// Multi-module state: per-file CommonJS globals, the set of known
 	// module files for require resolution, and the per-module site
@@ -143,6 +181,20 @@ type analyzer struct {
 	externals  map[string]mdg.Loc
 	calleeLocs map[mdg.Loc][]mdg.Loc
 	callThis   map[mdg.Loc][]mdg.Loc
+
+	// one caches a shared single-location binding per location,
+	// carved from oneChunk.
+	one      [][]mdg.Loc
+	oneChunk []mdg.Loc
+	// copies, copyChunk, copyOff: the stack of chain copies.
+	copies    []copyChunk
+	copyChunk int
+	copyOff   int
+	// argBuf is call's reusable argument-location buffer.
+	argBuf [][]mdg.Loc
+	// mark/epoch: a reusable location set (see markBegin).
+	mark  []uint32
+	epoch uint32
 }
 
 // moduleGlobals holds one module's CommonJS objects.
@@ -166,29 +218,46 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 	if opts.MaxLoopIter <= 0 {
 		opts.MaxLoopIter = 30
 	}
+	nstmts := 0
+	for _, prog := range progs {
+		nstmts += core.CountStmts(prog.Body)
+	}
 	a := &analyzer{
-		g:          mdg.New(),
+		// Graphs have about 1.4 nodes per Core statement (GroundTruth).
+		g:          mdg.NewSized(nstmts + nstmts/2 + 8),
 		opts:       opts,
-		funcs:      make(map[string]*FuncSummary),
-		root:       mdg.NewStore(nil),
 		modules:    make(map[string]moduleGlobals),
 		externals:  make(map[string]mdg.Loc),
 		calleeLocs: make(map[mdg.Loc][]mdg.Loc),
 		callThis:   make(map[mdg.Loc][]mdg.Loc),
 	}
 	a.g.SetBudget(opts.Budget)
-	res := &Result{Graph: a.g, Functions: a.funcs}
+	res := &Result{Graph: a.g}
 	// Pre-create every module's CommonJS globals so require() calls
 	// resolve regardless of analysis order.
 	for _, prog := range progs {
 		a.setupModule(prog.FileName)
 	}
-	var lastStore *mdg.Store
+	// A package has fewer distinct names than statements (most name
+	// one temporary); sizing the table up front saves its regrowth.
+	lw := &lowerer{a: a, ids: make(map[string]int32, nstmts), qids: map[string]int32{}}
+	mods := make([]*moduleOp, len(progs))
+	for i, prog := range progs {
+		a.curFile = prog.FileName
+		mods[i] = lw.module(prog)
+	}
+	a.rootSlot = make([]int32, len(lw.infos))
+	for i := range a.rootSlot {
+		a.rootSlot[i] = -1
+	}
+	a.globalLoc = make([]mdg.Loc, len(lw.infos))
+	a.fnByID = make([]*FuncSummary, len(a.qnames))
+	global := newFrame(0)
+	res.Root = &Bindings{global: global, names: lw.ids}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(budgetExhausted); ok {
-					res.TimedOut = true
 					return
 				}
 				panic(r) //lint:allow nakedpanic -- re-raises foreign panics for the scanner's phase guard
@@ -205,33 +274,35 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 		for pass := 0; pass < maxPasses; pass++ {
 			snap := a.g.Snap()
 			base := 0
-			for _, prog := range progs {
-				a.curFile = prog.FileName
+			for _, m := range mods {
+				a.curFile = m.prog.FileName
 				a.siteBase = base
-				base += prog.MaxIndex + 1
-				a.g.SetCurrentFile(prog.FileName)
-				mst := mdg.NewStore(a.root)
-				mg := a.modules[prog.FileName]
-				mst.SetLocal("module", []mdg.Loc{mg.moduleLoc})
-				mst.SetLocal("exports", []mdg.Loc{mg.exportsLoc})
-				a.stmts(prog.Body, mst)
-				lastStore = mst
+				base += m.prog.MaxIndex + 1
+				a.g.SetCurrentFile(m.prog.FileName)
+				mf := newFrame(len(m.names))
+				mg := a.modules[m.prog.FileName]
+				mf.put(m.moduleSlot, a.single(mg.moduleLoc))
+				mf.put(m.exportsSlot, a.single(mg.exportsLoc))
+				a.block(m.body, env{global, mf})
+				res.Root.module, res.Root.slots = mf, m.names
 			}
 			if a.g.Snap() == snap {
 				break
 			}
 		}
 	}()
-	res.Root = lastStore
-	if res.Root == nil {
-		res.Root = a.root
+	res.Root.gslot = a.rootSlot
+	res.Functions = make(map[string]*FuncSummary, len(a.fnByID))
+	for id, fn := range a.fnByID {
+		if fn != nil {
+			res.Functions[a.qnames[id]] = fn
+		}
 	}
-	res.HasRealExports = a.markExported()
+	res.HasRealExports = a.markExported(res.Functions)
 	if !res.HasRealExports && !opts.NoExportFallback {
 		applyFallback(res)
 	}
 	res.Calls = a.calls
-	res.Steps = a.steps
 	res.Externals = a.externals
 	res.CalleeLocs = a.calleeLocs
 	res.CallThis = a.callThis
@@ -313,8 +384,8 @@ func (a *analyzer) setupModule(file string) moduleGlobals {
 		return mg
 	}
 	mg := moduleGlobals{
-		moduleLoc:  a.g.Alloc("global", 0, 0, "module:"+file, mdg.KindObject, "module", 0),
-		exportsLoc: a.g.Alloc("global", 0, 0, "exports:"+file, mdg.KindObject, "exports", 0),
+		moduleLoc:  a.g.Alloc(mdg.RoleGlobal, 0, 0, "module:"+file, mdg.KindObject, "module", 0),
+		exportsLoc: a.g.Alloc(mdg.RoleGlobal, 0, 0, "exports:"+file, mdg.KindObject, "exports", 0),
 	}
 	a.g.AddEdge(mdg.Edge{From: mg.moduleLoc, To: mg.exportsLoc, Type: mdg.Prop, Prop: "exports"})
 	a.modules[file] = mg
@@ -330,44 +401,58 @@ func (a *analyzer) site(idx int) int {
 	return idx + a.siteBase
 }
 
-// qualify prefixes a function name with its module when analyzing a
-// multi-file package, so same-named functions in different files keep
-// separate summaries.
-func (a *analyzer) qualify(name string) string {
-	if len(a.modules) <= 1 {
-		return name
-	}
-	return a.curFile + ":" + name
-}
-
 func (a *analyzer) tick() {
-	a.steps++
 	if a.opts.Budget.Step() != nil {
 		panic(budgetExhausted{}) //lint:allow nakedpanic -- budgetExhausted is recovered by Run's local fence
 	}
+}
+
+// alloc is Graph.Alloc (origin NoLoc) through a per-op cache: the key
+// is the same every time the op runs, so after the first allocation
+// the cached location is the graph's answer.
+func (a *analyzer) alloc(cache *mdg.Loc, role mdg.Role, site int, prop string, kind mdg.NodeKind, label string, line int) mdg.Loc {
+	if *cache == mdg.NoLoc {
+		*cache = a.g.Alloc(role, site, 0, prop, kind, label, line)
+	}
+	return *cache
+}
+
+// single returns the shared one-location binding {l}.
+func (a *analyzer) single(l mdg.Loc) []mdg.Loc {
+	if int(l) >= len(a.one) {
+		a.one = append(a.one, make([][]mdg.Loc, int(l)+1-len(a.one)+64)...)
+	}
+	if a.one[l] == nil {
+		if len(a.oneChunk) == cap(a.oneChunk) {
+			a.oneChunk = make([]mdg.Loc, 0, min(max(2*cap(a.oneChunk), 16), 256))
+		}
+		n := len(a.oneChunk)
+		a.oneChunk = append(a.oneChunk, l)
+		a.one[l] = a.oneChunk[n : n+1 : n+1]
+	}
+	return a.one[l]
 }
 
 // ---------------------------------------------------------------------------
 // Expression evaluation ⟦e⟧ρ̂
 // ---------------------------------------------------------------------------
 
-// eval returns the abstract locations denoted by e. site disambiguates
-// literal allocation.
-func (a *analyzer) eval(e core.Expr, st *mdg.Store, site, line int) []mdg.Loc {
-	switch x := e.(type) {
-	case core.Var:
-		if ls := st.Get(x.Name); ls != nil {
+// eval returns the abstract locations denoted by o. site disambiguates
+// literal allocation. The result may be a store binding: callers never
+// mutate it.
+func (a *analyzer) eval(o operand, e env, site, line int) []mdg.Loc {
+	if v := o.v; v != nil {
+		if ls := a.get(e, v); len(ls) > 0 {
 			return ls
 		}
 		// Unknown global: lazily allocate a shared object for it so
 		// property accesses and calls through it remain connected.
-		l := a.g.Alloc("global", 0, 0, x.Name, mdg.KindObject, x.Name, line)
-		a.root.SetLocal(x.Name, []mdg.Loc{l})
-		return []mdg.Loc{l}
-	case core.Lit:
-		l := a.g.Alloc("lit", a.site(site), 0, x.Value+"#"+fmt.Sprint(int(x.Kind)),
-			mdg.KindLiteral, x.String(), line)
-		return []mdg.Loc{l}
+		ls := a.single(a.alloc(&a.globalLoc[v.id], mdg.RoleGlobal, 0, v.name, mdg.KindObject, v.name, line))
+		a.setGlobal(e, v.id, ls)
+		return ls
+	}
+	if o.lit != nil {
+		return a.single(a.alloc(&o.lit.loc, mdg.RoleLit, a.site(site), o.lit.key, mdg.KindLiteral, o.lit.label, line))
 	}
 	return nil
 }
@@ -376,48 +461,47 @@ func (a *analyzer) eval(e core.Expr, st *mdg.Store, site, line int) []mdg.Loc {
 // Statement analysis
 // ---------------------------------------------------------------------------
 
-func (a *analyzer) stmts(ss []core.Stmt, st *mdg.Store) {
-	for _, s := range ss {
-		a.stmt(s, st)
+func (a *analyzer) block(ops []op, e env) {
+	for i := range ops {
+		a.stmt(&ops[i], e)
 	}
 }
 
-func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
+func (a *analyzer) stmt(o *op, e env) {
 	a.tick()
-	switch x := s.(type) {
-	case *core.Assign:
-		st.Set(x.X, a.eval(x.E, st, x.Idx, x.Ln))
+	switch o.kind {
+	case opAssign:
+		a.set(e, o.x, a.eval(o.a, e, o.idx, o.ln))
 
-	case *core.BinOp: // [ASSIGN-OP]
-		l := a.g.Alloc("bin", a.site(x.Idx), 0, "", mdg.KindObject, x.X, x.Ln)
-		for _, src := range a.eval(x.L, st, x.Idx, x.Ln) {
+	case opBinOp: // [ASSIGN-OP]
+		l := a.alloc(&o.loc, mdg.RoleBin, a.site(o.idx), "", mdg.KindObject, o.x.name, o.ln)
+		for _, src := range a.eval(o.a, e, o.idx, o.ln) {
 			a.g.AddDep(src, l)
 		}
-		for _, src := range a.eval(x.R, st, x.Idx, x.Ln) {
+		for _, src := range a.eval(o.b, e, o.idx, o.ln) {
 			a.g.AddDep(src, l)
 		}
-		st.Set(x.X, []mdg.Loc{l})
+		a.set(e, o.x, a.single(l))
 
-	case *core.UnOp:
-		l := a.g.Alloc("un", a.site(x.Idx), 0, "", mdg.KindObject, x.X, x.Ln)
-		for _, src := range a.eval(x.E, st, x.Idx, x.Ln) {
+	case opUnOp:
+		l := a.alloc(&o.loc, mdg.RoleUn, a.site(o.idx), "", mdg.KindObject, o.x.name, o.ln)
+		for _, src := range a.eval(o.a, e, o.idx, o.ln) {
 			a.g.AddDep(src, l)
 		}
-		st.Set(x.X, []mdg.Loc{l})
+		a.set(e, o.x, a.single(l))
 
-	case *core.NewObj: // [NEW OBJECT]
-		l := a.g.Alloc("obj", a.site(x.Idx), 0, "", mdg.KindObject, x.X, x.Ln)
-		st.Set(x.X, []mdg.Loc{l})
+	case opNewObj: // [NEW OBJECT]
+		l := a.alloc(&o.loc, mdg.RoleObj, a.site(o.idx), "", mdg.KindObject, o.x.name, o.ln)
+		a.set(e, o.x, a.single(l))
 
-	case *core.Lookup: // [STATIC PROPERTY LOOKUP]
-		L := a.eval(x.Obj, st, x.Idx, x.Ln)
-		values := a.g.AP(a.site(x.Idx), L, x.Prop, x.Ln)
-		st.Set(x.X, values)
+	case opLookup: // [STATIC PROPERTY LOOKUP]
+		L := a.eval(o.a, e, o.idx, o.ln)
+		a.set(e, o.x, a.g.AP(a.site(o.idx), L, o.prop, o.ln))
 
-	case *core.DynLookup: // [DYNAMIC PROPERTY LOOKUP]
-		L := a.eval(x.Obj, st, x.Idx, x.Ln)
-		Lp := a.eval(x.Prop, st, x.Idx, x.Ln)
-		values := a.g.APStar(a.site(x.Idx), L, Lp, x.Ln)
+	case opDynLookup: // [DYNAMIC PROPERTY LOOKUP]
+		L := a.eval(o.a, e, o.idx, o.ln)
+		Lp := a.eval(o.b, e, o.idx, o.ln)
+		values := a.g.APStar(a.site(o.idx), L, Lp, o.ln)
 		// Any statically known property may be the one read.
 		for _, l := range L {
 			values = append(values, a.g.AllPropValues(l)...)
@@ -430,70 +514,71 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 				a.g.AddDep(lp, v)
 			}
 		}
-		st.Set(x.X, values)
+		a.set(e, o.x, values)
 
-	case *core.Update: // [STATIC PROPERTY UPDATE]
-		L1 := a.eval(x.Obj, st, x.Idx, x.Ln)
-		L3 := a.eval(x.Val, st, x.Idx, x.Ln)
-		repl := a.g.NV(a.site(x.Idx), L1, x.Prop, x.Ln)
-		a.replaceVersions(st, L1, repl)
-		for _, nl := range repl {
+	case opUpdate: // [STATIC PROPERTY UPDATE]
+		L1 := a.eval(o.a, e, o.idx, o.ln)
+		L3 := a.eval(o.b, e, o.idx, o.ln)
+		nl := a.g.NV(a.site(o.idx), L1, o.prop, o.ln)
+		a.replaceVersions(e, L1, nl)
+		if nl != mdg.NoLoc {
 			for _, v := range L3 {
-				a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.Prop, Prop: x.Prop})
+				a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.Prop, Prop: o.prop})
 			}
 		}
 
-	case *core.DynUpdate: // [DYNAMIC PROPERTY UPDATE]
-		L1 := a.eval(x.Obj, st, x.Idx, x.Ln)
-		L2 := a.eval(x.Prop, st, x.Idx, x.Ln)
-		L3 := a.eval(x.Val, st, x.Idx, x.Ln)
-		repl := a.g.NVStar(a.site(x.Idx), L1, L2, x.Ln)
-		a.replaceVersions(st, L1, repl)
-		for _, nl := range repl {
+	case opDynUpdate: // [DYNAMIC PROPERTY UPDATE]
+		L1 := a.eval(o.a, e, o.idx, o.ln)
+		L2 := a.eval(o.b, e, o.idx, o.ln)
+		L3 := a.eval(o.c, e, o.idx, o.ln)
+		nl := a.g.NVStar(a.site(o.idx), L1, L2, o.ln)
+		a.replaceVersions(e, L1, nl)
+		if nl != mdg.NoLoc {
 			for _, v := range L3 {
 				a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.PropStar})
 			}
 		}
 
-	case *core.If:
-		a.eval(x.Cond, st, 0, x.Ln)
-		thenSt := st.Copy()
-		a.stmts(x.Then, thenSt)
-		elseSt := st.Copy()
-		a.stmts(x.Else, elseSt)
-		merged := thenSt
-		merged.Join(elseSt)
-		*st = *merged
+	case opIf:
+		a.eval(o.a, e, 0, o.ln)
+		// The then-branch runs on a copy of the whole chain (a branch
+		// inside a closure may assign an enclosing function's
+		// variable), the else-branch on the chain itself; then join.
+		t, mark := a.copyEnv(e)
+		a.block(o.then, t)
+		a.block(o.els, e)
+		a.joinThenFirst(e, t)
+		a.release(mark)
 
-	case *core.While:
-		a.fixpoint(x.Body, st, x.Ln)
+	case opWhile:
+		a.fixpoint(o.then, e)
 
-	case *core.ForIn:
+	case opForIn:
 		// The loop variable depends on the iterated object: its keys
 		// (for-in) are derived from the object's property names, its
 		// values (for-of) are the property values.
-		objLocs := a.eval(x.Obj, st, x.Idx, x.Ln)
-		key := a.g.Alloc("forin", a.site(x.Idx), 0, x.Key, mdg.KindObject, x.Key, x.Ln)
+		objLocs := a.eval(o.a, e, o.idx, o.ln)
+		key := a.alloc(&o.loc, mdg.RoleForIn, a.site(o.idx), o.prop, mdg.KindObject, o.prop, o.ln)
 		for _, ol := range objLocs {
 			a.g.AddDep(ol, key)
-			if x.Of {
+			if o.of {
 				for _, v := range a.g.AllPropValues(ol) {
 					a.g.AddDep(v, key)
 				}
 			}
 		}
-		st.Set(x.Key, []mdg.Loc{key})
-		a.fixpoint(x.Body, st, x.Ln)
+		a.set(e, o.x, a.single(key))
+		a.fixpoint(o.then, e)
 
-	case *core.Call:
-		a.call(x, st)
+	case opCall:
+		a.call(o, e)
 
-	case *core.FuncDef:
-		a.funcDef(x, st)
+	case opFuncDef:
+		a.funcDef(o, e)
 
-	case *core.Return:
-		if x.E != nil {
-			vals := a.eval(x.E, st, 0, x.Ln)
+	case opReturn:
+		if o.a.v != nil || o.a.lit != nil {
+			vals := a.eval(o.a, e, 0, o.ln)
 			if len(a.fnStack) > 0 {
 				ret := a.fnStack[len(a.fnStack)-1].RetLoc
 				for _, v := range vals {
@@ -502,116 +587,137 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 			}
 		}
 
-	case *core.Break, *core.Continue:
+	case opNop:
 		// Control transfer; the fixpoint over-approximates all exits.
 	}
 }
 
-// replaceVersions rewrites the store after a property update. When the
-// update resolves to a single abstract object the rewrite is strong (the
-// paper's NV semantics: every variable referring to the old version now
-// refers to the new one); with several candidate objects it must be weak
-// — the update hit only one of them concretely, so older versions stay
-// live in the store to keep the abstraction sound.
-func (a *analyzer) replaceVersions(st *mdg.Store, L1 []mdg.Loc, repl map[mdg.Loc]mdg.Loc) {
-	if len(L1) == 1 {
-		st.ReplaceAll(repl)
-	} else {
-		st.WeakReplace(repl)
+// replaceVersions rewrites the store after a property update created
+// the new version nl of the objects in L1. When the update resolves to
+// a single abstract object the rewrite is strong (the paper's NV
+// semantics: every variable referring to the old version now refers to
+// the new one); with several candidate objects it must be weak — the
+// update hit only one of them concretely, so older versions stay live
+// in the store to keep the abstraction sound.
+func (a *analyzer) replaceVersions(e env, L1 []mdg.Loc, nl mdg.Loc) {
+	switch {
+	case nl == mdg.NoLoc:
+	case len(L1) == 1:
+		if L1[0] != nl {
+			a.replaceAll(e, L1[0], nl)
+		}
+	default:
+		a.weakReplace(e, L1, nl)
 	}
 }
 
 // fixpoint analyzes a loop body until the graph and store stop changing
 // (the MDG and store lattices are finite, §3.1), capped by MaxLoopIter.
-func (a *analyzer) fixpoint(body []core.Stmt, st *mdg.Store, line int) {
+func (a *analyzer) fixpoint(body []op, e env) {
 	for i := 0; i < a.opts.MaxLoopIter; i++ {
-		before := st.Copy()
+		before, mark := a.copyEnv(e)
 		gSnap := a.g.Snap()
-		a.stmts(body, st)
+		a.block(body, e)
 		// Join with the pre-iteration store: the loop may run 0 times.
-		st.Join(before)
-		if a.g.Snap() == gSnap && st.Equal(before) {
+		// The whole chain joins: the body may assign enclosing scopes.
+		a.joinInto(e, before)
+		done := a.g.Snap() == gSnap && equalEnv(e, before)
+		a.release(mark)
+		if done {
 			return
 		}
 	}
 }
 
 // funcDef registers a function summary, binds the name, and analyzes the
-// body in a child scope with fresh parameter objects.
-func (a *analyzer) funcDef(x *core.FuncDef, st *mdg.Store) {
-	qname := a.qualify(x.Name)
-	fl := a.g.Alloc("func", a.site(x.Idx), 0, qname, mdg.KindFunc, x.Name, x.Ln)
-	fn := &FuncSummary{Def: x, Loc: fl}
-	fnNode := a.g.Node(fl)
-	fnNode.FuncName = qname
-
-	for i, p := range x.Params {
-		pl := a.g.Alloc("param", a.site(x.Idx), 0, fmt.Sprintf("%s#%d", p, i), mdg.KindParam, p, x.Ln)
-		fn.Params = append(fn.Params, pl)
+// body in a child frame with fresh parameter objects.
+func (a *analyzer) funcDef(o *op, e env) {
+	f := o.fn
+	fn := f.sum
+	if fn == nil {
+		// First evaluation: allocate the summary's nodes. Allocation is
+		// site-keyed, so later evaluations would find the same nodes and
+		// edges; they reuse the summary.
+		site := a.site(o.idx)
+		fl := a.g.Alloc(mdg.RoleFunc, site, 0, f.qname, mdg.KindFunc, f.def.Name, o.ln)
+		fn = &FuncSummary{Def: f.def, Loc: fl}
+		fnNode := a.g.Node(fl)
+		fnNode.FuncName = f.qname
+		fn.Params = make([]mdg.Loc, len(f.params))
+		for i, p := range f.def.Params {
+			fn.Params[i] = a.g.Alloc(mdg.RoleParam, site, 0, f.paramKeys[i], mdg.KindParam, p, o.ln)
+		}
+		fn.ThisLoc = a.g.Alloc(mdg.RoleThis, site, 0, "this", mdg.KindObject, "this", o.ln)
+		fn.RetLoc = a.g.Alloc(mdg.RoleRet, site, 0, "ret", mdg.KindObject, f.retLabel, o.ln)
+		fnNode.ParamLocs = fn.Params
+		fnNode.RetLoc = fn.RetLoc
+		if int(fl) >= len(a.locFn) {
+			a.locFn = append(a.locFn, make([]int32, int(fl)+1-len(a.locFn)+64)...)
+		}
+		a.locFn[fl] = f.qid + 1
+		f.sum = fn
 	}
-	fn.ThisLoc = a.g.Alloc("this", a.site(x.Idx), 0, "this", mdg.KindObject, "this", x.Ln)
-	fn.RetLoc = a.g.Alloc("ret", a.site(x.Idx), 0, "ret", mdg.KindObject, x.Name+"$ret", x.Ln)
-	fnNode.ParamLocs = fn.Params
-	fnNode.RetLoc = fn.RetLoc
-	a.funcs[qname] = fn
+	a.fnByID[f.qid] = fn
 
 	// Bind the name before analyzing the body so recursion resolves.
-	st.Set(x.Name, []mdg.Loc{fl})
+	a.set(e, f.name, a.single(fn.Loc))
 
-	child := mdg.NewStore(st)
-	for i, p := range x.Params {
-		child.SetLocal(p, []mdg.Loc{fn.Params[i]})
+	child := append(e[:len(e):len(e)], newFrame(f.nslots))
+	fr := child[len(child)-1]
+	for i, slot := range f.params {
+		fr.put(slot, a.single(fn.Params[i]))
 	}
-	child.SetLocal("this", []mdg.Loc{fn.ThisLoc})
+	fr.put(f.thisSlot, a.single(fn.ThisLoc))
 	// `arguments` aggregates all parameters.
-	argsLoc := a.g.Alloc("arguments", a.site(x.Idx), 0, "arguments", mdg.KindObject, "arguments", x.Ln)
-	for i, pl := range fn.Params {
-		a.g.AddEdge(mdg.Edge{From: argsLoc, To: pl, Type: mdg.Prop, Prop: fmt.Sprint(i)})
-		a.g.AddDep(pl, argsLoc)
+	if f.argsLoc == mdg.NoLoc {
+		f.argsLoc = a.g.Alloc(mdg.RoleArguments, a.site(o.idx), 0, "arguments", mdg.KindObject, "arguments", o.ln)
+		for i, pl := range fn.Params {
+			a.g.AddEdge(mdg.Edge{From: f.argsLoc, To: pl, Type: mdg.Prop, Prop: f.argProps[i]})
+			a.g.AddDep(pl, f.argsLoc)
+		}
 	}
-	child.SetLocal("arguments", []mdg.Loc{argsLoc})
+	fr.put(f.argsSlot, a.single(f.argsLoc))
 
 	a.fnStack = append(a.fnStack, fn)
-	a.stmts(x.Body, child)
+	a.block(f.body, child)
 	a.fnStack = a.fnStack[:len(a.fnStack)-1]
 }
 
 // call analyzes `x :=i f(args)`: it creates the call node, wires
 // argument dependencies, and links known callees' summaries.
-func (a *analyzer) call(x *core.Call, st *mdg.Store) {
-	calleeLocs := a.eval(x.Callee, st, x.Idx, x.Ln)
+func (a *analyzer) call(o *op, e env) {
+	c := o.call
+	calleeLocs := a.eval(c.callee, e, o.idx, o.ln)
 
-	cl := a.g.Alloc("call", a.site(x.Idx), 0, x.CalleeName, mdg.KindCall, x.CalleeName+"()", x.Ln)
+	cl := a.alloc(&o.loc, mdg.RoleCall, a.site(o.idx), c.name, mdg.KindCall, c.label, o.ln)
 	cn := a.g.Node(cl)
-	cn.CallName = x.CalleeName
+	cn.CallName = c.name
 	if len(cn.CallArgs) == 0 {
-		cn.CallArgs = make([][]mdg.Loc, len(x.Args))
+		cn.CallArgs = make([][]mdg.Loc, len(c.args))
 	}
-	isNewCall := true
-	for _, c := range a.calls {
-		if c == cl {
-			isNewCall = false
-			break
-		}
+	if int(cl) >= len(a.isCall) {
+		a.isCall = append(a.isCall, make([]bool, int(cl)+1-len(a.isCall)+64)...)
 	}
-	if isNewCall {
+	if !a.isCall[cl] {
+		a.isCall[cl] = true
 		a.calls = append(a.calls, cl)
 	}
 
-	var argLocs [][]mdg.Loc
-	for i, arg := range x.Args {
-		ls := a.eval(arg, st, x.Idx, x.Ln)
+	argLocs := a.argBuf[:0]
+	for i, arg := range c.args {
+		ls := a.eval(arg, e, o.idx, o.ln)
 		argLocs = append(argLocs, ls)
 		for _, l := range ls {
 			a.g.AddDep(l, cl)
 		}
 		if i < len(cn.CallArgs) {
-			cn.CallArgs[i] = dedupeLocs(append(cn.CallArgs[i], ls...))
+			cn.CallArgs[i] = a.union(cn.CallArgs[i], ls)
 		}
 	}
+	a.argBuf = argLocs[:0]
 	var thisLocs []mdg.Loc
-	if x.This != nil {
-		thisLocs = a.eval(x.This, st, x.Idx, x.Ln)
+	if c.this.v != nil || c.this.lit != nil {
+		thisLocs = a.eval(c.this, e, o.idx, o.ln)
 		for _, l := range thisLocs {
 			a.g.AddDep(l, cl)
 		}
@@ -620,34 +726,32 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 	// require('mod'): a relative specifier resolving to a sibling
 	// module yields that module's exports object (cross-file linking);
 	// anything else yields a synthetic external-module object.
-	if x.CalleeName == "require" && len(x.Args) == 1 {
-		if lit, ok := x.Args[0].(core.Lit); ok {
-			if file, ok := a.resolveModule(lit.Value); ok {
-				// The sibling module's current exports: whatever the
-				// graph says module.exports holds (filled in by the
-				// cross-module fixpoint passes).
-				mg := a.modules[file]
-				vals := []mdg.Loc{mg.exportsLoc}
-				for _, ml := range a.allVersions(mg.moduleLoc) {
-					vals = append(vals, a.g.Lookup(ml, "exports").Values...)
-				}
-				vals = dedupeLocs(vals)
-				for _, v := range vals {
-					a.g.AddDep(cl, v)
-				}
-				st.Set(x.X, vals)
-				return
+	if c.isRequire {
+		if c.reqOK {
+			// The sibling module's current exports: whatever the
+			// graph says module.exports holds (filled in by the
+			// cross-module fixpoint passes).
+			mg := a.modules[c.reqFile]
+			vals := []mdg.Loc{mg.exportsLoc}
+			for _, ml := range a.g.VersionClosure(mg.moduleLoc) {
+				vals = append(vals, a.g.Lookup(ml, "exports").Values...)
 			}
-			ml := a.g.Alloc("module", 0, 0, lit.Value, mdg.KindObject, lit.Value, x.Ln)
-			a.externals[lit.Value] = ml
-			a.g.AddDep(cl, ml)
-			st.Set(x.X, []mdg.Loc{ml})
+			vals = dedupeLocs(vals)
+			for _, v := range vals {
+				a.g.AddDep(cl, v)
+			}
+			a.set(e, o.x, vals)
 			return
 		}
+		ml := a.alloc(&c.objLoc, mdg.RoleModule, 0, c.reqSpec, mdg.KindObject, c.reqSpec, o.ln)
+		a.externals[c.reqSpec] = ml
+		a.g.AddDep(cl, ml)
+		a.set(e, o.x, a.single(ml))
+		return
 	}
 
 	// Built-in models (Object.assign, JSON.parse, push, ...).
-	if a.builtinCall(x, st, cl, argLocs, thisLocs) {
+	if a.builtinCall(o, e, cl, argLocs, thisLocs) {
 		return
 	}
 
@@ -655,18 +759,20 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 	// only calls that reach summary linking (require and built-in
 	// models returned above), accumulated across fixpoint passes.
 	if len(calleeLocs) > 0 {
-		a.calleeLocs[cl] = dedupeLocs(append(a.calleeLocs[cl], calleeLocs...))
+		a.calleeLocs[cl] = a.union(a.calleeLocs[cl], calleeLocs)
 	}
 	if len(thisLocs) > 0 {
-		a.callThis[cl] = dedupeLocs(append(a.callThis[cl], thisLocs...))
+		a.callThis[cl] = a.union(a.callThis[cl], thisLocs)
 	}
 
 	// Link summaries of statically resolved callees.
+	known := false
 	for _, fl := range calleeLocs {
 		fn := a.summaryAt(fl)
 		if fn == nil {
 			continue
 		}
+		known = true
 		for i, ls := range argLocs {
 			if i >= len(fn.Params) {
 				break
@@ -679,7 +785,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 			a.g.AddDep(tl, fn.ThisLoc)
 		}
 		a.g.AddDep(fn.RetLoc, cl)
-		if x.IsNew {
+		if c.isNew {
 			// The constructed object is the constructor's `this`.
 			a.g.AddDep(fn.ThisLoc, cl)
 		}
@@ -688,7 +794,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 	// Callback arguments: a function passed to an unresolved callee
 	// (e.g. arr.forEach(fn)) may be invoked with tainted data flowing
 	// from the receiver/arguments; wire value-level dependencies.
-	if len(calleeLocsKnown(a, calleeLocs)) == 0 {
+	if !known {
 		for _, ls := range argLocs {
 			for _, l := range ls {
 				if fn := a.summaryAt(l); fn != nil {
@@ -712,33 +818,23 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 		}
 	}
 
-	st.Set(x.X, []mdg.Loc{cl})
-}
-
-func calleeLocsKnown(a *analyzer, ls []mdg.Loc) []*FuncSummary {
-	var out []*FuncSummary
-	for _, l := range ls {
-		if fn := a.summaryAt(l); fn != nil {
-			out = append(out, fn)
-		}
-	}
-	return out
+	a.set(e, o.x, a.single(cl))
 }
 
 // summaryAt returns the function summary whose value node is l, or nil.
 func (a *analyzer) summaryAt(l mdg.Loc) *FuncSummary {
 	n := a.g.Node(l)
-	if n == nil || n.Kind != mdg.KindFunc {
+	if n == nil || n.Kind != mdg.KindFunc || int(l) >= len(a.locFn) || a.locFn[l] == 0 {
 		return nil
 	}
-	return a.funcs[n.FuncName]
+	return a.fnByID[a.locFn[l]-1]
 }
 
 // markExported finds functions reachable from module.exports/exports
 // and marks them (their parameters become taint sources). It reports
 // whether any function is genuinely exported; the script-mode fallback
 // for the negative case is the caller's decision.
-func (a *analyzer) markExported() bool {
+func (a *analyzer) markExported(funcs map[string]*FuncSummary) bool {
 	// Roots: every version of the module object's `exports` property,
 	// plus the original exports object and all its versions.
 	roots := map[mdg.Loc]bool{}
@@ -753,7 +849,7 @@ func (a *analyzer) markExported() bool {
 		}
 	}
 	for _, mg := range a.modules {
-		for _, ml := range a.allVersions(mg.moduleLoc) {
+		for _, ml := range a.g.VersionClosure(mg.moduleLoc) {
 			res := a.g.Lookup(ml, "exports")
 			for _, v := range res.Values {
 				addWithVersions(v)
@@ -781,44 +877,26 @@ func (a *analyzer) markExported() bool {
 			continue
 		}
 		if n.Kind == mdg.KindFunc {
-			if fn := a.funcs[n.FuncName]; fn != nil && !fn.Exported {
+			if fn := funcs[n.FuncName]; fn != nil && !fn.Exported {
 				fn.Exported = true
 				n.Exported = true
 				anyExported = true
 			}
 			continue
 		}
-		for _, v := range a.g.AllPropValues(l) {
-			work = append(work, v)
-		}
-		for _, s := range a.g.VersionSuccessors(l) {
-			work = append(work, s)
-		}
+		work = append(work, a.g.AllPropValues(l)...)
+		work = append(work, a.g.VersionSuccessors(l)...)
 	}
 
 	return anyExported
 }
 
-// allVersions returns l and every version successor transitively.
-func (a *analyzer) allVersions(l mdg.Loc) []mdg.Loc {
-	var out []mdg.Loc
-	seen := map[mdg.Loc]bool{}
-	var walk func(v mdg.Loc)
-	walk = func(v mdg.Loc) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		out = append(out, v)
-		for _, s := range a.g.VersionSuccessors(v) {
-			walk(s)
-		}
-	}
-	walk(l)
-	return out
-}
-
+// dedupeLocs drops repeated locations in place, keeping first
+// occurrences in order.
 func dedupeLocs(ls []mdg.Loc) []mdg.Loc {
+	if len(ls) < 2 {
+		return ls
+	}
 	seen := make(map[mdg.Loc]struct{}, len(ls))
 	out := ls[:0]
 	for _, l := range ls {

@@ -9,13 +9,21 @@ import (
 	"repro/internal/mdg"
 )
 
+// analyzeSrc analyzes src with the default options under a generous
+// step cap, failing the test if the analysis does not finish within it.
 func analyzeSrc(t *testing.T, src string) *Result {
 	t.Helper()
 	prog, err := normalize.File(src, "test.js")
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	return Analyze(prog, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Budget = budget.New(budget.Limits{MaxSteps: 1_000_000})
+	res := Analyze(prog, opts)
+	if err := opts.Budget.Err(); err != nil {
+		t.Fatalf("analysis stopped early: %v", err)
+	}
+	return res
 }
 
 // locOf returns the single location bound to a node whose label matches.
@@ -189,9 +197,6 @@ function setValue(obj, prop, value) {
 module.exports = setValue;
 `
 	res := analyzeSrc(t, src)
-	if res.TimedOut {
-		t.Fatal("analysis must converge")
-	}
 	g := res.Graph
 	fn := res.Functions["setValue"]
 	oObj := fn.Params[0]
@@ -233,9 +238,6 @@ function f(a) {
 module.exports = f;
 `
 	res := analyzeSrc(t, src)
-	if res.TimedOut {
-		t.Fatal("fixpoint must converge")
-	}
 	// A new object per iteration would explode; site-keyed allocation
 	// bounds the node count.
 	if res.Graph.NumNodes() > 40 {
@@ -340,9 +342,6 @@ function rec(n, acc) {
 module.exports = rec;
 `
 	res := analyzeSrc(t, src)
-	if res.TimedOut {
-		t.Fatal("recursive program must be analyzed with a summary, not unfolding")
-	}
 	rec := res.Functions["rec"]
 	// Recursive call links ret to itself via the call node.
 	if rec == nil {
@@ -460,9 +459,9 @@ func TestStepBudgetTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := budget.New(budget.Limits{MaxSteps: 3})
-	res := Analyze(prog, Options{MaxLoopIter: 30, Budget: b})
-	if !res.TimedOut {
-		t.Fatal("tiny step budget must report a timeout")
+	Analyze(prog, Options{MaxLoopIter: 30, Budget: b})
+	if b.Err() == nil {
+		t.Fatal("tiny step budget must stop the analysis")
 	}
 	if budget.ClassOf(b.Err()) != budget.ClassBudget {
 		t.Fatalf("budget error %v, want a step-cap failure", b.Err())
@@ -520,9 +519,11 @@ func TestDefaultOptions(t *testing.T) {
 
 func TestEmptyProgram(t *testing.T) {
 	prog := &core.Program{FileName: "empty.js"}
-	res := Analyze(prog, DefaultOptions())
-	if res.TimedOut || len(res.Calls) != 0 {
-		t.Fatalf("got %+v", res)
+	opts := DefaultOptions()
+	opts.Budget = budget.New(budget.Limits{})
+	res := Analyze(prog, opts)
+	if opts.Budget.Err() != nil || len(res.Calls) != 0 {
+		t.Fatalf("got %+v (budget %v)", res, opts.Budget.Err())
 	}
 }
 
@@ -590,10 +591,7 @@ function two(a, b) { return a; }
 function entry(x) { two(x, x, x, x); }
 module.exports = entry;
 `
-	res := analyzeSrc(t, src)
-	if res.TimedOut {
-		t.Fatal("must not time out")
-	}
+	analyzeSrc(t, src) // fails the test if the analysis does not finish
 }
 
 func TestUnOpDependency(t *testing.T) {

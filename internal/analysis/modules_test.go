@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"repro/internal/budget"
 	"testing"
 
 	"repro/internal/core"
@@ -30,9 +31,11 @@ function entry(input) { run(input); }
 module.exports = entry;
 `, "index.js")
 
-	res := AnalyzeModules([]*core.Program{util, index}, DefaultOptions())
-	if res.TimedOut {
-		t.Fatal("timed out")
+	opts := DefaultOptions()
+	opts.Budget = budget.New(budget.Limits{})
+	res := AnalyzeModules([]*core.Program{util, index}, opts)
+	if err := opts.Budget.Err(); err != nil {
+		t.Fatal(err)
 	}
 	entry := res.Functions["index.js:entry"]
 	shellRun := res.Functions["util.js:shellRun"]

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"repro/internal/budget"
 	"testing"
 
 	"repro/internal/core"
@@ -294,9 +295,10 @@ func checkSoundness(res *Result, cs *ConcreteState) string {
 func TestSoundnessQuick(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		prog := genProgram(seed, 12+int(seed%10))
-		res := Analyze(prog, Options{MaxLoopIter: 50})
-		if res.TimedOut {
-			t.Fatalf("seed %d: abstract analysis timed out", seed)
+		b := budget.New(budget.Limits{})
+		res := Analyze(prog, Options{MaxLoopIter: 50, Budget: b})
+		if err := b.Err(); err != nil {
+			t.Fatalf("seed %d: abstract analysis stopped early: %v", seed, err)
 		}
 		cs := RunConcrete(prog, 5000)
 		if msg := checkSoundness(res, cs); msg != "" {

@@ -149,13 +149,18 @@ const (
 )
 
 // validateFragment checks the decoded graph's internal consistency:
-// locations are unique and positive, maxLoc covers them, and every
+// locations are unique, positive and dense, maxLoc covers them, and every
 // reference (edge endpoint, call argument, parameter, return) names a
 // node of the fragment or NoLoc where permitted. Stitch and the
 // detection backends assume exactly these invariants; enforcing them
 // here means a corrupt record can never leak a malformed graph past
 // the quarantine.
 func validateFragment(f *Fragment) error {
+	if f.maxLoc > Loc(len(f.nodes)) {
+		// Graphs number their nodes densely from 1, and Stitch sizes
+		// its tables by location.
+		return fmt.Errorf("maxLoc %d exceeds node count %d", f.maxLoc, len(f.nodes))
+	}
 	locs := make(map[Loc]bool, len(f.nodes))
 	for i := range f.nodes {
 		n := &f.nodes[i]

@@ -2,6 +2,7 @@ package mdg
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -11,14 +12,14 @@ import (
 func buildCodecGraph() *Graph {
 	g := New()
 	g.SetCurrentFile("a.js")
-	obj := g.Alloc("obj", 1, 0, "", KindObject, "o", 10)
-	p1 := g.Alloc("param", 2, 0, "", KindParam, "x", 11)
-	p2 := g.Alloc("param", 3, 0, "", KindParam, "y", 11)
-	ret := g.Alloc("ret", 4, 0, "", KindObject, "ret", 12)
+	obj := g.Alloc(RoleObj, 1, 0, "", KindObject, "o", 10)
+	p1 := g.Alloc(RoleParam, 2, 0, "", KindParam, "x", 11)
+	p2 := g.Alloc(RoleParam, 3, 0, "", KindParam, "y", 11)
+	ret := g.Alloc(RoleRet, 4, 0, "", KindObject, "ret", 12)
 	g.SetCurrentFile("b.js")
-	fn := g.Alloc("func", 5, 0, "", KindFunc, "f", 11)
-	call := g.Alloc("call", 6, 0, "", KindCall, "f()", 13)
-	lit := g.Alloc("lit", 7, 0, "", KindLiteral, "\"s\"", 14)
+	fn := g.Alloc(RoleFunc, 5, 0, "", KindFunc, "f", 11)
+	call := g.Alloc(RoleCall, 6, 0, "", KindCall, "f()", 13)
+	lit := g.Alloc(RoleLit, 7, 0, "", KindLiteral, "\"s\"", 14)
 
 	fnode := g.Node(fn)
 	fnode.FuncName = "f"
@@ -101,5 +102,30 @@ func TestFragmentCodecRejectsDanglingEdge(t *testing.T) {
 	}
 	if _, err := DecodeFragment(EncodeFragment(bad)); err == nil {
 		t.Fatal("dangling edge must be rejected")
+	}
+}
+
+// Graphs number their nodes densely from 1 and Stitch sizes its tables
+// by location, so a fragment whose maxLoc exceeds its node count is
+// rejected rather than allowed to drive a huge allocation.
+func TestFragmentCodecRejectsSparseLocations(t *testing.T) {
+	frag := SnapshotFragment(buildCodecGraph())
+	bad := &Fragment{
+		nodes:  append([]Node(nil), frag.nodes...),
+		edges:  frag.edges,
+		maxLoc: 1 << 40,
+	}
+	bad.nodes[0].Loc = 1 << 40
+	for i := range bad.edges {
+		if bad.edges[i].From == frag.nodes[0].Loc {
+			bad.edges[i].From = bad.nodes[0].Loc
+		}
+		if bad.edges[i].To == frag.nodes[0].Loc {
+			bad.edges[i].To = bad.nodes[0].Loc
+		}
+	}
+	_, err := DecodeFragment(EncodeFragment(bad))
+	if err == nil || !strings.Contains(err.Error(), "exceeds node count") {
+		t.Fatalf("sparse locations must be rejected as such, got %v", err)
 	}
 }

@@ -24,28 +24,28 @@ type Collapsed struct {
 // Collapse computes the regular object graph of g.
 func (g *Graph) Collapse() *Collapsed {
 	c := &Collapsed{
-		Rep:   make(map[Loc]Loc, len(g.nodes)),
+		Rep:   make(map[Loc]Loc, g.numNodes),
 		Props: make(map[Loc]map[string][]Loc),
 		Deps:  make(map[Loc][]Loc),
 	}
 	// Representative: newest version in the chain. Walk forward along
 	// version edges; pick the largest Loc among terminal versions (a
 	// deterministic choice for join diamonds and cycles).
-	for l := range g.nodes {
-		c.Rep[l] = g.newestVersion(l)
+	for _, n := range g.Nodes() {
+		c.Rep[n.Loc] = g.newestVersion(n.Loc)
 	}
 
 	// Final property tables: walk each chain oldest→newest so that
 	// later writes shadow earlier ones; dynamic writes accumulate.
-	for l := range g.nodes {
-		rep := c.Rep[l]
+	for _, n := range g.Nodes() {
+		rep := c.Rep[n.Loc]
 		if _, done := c.Props[rep]; done {
 			continue
 		}
 		c.Props[rep] = g.finalProps(rep, c)
 	}
 
-	for e := range g.edgeSet {
+	for _, e := range g.Edges() {
 		if e.Type == Dep {
 			from, to := c.Rep[e.From], c.Rep[e.To]
 			c.Deps[from] = appendUnique(c.Deps[from], to)
@@ -56,24 +56,11 @@ func (g *Graph) Collapse() *Collapsed {
 
 // newestVersion returns the representative version of l's chain.
 func (g *Graph) newestVersion(l Loc) Loc {
+	// Among all chain members pick the largest, which is stable.
 	best := l
-	seen := map[Loc]bool{}
-	var walk func(v Loc)
-	walk = func(v Loc) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		if v > best {
-			best = v
-		}
-		for _, s := range g.VersionSuccessors(v) {
-			walk(s)
-		}
+	for _, v := range g.VersionClosure(l) {
+		best = max(best, v)
 	}
-	walk(l)
-	// The representative must be terminal under the seen set: among all
-	// chain members pick the largest, which is stable.
 	return best
 }
 
@@ -100,7 +87,7 @@ func (g *Graph) finalProps(rep Loc, c *Collapsed) map[string][]Loc {
 	// chain is newest-first along each path (DFS from rep); a named
 	// property keeps its first (newest) binding, star accumulates.
 	for _, v := range chain {
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			switch e.Type {
 			case Prop:
 				if _, shadowed := out[e.Prop]; !shadowed {

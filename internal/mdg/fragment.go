@@ -18,7 +18,7 @@ type Fragment struct {
 // the fragment.
 func SnapshotFragment(g *Graph) *Fragment {
 	f := &Fragment{
-		nodes: make([]Node, 0, len(g.nodes)),
+		nodes: make([]Node, 0, g.numNodes),
 		edges: g.Edges(),
 	}
 	for _, n := range g.Nodes() {
@@ -64,14 +64,17 @@ func Stitch(frags ...*Fragment) (*Graph, []map[Loc]Loc) {
 	var offset Loc
 	for i, f := range frags {
 		remap := make(map[Loc]Loc, len(f.nodes))
+		g.grow(f.maxLoc + offset)
+		slab := make([]Node, len(f.nodes))
 		shift := func(l Loc) Loc {
 			if l == NoLoc {
 				return NoLoc
 			}
 			return l + offset
 		}
-		for _, n := range f.nodes {
-			c := n // value copy; fragment stays immutable
+		for ni, n := range f.nodes {
+			c := &slab[ni]
+			*c = n // value copy; fragment stays immutable
 			c.Loc = shift(n.Loc)
 			if n.CallArgs != nil {
 				c.CallArgs = make([][]Loc, len(n.CallArgs))
@@ -89,17 +92,14 @@ func Stitch(frags ...*Fragment) (*Graph, []map[Loc]Loc) {
 				}
 			}
 			c.RetLoc = shift(n.RetLoc)
-			g.nodes[c.Loc] = &c
+			g.place(c)
 			remap[n.Loc] = c.Loc
 		}
 		for _, e := range f.edges {
 			ne := Edge{From: shift(e.From), To: shift(e.To), Type: e.Type, Prop: e.Prop}
-			if _, ok := g.edgeSet[ne]; ok {
-				continue
+			if !g.HasEdge(ne) {
+				g.link(ne)
 			}
-			g.edgeSet[ne] = struct{}{}
-			g.out[ne.From] = append(g.out[ne.From], ne)
-			g.in[ne.To] = append(g.in[ne.To], ne)
 		}
 		remaps[i] = remap
 		offset += f.maxLoc

@@ -7,11 +7,11 @@ import "testing"
 func buildSample(tag string) *Graph {
 	g := New()
 	g.SetCurrentFile(tag + ".js")
-	obj := g.Alloc("obj", 1, 0, "", KindObject, "o", 1)
-	fn := g.Alloc("func", 2, 0, "", KindFunc, "f", 2)
-	param := g.Alloc("param", 3, 0, "", KindParam, "p", 2)
-	call := g.Alloc("call", 4, 0, "", KindCall, "f()", 3)
-	lit := g.Alloc("lit", 5, 0, "", KindLiteral, "\"x\"", 3)
+	obj := g.Alloc(RoleObj, 1, 0, "", KindObject, "o", 1)
+	fn := g.Alloc(RoleFunc, 2, 0, "", KindFunc, "f", 2)
+	param := g.Alloc(RoleParam, 3, 0, "", KindParam, "p", 2)
+	call := g.Alloc(RoleCall, 4, 0, "", KindCall, "f()", 3)
+	lit := g.Alloc(RoleLit, 5, 0, "", KindLiteral, "\"x\"", 3)
 	fnode := g.Node(fn)
 	fnode.FuncName = "f"
 	fnode.ParamLocs = []Loc{param}
@@ -58,7 +58,7 @@ func TestFragmentIsImmutableSnapshot(t *testing.T) {
 	f := SnapshotFragment(g)
 	n0, e0 := f.NumNodes(), f.NumEdges()
 	// Grow the source graph and mutate shared-looking metadata.
-	extra := g.Alloc("obj", 99, 0, "", KindObject, "late", 9)
+	extra := g.Alloc(RoleObj, 99, 0, "", KindObject, "late", 9)
 	g.AddDep(extra, Loc(1))
 	for _, n := range g.Nodes() {
 		if n.Kind == KindCall && len(n.CallArgs) > 0 {
@@ -136,9 +136,9 @@ func TestStitchTwoFragmentsDisjoint(t *testing.T) {
 // the stitched image of a fragment.
 func TestStitchPreservesLookup(t *testing.T) {
 	g := New()
-	o := g.Alloc("obj", 1, 0, "", KindObject, "o", 1)
-	v := g.Alloc("ver", 2, 0, "p", KindObject, "o", 2)
-	val := g.Alloc("lit", 3, 0, "", KindLiteral, "1", 2)
+	o := g.Alloc(RoleObj, 1, 0, "", KindObject, "o", 1)
+	v := g.Alloc(RoleVer, 2, 0, "p", KindObject, "o", 2)
+	val := g.Alloc(RoleLit, 3, 0, "", KindLiteral, "1", 2)
 	g.AddEdge(Edge{From: o, To: v, Type: Ver, Prop: "p"})
 	g.AddEdge(Edge{From: v, To: val, Type: Prop, Prop: "p"})
 

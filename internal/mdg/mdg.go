@@ -125,6 +125,8 @@ type Node struct {
 
 	// Source marks taint sources (parameters of exported functions).
 	Source bool
+	// Exported marks functions reachable from module.exports.
+	Exported bool
 
 	// Call metadata (KindCall only). CallArgs[i] holds the locations
 	// that may flow into the i-th argument.
@@ -136,21 +138,40 @@ type Node struct {
 	FuncName  string
 	ParamLocs []Loc
 	RetLoc    Loc
-
-	// Exported marks functions reachable from module.exports.
-	Exported bool
 }
 
 // Graph is a Multiversion Dependency Graph.
+//
+// Locations are dense: the analyzer and Stitch number nodes from 1
+// (the codec rejects fragments that are not), so the node table and
+// the adjacency lists are slices indexed by Loc. Edges are
+// de-duplicated against the source's out-list; a source whose
+// out-degree reaches bigDegree also gets a set, so high-degree nodes
+// (long bindings on adversarial input) do not make insertion
+// quadratic. A Graph is not safe for concurrent use: even the
+// version-chain walks write its visit stamps.
 type Graph struct {
-	nodes   map[Loc]*Node
-	out     map[Loc][]Edge
-	in      map[Loc][]Edge
-	edgeSet map[Edge]struct{}
-	next    Loc
+	nodes    []*Node  // by Loc; nodes[0] is always nil
+	out, in  [][]Edge // by Loc
+	big      map[Loc]map[Edge]struct{}
+	numNodes int
+	numEdges int
+	next     Loc
+
+	// slab is the current chunk that new nodes are carved from, so
+	// node creation does not allocate per node; edgeChunk likewise
+	// holds the first slots of adjacency lists (see appendEdge).
+	slab      []Node
+	edgeChunk []Edge
 
 	// alloc implements site-keyed deterministic allocation.
 	alloc map[allocKey]Loc
+
+	// stamp/epoch mark visited locations in the version-chain walks
+	// (Lookup, AllPropValues, VersionClosure): a walk bumps epoch and
+	// l is visited when stamp[l] == epoch. Walks do not nest.
+	stamp []uint32
+	epoch uint32
 
 	// curFile annotates newly created nodes with their source file
 	// (multi-module analysis); see SetCurrentFile.
@@ -158,7 +179,7 @@ type Graph struct {
 
 	// sorted caches the ascending-Loc node slice handed out by Nodes;
 	// node creation invalidates it. Detection backends iterate the
-	// frozen graph many times, so the sort must not repeat per call.
+	// frozen graph many times, so the scan must not repeat per call.
 	sorted []*Node
 
 	// bud, when set, is charged for every node and edge created, so a
@@ -168,6 +189,10 @@ type Graph struct {
 	bud *budget.Budget
 }
 
+// bigDegree is the out-degree from which a source's edges are also
+// kept in a set for de-duplication.
+const bigDegree = 32
+
 // SetBudget charges subsequent node/edge creation against b (nil
 // disables the accounting).
 func (g *Graph) SetBudget(b *budget.Budget) { g.bud = b }
@@ -176,43 +201,85 @@ func (g *Graph) SetBudget(b *budget.Budget) { g.bud = b }
 // created from now on.
 func (g *Graph) SetCurrentFile(file string) { g.curFile = file }
 
+// Role is the statement role of an allocation key.
+type Role uint8
+
+// Allocation roles.
+const (
+	RoleGlobal    Role = iota // unknown global variable
+	RoleModule                // external module object
+	RoleLit                   // literal
+	RoleBin                   // binary-operator result
+	RoleUn                    // unary-operator result
+	RoleObj                   // object allocation (and built-in results)
+	RoleForIn                 // for-in/of loop variable
+	RoleFunc                  // function value
+	RoleParam                 // parameter object
+	RoleThis                  // `this` of a function
+	RoleRet                   // return value of a function
+	RoleArguments             // `arguments` of a function
+	RoleCall                  // call node
+	RoleProp                  // lazily created static property
+	RolePropStar              // lazily created dynamic property
+	RoleVer                   // new version after a static update
+	RoleVerStar               // new version after a dynamic update
+	numRoles
+)
+
+// roleNames are the roles' names in LocForKey's string keys.
+var roleNames = [numRoles]string{
+	"global", "module", "lit", "bin", "un", "obj", "forin", "func", "param",
+	"this", "ret", "arguments", "call", "prop", "prop*", "ver", "ver*",
+}
+
 type allocKey struct {
-	role   string
+	role   Role
 	site   int
 	origin Loc
 	prop   string
 }
 
 // New returns an empty MDG.
-func New() *Graph {
+func New() *Graph { return NewSized(15) }
+
+// NewSized returns an empty MDG with room for about n nodes, so a
+// caller that can estimate the graph's size saves the tables'
+// regrowth.
+func NewSized(n int) *Graph {
 	return &Graph{
-		nodes:   make(map[Loc]*Node),
-		out:     make(map[Loc][]Edge),
-		in:      make(map[Loc][]Edge),
-		edgeSet: make(map[Edge]struct{}),
-		alloc:   make(map[allocKey]Loc),
+		nodes: make([]*Node, 1, n+1),
+		out:   make([][]Edge, 1, n+1),
+		in:    make([][]Edge, 1, n+1),
+		alloc: make(map[allocKey]Loc, n),
+		slab:  make([]Node, 0, min(n, 256)),
 	}
 }
 
 // NumNodes returns the number of nodes in the graph.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.numNodes }
 
 // NumEdges returns the number of edges in the graph.
-func (g *Graph) NumEdges() int { return len(g.edgeSet) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Node returns the node at l, or nil.
-func (g *Graph) Node(l Loc) *Node { return g.nodes[l] }
+func (g *Graph) Node(l Loc) *Node {
+	if l <= 0 || int(l) >= len(g.nodes) {
+		return nil
+	}
+	return g.nodes[l]
+}
 
 // Nodes returns all nodes in ascending Loc order. The slice is cached
 // and shared between calls until the next node is created; callers
 // must not modify it.
 func (g *Graph) Nodes() []*Node {
 	if g.sorted == nil {
-		g.sorted = make([]*Node, 0, len(g.nodes))
+		g.sorted = make([]*Node, 0, g.numNodes)
 		for _, n := range g.nodes {
-			g.sorted = append(g.sorted, n)
+			if n != nil {
+				g.sorted = append(g.sorted, n)
+			}
 		}
-		sort.Slice(g.sorted, func(i, j int) bool { return g.sorted[i].Loc < g.sorted[j].Loc })
 	}
 	return g.sorted
 }
@@ -228,35 +295,68 @@ func (g *Graph) NodesOfKind(kind NodeKind) []*Node {
 	return out
 }
 
-// Edges returns all edges in a deterministic order.
+// Edges returns all edges in a deterministic order: by source location,
+// then insertion order.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edgeSet))
-	for _, n := range g.Nodes() {
-		out = append(out, g.out[n.Loc]...)
+	out := make([]Edge, 0, g.numEdges)
+	for _, es := range g.out {
+		out = append(out, es...)
 	}
 	return out
 }
 
 // Out returns the outgoing edges of l.
-func (g *Graph) Out(l Loc) []Edge { return g.out[l] }
+func (g *Graph) Out(l Loc) []Edge {
+	if l <= 0 || int(l) >= len(g.out) {
+		return nil
+	}
+	return g.out[l]
+}
 
 // In returns the incoming edges of l.
-func (g *Graph) In(l Loc) []Edge { return g.in[l] }
+func (g *Graph) In(l Loc) []Edge {
+	if l <= 0 || int(l) >= len(g.in) {
+		return nil
+	}
+	return g.in[l]
+}
+
+// grow extends the Loc-indexed tables to hold l.
+func (g *Graph) grow(l Loc) {
+	for int(l) >= len(g.nodes) {
+		g.nodes = append(g.nodes, nil)
+		g.out = append(g.out, nil)
+		g.in = append(g.in, nil)
+	}
+}
+
+// place stores n at n.Loc.
+func (g *Graph) place(n *Node) {
+	g.grow(n.Loc)
+	g.nodes[n.Loc] = n
+	g.numNodes++
+	g.sorted = nil
+}
 
 // fresh creates a brand-new node.
 func (g *Graph) fresh(kind NodeKind, label string, site, line int) *Node {
 	g.bud.AddNode() // cap recorded in the budget; the analyzer's tick aborts
 	g.next++
-	n := &Node{Loc: g.next, Kind: kind, Label: label, Site: site, Line: line, File: g.curFile}
-	g.nodes[n.Loc] = n
-	g.sorted = nil
+	if len(g.slab) == cap(g.slab) {
+		// Slabs grow with the graph (4, 4, 4, 6, 9, ... up to 256
+		// nodes), so small graphs waste little.
+		g.slab = make([]Node, 0, min(max(g.numNodes/2, 4), 256))
+	}
+	g.slab = append(g.slab, Node{Loc: g.next, Kind: kind, Label: label, Site: site, Line: line, File: g.curFile})
+	n := &g.slab[len(g.slab)-1]
+	g.place(n)
 	return n
 }
 
 // Alloc returns the location for (role, site, origin, prop), creating a
 // node on first use. Repeated calls with the same key return the same
 // location — the allocation-site abstraction that keeps loops finite.
-func (g *Graph) Alloc(role string, site int, origin Loc, prop string, kind NodeKind, label string, line int) Loc {
+func (g *Graph) Alloc(role Role, site int, origin Loc, prop string, kind NodeKind, label string, line int) Loc {
 	key := allocKey{role: role, site: site, origin: origin, prop: prop}
 	if l, ok := g.alloc[key]; ok {
 		return l
@@ -270,38 +370,107 @@ func (g *Graph) Alloc(role string, site int, origin Loc, prop string, kind NodeK
 // allocation key, if any. Soundness tests use it to build the
 // abstraction function α from concrete to abstract locations.
 func (g *Graph) LocForKey(role string, site int, origin Loc, prop string) (Loc, bool) {
-	l, ok := g.alloc[allocKey{role: role, site: site, origin: origin, prop: prop}]
-	return l, ok
+	for r, name := range roleNames {
+		if name == role {
+			l, ok := g.alloc[allocKey{role: Role(r), site: site, origin: origin, prop: prop}]
+			return l, ok
+		}
+	}
+	return NoLoc, false
 }
 
 // AddEdge inserts e if not already present. It reports whether the
 // graph changed.
 func (g *Graph) AddEdge(e Edge) bool {
-	if _, ok := g.edgeSet[e]; ok {
+	if g.HasEdge(e) {
 		return false
 	}
-	if g.nodes[e.From] == nil || g.nodes[e.To] == nil {
+	if g.Node(e.From) == nil || g.Node(e.To) == nil {
 		// Internal invariant (callers only wire locations they
 		// allocated); a violation is an analyzer bug, recovered at the
 		// scanner's phase guard rather than killing the sweep.
 		panic(fmt.Sprintf("mdg: edge %v references unknown node", e)) //lint:allow nakedpanic -- graph invariant; recovered at the scanner's phase guard
 	}
 	g.bud.AddEdge()
-	g.edgeSet[e] = struct{}{}
-	g.out[e.From] = append(g.out[e.From], e)
-	g.in[e.To] = append(g.in[e.To], e)
+	g.link(e)
 	return true
+}
+
+// link appends e, known to be new, to the adjacency lists.
+func (g *Graph) link(e Edge) {
+	out := g.appendEdge(g.out[e.From], e)
+	g.out[e.From] = out
+	if set := g.big[e.From]; set != nil {
+		set[e] = struct{}{}
+	} else if len(out) == bigDegree {
+		if g.big == nil {
+			g.big = make(map[Loc]map[Edge]struct{})
+		}
+		set := make(map[Edge]struct{}, 2*bigDegree)
+		for _, o := range out {
+			set[o] = struct{}{}
+		}
+		g.big[e.From] = set
+	}
+	g.in[e.To] = g.appendEdge(g.in[e.To], e)
+	g.numEdges++
+}
+
+// appendEdge appends e to an adjacency list. Most lists hold one or two
+// edges, so a list's first two slots are carved from a shared chunk
+// (edgeChunk) instead of allocated per list; longer lists grow on the
+// heap as usual.
+func (g *Graph) appendEdge(list []Edge, e Edge) []Edge {
+	if cap(list) == 0 {
+		if len(g.edgeChunk)+2 > cap(g.edgeChunk) {
+			g.edgeChunk = make([]Edge, 0, min(max(g.numEdges, 16), 256))
+		}
+		n := len(g.edgeChunk)
+		g.edgeChunk = g.edgeChunk[:n+2]
+		list = g.edgeChunk[n : n : n+2]
+	}
+	return append(list, e)
 }
 
 // HasEdge reports whether e is present.
 func (g *Graph) HasEdge(e Edge) bool {
-	_, ok := g.edgeSet[e]
-	return ok
+	if set := g.big[e.From]; set != nil {
+		_, ok := set[e]
+		return ok
+	}
+	for _, o := range g.Out(e.From) {
+		if o == e {
+			return true
+		}
+	}
+	return false
 }
 
 // AddDep adds a dependency edge from → to.
 func (g *Graph) AddDep(from, to Loc) bool {
 	return g.AddEdge(Edge{From: from, To: to, Type: Dep})
+}
+
+// visitBegin starts a version-chain walk (see stamp).
+func (g *Graph) visitBegin() {
+	g.epoch++
+	if g.epoch == 0 {
+		clear(g.stamp)
+		g.epoch = 1
+	}
+}
+
+// visit marks l visited in the current walk, reporting whether it
+// already was.
+func (g *Graph) visit(l Loc) bool {
+	if int(l) >= len(g.stamp) {
+		g.stamp = append(g.stamp, make([]uint32, int(l)+1-len(g.stamp)+len(g.nodes))...)
+	}
+	if g.stamp[l] == g.epoch {
+		return true
+	}
+	g.stamp[l] = g.epoch
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +479,7 @@ func (g *Graph) AddDep(from, to Loc) bool {
 
 // PropTarget returns the first direct P(p) target of l, or NoLoc.
 func (g *Graph) PropTarget(l Loc, p string) Loc {
-	for _, e := range g.out[l] {
+	for _, e := range g.Out(l) {
 		if e.Type == Prop && e.Prop == p {
 			return e.To
 		}
@@ -318,23 +487,10 @@ func (g *Graph) PropTarget(l Loc, p string) Loc {
 	return NoLoc
 }
 
-// PropTargets returns all direct P(p) targets of l. Version nodes that
-// merge several objects (site-keyed allocation) can carry multiple P(p)
-// edges for the same name.
-func (g *Graph) PropTargets(l Loc, p string) []Loc {
-	var out []Loc
-	for _, e := range g.out[l] {
-		if e.Type == Prop && e.Prop == p {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
 // StarTargets returns the direct P(*) targets of l.
 func (g *Graph) StarTargets(l Loc) []Loc {
 	var out []Loc
-	for _, e := range g.out[l] {
+	for _, e := range g.Out(l) {
 		if e.Type == PropStar {
 			out = append(out, e.To)
 		}
@@ -345,7 +501,7 @@ func (g *Graph) StarTargets(l Loc) []Loc {
 // VersionPredecessors returns the locations u with u →V(...) l.
 func (g *Graph) VersionPredecessors(l Loc) []Loc {
 	var out []Loc
-	for _, e := range g.in[l] {
+	for _, e := range g.In(l) {
 		if e.Type == Ver || e.Type == VerStar {
 			out = append(out, e.From)
 		}
@@ -356,9 +512,29 @@ func (g *Graph) VersionPredecessors(l Loc) []Loc {
 // VersionSuccessors returns the locations v with l →V(...) v.
 func (g *Graph) VersionSuccessors(l Loc) []Loc {
 	var out []Loc
-	for _, e := range g.out[l] {
+	for _, e := range g.Out(l) {
 		if e.Type == Ver || e.Type == VerStar {
 			out = append(out, e.To)
+		}
+	}
+	return out
+}
+
+// VersionClosure returns l and every version successor transitively,
+// in depth-first order.
+func (g *Graph) VersionClosure(l Loc) []Loc {
+	g.visitBegin()
+	return g.closureWalk(l, nil)
+}
+
+func (g *Graph) closureWalk(v Loc, out []Loc) []Loc {
+	if g.visit(v) {
+		return out
+	}
+	out = append(out, v)
+	for _, e := range g.Out(v) {
+		if e.Type == Ver || e.Type == VerStar {
+			out = g.closureWalk(e.To, out)
 		}
 	}
 	return out
@@ -382,57 +558,69 @@ type LookupResult struct {
 // reported in Oldest so the caller can lazily extend it (AP).
 func (g *Graph) Lookup(l Loc, p string) LookupResult {
 	var res LookupResult
-	seen := make(map[Loc]bool)
-	var walk func(v Loc)
-	walk = func(v Loc) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		// A dynamic property on this version may hold (or shadow) p.
-		res.Values = append(res.Values, g.StarTargets(v)...)
-		if ts := g.PropTargets(v, p); len(ts) > 0 {
-			res.Values = append(res.Values, ts...)
-			return // defined here; older versions are shadowed
-		}
-		preds := g.VersionPredecessors(v)
-		if len(preds) == 0 {
-			res.Oldest = append(res.Oldest, v)
-			return
-		}
-		for _, u := range preds {
-			walk(u)
-		}
-	}
-	walk(l)
+	g.visitBegin()
+	g.lookupWalk(l, p, &res)
 	res.Values = dedupe(res.Values)
 	res.Oldest = dedupe(res.Oldest)
 	return res
+}
+
+func (g *Graph) lookupWalk(v Loc, p string, res *LookupResult) {
+	if g.visit(v) {
+		return
+	}
+	out := g.Out(v)
+	// A dynamic property on this version may hold (or shadow) p.
+	for _, e := range out {
+		if e.Type == PropStar {
+			res.Values = append(res.Values, e.To)
+		}
+	}
+	found := false
+	for _, e := range out {
+		if e.Type == Prop && e.Prop == p {
+			res.Values = append(res.Values, e.To)
+			found = true
+		}
+	}
+	if found {
+		return // defined here; older versions are shadowed
+	}
+	oldest := true
+	for _, e := range g.In(v) {
+		if e.Type == Ver || e.Type == VerStar {
+			oldest = false
+			g.lookupWalk(e.From, p, res)
+		}
+	}
+	if oldest {
+		res.Oldest = append(res.Oldest, v)
+	}
 }
 
 // AllPropValues returns the values of every property (static and
 // dynamic) reachable along l's version chain; used for dynamic lookups
 // x := e1[e2] where any property may be read.
 func (g *Graph) AllPropValues(l Loc) []Loc {
-	var out []Loc
-	seen := make(map[Loc]bool)
-	var walk func(v Loc)
-	walk = func(v Loc) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		for _, e := range g.out[v] {
-			if e.Type == Prop || e.Type == PropStar {
-				out = append(out, e.To)
-			}
-		}
-		for _, u := range g.VersionPredecessors(v) {
-			walk(u)
+	g.visitBegin()
+	return dedupe(g.propValuesWalk(l, nil))
+}
+
+func (g *Graph) propValuesWalk(v Loc, out []Loc) []Loc {
+	if g.visit(v) {
+		return out
+	}
+	for _, e := range g.Out(v) {
+		if e.Type == Prop || e.Type == PropStar {
+			out = append(out, e.To)
 		}
 	}
-	walk(l)
-	return dedupe(out)
+	for _, e := range g.In(v) {
+		if e.Type == Ver || e.Type == VerStar {
+			out = g.propValuesWalk(e.From, out)
+		}
+	}
+	return out
 }
 
 // AP implements AP_i(ĝ, L, p) (§3.2): extends each object in L with
@@ -447,7 +635,7 @@ func (g *Graph) AP(site int, L []Loc, p string, line int) []Loc {
 		for _, oldest := range res.Oldest {
 			// Site-keyed: all chains extended at this site share the
 			// node (the paper's cyclic summary representation).
-			nl := g.Alloc("prop", site, 0, p, KindObject, p, line)
+			nl := g.Alloc(RoleProp, site, 0, p, KindObject, p, line)
 			if nl != oldest {
 				g.AddEdge(Edge{From: oldest, To: nl, Type: Prop, Prop: p})
 			}
@@ -466,7 +654,7 @@ func (g *Graph) APStar(site int, L1, Lp []Loc, line int) []Loc {
 	for _, l := range L1 {
 		stars := g.StarTargets(l)
 		if len(stars) == 0 {
-			nl := g.Alloc("prop*", site, 0, "*", KindObject, "*", line)
+			nl := g.Alloc(RolePropStar, site, 0, "*", KindObject, "*", line)
 			if nl == l {
 				continue
 			}
@@ -483,44 +671,46 @@ func (g *Graph) APStar(site int, L1, Lp []Loc, line int) []Loc {
 	return dedupe(values)
 }
 
-// NV implements NV_i(ĝ, ρ̂, L1, p): creates a new version of every
-// object in L1 due to an assignment of property p at site i, linking
-// old → new with V(p). The returned map sends each old location to its
-// new version; the caller rewrites the store.
-func (g *Graph) NV(site int, L1 []Loc, p string, line int) map[Loc]Loc {
-	repl := make(map[Loc]Loc, len(L1))
+// NV implements NV_i(ĝ, ρ̂, L1, p): creates the new version of the
+// objects in L1 due to an assignment of property p at site i, linking
+// old → new with V(p), and returns it (NoLoc when L1 is empty). The
+// allocation is site-keyed with no origin, so every object updated at
+// this site maps to the same new-version node — the finite cyclic
+// representation of loops (§5.5). The caller rewrites the store,
+// replacing every location of L1 by the new version.
+func (g *Graph) NV(site int, L1 []Loc, p string, line int) Loc {
+	nl := NoLoc
 	for _, l := range L1 {
-		// Site-keyed (no origin): every object updated at this site
-		// maps to the same new-version node, giving the finite cyclic
-		// representation of loops (§5.5).
-		nl := g.Alloc("ver", site, 0, p, KindObject, g.labelOf(l), line)
+		if nl == NoLoc {
+			nl = g.Alloc(RoleVer, site, 0, p, KindObject, g.labelOf(l), line)
+		}
 		if nl != l {
 			g.AddEdge(Edge{From: l, To: nl, Type: Ver, Prop: p})
 		}
-		repl[l] = nl
 	}
-	return repl
+	return nl
 }
 
 // NVStar implements NV*_i(ĝ, ρ̂, L1, Lp): like NV for a dynamically
-// named property; each new version depends on all locations in Lp.
-func (g *Graph) NVStar(site int, L1, Lp []Loc, line int) map[Loc]Loc {
-	repl := make(map[Loc]Loc, len(L1))
+// named property; the new version depends on all locations in Lp.
+func (g *Graph) NVStar(site int, L1, Lp []Loc, line int) Loc {
+	nl := NoLoc
 	for _, l := range L1 {
-		nl := g.Alloc("ver*", site, 0, "*", KindObject, g.labelOf(l), line)
+		if nl == NoLoc {
+			nl = g.Alloc(RoleVerStar, site, 0, "*", KindObject, g.labelOf(l), line)
+		}
 		if nl != l {
 			g.AddEdge(Edge{From: l, To: nl, Type: VerStar})
 		}
 		for _, lp := range Lp {
 			g.AddDep(lp, nl)
 		}
-		repl[l] = nl
 	}
-	return repl
+	return nl
 }
 
 func (g *Graph) labelOf(l Loc) string {
-	if n := g.nodes[l]; n != nil {
+	if n := g.Node(l); n != nil {
 		return n.Label
 	}
 	return ""
@@ -532,9 +722,11 @@ func (g *Graph) labelOf(l Loc) string {
 
 // Leq reports ĝ1 ⊑ ĝ2: every edge of g is an edge of h.
 func Leq(g, h *Graph) bool {
-	for e := range g.edgeSet {
-		if _, ok := h.edgeSet[e]; !ok {
-			return false
+	for _, es := range g.out {
+		for _, e := range es {
+			if !h.HasEdge(e) {
+				return false
+			}
 		}
 	}
 	return true
@@ -547,7 +739,7 @@ type Snapshot struct {
 }
 
 // Snap returns the current size snapshot.
-func (g *Graph) Snap() Snapshot { return Snapshot{Nodes: len(g.nodes), Edges: len(g.edgeSet)} }
+func (g *Graph) Snap() Snapshot { return Snapshot{Nodes: g.numNodes, Edges: g.numEdges} }
 
 // ---------------------------------------------------------------------------
 // Rendering
@@ -556,7 +748,7 @@ func (g *Graph) Snap() Snapshot { return Snapshot{Nodes: len(g.nodes), Edges: le
 // String renders the graph compactly: one edge per line, sorted.
 func (g *Graph) String() string {
 	var lines []string
-	for e := range g.edgeSet {
+	for _, e := range g.Edges() {
 		lines = append(lines, fmt.Sprintf("o%d -%s-> o%d", e.From, e.Label(), e.To))
 	}
 	sort.Strings(lines)

@@ -1,23 +1,24 @@
 package mdg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func newObj(g *Graph, role string, site int) Loc {
-	return g.Alloc(role, site, 0, "", KindObject, role, site)
+func newObj(g *Graph, name string, site int) Loc {
+	return g.Alloc(RoleObj, site, 0, name, KindObject, name, site)
 }
 
 func TestAllocDeterministic(t *testing.T) {
 	g := New()
-	l1 := g.Alloc("obj", 7, 0, "", KindObject, "x", 1)
-	l2 := g.Alloc("obj", 7, 0, "", KindObject, "x", 1)
+	l1 := g.Alloc(RoleObj, 7, 0, "", KindObject, "x", 1)
+	l2 := g.Alloc(RoleObj, 7, 0, "", KindObject, "x", 1)
 	if l1 != l2 {
 		t.Fatalf("same key allocated different locations: %d vs %d", l1, l2)
 	}
-	l3 := g.Alloc("obj", 8, 0, "", KindObject, "x", 1)
+	l3 := g.Alloc(RoleObj, 8, 0, "", KindObject, "x", 1)
 	if l3 == l1 {
 		t.Fatal("different site must allocate a new location")
 	}
@@ -67,6 +68,36 @@ func TestAddEdgeDedup(t *testing.T) {
 	}
 	if g.NumEdges() != 1 {
 		t.Fatalf("edges = %d", g.NumEdges())
+	}
+}
+
+// A source past bigDegree out-edges de-duplicates through its edge
+// set; insertion order and the adjacency lists are unaffected.
+func TestAddEdgeDedupHighDegree(t *testing.T) {
+	g := New()
+	src := newObj(g, "src", 1)
+	var want []Edge
+	for i := 0; i < 3*bigDegree; i++ {
+		dst := newObj(g, "dst", 2+i)
+		e := Edge{From: src, To: dst, Type: Prop, Prop: "p"}
+		if !g.AddEdge(e) {
+			t.Fatalf("edge %d reported as present", i)
+		}
+		want = append(want, e)
+	}
+	for i, e := range want {
+		if g.AddEdge(e) || !g.HasEdge(e) {
+			t.Fatalf("edge %d: duplicate accepted or missing", i)
+		}
+		if in := g.In(e.To); len(in) != 1 || in[0] != e {
+			t.Fatalf("edge %d: in-list %v", i, in)
+		}
+	}
+	if g.HasEdge(Edge{From: src, To: want[0].To, Type: Dep}) {
+		t.Fatal("an edge of another type must not match")
+	}
+	if g.NumEdges() != len(want) || !reflect.DeepEqual(g.Out(src), want) {
+		t.Fatalf("out-list %d edges, want %d in insertion order", g.NumEdges(), len(want))
 	}
 }
 
@@ -212,9 +243,8 @@ func TestNVCreatesVersionAndRewritesStore(t *testing.T) {
 	st := NewStore(nil)
 	st.SetLocal("x", []Loc{o})
 	st.SetLocal("y", []Loc{o})
-	repl := g.NV(2, []Loc{o}, "cmd", 3)
-	st.ReplaceAll(repl)
-	nv := repl[o]
+	nv := g.NV(2, []Loc{o}, "cmd", 3)
+	st.ReplaceAll(map[Loc]Loc{o: nv})
 	if nv == o {
 		t.Fatal("NV should create a new version")
 	}
@@ -236,7 +266,7 @@ func TestNVDeterministicPerSite(t *testing.T) {
 	o := newObj(g, "o", 1)
 	r1 := g.NV(2, []Loc{o}, "p", 3)
 	r2 := g.NV(2, []Loc{o}, "p", 3)
-	if r1[o] != r2[o] {
+	if r1 != r2 {
 		t.Fatal("NV must be deterministic per (site, origin)")
 	}
 }
@@ -245,8 +275,7 @@ func TestNVStar(t *testing.T) {
 	g := New()
 	o := newObj(g, "o", 1)
 	dep := newObj(g, "dep", 2)
-	repl := g.NVStar(3, []Loc{o}, []Loc{dep}, 4)
-	nv := repl[o]
+	nv := g.NVStar(3, []Loc{o}, []Loc{dep}, 4)
 	if !g.HasEdge(Edge{From: o, To: nv, Type: VerStar}) {
 		t.Error("missing V(*) edge")
 	}

@@ -363,8 +363,8 @@ func FuzzStoreDecode(f *testing.F) {
 	// Seeds: valid encodings of each family, so mutation explores the
 	// near-valid space where parsers break.
 	g := mdg.New()
-	l1 := g.Alloc("o", 1, 0, "", mdg.KindObject, "o", 1)
-	l2 := g.Alloc("p", 2, 0, "", mdg.KindParam, "x", 2)
+	l1 := g.Alloc(mdg.RoleObj, 1, 0, "", mdg.KindObject, "o", 1)
+	l2 := g.Alloc(mdg.RoleParam, 2, 0, "", mdg.KindParam, "x", 2)
 	g.AddDep(l2, l1)
 	frag := mdg.SnapshotFragment(g)
 	fe := &fragEntry{

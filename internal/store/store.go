@@ -1,7 +1,8 @@
 // Package store implements the on-disk, content-addressed analysis
 // store: a crash-safe record log that persists MDG fragments, front-end
-// dependency facts, detection results and compacted sweep-journal
-// entries across process restarts, so a graphjsd replica warm-starts
+// dependency facts, detection results and sweep-journal entries (a
+// sweep journal is a store directory) across process restarts, so a
+// graphjsd replica warm-starts
 // near warm-sweep speed instead of re-deriving every multiversion
 // dependency graph.
 //
@@ -75,7 +76,8 @@ const (
 	// KindFrontEnd: per-file front-end dependency facts keyed by the
 	// file's content hash.
 	KindFrontEnd Kind = 3
-	// KindJournal: one compacted sweep-journal entry (JSON body).
+	// KindJournal: one sweep-journal entry (JSON body) of a journal
+	// store directory.
 	KindJournal Kind = 4
 )
 
