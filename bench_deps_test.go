@@ -11,12 +11,11 @@ import (
 )
 
 // BenchmarkDepsRescan measures the per-package fragment cache under
-// tree scans (snapshot: BENCH_deps.json): a dependency tree is scanned
-// cold (every package's fragment built from scratch) and warm after
-// editing exactly one dependency (only that package's fragment
-// rebuilds; the rest rehydrate from the shared state). Reported
-// metrics: cold-ms, warm-ms, and their speedup ratio; benchjson -deps
-// gates speedup ≥ 2×, the tree-scan acceptance bar.
+// tree scans: a dependency tree is scanned cold (every package's
+// fragment built from scratch) and warm after editing exactly one
+// dependency (only that package's fragment rebuilds; the rest
+// rehydrate from the shared state). It reports cold-ms and warm-ms and
+// asserts their speedup ≥2×, the tree-scan acceptance bar.
 func BenchmarkDepsRescan(b *testing.B) {
 	// Analysis-heavy dependency body (nested loops drive the abstract
 	// interpreter), mirroring the store benchmark's package shape so
@@ -74,7 +73,7 @@ func BenchmarkDepsRescan(b *testing.B) {
 		b.Fatalf("seed tree scan: err=%v findings=%d packages=%d", rep.Err, len(rep.Findings), rep.TreePackages)
 	}
 
-	var coldNs, warmNs int64
+	var coldT, warmT time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		files := tree(i + 1)
@@ -83,7 +82,7 @@ func BenchmarkDepsRescan(b *testing.B) {
 		co.Incremental = scanner.NewIncrementalState()
 		t0 := time.Now()
 		rc := scanner.ScanFiles(files, "app", co)
-		coldNs += time.Since(t0).Nanoseconds()
+		coldT += time.Since(t0)
 
 		// Warm: the same tree with one dependency edited since the
 		// previous round — only that package's fragment rebuilds.
@@ -92,7 +91,7 @@ func BenchmarkDepsRescan(b *testing.B) {
 		wo.Incremental = warm
 		t1 := time.Now()
 		rw := scanner.ScanFiles(files, "app", wo)
-		warmNs += time.Since(t1).Nanoseconds()
+		warmT += time.Since(t1)
 
 		if rc.Err != nil || rw.Err != nil {
 			b.Fatalf("scan errors: cold=%v warm=%v", rc.Err, rw.Err)
@@ -105,10 +104,5 @@ func BenchmarkDepsRescan(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	n := float64(b.N)
-	b.ReportMetric(float64(coldNs)/n/1e6, "cold-ms")
-	b.ReportMetric(float64(warmNs)/n/1e6, "warm-ms")
-	if warmNs > 0 {
-		b.ReportMetric(float64(coldNs)/float64(warmNs), "speedup")
-	}
+	speedupBar.check(b, perIter(b, coldT), perIter(b, warmT))
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // BenchmarkStoreRestart measures the persistent store's warm-restart
-// path (snapshot: BENCH_store.json): the same package set is scanned by
-// a cold process (fresh incremental state, no cache directory) and by a
-// freshly "restarted" process — a new StatePool attached to a
-// just-reopened populated store, including the store-open cost in the
-// timing. Reported metrics: cold-ms, warm-ms, and their speedup ratio;
-// benchjson -store gates speedup ≥ 2×, the store's acceptance bar.
+// path: the same package set is scanned by a cold process (fresh
+// incremental state, no cache directory) and by a freshly "restarted"
+// process — a new StatePool attached to a just-reopened populated
+// store, including the store-open cost in the timing. It reports
+// cold-ms and warm-ms and asserts their speedup ≥2×, the store's
+// acceptance bar.
 func BenchmarkStoreRestart(b *testing.B) {
 	// Analysis-heavy modules (nested loops drive the abstract
 	// interpreter) around one real vulnerable flow, mirroring the serve
@@ -55,14 +55,14 @@ func BenchmarkStoreRestart(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	var coldNs, warmNs int64
+	var coldT, warmT time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		co := opts
 		co.Incremental = scanner.NewIncrementalState()
 		t0 := time.Now()
 		rc := scanner.ScanFiles(files, "pkg", co)
-		coldNs += time.Since(t0).Nanoseconds()
+		coldT += time.Since(t0)
 
 		// Warm restart: everything a new process pays — opening the
 		// store, a fresh StatePool, the scan — is inside the timer.
@@ -76,7 +76,7 @@ func BenchmarkStoreRestart(b *testing.B) {
 		wo := opts
 		wo.Incremental = wp.Get("pkg")
 		rw := scanner.ScanFiles(files, "pkg", wo)
-		warmNs += time.Since(t1).Nanoseconds()
+		warmT += time.Since(t1)
 
 		if rc.Err != nil || rw.Err != nil {
 			b.Fatalf("scan errors: cold=%v warm=%v", rc.Err, rw.Err)
@@ -92,10 +92,5 @@ func BenchmarkStoreRestart(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	n := float64(b.N)
-	b.ReportMetric(float64(coldNs)/n/1e6, "cold-ms")
-	b.ReportMetric(float64(warmNs)/n/1e6, "warm-ms")
-	if warmNs > 0 {
-		b.ReportMetric(float64(coldNs)/float64(warmNs), "speedup")
-	}
+	speedupBar.check(b, perIter(b, coldT), perIter(b, warmT))
 }

@@ -192,7 +192,7 @@ func TestLadderFloorWithPool(t *testing.T) {
 }
 
 // TestTransientRetryRecovers: a deterministic injected panic on the
-// first attempt must be retried once on the fallback engine and
+// first attempt must be retried once on the configured engine and
 // recover the plain sweep's findings, with both attempts on record.
 func TestTransientRetryRecovers(t *testing.T) {
 	vul, _ := dataset.GroundTruth(7)

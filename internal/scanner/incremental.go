@@ -155,10 +155,10 @@ type detectResult struct {
 	failure   budget.Class
 }
 
-// StatePool hands out one IncrementalState per package name — the
-// shape corpus sweeps need (metrics.SweepGraphJS with
-// Options.IncrementalPool, graphjs -incremental, graphjsd's process-
-// wide warm pool). A pool can be bounded (SetLimits) so a long-lived
+// StatePool hands out one IncrementalState per package name, each
+// scan taking its package's state as Options.Incremental — the shape
+// corpus sweeps need (metrics.SweepGraphJSIncremental, graphjs
+// -incremental, graphjsd's process-wide warm pool). A pool can be bounded (SetLimits) so a long-lived
 // daemon cannot grow without limit: least-recently-used package
 // states are evicted when the entry or estimated-byte cap is
 // exceeded. With a store attached (AttachStore), eviction is cheap to

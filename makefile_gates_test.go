@@ -61,6 +61,65 @@ func TestMakefileGatesMatchTests(t *testing.T) {
 	}
 }
 
+// TestDocsNameRealMakeTargets keeps the docs and the Makefile in step:
+// every `make <target>` a doc names — in inline code or on a `$ make`
+// console line — must be a Makefile rule, and .PHONY must list exactly
+// the Makefile's rules, so a deleted target leaves neither a doc nor a
+// .PHONY entry behind.
+func TestDocsNameRealMakeTargets(t *testing.T) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := map[string]bool{}
+	var phony []string
+	for _, m := range regexp.MustCompile(`(?m)^([\w.-]+):(.*)$`).FindAllStringSubmatch(string(data), -1) {
+		if m[1] == ".PHONY" {
+			phony = strings.Fields(m[2])
+		} else {
+			rules[m[1]] = true
+		}
+	}
+	if len(rules) == 0 {
+		t.Fatal("parsed no rules from the Makefile")
+	}
+	listed := map[string]bool{}
+	for _, name := range phony {
+		listed[name] = true
+		if !rules[name] {
+			t.Errorf("Makefile: .PHONY lists %q, which is not a rule", name)
+		}
+	}
+	for name := range rules {
+		if !listed[name] {
+			t.Errorf("Makefile: rule %q is missing from .PHONY", name)
+		}
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+	makeRe := regexp.MustCompile("(?m)(?:`|^\\$ )make\\s+([\\w-]+)")
+	named := 0
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeRe.FindAllStringSubmatch(string(src), -1) {
+			named++
+			if !rules[m[1]] {
+				t.Errorf("%s: `make %s` names no Makefile rule", doc, m[1])
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("found no `make <target>` in the docs")
+	}
+}
+
 var testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 
 // testFuncs lists the top-level test, fuzz and benchmark functions
