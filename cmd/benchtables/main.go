@@ -524,7 +524,8 @@ func (r *runner) table7() {
 	r.run()
 	fmt.Println("== Table 7: graph size by package LoC ==")
 	bounds := []int{12, 16, 20, 24}
-	gb := metrics.SizeBuckets(r.gjs, bounds)
+	gjs := metrics.WithSourceSizes(r.gjs)
+	gb := metrics.SizeBuckets(gjs, bounds)
 	ob := metrics.SizeBuckets(r.odg, bounds)
 	var rows [][]string
 	for i := range gb {
@@ -539,10 +540,10 @@ func (r *runner) table7() {
 	}, rows))
 	var gN, oN, gE, oE float64
 	n := 0
-	for i := range r.gjs {
+	for i := range gjs {
 		if !r.odg[i].TimedOut {
-			gN += float64(r.gjs[i].TotalNodes)
-			gE += float64(r.gjs[i].TotalEdges)
+			gN += float64(gjs[i].TotalNodes)
+			gE += float64(gjs[i].TotalEdges)
 			oN += float64(r.odg[i].TotalNodes)
 			oE += float64(r.odg[i].TotalEdges)
 			n++

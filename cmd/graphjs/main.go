@@ -185,7 +185,12 @@ func main() {
 		if *asJSON {
 			printJSON(rep)
 		} else {
-			printHuman(rep, *stats, *trace)
+			var size *metrics.SourceSize
+			if *stats {
+				s := sourceSize(target, opts.Tree)
+				size = &s
+			}
+			printHuman(rep, size, *trace)
 		}
 		if *genPoC {
 			for _, e := range poc.GenerateAll(rep.Findings, target) {
@@ -366,7 +371,27 @@ func hashTarget(target string) string {
 	return metrics.HashTarget(target)
 }
 
-func printHuman(rep *scanner.Report, stats, trace bool) {
+// sourceSize counts the AST and CFG of the files a scan of target
+// parses (tree mode's package.json manifests feed the resolver only),
+// for the -stats line.
+func sourceSize(target string, tree bool) metrics.SourceSize {
+	var files []scanner.SourceFile
+	if info, err := os.Stat(target); err == nil && info.IsDir() {
+		all, _, _ := scanner.PackageFiles(target, tree)
+		for _, f := range all {
+			if strings.HasSuffix(f.Rel, ".js") {
+				files = append(files, f)
+			}
+		}
+	} else if data, err := os.ReadFile(target); err == nil {
+		files = []scanner.SourceFile{{Rel: target, Src: string(data)}}
+	}
+	return metrics.CountSourceSize(files)
+}
+
+// printHuman renders one report; size, when non-nil, selects the
+// -stats lines.
+func printHuman(rep *scanner.Report, size *metrics.SourceSize, trace bool) {
 	fmt.Printf("%s:\n", rep.Name)
 	if rep.TimedOut {
 		fmt.Println("  analysis timed out")
@@ -392,9 +417,9 @@ func printHuman(rep *scanner.Report, stats, trace bool) {
 			fmt.Printf("    witness path: %d nodes (ids %v)\n", len(f.Path), f.Path)
 		}
 	}
-	if stats {
+	if size != nil {
 		fmt.Printf("  stats: %d LoC, %d AST nodes, %d CFG nodes, %d MDG nodes, %d MDG edges\n",
-			rep.LoC, rep.ASTNodes, rep.CFGNodes, rep.MDGNodes, rep.MDGEdges)
+			rep.LoC, size.ASTNodes, size.CFGNodes, rep.MDGNodes, rep.MDGEdges)
 		if rep.TreePackages > 0 {
 			fmt.Printf("  tree: %d packages, node_modules depth %d\n", rep.TreePackages, rep.TreeDepth)
 		}

@@ -360,24 +360,6 @@ func ApplyExportFallback(res *Result) {
 	recomputeSources(res, false)
 }
 
-// RemoveExportFallback undoes ApplyExportFallback (exact because when
-// the fallback applied, no function was really exported: unmarking
-// everything restores the pre-fallback state). No-op when the fallback
-// is not in effect.
-func RemoveExportFallback(res *Result) {
-	if !res.FallbackApplied {
-		return
-	}
-	for _, fn := range res.Functions {
-		fn.Exported = false
-		if n := res.Graph.Node(fn.Loc); n != nil {
-			n.Exported = false
-		}
-	}
-	res.FallbackApplied = false
-	recomputeSources(res, false)
-}
-
 // setupModule creates (or returns) the CommonJS globals of one module.
 func (a *analyzer) setupModule(file string) moduleGlobals {
 	if mg, ok := a.modules[file]; ok {

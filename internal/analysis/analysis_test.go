@@ -135,7 +135,7 @@ module.exports = git_reset;
 	if o7 == mdg.NoLoc {
 		t.Fatal("missing V(cmd) edge")
 	}
-	o8 := g.PropTarget(o7, "cmd")
+	o8 := propTarget(g, o7, "cmd")
 	if o8 == mdg.NoLoc {
 		t.Fatal("missing P(cmd) property")
 	}
@@ -146,7 +146,7 @@ module.exports = git_reset;
 	if execCall == nil {
 		t.Fatal("missing exec call node")
 	}
-	o9 := g.PropTarget(o5, "commit")
+	o9 := propTarget(g, o5, "commit")
 	if o9 == mdg.NoLoc {
 		t.Fatal("commit should be lazily created on the initial version o5")
 	}

@@ -92,7 +92,7 @@ type op struct {
 type builtinKind uint8
 
 const (
-	builtinNone builtinKind = iota
+	_ builtinKind = iota // not a built-in
 	builtinObjectAssign
 	builtinJSONParse
 	builtinObjectKeys

@@ -1088,6 +1088,8 @@ func storeDiff(res *Result, ref *refStore) string {
 // which need the dataset package (and so cannot live in this one).
 func CompareWithReference(progs []*core.Program, limits budget.Limits) string {
 	db, rb := budget.New(limits), budget.New(limits)
+	db.BeginPhase("analysis")
+	rb.BeginPhase("analysis")
 	opts := DefaultOptions()
 	opts.Budget = db
 	dense := AnalyzeModules(progs, opts)
@@ -1105,7 +1107,7 @@ func CompareWithReference(progs []*core.Program, limits budget.Limits) string {
 			return fmt.Sprintf("in-edges of o%d differ:\n  dense:     %v\n  reference: %v", n.Loc, d, r)
 		}
 	}
-	if d, r := dumpResult(dense, db.Steps()), dumpResult(ref, rb.Steps()); d != r {
+	if d, r := dumpResult(dense, db.PhaseUsages()[0].Steps), dumpResult(ref, rb.PhaseUsages()[0].Steps); d != r {
 		return firstLineDiff(d, r)
 	}
 	return storeDiff(dense, refRoot)

@@ -150,6 +150,39 @@ type alphaResolver struct {
 	nodes map[CLoc]*CNode
 }
 
+// propTarget returns the first direct P(p) target of l, or NoLoc.
+func propTarget(g *mdg.Graph, l mdg.Loc, p string) mdg.Loc {
+	for _, e := range g.Out(l) {
+		if e.Type == mdg.Prop && e.Prop == p {
+			return e.To
+		}
+	}
+	return mdg.NoLoc
+}
+
+// roleNames are the names the concrete semantics gives the mdg.Role
+// values, in Role order.
+var roleNames = [...]string{
+	"global", "module", "lit", "bin", "un", "obj", "forin", "func", "param",
+	"this", "ret", "arguments", "call", "prop", "prop*", "ver", "ver*",
+}
+
+// locForKey returns the location the analysis allocated for the
+// origin-free allocation key (role, site, prop). The graph has no
+// read-only key lookup, so it asks Alloc and reports a miss when Alloc
+// had to create the node; a miss fails the soundness check, so the
+// node it leaves behind is never read.
+func locForKey(g *mdg.Graph, role string, site int, prop string) (mdg.Loc, bool) {
+	for r, name := range roleNames {
+		if name == role {
+			n := g.NumNodes()
+			l := g.Alloc(mdg.Role(r), site, 0, prop, mdg.KindObject, "", 0)
+			return l, g.NumNodes() == n
+		}
+	}
+	return mdg.NoLoc, false
+}
+
 func newAlpha(g *mdg.Graph, cs *ConcreteState) *alphaResolver {
 	a := &alphaResolver{g: g, cs: cs, cache: map[CLoc]mdg.Loc{}, nodes: map[CLoc]*CNode{}}
 	for _, n := range cs.Nodes {
@@ -180,14 +213,14 @@ func (a *alphaResolver) resolve(cl CLoc) (mdg.Loc, bool) {
 						a.cache[cl] = stars[0]
 						return stars[0], true
 					}
-				} else if t := a.g.PropTarget(v, n.Key.Prop); t != mdg.NoLoc {
+				} else if t := propTarget(a.g, v, n.Key.Prop); t != mdg.NoLoc {
 					a.cache[cl] = t
 					return t, true
 				}
 			}
 		}
 	}
-	if l, ok := a.g.LocForKey(n.Key.Role, n.Key.Site, 0, n.Key.Prop); ok {
+	if l, ok := locForKey(a.g, n.Key.Role, n.Key.Site, n.Key.Prop); ok {
 		a.cache[cl] = l
 		return l, true
 	}

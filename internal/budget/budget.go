@@ -268,14 +268,6 @@ func (b *Budget) Err() error {
 // Exceeded reports whether any limit has been hit.
 func (b *Budget) Exceeded() bool { return b != nil && b.failure != nil }
 
-// Steps returns the cooperative steps consumed so far.
-func (b *Budget) Steps() int {
-	if b == nil {
-		return 0
-	}
-	return b.steps
-}
-
 // Nodes returns the graph nodes charged so far.
 func (b *Budget) Nodes() int {
 	if b == nil {

@@ -145,8 +145,8 @@ func TestPhaseUsageAccounting(t *testing.T) {
 	if us[0].Steps != 100 {
 		t.Errorf("front-end steps %d, want 100", us[0].Steps)
 	}
-	if us[0].Steps+us[1].Steps != b.Steps() {
-		t.Errorf("phase steps %d+%d do not partition total %d", us[0].Steps, us[1].Steps, b.Steps())
+	if us[0].Steps+us[1].Steps != b.steps {
+		t.Errorf("phase steps %d+%d do not partition total %d", us[0].Steps, us[1].Steps, b.steps)
 	}
 }
 
@@ -159,8 +159,8 @@ func TestPhaseLogSharedAcrossDerive(t *testing.T) {
 	for b.Step() == nil {
 	}
 	gb := b.DeadlineOnly()
-	if gb.Err() != nil || gb.Steps() != 0 {
-		t.Fatalf("derived budget inherited exhaustion: err=%v steps=%d", gb.Err(), gb.Steps())
+	if gb.Err() != nil || gb.steps != 0 {
+		t.Fatalf("derived budget inherited exhaustion: err=%v steps=%d", gb.Err(), gb.steps)
 	}
 	gb.BeginPhase("detect")
 	for i := 0; i < 20; i++ {

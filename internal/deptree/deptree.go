@@ -287,12 +287,6 @@ func (t *Tree) resolveMain(dir, main string) string {
 	return ""
 }
 
-// Root returns the tree's root package.
-func (t *Tree) Root() *Package { return t.byDir[""] }
-
-// ByDir returns the package at dir, nil when absent.
-func (t *Tree) ByDir(dir string) *Package { return t.byDir[dir] }
-
 // Owner returns the innermost package whose directory contains rel,
 // nil for paths outside every package (cannot happen for cleaned
 // relative paths, since the root owns everything not under a deeper

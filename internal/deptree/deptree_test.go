@@ -20,6 +20,12 @@ type treeCase struct {
 	wantProblems int
 }
 
+// Root returns the tree's root package.
+func (t *Tree) Root() *Package { return t.byDir[""] }
+
+// ByDir returns the package at dir, nil when absent.
+func (t *Tree) ByDir(dir string) *Package { return t.byDir[dir] }
+
 func pj(s string) string { return s }
 
 var treeCases = []treeCase{

@@ -81,14 +81,16 @@ func dumpResult(progs []*core.Program, f resultFields, v resultView, steps int) 
 
 func dumpDense(progs []*core.Program, limits budget.Limits) string {
 	b := budget.New(limits)
+	b.BeginPhase("reach-gate")
 	r := Analyze(progs, b)
-	return dumpResult(progs, resultFields{r.Exports, r.Funcs, r.Order, r.Calls, r.Exported, r.Escaped, r.Fallback, r.Converged}, r, b.Steps())
+	return dumpResult(progs, resultFields{r.Exports, r.Funcs, r.Order, r.Calls, r.Exported, r.Escaped, r.Fallback, r.Converged}, r, b.PhaseUsages()[0].Steps)
 }
 
 func dumpReference(progs []*core.Program, limits budget.Limits) string {
 	b := budget.New(limits)
+	b.BeginPhase("reach-gate")
 	r := refAnalyze(progs, b)
-	return dumpResult(progs, resultFields{r.Exports, r.Funcs, r.Order, r.Calls, r.Exported, r.Escaped, r.Fallback, r.Converged}, r, b.Steps())
+	return dumpResult(progs, resultFields{r.Exports, r.Funcs, r.Order, r.Calls, r.Exported, r.Escaped, r.Fallback, r.Converged}, r, b.PhaseUsages()[0].Steps)
 }
 
 // firstDiff returns the first differing line of two dumps.

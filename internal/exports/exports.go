@@ -115,10 +115,6 @@ func (r *Result) OwnerOf(file string, line int) string {
 	return lines[line]
 }
 
-// EntryName returns the canonical API name of an exported function
-// ("" when the function is not part of the export surface).
-func (r *Result) EntryName(qname string) string { return r.entryName[qname] }
-
 // PathTo resolves call-path provenance for a program point: the entry
 // label (an export API name, or one of the markers "(module)",
 // "(callback)", "(fallback)") and the call-hop chain of function

@@ -9,6 +9,10 @@ import (
 	"repro/internal/js/normalize"
 )
 
+// EntryName returns the canonical API name of an exported function
+// ("" when the function is not part of the export surface).
+func (r *Result) EntryName(qname string) string { return r.entryName[qname] }
+
 func progs(t *testing.T, srcs map[string]string) []*core.Program {
 	t.Helper()
 	names := make([]string, 0, len(srcs))

@@ -92,12 +92,12 @@ type object struct {
 // ---------------------------------------------------------------------------
 
 // opKind enumerates the lowered statement forms. Every Core statement
-// becomes one op — control flow and definitions as opNop — so a pass
+// becomes one op — control flow and definitions as no-ops (kind 0) — so a pass
 // charges exactly one budget step per statement.
 type opKind uint8
 
 const (
-	opNop         opKind = iota // if/while/func/return/break/continue
+	_             opKind = iota // no-op: if/while/func/return/break/continue
 	opAssign                    // x := a
 	opAlloc                     // x :=i {} (BinOp, UnOp, NewObj, for-in key)
 	opResult                    // x :=i f(...) valued by its site alone (external require, JSON.parse)
@@ -387,7 +387,7 @@ func (ip *interp) lowerStmts(f, owner int32, stmts []core.Stmt) {
 			ip.lowerStmts(f, owner, st.Body)
 			continue
 		}
-		// Return, Break and Continue stay opNop. Return values reach
+		// Return, Break and Continue stay no-ops. Return values reach
 		// callers through dependency edges only (the call result is
 		// the call node itself), so they carry no export evidence and
 		// no call resolution.

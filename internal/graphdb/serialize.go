@@ -1,17 +1,13 @@
 package graphdb
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
-// This file implements graph persistence: the artifact stores MDGs in a
+// This file implements graph export: the artifact stores MDGs in a
 // graph database on disk; here the property graph serializes to a
-// stable JSON document that can be re-imported losslessly.
+// stable JSON document (graphjs -export-db).
 
 type jsonGraph struct {
 	Nodes []jsonNode `json:"nodes"`
@@ -51,147 +47,4 @@ func (db *DB) ExportJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ImportJSON reads a graph previously written by ExportJSON. Node and
-// relationship identities are preserved.
-func ImportJSON(r io.Reader) (*DB, error) {
-	var in jsonGraph
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("graphdb: import: %w", err)
-	}
-	db := NewDB()
-	idMap := make(map[int64]NodeID, len(in.Nodes))
-	for _, jn := range in.Nodes {
-		n := db.CreateNode(jn.Labels, normalizeProps(jn.Props))
-		idMap[jn.ID] = n.ID
-	}
-	for _, jr := range in.Rels {
-		from, okF := idMap[jr.From]
-		to, okT := idMap[jr.To]
-		if !okF || !okT {
-			return nil, fmt.Errorf("graphdb: import: relationship %d references unknown node", jr.ID)
-		}
-		if _, err := db.CreateRel(from, to, jr.Type, normalizeProps(jr.Props)); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}
-
-// normalizeProps converts decoded JSON values into the store's
-// canonical types (json.Number → int64/float64).
-func normalizeProps(props map[string]Value) map[string]Value {
-	if props == nil {
-		return nil
-	}
-	out := make(map[string]Value, len(props))
-	for k, v := range props {
-		out[k] = normalizeValue(v)
-	}
-	return out
-}
-
-func normalizeValue(v Value) Value {
-	switch n := v.(type) {
-	case json.Number:
-		if i, err := n.Int64(); err == nil {
-			return i
-		}
-		f, _ := n.Float64()
-		return f
-	case float64:
-		if n == float64(int64(n)) {
-			return int64(n)
-		}
-		return n
-	case []any:
-		out := make([]Value, len(n))
-		for i, e := range n {
-			out[i] = normalizeValue(e)
-		}
-		return out
-	default:
-		return v
-	}
-}
-
-// ExportCSV writes the graph in Neo4j bulk-import style: a nodes CSV
-// (`id:ID,:LABEL,prop...`) and a relationships CSV
-// (`:START_ID,:END_ID,:TYPE,prop...`). Property columns are the union
-// of keys, in sorted order.
-func (db *DB) ExportCSV(nodes, rels io.Writer) error {
-	nodeKeys := sortedPropKeys(func(yield func(map[string]Value)) {
-		for _, n := range db.AllNodes() {
-			yield(n.Props)
-		}
-	})
-	nw := csv.NewWriter(nodes)
-	header := append([]string{"id:ID", ":LABEL"}, nodeKeys...)
-	if err := nw.Write(header); err != nil {
-		return err
-	}
-	for _, n := range db.AllNodes() {
-		row := []string{fmt.Sprint(int64(n.ID)), strings.Join(n.Labels, ";")}
-		for _, k := range nodeKeys {
-			row = append(row, renderCSV(n.Props[k]))
-		}
-		if err := nw.Write(row); err != nil {
-			return err
-		}
-	}
-	nw.Flush()
-	if err := nw.Error(); err != nil {
-		return err
-	}
-
-	relKeys := sortedPropKeys(func(yield func(map[string]Value)) {
-		for _, n := range db.AllNodes() {
-			for _, r := range db.Out(n.ID) {
-				yield(r.Props)
-			}
-		}
-	})
-	rw := csv.NewWriter(rels)
-	rheader := append([]string{":START_ID", ":END_ID", ":TYPE"}, relKeys...)
-	if err := rw.Write(rheader); err != nil {
-		return err
-	}
-	for _, n := range db.AllNodes() {
-		for _, r := range db.Out(n.ID) {
-			row := []string{fmt.Sprint(int64(r.From)), fmt.Sprint(int64(r.To)), r.Type}
-			for _, k := range relKeys {
-				row = append(row, renderCSV(r.Props[k]))
-			}
-			if err := rw.Write(row); err != nil {
-				return err
-			}
-		}
-	}
-	rw.Flush()
-	return rw.Error()
-}
-
-func sortedPropKeys(each func(func(map[string]Value))) []string {
-	set := map[string]bool{}
-	each(func(props map[string]Value) {
-		for k := range props {
-			set[k] = true
-		}
-	})
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func renderCSV(v Value) string {
-	if v == nil {
-		return ""
-	}
-	return fmt.Sprint(v)
 }

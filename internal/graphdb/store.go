@@ -29,9 +29,6 @@ func (n *Node) HasLabel(l string) bool {
 	return false
 }
 
-// Prop returns the named property (nil when absent).
-func (n *Node) Prop(name string) Value { return n.Props[name] }
-
 // Rel is one directed relationship.
 type Rel struct {
 	ID       int64
@@ -39,9 +36,6 @@ type Rel struct {
 	Type     string
 	Props    map[string]Value
 }
-
-// Prop returns the named property (nil when absent).
-func (r *Rel) Prop(name string) Value { return r.Props[name] }
 
 // DB is an in-memory property graph. Node ids are dense (1..N in
 // creation order), so nodes and their adjacency lists live in slices
@@ -110,9 +104,6 @@ func (db *DB) NodeByID(id NodeID) *Node {
 // NumNodes returns the node count.
 func (db *DB) NumNodes() int { return len(db.nodes) }
 
-// NumRels returns the relationship count.
-func (db *DB) NumRels() int { return db.numRels }
-
 // NodesByLabel returns all nodes carrying label l, in insertion order.
 func (db *DB) NodesByLabel(l string) []*Node {
 	return append([]*Node(nil), db.byLabel[l]...)
@@ -146,9 +137,6 @@ type Path struct {
 
 // Start returns the first node of the path.
 func (p Path) Start() *Node { return p.Nodes[0] }
-
-// End returns the last node of the path.
-func (p Path) End() *Node { return p.Nodes[len(p.Nodes)-1] }
 
 // Len returns the number of relationships in the path.
 func (p Path) Len() int { return len(p.Rels) }

@@ -378,6 +378,3 @@ func (*SwitchStmt) stmt()   {}
 func (*LabeledStmt) stmt()  {}
 func (*ClassDecl) stmt()    {}
 func (*EmptyStmt) stmt()    {}
-
-// At constructs the embedded position Base; used by the parser.
-func At(p token.Pos) Base { return Base{P: p} }

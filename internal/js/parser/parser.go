@@ -97,23 +97,6 @@ func ParseBudget(src string, b *budget.Budget) (*ast.Program, error) {
 	return prog, nil
 }
 
-// ParseExpr parses a single expression (used by tests and tools).
-func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.ScanAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e := p.parseExpr()
-	if p.err != nil {
-		return nil, p.err
-	}
-	if !p.at(token.EOF) {
-		return nil, &Error{Pos: p.cur().Pos, Msg: "unexpected trailing tokens"}
-	}
-	return e, nil
-}
-
 // ---------------------------------------------------------------------------
 // Token plumbing
 // ---------------------------------------------------------------------------

@@ -4,7 +4,26 @@ import (
 	"testing"
 
 	"repro/internal/js/ast"
+	"repro/internal/js/lexer"
+	"repro/internal/js/token"
 )
+
+// ParseExpr parses a single expression.
+func ParseExpr(src string) (ast.Expr, error) {
+	toks, err := lexer.ScanAll(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	e := p.parseExpr()
+	if p.err != nil {
+		return nil, p.err
+	}
+	if !p.at(token.EOF) {
+		return nil, &Error{Pos: p.cur().Pos, Msg: "unexpected trailing tokens"}
+	}
+	return e, nil
+}
 
 func mustParse(t *testing.T, src string) *ast.Program {
 	t.Helper()

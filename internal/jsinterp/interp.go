@@ -3,7 +3,6 @@ package jsinterp
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 )
@@ -22,25 +21,15 @@ type Interp struct {
 	// chain; pollution lands here.
 	ObjectPrototype *Object
 
-	genv     *Env
-	steps    int
-	budget   int
-	deadline time.Time                // zero = no wall-clock bound
-	modules  map[string]*core.Program // sibling modules for require
-	exports  map[string]Value         // memoized module exports
+	genv    *Env
+	steps   int
+	budget  int
+	modules map[string]*core.Program // sibling modules for require
+	exports map[string]Value         // memoized module exports
 }
 
 // ErrBudget reports that execution exceeded the step budget.
 var ErrBudget = errors.New("jsinterp: step budget exhausted")
-
-// ErrDeadline reports that execution exceeded the wall-clock deadline
-// set with SetDeadline.
-var ErrDeadline = errors.New("jsinterp: wall-clock deadline exceeded")
-
-// SetDeadline bounds execution by wall-clock time in addition to the
-// step budget; the clock is consulted every few hundred steps, so slow
-// builtins between checks overshoot by at most that amortized cost.
-func (in *Interp) SetDeadline(t time.Time) { in.deadline = t }
 
 // control-flow signals.
 type returnSignal struct{ v Value }
@@ -77,9 +66,6 @@ func (in *Interp) tick() error {
 	in.steps++
 	if in.steps > in.budget {
 		return ErrBudget
-	}
-	if !in.deadline.IsZero() && in.steps%256 == 0 && !time.Now().Before(in.deadline) {
-		return ErrDeadline
 	}
 	return nil
 }

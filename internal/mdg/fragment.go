@@ -48,9 +48,6 @@ func (f *Fragment) NumNodes() int { return len(f.nodes) }
 // NumEdges returns the fragment's edge count.
 func (f *Fragment) NumEdges() int { return len(f.edges) }
 
-// MaxLoc returns the largest location in the fragment.
-func (f *Fragment) MaxLoc() Loc { return f.maxLoc }
-
 // Stitch combines fragments into one graph, renumbering locations so
 // fragments never collide: fragment i's location l becomes l plus the
 // running offset of the fragments before it. The per-fragment old→new

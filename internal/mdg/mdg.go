@@ -223,14 +223,7 @@ const (
 	RolePropStar              // lazily created dynamic property
 	RoleVer                   // new version after a static update
 	RoleVerStar               // new version after a dynamic update
-	numRoles
 )
-
-// roleNames are the roles' names in LocForKey's string keys.
-var roleNames = [numRoles]string{
-	"global", "module", "lit", "bin", "un", "obj", "forin", "func", "param",
-	"this", "ret", "arguments", "call", "prop", "prop*", "ver", "ver*",
-}
 
 type allocKey struct {
 	role   Role
@@ -366,19 +359,6 @@ func (g *Graph) Alloc(role Role, site int, origin Loc, prop string, kind NodeKin
 	return n.Loc
 }
 
-// LocForKey returns the location previously allocated for the given
-// allocation key, if any. Soundness tests use it to build the
-// abstraction function α from concrete to abstract locations.
-func (g *Graph) LocForKey(role string, site int, origin Loc, prop string) (Loc, bool) {
-	for r, name := range roleNames {
-		if name == role {
-			l, ok := g.alloc[allocKey{role: Role(r), site: site, origin: origin, prop: prop}]
-			return l, ok
-		}
-	}
-	return NoLoc, false
-}
-
 // AddEdge inserts e if not already present. It reports whether the
 // graph changed.
 func (g *Graph) AddEdge(e Edge) bool {
@@ -477,33 +457,12 @@ func (g *Graph) visit(l Loc) bool {
 // Graph operations from the paper (§3.1–3.2)
 // ---------------------------------------------------------------------------
 
-// PropTarget returns the first direct P(p) target of l, or NoLoc.
-func (g *Graph) PropTarget(l Loc, p string) Loc {
-	for _, e := range g.Out(l) {
-		if e.Type == Prop && e.Prop == p {
-			return e.To
-		}
-	}
-	return NoLoc
-}
-
 // StarTargets returns the direct P(*) targets of l.
 func (g *Graph) StarTargets(l Loc) []Loc {
 	var out []Loc
 	for _, e := range g.Out(l) {
 		if e.Type == PropStar {
 			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// VersionPredecessors returns the locations u with u →V(...) l.
-func (g *Graph) VersionPredecessors(l Loc) []Loc {
-	var out []Loc
-	for _, e := range g.In(l) {
-		if e.Type == Ver || e.Type == VerStar {
-			out = append(out, e.From)
 		}
 	}
 	return out
@@ -717,20 +676,9 @@ func (g *Graph) labelOf(l Loc) string {
 }
 
 // ---------------------------------------------------------------------------
-// Lattice structure (§3.1): MDGs ordered by edge-set inclusion.
+// Lattice structure (§3.1): MDGs ordered by edge-set inclusion, so a
+// monotone graph changes exactly when its size does.
 // ---------------------------------------------------------------------------
-
-// Leq reports ĝ1 ⊑ ĝ2: every edge of g is an edge of h.
-func Leq(g, h *Graph) bool {
-	for _, es := range g.out {
-		for _, e := range es {
-			if !h.HasEdge(e) {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // Snapshot captures the graph size; two equal snapshots on a monotone
 // graph mean no change happened in between (used by fixpoints).

@@ -7,6 +7,28 @@ import (
 	"testing/quick"
 )
 
+// PropTarget returns the first direct P(p) target of l, or NoLoc.
+func (g *Graph) PropTarget(l Loc, p string) Loc {
+	for _, e := range g.Out(l) {
+		if e.Type == Prop && e.Prop == p {
+			return e.To
+		}
+	}
+	return NoLoc
+}
+
+// Leq reports ĝ1 ⊑ ĝ2: every edge of g is an edge of h.
+func Leq(g, h *Graph) bool {
+	for _, es := range g.out {
+		for _, e := range es {
+			if !h.HasEdge(e) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func newObj(g *Graph, name string, site int) Loc {
 	return g.Alloc(RoleObj, site, 0, name, KindObject, name, site)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/scanner"
-	"repro/internal/sweepjournal"
 )
 
 // Journal-store chaos (`make chaos` runs this under -race): a
@@ -25,7 +24,7 @@ func TestChaosStoreKillResume(t *testing.T) {
 	if _, _, err := SuperviseGraphJS(c, opts, SuperviseOptions{Journal: baseJournal}); err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
-	truth, _, err := sweepjournal.Load(baseJournal)
+	truth, _, err := loadJournal(baseJournal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestChaosStoreKillResume(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if got, _, err := sweepjournal.Load(journal); err != nil || len(got) != len(c.Packages)-1 {
+		if got, _, err := loadJournal(journal); err != nil || len(got) != len(c.Packages)-1 {
 			t.Fatalf("torn journal holds %d entries (err %v), want %d (one lost to the tear)",
 				len(got), err, len(c.Packages)-1)
 		}
@@ -65,7 +64,7 @@ func TestChaosStoreKillResume(t *testing.T) {
 			t.Errorf("resumed %d packages, want %d (exactly the torn entry re-scans)",
 				rstats.Resumed, len(c.Packages)-1)
 		}
-		got, _, err := sweepjournal.Load(journal)
+		got, _, err := loadJournal(journal)
 		if err != nil {
 			t.Fatal(err)
 		}

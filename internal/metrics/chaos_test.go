@@ -80,7 +80,7 @@ func TestChaosKillResume(t *testing.T) {
 			injected := 0
 
 			// Invariant 2: terminal classified journal rows for everyone.
-			fullEntries, torn, err := sweepjournal.Load(full)
+			fullEntries, torn, err := loadJournal(full)
 			if err != nil || torn {
 				t.Fatalf("journal load: torn=%v err=%v", torn, err)
 			}
@@ -151,7 +151,7 @@ func TestChaosKillResume(t *testing.T) {
 
 			// Invariant 4: the resumed journal replays to exactly the
 			// uninterrupted run's entries, and the sweep rows agree.
-			resEntries, _, err := sweepjournal.Load(killed)
+			resEntries, _, err := loadJournal(killed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -141,8 +141,8 @@ func graphjsResult(p *dataset.Package, rep *scanner.Report) PackageResult {
 		Incomplete:        rep.Incomplete,
 		GraphTime:         rep.TotalTime() - rep.DetectTime(),
 		QueryTime:         rep.DetectTime(),
-		TotalNodes:        rep.TotalNodes(),
-		TotalEdges:        rep.TotalEdges(),
+		TotalNodes:        rep.MDGNodes,
+		TotalEdges:        rep.MDGEdges,
 		LoC:               rep.LoC,
 		QueryEngineTime:   rep.PhaseTime(scanner.PhaseDetectQuery),
 		NativeTime:        rep.PhaseTime(scanner.PhaseDetectNative),
@@ -187,15 +187,19 @@ func SweepGraphJS(c *dataset.Corpus, opts scanner.Options) *Sweep {
 	}), c)
 }
 
-// scanPackage scans one dataset package: single-file packages through
-// ScanSource, multi-file packages (re-export templates with Extra
-// modules) through ScanFiles with the main file as index.js.
+// scanPackage scans one dataset package's sources.
 func scanPackage(p *dataset.Package, opts scanner.Options) *scanner.Report {
+	return scanner.ScanFiles(packageSources(p), p.Name, opts)
+}
+
+// packageSources is the file set of a dataset package: a single-file
+// package is its one file, named after the package; a multi-file
+// package (a re-export template with Extra modules) is packageFiles.
+func packageSources(p *dataset.Package) []scanner.SourceFile {
 	if len(p.Extra) == 0 {
-		return scanner.ScanSource(p.Source, p.Name, opts)
+		return []scanner.SourceFile{{Rel: p.Name, Src: p.Source}}
 	}
-	files := packageFiles(p)
-	return scanner.ScanFiles(files, p.Name, opts)
+	return packageFiles(p)
 }
 
 // packageFiles renders a multi-file package as a sorted SourceFile
@@ -259,11 +263,4 @@ func SweepODGen(c *dataset.Corpus, opts odgen.Options) *Sweep {
 // aggregate sweep timing.
 func RunGraphJS(c *dataset.Corpus, opts scanner.Options) []PackageResult {
 	return SweepGraphJS(c, opts).Results
-}
-
-// RunODGen scans every package of a corpus with the ODGen-style
-// baseline. Parallelism is controlled by opts.Workers (0 = GOMAXPROCS);
-// use SweepODGen to also get the aggregate sweep timing.
-func RunODGen(c *dataset.Corpus, opts odgen.Options) []PackageResult {
-	return SweepODGen(c, opts).Results
 }

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -93,7 +92,9 @@ type PackageResult struct {
 	// subset established before a budget tripped.
 	Failure    budget.Class
 	Incomplete bool
-	// Timing and size metrics for Tables 6/7 and Figure 7.
+	// Timing and size metrics for Tables 6/7 and Figure 7. A Graph.js
+	// row's sizes are its MDG's until WithSourceSizes adds the AST and
+	// CFG; a baseline row's are its whole ODG's.
 	GraphTime  time.Duration
 	QueryTime  time.Duration
 	TotalNodes int
@@ -405,11 +406,4 @@ func FmtPct(f float64) string { return fmt.Sprintf("%.2f", f) }
 // FmtDur renders a duration in milliseconds with 2 decimals.
 func FmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000.0)
-}
-
-// SortedCWEs returns the report ordering.
-func SortedCWEs() []queries.CWE {
-	out := append([]queries.CWE(nil), queries.AllCWEs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -90,7 +90,7 @@ func TestParallelOrderingMatchesCorpus(t *testing.T) {
 	small := &dataset.Corpus{Name: "small", Packages: c.Packages[:40]}
 	od := odgen.DefaultOptions()
 	od.Workers = 3 // deliberately not a divisor of the corpus size
-	odg := RunODGen(small, od)
+	odg := SweepODGen(small, od).Results
 	for i, p := range small.Packages {
 		if odg[i].Package != p {
 			t.Fatalf("baseline result %d is %s, want %s", i, odg[i].Package.Name, p.Name)

@@ -11,8 +11,22 @@ import (
 	"repro/internal/odgen"
 	"repro/internal/queries"
 	"repro/internal/scanner"
+	"repro/internal/store"
 	"repro/internal/sweepjournal"
 )
+
+// loadJournal opens the sweep journal directory read-only and returns
+// its entries; torn reports that the log ended in a partial record,
+// the state a kill mid-append leaves behind.
+func loadJournal(dir string) (entries map[string]sweepjournal.Entry, torn bool, err error) {
+	s, err := store.Open(dir, store.Options{ReadOnly: true})
+	if err != nil {
+		return nil, false, err
+	}
+	entries = sweepjournal.Entries(s)
+	torn = s.Stats().TruncatedBytes > 0
+	return entries, torn, s.Close()
+}
 
 // superviseCorpus builds a small mixed corpus: real ground-truth
 // packages (vulnerable and secure) plus the pathological crash corpus.
@@ -76,7 +90,7 @@ func TestSupervisedMatchesPlainSweep(t *testing.T) {
 		}
 	}
 
-	entries, torn, err := sweepjournal.Load(journal)
+	entries, torn, err := loadJournal(journal)
 	if err != nil || torn {
 		t.Fatalf("journal load: torn=%v err=%v", torn, err)
 	}
@@ -123,7 +137,7 @@ func TestLadderDegradesToFloor(t *testing.T) {
 	if stats.Degraded != 1 {
 		t.Fatalf("stats %+v, want exactly one degraded package", stats)
 	}
-	entries, _, err := sweepjournal.Load(journal)
+	entries, _, err := loadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +192,7 @@ func TestLadderFloorWithPool(t *testing.T) {
 	if stats.Degraded != 1 {
 		t.Fatalf("stats %+v, want exactly one degraded package", stats)
 	}
-	entries, _, err := sweepjournal.Load(journal)
+	entries, _, err := loadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +233,7 @@ func TestTransientRetryRecovers(t *testing.T) {
 	if !sameFindings(sw.Results[0].Findings, plain.Results[0].Findings) {
 		t.Errorf("recovered findings differ from baseline")
 	}
-	entries, _, err := sweepjournal.Load(journal)
+	entries, _, err := loadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +270,7 @@ func TestPersistentTransientQuarantines(t *testing.T) {
 	if stats.Quarantined != 1 {
 		t.Fatalf("stats %+v, want the package quarantined", stats)
 	}
-	entries, _, err := sweepjournal.Load(journal)
+	entries, _, err := loadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +307,7 @@ func TestPersistentTransientQuarantines(t *testing.T) {
 	if len(sw.Results[0].Findings) == 0 {
 		t.Error("requarantined scan produced no findings")
 	}
-	entries, _, err = sweepjournal.Load(journal)
+	entries, _, err = loadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +428,7 @@ func TestResumeFingerprintsResolvedEngine(t *testing.T) {
 		if _, _, err := SuperviseGraphJS(c, scanner.Options{Workers: 1, Engine: tc.wrote}, sup); err != nil {
 			t.Fatal(err)
 		}
-		entries, _, err := sweepjournal.Load(journal)
+		entries, _, err := loadJournal(journal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +466,7 @@ func TestSupervisedODGenTerminates(t *testing.T) {
 	if got := stats.Completed + stats.Degraded + stats.Quarantined; got != len(dataset.Pathological().Packages) {
 		t.Fatalf("stats %+v do not cover the corpus", stats)
 	}
-	entries, _, err := sweepjournal.Load(journal)
+	entries, _, err := loadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSupervisedTreeTargets(t *testing.T) {
 		t.Fatalf("stats %+v, want %d complete", stats, len(targets))
 	}
 
-	entries, torn, err := sweepjournal.Load(journal)
+	entries, torn, err := loadJournal(journal)
 	if err != nil || torn {
 		t.Fatalf("journal: torn=%v err=%v", torn, err)
 	}

@@ -605,6 +605,3 @@ func firstTaint(o *object) string {
 	}
 	return ""
 }
-
-// ScanFileLike mirrors scanner.ScanSource's signature for harness reuse.
-func ScanFileLike(src, name string, opts Options) *Report { return Scan(src, name, opts) }

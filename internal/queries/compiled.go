@@ -35,18 +35,10 @@ MATCH (mid)-[:V {prop: '*'}]->(ver)-[:P {prop: '*'}]->(val)
 RETURN DISTINCT mid, ver, val`
 )
 
-// taintQueryText is the declarative taint-path query of
-// DetectTaintStyleCypher.
-func taintQueryText() string {
-	return fmt.Sprintf(`
-MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
-RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
-}
-
 // queryPlans holds the parsed detector queries.
 type queryPlans struct {
 	sources, protoLookup, ctorProtoLookup, protoWrite *graphdb.Query
-	objLookupStar, objAssignmentStar, taint           *graphdb.Query
+	objLookupStar, objAssignmentStar                  *graphdb.Query
 }
 
 // plans returns the parsed detector queries, parsing them on first
@@ -64,7 +56,6 @@ var plans = sync.OnceValues(func() (*queryPlans, error) {
 		{"proto write scan", protoWriteQuery, &qp.protoWrite},
 		{"ObjLookupStar", objLookupStarQuery, &qp.objLookupStar},
 		{"ObjAssignment*", objAssignmentStarQuery, &qp.objAssignmentStar},
-		{"cypher taint query", taintQueryText(), &qp.taint},
 	} {
 		parsed, err := graphdb.ParseQuery(q.text)
 		if err != nil {

@@ -2,7 +2,6 @@ package queries
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/graphdb"
 	"repro/internal/mdg"
@@ -25,6 +24,14 @@ import (
 // fall back to the native search.
 const cypherMaxHops = 24
 
+// taintQueryText is the declarative taint-path query of
+// DetectTaintStyleCypher.
+func taintQueryText() string {
+	return fmt.Sprintf(`
+MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
+RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
+}
+
 // DetectTaintStyleCypher runs the taint-style query for one class
 // through the query engine.
 func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) {
@@ -35,11 +42,11 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 	}
 
 	// Step 1 (declarative): all candidate paths from taint sources.
-	qp, err := plans()
+	q, err := graphdb.ParseQuery(taintQueryText())
 	if err != nil {
 		return nil, err
 	}
-	res, err := lg.DB.Exec(qp.taint)
+	res, err := lg.DB.Exec(q)
 	if err != nil {
 		return nil, fmt.Errorf("queries: cypher taint query: %w", err)
 	}
@@ -150,13 +157,4 @@ func pathSanitized(lg *LoadedGraph, p graphdb.Path) bool {
 		}
 	}
 	return false
-}
-
-// RenderTaintQuery returns the declarative query text for
-// documentation and the CLI's -show-query flag.
-func RenderTaintQuery() string {
-	return strings.TrimSpace(taintQueryText() + `
-// post-filter: drop paths matching UntaintedPath — a V(prop) edge
-// followed by a P(prop) edge on the same property (Table 1) — then
-// chain with Arg(f, n) for every configured sink f.`)
 }

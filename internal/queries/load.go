@@ -168,8 +168,3 @@ func LoadBudget(res *analysis.Result, b *budget.Budget) *LoadedGraph {
 	db.SetBudget(b)
 	return lg
 }
-
-// NodeOf returns the database node for an abstract location.
-func (lg *LoadedGraph) NodeOf(l mdg.Loc) *graphdb.Node {
-	return lg.DB.NodeByID(lg.ByLoc[l])
-}

@@ -350,8 +350,12 @@ func TestLoadPreservesCounts(t *testing.T) {
 	if lg.DB.NumNodes() != lg.Result.Graph.NumNodes() {
 		t.Errorf("node count mismatch: db=%d mdg=%d", lg.DB.NumNodes(), lg.Result.Graph.NumNodes())
 	}
-	if lg.DB.NumRels() != lg.Result.Graph.NumEdges() {
-		t.Errorf("edge count mismatch: db=%d mdg=%d", lg.DB.NumRels(), lg.Result.Graph.NumEdges())
+	rels := 0
+	for _, n := range lg.DB.AllNodes() {
+		rels += len(lg.DB.Out(n.ID))
+	}
+	if rels != lg.Result.Graph.NumEdges() {
+		t.Errorf("edge count mismatch: db=%d mdg=%d", rels, lg.Result.Graph.NumEdges())
 	}
 }
 
@@ -566,13 +570,6 @@ module.exports = run;`,
 				}
 			}
 		}
-	}
-}
-
-func TestRenderTaintQuery(t *testing.T) {
-	q := RenderTaintQuery()
-	if !strings.Contains(q, "MATCH p =") || !strings.Contains(q, "Param") {
-		t.Fatalf("query text: %q", q)
 	}
 }
 

@@ -23,12 +23,6 @@ import (
 // untainted by definition. This matches the filtering semantics of the
 // Cypher query used by Graph.js while remaining polynomial in practice.
 
-// TaintPathExists reports whether a tainted path exists from src to dst
-// (Table 1's TaintPath with dst specified). maxHops bounds the search.
-func (lg *LoadedGraph) TaintPathExists(src, dst graphdb.NodeID, maxHops int) bool {
-	return lg.taintSearch(src, func(id graphdb.NodeID) bool { return id == dst }, maxHops) != nil
-}
-
 // TaintPathWitness returns a witness tainted path from src to dst, or
 // nil when none exists.
 func (lg *LoadedGraph) TaintPathWitness(src, dst graphdb.NodeID, maxHops int) []graphdb.NodeID {
@@ -154,38 +148,6 @@ func writtenKey(m map[string]bool) string {
 		out += k + "\x00"
 	}
 	return out
-}
-
-// BasicPathExists reports whether any path of at most maxHops edges
-// connects src to dst (Table 1's BasicPath). It is evaluated through
-// the query engine.
-func (lg *LoadedGraph) BasicPathExists(src, dst graphdb.NodeID, maxHops int) bool {
-	seen := map[graphdb.NodeID]bool{}
-	var walk func(id graphdb.NodeID, depth int) bool
-	walk = func(id graphdb.NodeID, depth int) bool {
-		if id == dst {
-			return true
-		}
-		if depth >= maxHops || seen[id] {
-			return false
-		}
-		seen[id] = true
-		for _, r := range lg.DB.Out(id) {
-			if walk(r.To, depth+1) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(src, 0)
-}
-
-// CallArg is one (call, argument position) pair with the locations that
-// flow into the argument — Table 1's Arg(f, n).
-type CallArg struct {
-	Call *graphdb.Node
-	N    int
-	Args []graphdb.NodeID
 }
 
 // ObjLookupStar finds all dynamic-property lookups: pairs (o, sub) with

@@ -277,8 +277,8 @@ module.exports = { a: a, b: b };
 	if r.Exports == nil {
 		t.Fatal("Result must carry the export graph for provenance")
 	}
-	if r.Exports.EntryName("index.js:a") != "exports.a" {
-		t.Errorf("entry name = %q", r.Exports.EntryName("index.js:a"))
+	if entry, _, _ := r.Exports.PathTo("index.js", 2); entry != "exports.a" {
+		t.Errorf("entry name = %q", entry)
 	}
 }
 

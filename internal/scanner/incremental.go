@@ -104,13 +104,6 @@ func (st *IncrementalState) Stats() IncrementalStats {
 	return st.stats
 }
 
-// Fragments returns the number of cached MDG fragments (test hook).
-func (st *IncrementalState) Fragments() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.frags)
-}
-
 type factsEntry struct {
 	hash  [sha256.Size]byte
 	facts *fileFacts
@@ -215,17 +208,6 @@ func (p *StatePool) Store() *store.Store {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.store
-}
-
-// Save flushes the attached store to disk. Scans write through as
-// they go, so this is a group-commit point (drain, shutdown), not a
-// bulk dump.
-func (p *StatePool) Save() error {
-	s := p.Store()
-	if s == nil {
-		return nil
-	}
-	return s.Sync()
 }
 
 // Get returns the state for name, creating it on first use, and

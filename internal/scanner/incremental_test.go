@@ -6,6 +6,13 @@ import (
 	"repro/internal/queries"
 )
 
+// Fragments returns the number of cached MDG fragments (test hook).
+func (st *IncrementalState) Fragments() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.frags)
+}
+
 // sameFindings asserts two reports carry the same finding multiset and
 // the same failure classification.
 func sameFindings(t *testing.T, cold, incr *Report) {

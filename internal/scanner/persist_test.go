@@ -291,7 +291,7 @@ func TestStatePoolAttachStoreReachesExistingStates(t *testing.T) {
 	if s.Len() == 0 {
 		t.Fatal("scan through pre-attach state did not write through")
 	}
-	if err := pool.Save(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,8 +5,8 @@ package scanner
 // runs the same stages, each written once below inside one phase and
 // one panic guard:
 //
-//  1. front end: parse, normalize and build the CFGs of every file
-//     (tree mode first resolves the node_modules layout);
+//  1. front end: parse and normalize every file (tree mode first
+//     resolves the node_modules layout);
 //  2. reach gate: the export-graph pre-pass, which may prove the
 //     package finding-free (or, under ReachGateOnly, end the scan);
 //  3. partition: split the package into separately analyzed fragments;
@@ -36,10 +36,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/deptree"
-	"repro/internal/js/ast"
 	"repro/internal/js/normalize"
 	"repro/internal/js/parser"
 	"repro/internal/mdg"
@@ -168,10 +166,6 @@ func (r *scanRun) frontEnd(files []SourceFile) bool {
 				}
 				continue
 			}
-			rep.ASTNodes += fe.astNodes
-			rep.CoreStmts += fe.coreStmts
-			rep.CFGNodes += fe.cfgNodes
-			rep.CFGEdges += fe.cfgEdges
 			r.units = append(r.units, fileUnit{f.Rel, fe})
 		}
 		b.CheckDeadline()
@@ -551,16 +545,12 @@ func mergeScratch(rep, scratch *Report) {
 	}
 }
 
-// frontEndEntry is one file's front end: the lowered program plus its
-// Table 7 size metrics, keyed (in a retained state) by a content hash
-// over path and source.
+// frontEndEntry is one file's front end: the lowered program, keyed
+// (in a retained state) by a content hash over path and source.
+// coreStmts sizes the entry for the state pool's byte estimate.
 type frontEndEntry struct {
-	hash [sha256.Size]byte
-
+	hash      [sha256.Size]byte
 	prog      *core.Program
-	astNodes  int
-	cfgNodes  int
-	cfgEdges  int
 	coreStmts int
 }
 
@@ -584,15 +574,7 @@ func (st *IncrementalState) frontEnd(rel, src string, b *budget.Budget) (*frontE
 		return nil, err
 	}
 	nprog := normalize.NormalizeBudget(prog, rel, b)
-	cn, ce := cfg.TotalSize(cfg.BuildAll(nprog))
-	e := &frontEndEntry{
-		hash:      h,
-		prog:      nprog,
-		astNodes:  ast.Count(prog),
-		cfgNodes:  cn,
-		cfgEdges:  ce,
-		coreStmts: core.CountStmts(nprog.Body),
-	}
+	e := &frontEndEntry{hash: h, prog: nprog, coreStmts: core.CountStmts(nprog.Body)}
 	if st.retained && b.Err() == nil {
 		st.files[rel] = e
 	}

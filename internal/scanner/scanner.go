@@ -168,19 +168,14 @@ type Report struct {
 	Phases         []budget.PhaseUsage
 	ExhaustedPhase string
 
-	// Size metrics (Table 7). ASTNodes/CFGNodes are included to match
-	// the paper's accounting ("we included the AST and CFG nodes used
-	// to generate the final MDG"). On an incremental scan MDGNodes and
-	// MDGEdges are summed over the package's fragments, which can
-	// slightly exceed a cold combined graph when several components
-	// share lazily created global nodes.
-	LoC       int
-	ASTNodes  int
-	CFGNodes  int
-	CFGEdges  int
-	MDGNodes  int
-	MDGEdges  int
-	CoreStmts int
+	// Size metrics. Table 7 adds the AST and CFG sizes of the sources
+	// (metrics.CountSourceSize), which no scan builds. On an
+	// incremental scan MDGNodes and MDGEdges are summed over the
+	// package's fragments, which can slightly exceed a cold combined
+	// graph when several components share lazily created global nodes.
+	LoC      int
+	MDGNodes int
+	MDGEdges int
 
 	// IncrStats snapshots the incremental state's cumulative
 	// hit/miss/rebuild counters after an incremental scan (nil on cold
@@ -192,12 +187,6 @@ type Report struct {
 	TreePackages int
 	TreeDepth    int
 }
-
-// TotalNodes returns the node count as Table 7 reports it.
-func (r *Report) TotalNodes() int { return r.ASTNodes + r.CFGNodes + r.MDGNodes }
-
-// TotalEdges returns the edge count as Table 7 reports it.
-func (r *Report) TotalEdges() int { return r.CFGEdges + r.MDGEdges }
 
 // Detection phase names: each backend runs under its own phase.
 const (
@@ -472,10 +461,10 @@ func DiffFindings(query, native []queries.Finding) error {
 // ScanSource, like every entry point, is safe for concurrent use by
 // multiple goroutines, which is what makes parallel corpus sweeps
 // (metrics.SweepGraphJS) sound: every pipeline stage — parser,
-// normalizer, CFG builder, abstract interpreter, reach gate, and all
-// detection backends — allocates its state per call, the shared
-// opts.Config is read-only after construction, and opts.Incremental
-// (when set) serializes the scans that share it.
+// normalizer, abstract interpreter, reach gate, and all detection
+// backends — allocates its state per call, the shared opts.Config is
+// read-only after construction, and opts.Incremental (when set)
+// serializes the scans that share it.
 func ScanSource(src, name string, opts Options) *Report {
 	opts.Tree = false
 	return scanFiles([]SourceFile{{Rel: name, Src: src}}, name, opts, nil)
@@ -504,45 +493,55 @@ type SourceFile struct {
 // flows connect across files, then the vulnerability queries run once
 // over the whole graph.
 func ScanPackage(dir string, opts Options) *Report {
-	var paths []string
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+	files, readErr, err := PackageFiles(dir, false)
+	if err != nil {
+		return &Report{Name: dir, Err: err}
+	}
+	return scanFiles(files, dir, opts, readErr)
+}
+
+// PackageFiles reads the files a scan of the package directory dir
+// covers, in sorted Rel order: every .js file except minified ones,
+// skipping test directories and VCS internals and, unless tree is set,
+// node_modules. With tree set it also reads every package.json
+// manifest, which the dependency-tree resolver needs. readErr is the
+// first file that could not be read (the scan skips it); err is a
+// failed directory walk.
+func PackageFiles(dir string, tree bool) (files []SourceFile, readErr, err error) {
+	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
 		if info.IsDir() {
 			base := filepath.Base(path)
-			if base == "node_modules" || base == "test" || base == "tests" || base == ".git" {
+			if base == "node_modules" && !tree || base == "test" || base == "tests" || base == ".git" {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".js") && !strings.HasSuffix(path, ".min.js") {
-			paths = append(paths, path)
+		isJS := strings.HasSuffix(path, ".js") && !strings.HasSuffix(path, ".min.js")
+		if !isJS && !(tree && filepath.Base(path) == "package.json") {
+			return nil
 		}
-		return nil
-	})
-	if err != nil {
-		return &Report{Name: dir, Err: fmt.Errorf("scanner: %w", err)}
-	}
-	sort.Strings(paths)
-
-	var files []SourceFile
-	var readErr error
-	for _, f := range paths {
-		data, rdErr := os.ReadFile(f)
+		rel, relErr := filepath.Rel(dir, path)
+		if relErr != nil {
+			rel = path
+		}
+		data, rdErr := os.ReadFile(path)
 		if rdErr != nil {
 			if readErr == nil {
 				readErr = fmt.Errorf("scanner: %w", rdErr)
 			}
-			continue
+			return nil
 		}
-		rel, relErr := filepath.Rel(dir, f)
-		if relErr != nil {
-			rel = f
-		}
-		files = append(files, SourceFile{Rel: rel, Src: string(data)})
+		files = append(files, SourceFile{Rel: filepath.ToSlash(rel), Src: string(data)})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("scanner: %w", err)
 	}
-	return scanFiles(files, dir, opts, readErr)
+	sort.Slice(files, func(i, j int) bool { return files[i].Rel < files[j].Rel })
+	return files, readErr, nil
 }
 
 // ScanFiles scans an in-memory file set as one multi-module package,

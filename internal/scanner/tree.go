@@ -20,8 +20,6 @@ package scanner
 import (
 	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -38,41 +36,10 @@ import (
 // the resolver), while still skipping test directories and VCS
 // internals.
 func ScanTreeDir(dir string, opts Options) *Report {
-	var files []SourceFile
-	var readErr error
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			base := filepath.Base(path)
-			if base == "test" || base == "tests" || base == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		isJS := strings.HasSuffix(path, ".js") && !strings.HasSuffix(path, ".min.js")
-		if !isJS && filepath.Base(path) != "package.json" {
-			return nil
-		}
-		rel, relErr := filepath.Rel(dir, path)
-		if relErr != nil {
-			rel = path
-		}
-		data, rdErr := os.ReadFile(path)
-		if rdErr != nil {
-			if readErr == nil {
-				readErr = fmt.Errorf("scanner: %w", rdErr)
-			}
-			return nil
-		}
-		files = append(files, SourceFile{Rel: filepath.ToSlash(rel), Src: string(data)})
-		return nil
-	})
+	files, readErr, err := PackageFiles(dir, true)
 	if err != nil {
-		return &Report{Name: dir, Err: fmt.Errorf("scanner: %w", err)}
+		return &Report{Name: dir, Err: err}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Rel < files[j].Rel })
 	opts.Tree = true
 	return scanFiles(files, dir, opts, readErr)
 }

@@ -141,7 +141,7 @@ func TestChaosServe(t *testing.T) {
 	if sw.Completed != sw.Targets || sw.Findings == 0 {
 		t.Fatalf("baseline sweep = %+v, want all targets completed with findings", sw)
 	}
-	baseline, torn, err := sweepjournal.Load(jBase)
+	baseline, torn, err := loadJournal(jBase)
 	if err != nil || torn {
 		t.Fatalf("baseline journal: torn=%v err=%v", torn, err)
 	}
@@ -368,7 +368,7 @@ func TestChaosServe(t *testing.T) {
 	if sw2.Completed != sw2.Targets {
 		t.Fatalf("post-chaos sweep = %+v, want all targets completed", sw2)
 	}
-	post, torn, err := sweepjournal.Load(jPost)
+	post, torn, err := loadJournal(jPost)
 	if err != nil || torn {
 		t.Fatalf("post-chaos journal: torn=%v err=%v", torn, err)
 	}

@@ -16,8 +16,22 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/queries"
 	"repro/internal/scanner"
+	"repro/internal/store"
 	"repro/internal/sweepjournal"
 )
+
+// loadJournal opens the sweep journal directory read-only and returns
+// its entries; torn reports that the log ended in a partial record,
+// the state a kill mid-append leaves behind.
+func loadJournal(dir string) (entries map[string]sweepjournal.Entry, torn bool, err error) {
+	s, err := store.Open(dir, store.Options{ReadOnly: true})
+	if err != nil {
+		return nil, false, err
+	}
+	entries = sweepjournal.Entries(s)
+	torn = s.Stats().TruncatedBytes > 0
+	return entries, torn, s.Close()
+}
 
 // newTestServer builds a Server and an httptest listener around it.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -291,7 +305,7 @@ func TestDrainLeavesReplayableJournal(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	entries, torn, err := sweepjournal.Load(journal)
+	entries, torn, err := loadJournal(journal)
 	if err != nil {
 		t.Fatalf("replay journal: %v", err)
 	}

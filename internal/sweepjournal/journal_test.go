@@ -14,6 +14,24 @@ import (
 	"repro/internal/store"
 )
 
+// Load opens the journal directory read-only and returns its entries.
+// torn reports that the log ended in a partial record, the state a
+// kill mid-append leaves behind. A missing directory loads as an empty
+// journal; a path that is not a directory (such as a journal file from
+// an older format) is an error naming it.
+func Load(dir string) (entries map[string]Entry, torn bool, err error) {
+	s, err := store.Open(dir, store.Options{ReadOnly: true})
+	if err != nil {
+		return nil, false, fmt.Errorf("sweepjournal: %s: %w", dir, err)
+	}
+	entries = Entries(s)
+	torn = s.Stats().TruncatedBytes > 0
+	if err := s.Close(); err != nil {
+		return nil, false, fmt.Errorf("sweepjournal: %s: %w", dir, err)
+	}
+	return entries, torn, nil
+}
+
 func entry(pkg, hash, opts, state string) Entry {
 	return Entry{
 		Package: pkg, Hash: hash, Opts: opts, State: state, Rung: "full",

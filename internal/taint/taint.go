@@ -46,8 +46,8 @@ type predKey struct {
 }
 
 // Engine holds the fixpoint result for one analyzed package. Build it
-// with NewEngine (which runs the fixpoint eagerly), then query taint
-// facts or run Detect.
+// with NewEngineBudget (which runs the fixpoint eagerly), then run
+// Detect.
 type Engine struct {
 	res *analysis.Result
 	cfg *queries.Config
@@ -94,15 +94,11 @@ type Engine struct {
 	Incomplete bool
 }
 
-// NewEngine builds the dataflow engine for one analysis result and
-// runs the taint fixpoint. cfg may be nil (DefaultConfig is used).
-func NewEngine(res *analysis.Result, cfg *queries.Config) *Engine {
-	return NewEngineBudget(res, cfg, nil)
-}
-
-// NewEngineBudget is NewEngine under a fault-containment budget: the
-// worklist fixpoint checks b per popped state and stops early —
-// marking the engine Incomplete — when the deadline or step cap trips.
+// NewEngineBudget builds the dataflow engine for one analysis result
+// and runs the taint fixpoint. cfg may be nil (DefaultConfig is used).
+// Under a fault-containment budget b (nil = unlimited) the worklist
+// fixpoint checks b per popped state and stops early — marking the
+// engine Incomplete — when the deadline or step cap trips.
 func NewEngineBudget(res *analysis.Result, cfg *queries.Config, b *budget.Budget) *Engine {
 	if cfg == nil {
 		cfg = queries.DefaultConfig()
@@ -357,16 +353,6 @@ func (e *Engine) taintedBy(l mdg.Loc, bit int) bool {
 	return bits[bit/64]&(1<<uint(bit%64)) != 0
 }
 
-// ReachesFrom reports whether a tainted path connects src to dst
-// (TaintPathExists for a fixpoint root).
-func (e *Engine) ReachesFrom(src, dst mdg.Loc) bool {
-	bit, ok := e.rootOf[src]
-	if !ok {
-		return false
-	}
-	return e.taintedBy(dst, bit)
-}
-
 // witness reconstructs a source-to-destination node path for one
 // root's bit from the recorded predecessor edges. The returned path
 // carries MDG locations (the native engine has no database node ids).
@@ -438,7 +424,3 @@ func (e *Engine) wsHas(ws wsID, p string) bool {
 	}
 	return false
 }
-
-// States returns the number of dataflow states the fixpoint created;
-// exposed for tests and diagnostics.
-func (e *Engine) States() int { return len(e.facts) }

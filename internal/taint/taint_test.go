@@ -25,7 +25,7 @@ module.exports = run;
 `
 
 func TestDetectCommandInjection(t *testing.T) {
-	e := NewEngine(analyze(t, execSrc), queries.DefaultConfig())
+	e := NewEngineBudget(analyze(t, execSrc), queries.DefaultConfig(), nil)
 	fs := e.Detect()
 	if len(fs) != 1 || fs[0].CWE != queries.CWECommandInjection {
 		t.Fatalf("findings = %v", fs)
@@ -40,7 +40,7 @@ func TestDetectCommandInjection(t *testing.T) {
 
 func TestWitnessEndpoints(t *testing.T) {
 	res := analyze(t, execSrc)
-	e := NewEngine(res, queries.DefaultConfig())
+	e := NewEngineBudget(res, queries.DefaultConfig(), nil)
 	if len(e.sources) != 1 {
 		t.Fatalf("sources = %d", len(e.sources))
 	}
@@ -79,7 +79,7 @@ function run(input) {
 }
 module.exports = run;
 `
-	fs := NewEngine(analyze(t, src), queries.DefaultConfig()).Detect()
+	fs := NewEngineBudget(analyze(t, src), queries.DefaultConfig(), nil).Detect()
 	for _, f := range fs {
 		if f.CWE == queries.CWECommandInjection {
 			t.Fatalf("overwritten taint still flagged: %v", fs)
@@ -95,7 +95,7 @@ module.exports = run;
 `
 	cfg := queries.DefaultConfig()
 	cfg.Sanitizers = []string{"shellEscape"}
-	fs := NewEngine(analyze(t, src), cfg).Detect()
+	fs := NewEngineBudget(analyze(t, src), cfg, nil).Detect()
 	if len(fs) != 0 {
 		t.Fatalf("sanitized flow flagged: %v", fs)
 	}
@@ -105,30 +105,31 @@ func TestTruncationCounter(t *testing.T) {
 	res := analyze(t, execSrc)
 	cfg := queries.DefaultConfig()
 	cfg.MaxHops = 1
-	e := NewEngine(res, cfg)
+	e := NewEngineBudget(res, cfg, nil)
 	if e.Truncated == 0 {
 		t.Error("hop bound 1 must truncate some propagation")
 	}
-	full := NewEngine(res, queries.DefaultConfig())
+	full := NewEngineBudget(res, queries.DefaultConfig(), nil)
 	if full.Truncated != 0 {
 		t.Errorf("default hop bound must not truncate: %d", full.Truncated)
 	}
 }
 
+// TestReachesFrom: a source's taint reaches the source itself.
 func TestReachesFrom(t *testing.T) {
 	res := analyze(t, execSrc)
-	e := NewEngine(res, queries.DefaultConfig())
+	e := NewEngineBudget(res, queries.DefaultConfig(), nil)
 	src := e.sources[0]
-	if !e.ReachesFrom(src.Loc, src.Loc) {
+	if bit, ok := e.rootOf[src.Loc]; !ok || !e.taintedBy(src.Loc, bit) {
 		t.Error("a source must reach itself")
 	}
-	if e.States() == 0 {
+	if len(e.facts) == 0 {
 		t.Error("fixpoint created no states")
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	e := NewEngine(analyze(t, "var x = 1;"), queries.DefaultConfig())
+	e := NewEngineBudget(analyze(t, "var x = 1;"), queries.DefaultConfig(), nil)
 	if fs := e.Detect(); len(fs) != 0 {
 		t.Fatalf("findings on trivial program: %v", fs)
 	}
