@@ -71,7 +71,8 @@ pathological:
 		./internal/scanner ./internal/metrics
 
 # mutate-check replays the single-file edit script (touch, benign edit,
-# source-introducing edit, sink-removing edit, file add/delete) over
+# source-introducing edit, sink-removing edit, file add/delete, and
+# adds and renames that change require resolution) over
 # every dataset template and asserts incremental findings ≡ cold-scan
 # findings after every step, under the race detector at Workers=4. It
 # also runs the warm-state cache tests and the full-corpus oracle: a
@@ -124,4 +125,5 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 3s -fuzzminimizetime 5s ./internal/scanner
 	$(GO) test -run xxx -fuzz FuzzDepResolve -fuzztime 3s -fuzzminimizetime 5s ./internal/deptree
 	$(GO) test -run xxx -fuzz FuzzCrossStitch -fuzztime 3s -fuzzminimizetime 5s ./internal/scanner
+	$(GO) test -run xxx -fuzz FuzzGateUnits -fuzztime 3s -fuzzminimizetime 5s ./internal/scanner
 	$(GO) test -run xxx -fuzz FuzzExportsEquivalence -fuzztime 3s -fuzzminimizetime 5s ./internal/exports

@@ -446,8 +446,8 @@ func printHuman(rep *scanner.Report, size *metrics.SourceSize, trace bool) {
 			fmt.Printf("  truncated searches: %d (hop bound hit)\n", rep.TruncatedSearches)
 		}
 		if s := rep.IncrStats; s != nil {
-			fmt.Printf("  incremental: front-end %d hit/%d miss, fragments %d hit/%d rebuilt, detection %d hit/%d miss, evicted %d files/%d fragments\n",
-				s.FrontEndHits, s.FrontEndMisses, s.FragmentHits, s.Rebuilds(),
+			fmt.Printf("  incremental: front-end %d hit/%d miss, gate units %d hit/%d miss, fragments %d hit/%d rebuilt, detection %d hit/%d miss, evicted %d files/%d fragments\n",
+				s.FrontEndHits, s.FrontEndMisses, s.GateHits, s.GateMisses, s.FragmentHits, s.Rebuilds(),
 				s.DetectHits, s.DetectMisses, s.EvictedFiles, s.EvictedFragments)
 		}
 	}

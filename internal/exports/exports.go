@@ -149,8 +149,46 @@ func (r *Result) PathTo(file string, line int) (entry string, hops []string, ok 
 // Analyze runs the export-graph pass over the normalized programs of
 // one package. b may be nil; when set, the fixpoint consumes
 // cooperative steps and aborts (to the fallback attack model) once
-// the budget trips.
+// the budget trips. It is Merge over one unit holding every file.
 func Analyze(progs []*core.Program, b *budget.Budget) *Result {
+	u := AnalyzeUnit(progs, b)
+	// The unit is this call's alone, so its result is finished in
+	// place.
+	return finishReach(u.res, []*Unit{u}, u.res.Converged, len(u.res.Exported) > 0, b)
+}
+
+// Unit is the export pass over one require-closed group of a
+// package's files, up to the decisions that need the whole package:
+// the fixpoint, the call graph, the exported closure and the escaped
+// set. Every variable and lazily materialized global of the pass is
+// file-scoped and files interact only through require, so the pass
+// over a package whose files are split into groups that contain every
+// require target they can resolve to is the disjoint union of the
+// groups' passes: Merge over the groups' units equals Analyze over
+// all files. A unit is read-only once built; its FuncInfo.Def point
+// into the programs it was built from.
+type Unit struct {
+	// res carries every Result field except Fallback and the
+	// provenance tree, which Merge decides package-wide.
+	res *Result
+	// The post-fixpoint call graph over dense ids, for Merge's BFS:
+	// tops are the files' top-level nodes in file order, calls is
+	// node -> callee function ids (sorted by qname), fnNode is
+	// function id -> node, and exported and escaped list function ids
+	// sorted by qname.
+	tops, fnNode      []int32
+	exported, escaped []int32
+	calls             [][]int32
+}
+
+// Nodes counts the unit's call-graph nodes: its functions and its
+// files' top-level code.
+func (u *Unit) Nodes() int { return len(u.res.names) }
+
+// AnalyzeUnit runs the export pass over one group of files (see Unit).
+// b may be nil; a budget that trips mid-pass leaves a unit that did
+// not converge.
+func AnalyzeUnit(progs []*core.Program, b *budget.Budget) *Unit {
 	ip := newInterp(progs, b)
 	// The coarse per-file/per-pass consults use b.Err — observing a
 	// budget failure recorded elsewhere without charging checkpoints —
@@ -191,11 +229,124 @@ func Analyze(progs []*core.Program, b *budget.Budget) *Result {
 	return ip.finish(converged)
 }
 
+// Merge combines the units of one package into its Result. progs are
+// the package's programs in package order (the units' files, each
+// once); they fix the order of Result.Order. The package-wide
+// decisions are made here: the fallback attack model applies when a
+// unit did not converge or no unit has export evidence (and then no
+// export closure counts, as in a pass over all files that did not
+// converge), and the reachability BFS runs under it. The BFS charges
+// b one step per visited node; a budget that trips mid-BFS degrades
+// the result to keep-everything.
+func Merge(units []*Unit, progs []*core.Program, b *budget.Budget) *Result {
+	converged, evidence := true, false
+	//lint:allow budgetloop -- O(#units) flag fold, no nested work
+	for _, u := range units {
+		converged = converged && u.res.Converged
+		evidence = evidence || len(u.res.Exported) > 0
+	}
+	var r *Result
+	if len(units) == 1 {
+		cp := *units[0].res
+		r = &cp
+	} else {
+		r = mergeResults(units, progs, converged)
+	}
+	return finishReach(r, units, converged, evidence, b)
+}
+
+// finishReach makes the package-wide fallback decision on r and runs
+// the reachability BFS under it.
+func finishReach(r *Result, units []*Unit, converged, evidence bool, b *budget.Budget) *Result {
+	r.Fallback = !converged || !evidence
+	solveReach(r, units, converged, b)
+	return r
+}
+
+// mergeResults concatenates the units' results: maps are unioned (the
+// units' files, functions and call-graph nodes are disjoint), node ids
+// are offset by the nodes of the units before, and Order follows the
+// package's file order. It walks each unit's slices and looks its maps
+// up, which is cheaper than iterating the small maps.
+func mergeResults(units []*Unit, progs []*core.Program, converged bool) *Result {
+	nf, nn, nc := 0, 0, 0
+	for _, u := range units {
+		nf += len(u.res.Funcs)
+		nn += len(u.res.names)
+		nc += len(u.res.Calls)
+	}
+	r := &Result{
+		Funcs:     make(map[string]*FuncInfo, nf),
+		Order:     make([]string, 0, nf),
+		Calls:     make(map[string][]string, nc),
+		Exported:  map[string]bool{},
+		Escaped:   map[string]bool{},
+		Converged: converged,
+		entryName: map[string]string{},
+		ownerOf:   make(map[string][]string, len(progs)),
+		nodes:     make(map[string]int32, nn),
+		names:     make([]string, 0, nn),
+	}
+	// A unit's Order runs file by file; byFile maps each file to its
+	// run.
+	byFile := make(map[string][]string, len(progs))
+	for _, u := range units {
+		res := u.res
+		off := int32(len(r.names))
+		for i, name := range res.names {
+			r.nodes[name] = off + int32(i)
+			if callees, ok := res.Calls[name]; ok {
+				r.Calls[name] = callees
+			}
+		}
+		r.names = append(r.names, res.names...)
+		for _, top := range u.tops {
+			file := strings.TrimSuffix(res.names[top], ":")
+			if lines, ok := res.ownerOf[file]; ok {
+				r.ownerOf[file] = lines
+			}
+		}
+		for lo := 0; lo < len(res.Order); {
+			f := res.Funcs[res.Order[lo]]
+			hi := lo
+			for ; hi < len(res.Order); hi++ {
+				fi := res.Funcs[res.Order[hi]]
+				if fi.File != f.File {
+					break
+				}
+				r.Funcs[fi.QName] = fi
+			}
+			byFile[f.File] = res.Order[lo:hi]
+			lo = hi
+		}
+		for _, fid := range u.escaped {
+			r.Escaped[res.names[u.fnNode[fid]]] = true
+		}
+		if converged {
+			for _, fid := range u.exported {
+				q := res.names[u.fnNode[fid]]
+				r.Exported[q] = true
+				r.entryName[q] = res.entryName[q]
+			}
+			r.Exports = append(r.Exports, res.Exports...)
+		}
+	}
+	for _, p := range progs {
+		r.Order = append(r.Order, byFile[p.FileName]...)
+		delete(byFile, p.FileName)
+	}
+	sortExports(r.Exports)
+	return r
+}
+
 // ---------------------------------------------------------------------------
 // Export closure, reachability and provenance
 // ---------------------------------------------------------------------------
 
-func (ip *interp) finish(converged bool) *Result {
+// finish turns the settled interpreter into a unit: the call graph,
+// the escaped set, per-line ownership and (when the fixpoint
+// converged) the export closure.
+func (ip *interp) finish(converged bool) *Unit {
 	// Every file's top-level pseudo-node is a call-graph root, lowered
 	// or not (a budget abort can stop the lowering early).
 	tops := make([]int32, len(ip.progs))
@@ -214,12 +365,15 @@ func (ip *interp) finish(converged bool) *Result {
 		nodes:     ip.ownerIndex,
 		names:     ip.ownerNames,
 	}
+	u := &Unit{res: r, tops: tops, fnNode: ip.fnNode, calls: ip.calls}
 	for fid, esc := range ip.escaped {
 		if esc {
 			r.Escaped[ip.fnNames[fid]] = true
+			u.escaped = append(u.escaped, int32(fid))
 		}
 	}
 	ip.rankFuncs()
+	ip.byName(u.escaped)
 	for owner, callees := range ip.calls {
 		if len(callees) == 0 {
 			continue
@@ -231,15 +385,11 @@ func (ip *interp) finish(converged bool) *Result {
 		}
 		r.Calls[ip.ownerNames[owner]] = out
 	}
-
-	var exported []int32
 	if converged {
-		exported = ip.exportClosure(r)
+		u.exported = ip.exportClosure(r)
+		ip.byName(u.exported)
 	}
-	r.Fallback = !converged || len(r.Exported) == 0
-
-	ip.solveReach(r, tops, exported)
-	return r
+	return u
 }
 
 // rankFuncs orders the function ids by qname, the order every
@@ -380,8 +530,15 @@ func (ip *interp) exportClosure(r *Result) []int32 {
 			queue = append(queue, item{v, it.depth, it.name + "[*]", it.file})
 		}
 	}
-	sort.Slice(r.Exports, func(i, j int) bool {
-		a, b := r.Exports[i], r.Exports[j]
+	sortExports(r.Exports)
+	return exported
+}
+
+// sortExports orders the API surface by defining module, name and
+// function.
+func sortExports(es []Export) {
+	sort.Slice(es, func(i, j int) bool {
+		a, b := es[i], es[j]
 		if a.File != b.File {
 			return a.File < b.File
 		}
@@ -390,7 +547,6 @@ func (ip *interp) exportClosure(r *Result) []int32 {
 		}
 		return a.Func < b.Func
 	})
-	return exported
 }
 
 // sortedVals orders a value set for the export closure: objects by id,
@@ -415,72 +571,99 @@ func (ip *interp) sortedVals(s []int32) []int32 {
 // yields both the reachable set and the provenance tree. Root layers
 // in priority order — exported functions, module top-level code,
 // escaped callbacks, then (under Fallback) every remaining function —
-// so each function's provenance prefers an export-rooted path.
-func (ip *interp) solveReach(r *Result, tops, exported []int32) {
-	n := len(ip.ownerNames)
+// so each function's provenance prefers an export-rooted path. Units
+// share no node, so one BFS per unit, node ids offset into r's, gives
+// every node the parent and entry of one BFS over the whole package:
+// a FIFO queue restricted to one unit's nodes is that unit's own BFS
+// queue. Exported roots count only when every unit converged (a
+// package pass that did not converge computes no export closure).
+func solveReach(r *Result, units []*Unit, converged bool, b *budget.Budget) {
+	n := len(r.names)
 	r.reachable = make([]bool, n)
 	r.rootEntry = make([]string, n)
 	r.parent = make([]int32, n)
+	//lint:allow budgetloop -- O(#nodes) slice fill
 	for i := range r.parent {
 		r.parent[i] = -1
 	}
-	queue := make([]int32, 0, n)
-	enqueue := func(node int32, entry string) {
-		if r.reachable[node] {
-			return
+	// Every unit's roots are enqueued before any BFS step, so a budget
+	// trip leaves every top-level node rooted as "(module)".
+	// One unit, as in every cold scan, needs no allocated slices here.
+	var one [1][]int32
+	var oneOff [1]int32
+	queues, offs := one[:], oneOff[:]
+	if len(units) > 1 {
+		queues, offs = make([][]int32, len(units)), make([]int32, len(units))
+	}
+	// A node is enqueued at most once, so each unit's queue fits in its
+	// own stretch of one buffer.
+	buf := make([]int32, n)
+	var off int32
+	//lint:allow budgetloop -- root enqueueing, O(#roots); the BFS below charges a step per visited node
+	for k, u := range units {
+		offs[k] = off
+		queue := buf[off : off : int(off)+len(u.res.names)]
+		enqueue := func(node int32, entry string) {
+			node += off
+			if r.reachable[node] {
+				return
+			}
+			r.reachable[node] = true
+			r.rootEntry[node] = entry
+			queue = append(queue, node)
 		}
-		r.reachable[node] = true
-		r.rootEntry[node] = entry
-		queue = append(queue, node)
-	}
-
-	ip.byName(exported)
-	for _, fid := range exported {
-		enqueue(ip.fnNode[fid], r.entryName[ip.fnNames[fid]])
-	}
-	for _, top := range tops {
-		enqueue(top, "(module)")
-	}
-	var escaped []int32
-	for fid, esc := range ip.escaped {
-		if esc {
-			escaped = append(escaped, int32(fid))
+		if converged {
+			for _, fid := range u.exported {
+				node := u.fnNode[fid]
+				enqueue(node, u.res.entryName[u.res.names[node]])
+			}
 		}
-	}
-	ip.byName(escaped)
-	for _, fid := range escaped {
-		enqueue(ip.fnNode[fid], "(callback)")
-	}
-	if r.Fallback {
-		for _, node := range ip.fnNode {
-			enqueue(node, "(fallback)")
+		for _, top := range u.tops {
+			enqueue(top, "(module)")
 		}
-	}
-
-	for len(queue) > 0 {
-		if !ip.step() {
-			// Budget tripped mid-closure: degrade to keep-everything so
-			// the caller never prunes on a half-computed graph.
-			r.Fallback = true
-			for _, node := range ip.fnNode {
+		for _, fid := range u.escaped {
+			enqueue(u.fnNode[fid], "(callback)")
+		}
+		if r.Fallback {
+			for _, node := range u.fnNode {
 				enqueue(node, "(fallback)")
 			}
-			for _, node := range ip.fnNode {
-				r.reachable[node] = true
+		}
+		queues[k] = queue
+		off += int32(len(u.res.names))
+	}
+
+	for k, u := range units {
+		queue, off := queues[k], offs[k]
+		for len(queue) > 0 {
+			if b.Step() != nil {
+				// Budget tripped mid-closure: degrade to keep-everything
+				// so the caller never prunes on a half-computed graph.
+				r.Fallback = true
+				//lint:allow budgetloop -- degrade-to-keep-everything after the budget tripped; must complete
+				for k, u := range units {
+					for _, node := range u.fnNode {
+						if node += offs[k]; !r.reachable[node] {
+							r.reachable[node] = true
+							r.rootEntry[node] = "(fallback)"
+						}
+					}
+				}
+				return
 			}
-			return
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		if int(cur) >= len(ip.calls) {
-			continue
-		}
-		for _, fid := range ip.calls[cur] {
-			if callee := ip.fnNode[fid]; !r.reachable[callee] {
-				r.reachable[callee] = true
-				r.parent[callee] = cur
-				r.rootEntry[callee] = r.rootEntry[cur]
-				queue = append(queue, callee)
+			cur := queue[0]
+			queue = queue[1:]
+			if int(cur-off) >= len(u.calls) {
+				continue
+			}
+			//lint:allow budgetloop -- callee list of one visited node; the visit charged its step
+			for _, fid := range u.calls[cur-off] {
+				if callee := off + u.fnNode[fid]; !r.reachable[callee] {
+					r.reachable[callee] = true
+					r.parent[callee] = cur
+					r.rootEntry[callee] = r.rootEntry[cur]
+					queue = append(queue, callee)
+				}
 			}
 		}
 	}

@@ -12,12 +12,16 @@ import (
 // This file is the mutation-driven equivalence harness for the
 // incremental scanner: it replays a fixed edit script against one
 // package — touch, benign edit, source-introducing edit, file add
-// (independent and require-linked), file delete, sink-removing edit,
-// revert — and after every step asserts that an incremental re-scan
-// (persistent scanner.IncrementalState) reports exactly what a cold
-// scan of the same files reports. Any under-approximation in the
-// scanner's component partition (internal/scanner/deps.go) shows up
-// here as a divergence.
+// (independent and require-linked), a require that resolves only once
+// its target is added and stops resolving after renames, file delete,
+// sink-removing edit, revert — and after every step asserts that an
+// incremental re-scan (persistent scanner.IncrementalState) reports
+// exactly what a cold scan of the same files reports: findings,
+// failure class, the reach gate's counters and the findings'
+// provenance. Any under-approximation in the scanner's component
+// partition (internal/scanner/deps.go), and any per-component cache
+// entry served after its component changed, shows up here as a
+// divergence.
 
 // MutationStep is one package state of the edit script.
 type MutationStep struct {
@@ -34,13 +38,28 @@ const (
 	mutLinkedFile      = "var __m = require('./index');\nfunction __use(__a) { return __m(__a); }\nmodule.exports = __use;\n"
 	mutSourceIntro     = "\nfunction __fresh(__c) { eval(__c); }\nmodule.exports.__fresh = __fresh;\n"
 	mutSinkRemoved     = "function __calm(__x) { return __x + 1; }\nmodule.exports = __calm;\n"
+	// mutUsesFile requires './helper': while the require resolves,
+	// __inner goes to a resolved callee and is unreachable; while it
+	// does not, __inner escapes to an opaque module as a callback and
+	// its eval is reachable.
+	mutUsesFile   = "var __h = require('./helper');\nfunction __inner(__c) { eval(__c); }\n__h(__inner);\nmodule.exports = function (__a) { return __h(__a); };\n"
+	mutHelperFile = "module.exports = function (__f) { return __f; };\n"
 )
 
 // MutationSequence derives the edit script for a base single-file
 // package (rel "index.js"). Every step is a full package snapshot;
-// consecutive steps differ by exactly one file edit, add, or delete.
+// consecutive steps differ by exactly one file edit, add, delete or
+// rename.
 func MutationSequence(src string) []MutationStep {
 	intro := src + mutSourceIntro
+	linked := []scanner.SourceFile{
+		{Rel: "extra.js", Src: mutIndependentFile},
+		{Rel: "index.js", Src: intro},
+		{Rel: "linked.js", Src: mutLinkedFile}}
+	with := func(more ...scanner.SourceFile) []scanner.SourceFile {
+		return append(append([]scanner.SourceFile(nil), linked...), more...)
+	}
+	uses := scanner.SourceFile{Rel: "uses.js", Src: mutUsesFile}
 	steps := []MutationStep{
 		{Name: "seed", Files: []scanner.SourceFile{{Rel: "index.js", Src: src}}},
 		{Name: "touch", Files: []scanner.SourceFile{{Rel: "index.js", Src: src + "\n// touched\n"}}},
@@ -50,10 +69,12 @@ func MutationSequence(src string) []MutationStep {
 		{Name: "add-independent", Files: []scanner.SourceFile{
 			{Rel: "extra.js", Src: mutIndependentFile},
 			{Rel: "index.js", Src: intro}}},
-		{Name: "add-linked", Files: []scanner.SourceFile{
-			{Rel: "extra.js", Src: mutIndependentFile},
-			{Rel: "index.js", Src: intro},
-			{Rel: "linked.js", Src: mutLinkedFile}}},
+		{Name: "add-linked", Files: with()},
+		// Require resolution, and so component membership, changes.
+		{Name: "add-unresolved", Files: with(uses)},
+		{Name: "add-target", Files: with(uses, scanner.SourceFile{Rel: "helper.js", Src: mutHelperFile})},
+		{Name: "rename-target", Files: with(uses, scanner.SourceFile{Rel: "helper/index.js", Src: mutHelperFile})},
+		{Name: "rename-away", Files: with(uses, scanner.SourceFile{Rel: "aid.js", Src: mutHelperFile})},
 		{Name: "delete-files", Files: []scanner.SourceFile{{Rel: "index.js", Src: intro}}},
 		{Name: "sink-removing", Files: []scanner.SourceFile{{Rel: "index.js", Src: mutSinkRemoved}}},
 		{Name: "revert", Files: []scanner.SourceFile{{Rel: "index.js", Src: src}}},
@@ -66,7 +87,11 @@ func MutationSequence(src string) []MutationStep {
 
 // compareReports asserts the observable scan outcome matches: the
 // finding multiset (CWE, sink name, sink file, sink line, source), the
-// failure classification, and completeness.
+// failure classification, and completeness — and, when neither scan's
+// budget tripped, the reach gate's counters and every finding's
+// provenance. (A gate whose budget trips degrades to its fallback at
+// whatever point the budget ran out, which differs between a cold scan
+// and a warm one that spends no steps on cached work.)
 func compareReports(step string, cold, incr *scanner.Report) error {
 	if err := scanner.DiffFindings(cold.Findings, incr.Findings); err != nil {
 		return fmt.Errorf("step %q: findings diverge (cold vs incremental): %w", step, err)
@@ -77,7 +102,24 @@ func compareReports(step string, cold, incr *scanner.Report) error {
 	if cold.Incomplete != incr.Incomplete {
 		return fmt.Errorf("step %q: incomplete cold=%v incremental=%v", step, cold.Incomplete, incr.Incomplete)
 	}
+	if cold.ExhaustedPhase == "" && incr.ExhaustedPhase == "" {
+		if c, i := gateView(cold), gateView(incr); c != i {
+			return fmt.Errorf("step %q: reach gate diverges:\n  cold:        %s\n  incremental: %s", step, c, i)
+		}
+	}
 	return nil
+}
+
+// gateView renders a report's reach-gate counters and the provenance
+// of its findings, in the report's (sorted) finding order.
+func gateView(rep *scanner.Report) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "funcs=%d pruned=%d exports=%d fallback=%v skipped=%v depth=%d",
+		rep.FuncsTotal, rep.FuncsPruned, rep.ExportCount, rep.ReachFallback, rep.SkippedByReach, rep.ProvenanceDepth)
+	for _, f := range rep.Findings {
+		fmt.Fprintf(&sb, "; %s %s:%d %s fallback=%v", f.CWE, f.SinkFile, f.SinkLine, f.Provenance, f.Provenance.Fallback)
+	}
+	return sb.String()
 }
 
 // CheckMutationEquivalence replays the edit script for one base source,

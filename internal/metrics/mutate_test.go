@@ -41,7 +41,8 @@ func templateCorpus(seed int64) *dataset.Corpus {
 func TestMutationSequenceShape(t *testing.T) {
 	steps := MutationSequence("function f(x) { return x; }\nmodule.exports = f;\n")
 	want := []string{"seed", "touch", "benign-edit", "source-introducing",
-		"add-independent", "add-linked", "delete-files", "sink-removing", "revert"}
+		"add-independent", "add-linked", "add-unresolved", "add-target",
+		"rename-target", "rename-away", "delete-files", "sink-removing", "revert"}
 	if len(steps) != len(want) {
 		t.Fatalf("got %d steps, want %d", len(steps), len(want))
 	}
@@ -114,6 +115,23 @@ func TestMutationStepsActuallyMutate(t *testing.T) {
 	}
 	if len(counts) < 2 {
 		t.Fatalf("edit script never changed the finding count: %v", counts)
+	}
+}
+
+// TestResolutionStepsMoveTheGate guards the require-resolution steps
+// against vacuity: adding the required file and renaming it away must
+// change what the reach gate prunes, so a per-component gate unit
+// served across them would show in compareReports.
+func TestResolutionStepsMoveTheGate(t *testing.T) {
+	g := dataset.NewGenForTest(3)
+	p := dataset.RenderForTest(g, queries.CWECommandInjection, dataset.ClassPlain)
+	pruned := map[string]int{}
+	for _, step := range MutationSequence(p.Source) {
+		pruned[step.Name] = scanner.ScanFiles(step.Files, p.Name, scanner.Options{}).FuncsPruned
+	}
+	if pruned["add-target"] == pruned["add-unresolved"] || pruned["rename-target"] != pruned["add-target"] ||
+		pruned["rename-away"] != pruned["add-unresolved"] {
+		t.Fatalf("pruned functions per step %v: resolving the require must prune __inner, and only then", pruned)
 	}
 }
 

@@ -82,10 +82,24 @@ func Analyze(progs []*core.Program, cfg *queries.Config) *Result {
 // fixpoint charges steps, and a tripped budget degrades the result to
 // the keep-everything fallback instead of guessing.
 func AnalyzeBudget(progs []*core.Program, cfg *queries.Config, b *budget.Budget) *Result {
+	return fromExports(exports.Analyze(progs, b), progs, cfg)
+}
+
+// AnalyzeUnits is AnalyzeBudget over a package whose export pass ran
+// as units, one per require-closed group of its files (see
+// exports.Unit): the units are merged under b, and the sink scan runs
+// over progs, every program of the package in package order.
+func AnalyzeUnits(progs []*core.Program, units []*exports.Unit, cfg *queries.Config, b *budget.Budget) *Result {
+	return fromExports(exports.Merge(units, progs, b), progs, cfg)
+}
+
+// fromExports derives the gate's result from the package's export
+// graph: the reachable set, the source shape and the dangerous-
+// operation scan under cfg (nil means DefaultConfig).
+func fromExports(exp *exports.Result, progs []*core.Program, cfg *queries.Config) *Result {
 	if cfg == nil {
 		cfg = queries.DefaultConfig()
 	}
-	exp := exports.Analyze(progs, b)
 	r := &Result{
 		TotalFuncs:   len(exp.Order),
 		Reachable:    map[string]bool{},

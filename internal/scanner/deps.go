@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"path"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -50,10 +51,16 @@ type fileFacts struct {
 
 // factsWalker tracks, per variable name, the set of shared-root keys
 // the variable's value may derive from (flow-insensitive across the
-// file, built to a fixpoint by extractFacts).
+// file, built to a fixpoint by extractFacts), and the names bound at
+// the current point of the walk.
 type factsWalker struct {
 	f       *fileFacts
 	derived map[string]map[string]bool
+	// bound holds the names bound at the current point; log records
+	// every name bound since the pass began, in order, so a nested
+	// scope drops its own bindings on exit instead of walking a copy.
+	bound map[string]bool
+	log   []string
 }
 
 // extractFacts computes the dependency facts of one lowered file.
@@ -64,15 +71,18 @@ func extractFacts(prog *core.Program) *fileFacts {
 		mutated:   map[string]bool{},
 		readRoots: map[string]bool{},
 	}
-	w := &factsWalker{f: f, derived: map[string]map[string]bool{}}
+	w := &factsWalker{f: f, derived: map[string]map[string]bool{}, bound: map[string]bool{}}
 	// Derivation chains (x := shared; y := x.p; y.q := v) need a
 	// fixpoint over the flow-insensitive derived sets; the chains are
 	// short in practice, so a few passes converge. The free/assigned
 	// sets are order-aware and identical every pass.
 	for pass := 0; pass < 3; pass++ {
 		before := w.derivedSize()
-		bound := map[string]bool{"module": true, "exports": true}
-		w.stmts(prog.Body, bound)
+		clear(w.bound)
+		w.log = w.log[:0]
+		w.bind("module")
+		w.bind("exports")
+		w.stmts(prog.Body)
 		if w.derivedSize() == before && pass > 0 {
 			break
 		}
@@ -88,28 +98,47 @@ func (w *factsWalker) derivedSize() int {
 	return n
 }
 
-// read records a read of e under bound and returns the shared-root
-// keys the value may derive from.
-func (w *factsWalker) read(e core.Expr, bound map[string]bool) map[string]bool {
+// bind marks name bound from here on.
+func (w *factsWalker) bind(name string) {
+	if !w.bound[name] {
+		w.bound[name] = true
+		w.log = append(w.log, name)
+	}
+}
+
+// unbind drops every binding made since the log had length mark and
+// returns the dropped names (valid until the next bind).
+func (w *factsWalker) unbind(mark int) []string {
+	added := w.log[mark:]
+	for _, name := range added {
+		delete(w.bound, name)
+	}
+	w.log = w.log[:mark]
+	return added
+}
+
+// read records a read of e and returns the shared-root keys the value
+// may derive from.
+func (w *factsWalker) read(e core.Expr) []string {
 	v, ok := e.(core.Var)
 	if !ok {
 		return nil
 	}
-	roots := map[string]bool{}
-	if !bound[v.Name] {
+	var roots []string
+	if !w.bound[v.Name] {
 		key := "g:" + v.Name
 		w.f.freeReads[v.Name] = true
 		w.f.readRoots[key] = true
-		roots[key] = true
+		roots = append(roots, key)
 	}
 	for k := range w.derived[v.Name] {
-		roots[k] = true
+		roots = append(roots, k)
 	}
 	return roots
 }
 
 // derive unions roots into the derivation set of name.
-func (w *factsWalker) derive(name string, roots map[string]bool) {
+func (w *factsWalker) derive(name string, roots []string) {
 	if len(roots) == 0 {
 		return
 	}
@@ -118,14 +147,14 @@ func (w *factsWalker) derive(name string, roots map[string]bool) {
 		d = map[string]bool{}
 		w.derived[name] = d
 	}
-	for k := range roots {
+	for _, k := range roots {
 		d[k] = true
 	}
 }
 
 // mutate marks every shared root in roots as structurally mutated.
-func (w *factsWalker) mutate(roots map[string]bool) {
-	for k := range roots {
+func (w *factsWalker) mutate(roots []string) {
+	for _, k := range roots {
 		w.f.mutated[k] = true
 	}
 }
@@ -133,136 +162,132 @@ func (w *factsWalker) mutate(roots map[string]bool) {
 // assign records an assignment target: the name becomes bound from
 // here on, and is a potential root rebinding if any sibling file
 // free-reads it.
-func (w *factsWalker) assign(name string, bound map[string]bool) {
+func (w *factsWalker) assign(name string) {
 	w.f.assigned[name] = true
-	bound[name] = true
-}
-
-func copyBound(bound map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(bound))
-	for k, v := range bound {
-		c[k] = v
-	}
-	return c
+	w.bind(name)
 }
 
 // stmts walks a statement list in order, mirroring the analyzer's
 // evaluation order (function bodies are analyzed inline at their
-// definition). It mutates bound as bindings are introduced.
-func (w *factsWalker) stmts(ss []core.Stmt, bound map[string]bool) {
+// definition), binding names as they are introduced.
+func (w *factsWalker) stmts(ss []core.Stmt) {
 	for _, s := range ss {
-		w.stmt(s, bound)
+		w.stmt(s)
 	}
 }
 
-func (w *factsWalker) stmt(s core.Stmt, bound map[string]bool) {
+func (w *factsWalker) stmt(s core.Stmt) {
 	switch x := s.(type) {
 	case *core.Assign:
-		roots := w.read(x.E, bound)
-		w.assign(x.X, bound)
+		roots := w.read(x.E)
+		w.assign(x.X)
 		w.derive(x.X, roots)
 
 	case *core.BinOp:
-		w.read(x.L, bound)
-		w.read(x.R, bound)
-		w.assign(x.X, bound) // result is a fresh node, no derivation
+		w.read(x.L)
+		w.read(x.R)
+		w.assign(x.X) // result is a fresh node, no derivation
 
 	case *core.UnOp:
-		w.read(x.E, bound)
-		w.assign(x.X, bound)
+		w.read(x.E)
+		w.assign(x.X)
 
 	case *core.NewObj:
-		w.assign(x.X, bound)
+		w.assign(x.X)
 
 	case *core.Lookup:
-		roots := w.read(x.Obj, bound)
-		w.assign(x.X, bound)
+		roots := w.read(x.Obj)
+		w.assign(x.X)
 		w.derive(x.X, roots) // property values of a shared object are shared
 
 	case *core.DynLookup:
-		roots := w.read(x.Obj, bound)
-		w.read(x.Prop, bound)
+		roots := w.read(x.Obj)
+		w.read(x.Prop)
 		// APStar attaches the dynamic-property dependency to a star
 		// node other files may share — a graph mutation the pollution
 		// query observes.
 		w.mutate(roots)
-		w.assign(x.X, bound)
+		w.assign(x.X)
 		w.derive(x.X, roots)
 
 	case *core.Update:
-		roots := w.read(x.Obj, bound)
-		w.read(x.Val, bound)
+		roots := w.read(x.Obj)
+		w.read(x.Val)
 		w.mutate(roots)
 
 	case *core.DynUpdate:
-		roots := w.read(x.Obj, bound)
-		w.read(x.Prop, bound)
-		w.read(x.Val, bound)
+		roots := w.read(x.Obj)
+		w.read(x.Prop)
+		w.read(x.Val)
 		w.mutate(roots)
 
 	case *core.If:
-		w.read(x.Cond, bound)
-		thenB := copyBound(bound)
-		w.stmts(x.Then, thenB)
-		elseB := copyBound(bound)
-		w.stmts(x.Else, elseB)
+		w.read(x.Cond)
+		mark := len(w.log)
+		w.stmts(x.Then)
+		thenB := slices.Clone(w.unbind(mark))
+		w.stmts(x.Else)
+		elseB := w.unbind(mark)
 		// A name bound in only one branch may still be unbound after
-		// the If: keep only bindings both branches (or the prefix)
-		// established.
-		for k := range thenB {
-			if !bound[k] && elseB[k] {
-				bound[k] = true
+		// the If: keep only bindings both branches established.
+		for _, name := range thenB {
+			if slices.Contains(elseB, name) {
+				w.bind(name)
 			}
 		}
 
 	case *core.While:
-		w.read(x.Cond, bound)
-		w.stmts(x.Body, copyBound(bound))
+		w.read(x.Cond)
+		mark := len(w.log)
+		w.stmts(x.Body)
+		w.unbind(mark)
 
 	case *core.ForIn:
-		roots := w.read(x.Obj, bound)
-		body := copyBound(bound)
+		roots := w.read(x.Obj)
+		mark := len(w.log)
 		w.f.assigned[x.Key] = true
-		body[x.Key] = true
+		w.bind(x.Key)
 		w.derive(x.Key, roots) // for-of values come from the object
-		w.stmts(x.Body, body)
+		w.stmts(x.Body)
+		w.unbind(mark)
 
 	case *core.Call:
-		w.read(x.Callee, bound)
+		w.read(x.Callee)
 		if x.This != nil {
-			w.read(x.This, bound)
+			w.read(x.This)
 		}
 		for _, a := range x.Args {
-			w.read(a, bound)
+			w.read(a)
 		}
 		if x.CalleeName == "require" && len(x.Args) == 1 {
 			if lit, ok := x.Args[0].(core.Lit); ok {
 				key := "m:" + lit.Value
 				w.f.requires = append(w.f.requires, lit.Value)
 				w.f.readRoots[key] = true
-				w.assign(x.X, bound)
-				w.derive(x.X, map[string]bool{key: true})
+				w.assign(x.X)
+				w.derive(x.X, []string{key})
 				return
 			}
 		}
-		w.assign(x.X, bound) // plain call results are fresh call nodes
+		w.assign(x.X) // plain call results are fresh call nodes
 
 	case *core.Return:
 		if x.E != nil {
-			w.read(x.E, bound)
+			w.read(x.E)
 		}
 
 	case *core.FuncDef:
 		// The analyzer binds the name before analyzing the body (so
 		// recursion resolves), and analyzes the body inline.
-		w.assign(x.Name, bound)
-		body := copyBound(bound)
+		w.assign(x.Name)
+		mark := len(w.log)
 		for _, p := range x.Params {
-			body[p] = true
+			w.bind(p)
 		}
-		body["this"] = true
-		body["arguments"] = true
-		w.stmts(x.Body, body)
+		w.bind("this")
+		w.bind("arguments")
+		w.stmts(x.Body)
+		w.unbind(mark)
 	}
 }
 
@@ -353,59 +378,71 @@ func partitionComponents(rels []string, facts []*fileFacts) [][]int {
 	// root node exists iff somebody free-reads it; writers (assigners
 	// and mutators) then act on it for everyone. For an external
 	// module, every requirer shares the node; only mutation couples
-	// them.
-	type group struct{ readers, writers []int }
-	names := map[string]*group{}
-	get := func(key string) *group {
-		g := names[key]
-		if g == nil {
-			g = &group{}
-			names[key] = g
+	// them. Channels are keyed by bare name (globals) and specifier
+	// (modules). Only a channel with a reader can couple files, so the
+	// readers are collected first and each writer joins them.
+	type channel struct {
+		readers []int
+		written bool
+	}
+	globals := map[string]*channel{}
+	modules := map[string]*channel{}
+	read := func(m map[string]*channel, key string, i int) {
+		c := m[key]
+		if c == nil {
+			c = &channel{}
+			m[key] = c
 		}
-		return g
+		c.readers = append(c.readers, i)
 	}
 	for i, f := range facts {
 		for name := range f.freeReads {
-			get("g:" + name).readers = append(get("g:"+name).readers, i)
-		}
-		for name := range f.assigned {
-			get("g:" + name).writers = append(get("g:"+name).writers, i)
+			read(globals, name, i)
 		}
 		for key := range f.readRoots {
-			if strings.HasPrefix(key, "m:") {
-				get(key).readers = append(get(key).readers, i)
+			if spec, ok := strings.CutPrefix(key, "m:"); ok {
+				read(modules, spec, i)
 			}
 		}
-		for key := range f.mutated {
-			get(key).writers = append(get(key).writers, i)
+	}
+	write := func(c *channel, i int) {
+		if c != nil {
+			c.written = true
+			u.union(c.readers[0], i)
 		}
 	}
-	for _, g := range names {
-		if len(g.readers) == 0 || len(g.writers) == 0 {
-			continue
+	for i, f := range facts {
+		for name := range f.assigned {
+			write(globals[name], i)
 		}
-		first := g.readers[0]
-		for _, i := range g.readers[1:] {
-			u.union(first, i)
+		for key := range f.mutated {
+			if name, ok := strings.CutPrefix(key, "g:"); ok {
+				write(globals[name], i)
+			} else if spec, ok := strings.CutPrefix(key, "m:"); ok {
+				write(modules[spec], i)
+			}
 		}
-		for _, i := range g.writers {
-			u.union(first, i)
+	}
+	for _, m := range []map[string]*channel{globals, modules} {
+		for _, c := range m {
+			if c.written {
+				for _, r := range c.readers[1:] {
+					u.union(c.readers[0], r)
+				}
+			}
 		}
 	}
 
 	// Deterministic component order: by first member index.
-	byRoot := map[int][]int{}
-	var order []int
+	slot := make([]int, n) // root -> 1 + its component's index
+	var out [][]int
 	for i := 0; i < n; i++ {
 		r := u.find(i)
-		if _, ok := byRoot[r]; !ok {
-			order = append(order, r)
+		if slot[r] == 0 {
+			out = append(out, nil)
+			slot[r] = len(out)
 		}
-		byRoot[r] = append(byRoot[r], i)
-	}
-	out := make([][]int, 0, len(order))
-	for _, r := range order {
-		out = append(out, byRoot[r])
+		out[slot[r]-1] = append(out[slot[r]-1], i)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
+	"repro/internal/exports"
 	"repro/internal/mdg"
 	"repro/internal/queries"
 	"repro/internal/store"
@@ -25,6 +26,9 @@ type IncrementalStats struct {
 	// Detection-result cache traffic (per fragment × engine ×
 	// export-fallback bit).
 	DetectHits, DetectMisses int
+	// Reach-gate unit traffic: a unit is one require-component's
+	// export pass. A miss re-runs the pass over the component's files.
+	GateHits, GateMisses int
 	// Entries dropped because their files disappeared from the
 	// package (EvictedFiles) or their component key went stale
 	// (EvictedFragments).
@@ -52,6 +56,8 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 	s.FragmentMisses += o.FragmentMisses
 	s.DetectHits += o.DetectHits
 	s.DetectMisses += o.DetectMisses
+	s.GateHits += o.GateHits
+	s.GateMisses += o.GateMisses
 	s.EvictedFiles += o.EvictedFiles
 	s.EvictedFragments += o.EvictedFragments
 	s.StoreHits += o.StoreHits
@@ -63,9 +69,10 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 
 // IncrementalState carries everything a package's re-scans can reuse:
 // the per-file front end (keyed by a content hash over path and
-// source), per-file dependency facts, per-component MDG fragments
-// (immutable mdg.Fragment snapshots keyed by the component files'
-// content hashes), and per-fragment detection results. One state
+// source), per-file dependency facts, per-component reach-gate units
+// and MDG fragments (both keyed by the component files' content
+// hashes; fragments are immutable mdg.Fragment snapshots), and
+// per-fragment detection results. One state
 // serves one logical package; all methods are safe for concurrent use
 // (a scan holds the state's lock end to end, so concurrent scans of
 // the same state serialize).
@@ -80,7 +87,11 @@ type IncrementalState struct {
 	files    map[string]*frontEndEntry
 	facts    map[string]*factsEntry
 	frags    map[string]*fragEntry
-	stats    IncrementalStats
+	// gates holds the reach gate's export pass per require-component,
+	// in memory only (a unit's FuncInfo.Def point into the lowered
+	// programs).
+	gates map[string]*gateEntry
+	stats IncrementalStats
 	// store, when attached, backs the fragment/detect/facts families
 	// on disk (read-through on miss, write-through on clean build).
 	// See persist.go.
@@ -94,6 +105,7 @@ func NewIncrementalState() *IncrementalState {
 		files:    make(map[string]*frontEndEntry),
 		facts:    make(map[string]*factsEntry),
 		frags:    make(map[string]*fragEntry),
+		gates:    make(map[string]*gateEntry),
 	}
 }
 
@@ -102,6 +114,13 @@ func (st *IncrementalState) Stats() IncrementalStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.stats
+}
+
+// gateEntry is one require-component's cached export pass, with the
+// files it covers.
+type gateEntry struct {
+	rels []string
+	unit *exports.Unit
 }
 
 type factsEntry struct {
@@ -299,7 +318,8 @@ func (p *StatePool) Stats() IncrementalStats {
 // caches. It is a sizing heuristic for pool limits, not an exact
 // accounting: fragments dominate (nodes and edges at struct size plus
 // slice overhead), front-end entries are charged per lowered
-// statement, facts and detection entries at flat rates.
+// statement, gate units per call-graph node, facts and detection
+// entries at flat rates.
 func (st *IncrementalState) EstimateBytes() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -316,6 +336,9 @@ func (st *IncrementalState) EstimateBytes() int64 {
 	for _, e := range st.files {
 		b += 1024 + int64(e.coreStmts)*96
 	}
+	for _, ge := range st.gates {
+		b += 256 + int64(ge.unit.Nodes())*192
+	}
 	b += int64(len(st.facts)) * 256
 	return b
 }
@@ -326,8 +349,8 @@ func (st *IncrementalState) statsPtr() *IncrementalStats {
 	return &s
 }
 
-// evictFiles drops the front-end entries and facts of files not in
-// keep. Callers hold st.mu.
+// evictFiles drops the front-end entries, facts and gate units of
+// files not in keep. Callers hold st.mu.
 func (st *IncrementalState) evictFiles(keep map[string]bool) {
 	for rel := range st.files {
 		if !keep[rel] {
@@ -340,14 +363,22 @@ func (st *IncrementalState) evictFiles(keep map[string]bool) {
 			delete(st.facts, rel)
 		}
 	}
+	for k, ge := range st.gates {
+		for _, rel := range ge.rels {
+			if !keep[rel] {
+				delete(st.gates, k)
+				break
+			}
+		}
+	}
 }
 
 // evictStale runs after a complete scan: any fragment key of the same
 // mode (tree or component) that is not one of comps' keys belongs to
 // changed or deleted files and is stale for good — a changed file can
 // never produce the old key again without also reproducing the old
-// content. The two modes' key namespaces never invalidate each other.
-// Callers hold st.mu.
+// content. The two modes' key namespaces never invalidate each other;
+// gate units live in the component namespace. Callers hold st.mu.
 func (st *IncrementalState) evictStale(comps []component, tree bool) {
 	current := make(map[string]bool, len(comps))
 	for _, c := range comps {
@@ -357,6 +388,13 @@ func (st *IncrementalState) evictStale(comps []component, tree bool) {
 		if strings.HasPrefix(k, treeKeyPrefix) == tree && !current[k] {
 			delete(st.frags, k)
 			st.stats.EvictedFragments++
+		}
+	}
+	if !tree {
+		for k := range st.gates {
+			if !current[k] {
+				delete(st.gates, k)
+			}
 		}
 	}
 }
@@ -381,12 +419,13 @@ func (st *IncrementalState) fragment(key string) *fragEntry {
 }
 
 // detection returns fe's cached detection result for dkey from memory
-// or the store (nil on a miss). Callers hold st.mu.
-func (st *IncrementalState) detection(fe *fragEntry, dkey detectKey) *detectResult {
+// or the store (nil on a miss); fp is the scan's sink-config
+// fingerprint. Callers hold st.mu.
+func (st *IncrementalState) detection(fe *fragEntry, dkey detectKey, fp *configFP) *detectResult {
 	if dr, ok := fe.detect[dkey]; ok {
 		return dr
 	}
-	dr, ok := st.loadDetect(fe.key, dkey)
+	dr, ok := st.loadDetect(fe.key, dkey, fp)
 	if !ok {
 		return nil
 	}

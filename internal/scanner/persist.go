@@ -45,8 +45,9 @@ import (
 //
 // Function summaries are persisted without their *core.FuncDef: after
 // rehydration, detection consumes only the graph and the summaries'
-// location/export fields (the reach gate recomputes the export surface
-// from the lowered programs every scan), so Def stays nil on load.
+// location/export fields (the reach gate computes the export surface
+// from the lowered programs, or its in-memory units of them), so Def
+// stays nil on load.
 
 // persistVersion versions the scanner-level record bodies,
 // independently of the store's record framing and the mdg fragment
@@ -310,20 +311,40 @@ func decodeDetectResult(data []byte) (*detectResult, error) {
 
 // detectStoreKey derives the store key for one detection result:
 // component content × engine × package-wide fallback bit × sink
-// configuration. The in-memory detect map keys on the caller's Config
+// configuration fingerprint (see configFP).
+func detectStoreKey(ckey string, engine Engine, fallback bool, fp string) string {
+	return fmt.Sprintf("%s|%s|%t|%s", ckey, engine, fallback, fp)
+}
+
+// configFP fingerprints a scan's sink configuration for detection
+// store keys. The in-memory detect map keys on the caller's Config
 // pointer; the store must key on config *content*, so the config is
-// fingerprinted (nil means the canonical default).
-func detectStoreKey(ckey string, engine Engine, fallback bool, cfg *queries.Config) (string, bool) {
-	fp := "default"
-	if cfg != nil {
-		b, err := json.Marshal(cfg)
-		if err != nil {
-			return "", false // unfingerprintable config: skip persistence
+// hashed — once per scan, on first use (nil means the canonical
+// default).
+type configFP struct {
+	cfg  *queries.Config
+	fp   string
+	ok   bool
+	done bool
+}
+
+// get returns the fingerprint; ok is false for a config that cannot
+// be fingerprinted, whose results are then not persisted.
+func (c *configFP) get() (fp string, ok bool) {
+	if !c.done {
+		c.done = true
+		c.fp, c.ok = "default", true
+		if c.cfg != nil {
+			b, err := json.Marshal(c.cfg)
+			if err != nil {
+				c.fp, c.ok = "", false
+			} else {
+				sum := sha256.Sum256(b)
+				c.fp = hex.EncodeToString(sum[:8])
+			}
 		}
-		sum := sha256.Sum256(b)
-		fp = hex.EncodeToString(sum[:8])
 	}
-	return fmt.Sprintf("%s|%s|%t|%s", ckey, engine, fallback, fp), true
+	return c.fp, c.ok
 }
 
 // ---------------------------------------------------------------------------
@@ -439,15 +460,17 @@ func (st *IncrementalState) saveFrag(fe *fragEntry) {
 	st.stats.StorePuts++
 }
 
-// loadDetect reads one detection result through the store.
-func (st *IncrementalState) loadDetect(ckey string, dk detectKey) (*detectResult, bool) {
+// loadDetect reads one detection result through the store; fp is the
+// scan's sink-config fingerprint.
+func (st *IncrementalState) loadDetect(ckey string, dk detectKey, fp *configFP) (*detectResult, bool) {
 	if st.store == nil {
 		return nil, false
 	}
-	key, ok := detectStoreKey(ckey, dk.engine, dk.fallback, dk.cfg)
+	cfp, ok := fp.get()
 	if !ok {
 		return nil, false
 	}
+	key := detectStoreKey(ckey, dk.engine, dk.fallback, cfp)
 	body, ok := st.store.Get(store.KindDetect, key)
 	if !ok {
 		st.stats.StoreMisses++
@@ -464,7 +487,7 @@ func (st *IncrementalState) loadDetect(ckey string, dk detectKey) (*detectResult
 }
 
 // saveDetect persists a clean detection result.
-func (st *IncrementalState) saveDetect(ckey string, dk detectKey, dr *detectResult) {
+func (st *IncrementalState) saveDetect(ckey string, dk detectKey, fp *configFP, dr *detectResult) {
 	if st.store == nil {
 		return
 	}
@@ -472,10 +495,11 @@ func (st *IncrementalState) saveDetect(ckey string, dk detectKey, dr *detectResu
 	if !ok {
 		return
 	}
-	key, ok := detectStoreKey(ckey, dk.engine, dk.fallback, dk.cfg)
+	cfp, ok := fp.get()
 	if !ok {
 		return
 	}
+	key := detectStoreKey(ckey, dk.engine, dk.fallback, cfp)
 	if err := st.store.Put(store.KindDetect, key, body); err != nil {
 		st.stats.StoreErrors++
 		return

@@ -1,6 +1,9 @@
 package scanner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -407,4 +410,44 @@ func FuzzStoreDecode(f *testing.F) {
 			_, _, _ = r.Kind, r.Key, r.Body
 		}
 	})
+}
+
+// TestConfigFingerprintKeys: the once-per-scan config fingerprint gives
+// the detection store keys the per-call formula it replaced gave, so
+// stores written before keep hitting.
+func TestConfigFingerprintKeys(t *testing.T) {
+	formula := func(ckey string, engine Engine, fallback bool, cfg *queries.Config) string {
+		fp := "default"
+		if cfg != nil {
+			b, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			fp = hex.EncodeToString(sum[:8])
+		}
+		return fmt.Sprintf("%s|%s|%t|%s", ckey, engine, fallback, fp)
+	}
+	custom := queries.DefaultConfig()
+	custom.Sinks = append(custom.Sinks, queries.Sink{Name: "db.query", CWE: queries.CWECommandInjection})
+	custom.Sanitizers = []string{"escape"}
+	custom.MaxHops = 3
+	custom.RequireAsCodeInjection = true
+	for _, cfg := range []*queries.Config{nil, queries.DefaultConfig(), custom} {
+		fp := configFP{cfg: cfg}
+		for _, engine := range []Engine{EngineNative, EngineQuery, EngineDifferential} {
+			for _, fallback := range []bool{false, true} {
+				got, ok := fp.get()
+				if !ok {
+					t.Fatalf("config %+v: no fingerprint", cfg)
+				}
+				if key, want := detectStoreKey("c0ffee", engine, fallback, got), formula("c0ffee", engine, fallback, cfg); key != want {
+					t.Errorf("config %+v: key %q, want %q", cfg, key, want)
+				}
+			}
+		}
+	}
+	if key := detectStoreKey("c0ffee", EngineNative, false, "default"); key != "c0ffee|native|false|default" {
+		t.Errorf("nil-config key %q", key)
+	}
 }

@@ -7,9 +7,9 @@ package scanner
 //
 //  1. front end: parse and normalize every file (tree mode first
 //     resolves the node_modules layout);
-//  2. reach gate: the export-graph pre-pass, which may prove the
+//  2. partition: split the package into separately analyzed fragments;
+//  3. reach gate: the export-graph pre-pass, which may prove the
 //     package finding-free (or, under ReachGateOnly, end the scan);
-//  3. partition: split the package into separately analyzed fragments;
 //  4. analysis: build each fragment's MDG, or fetch it from the state
 //     or its store;
 //  5. detection: run the selected backend;
@@ -20,10 +20,12 @@ package scanner
 //
 //   - Partition. Tree mode partitions by deptree package. A retained
 //     state (NewIncrementalState, StatePool) partitions by require-
-//     component, so an edit re-analyzes only what it touches. A
-//     throwaway state — a cold scan — analyzes the whole package as one
-//     fragment: it keeps nothing, so it never hashes files, extracts
-//     facts, snapshots fragments or writes the store.
+//     component, so an edit re-runs the gate's export pass and the
+//     analysis only for the component it touches. A throwaway
+//     state — a cold scan — gates and analyzes the whole package as
+//     one unit: it keeps nothing, so it never hashes files, extracts
+//     facts, snapshots fragments or writes the store. Tree mode gates
+//     the whole package as one unit too.
 //   - Detection. Fragments are detected (and their results cached) one
 //     by one, except in tree mode, which stitches the package
 //     fragments, links the cross-package boundaries and detects once.
@@ -38,6 +40,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/deptree"
+	"repro/internal/exports"
 	"repro/internal/js/normalize"
 	"repro/internal/js/parser"
 	"repro/internal/mdg"
@@ -59,6 +62,8 @@ type scanRun struct {
 	units []fileUnit
 	// rr is the reach gate's result, kept for finding provenance.
 	rr *reach.Result
+	// fp fingerprints the sink config for detection store keys.
+	fp configFP
 	// aopts are the analysis options every fragment is built with;
 	// callerNoFallback is the caller's NoExportFallback, since the
 	// script-mode fallback is decided package-wide after analysis.
@@ -113,11 +118,12 @@ func (st *IncrementalState) scan(files []SourceFile, name string, opts Options, 
 		return rep
 	}
 	rep.Engine = engine
-	r := &scanRun{st: st, opts: opts, cfgq: opts.Config, b: newBudget(opts, name), rep: rep}
+	r := &scanRun{st: st, opts: opts, cfgq: opts.Config, b: newBudget(opts, name), rep: rep,
+		fp: configFP{cfg: opts.Config}}
 	if r.cfgq == nil {
 		r.cfgq = queries.DefaultConfig()
 	}
-	if r.frontEnd(files) && r.gate() && r.partition() && r.analyze() && r.detect() {
+	if r.frontEnd(files) && r.partition() && r.gate() && r.analyze() && r.detect() {
 		r.finish()
 	} else {
 		recordPhases(rep, r.b)
@@ -203,22 +209,22 @@ func (r *scanRun) resolveTree(files []SourceFile) error {
 	return nil
 }
 
-// gate is stage 2: the whole-package reach closure. It is cheap and
-// cross-file, so it is recomputed from the (cached) lowered programs
-// on every scan. In tree mode bare requires stay opaque to the gate's
-// export interpreter, but it remains sound: a dependency's reachable
-// sink keeps the tree un-skippable through that dependency's own
-// export surface.
+// gate is stage 3: the whole-package reach closure, recomputed on
+// every scan from the (cached) lowered programs. On a retained flat
+// state its export pass runs per require-component, each component's
+// unit cached under the component key, so an edit re-runs the pass
+// only for the component it touched (the units merge into exactly the
+// whole-package result; see exports.Unit). In tree mode bare requires
+// stay opaque to the gate's export interpreter, but it remains sound:
+// a dependency's reachable sink keeps the tree un-skippable through
+// that dependency's own export surface.
 func (r *scanRun) gate() bool {
 	rep, b := r.rep, r.b
-	progs := make([]*core.Program, len(r.units))
-	for i, u := range r.units {
-		progs[i] = u.fe.prog
-	}
 	skip := false
 	b.BeginPhase("reach-gate")
 	if err := budget.Guard("reach-gate", func() error {
-		r.rr, skip = gateSkips(rep, progs, r.cfgq, r.opts, b)
+		r.rr = r.reach()
+		skip = gateSkips(rep, r.rr, r.opts)
 		return nil
 	}); err != nil {
 		// Panic-fenced like every other pass: the scan fails with a
@@ -227,7 +233,15 @@ func (r *scanRun) gate() bool {
 		setFailure(rep, err, budget.ClassPanic)
 		return false
 	}
-	if gateCanceled(rep, b) || skip {
+	if gateCanceled(rep, b) {
+		return false
+	}
+	if (skip || r.opts.ReachGateOnly) && r.st.retained && b.Err() == nil {
+		// The scan ends here, complete: the partition already knows
+		// every current component key.
+		r.st.evictStale(r.comps, r.tree != nil)
+	}
+	if skip {
 		return false
 	}
 	if r.opts.ReachGateOnly {
@@ -240,8 +254,44 @@ func (r *scanRun) gate() bool {
 	return true
 }
 
-// partition is stage 3: it fixes the analysis options and splits the
+// reach runs the gate's analysis: per require-component units on a
+// retained flat state (cached when their pass ran clean, with no
+// budget trip), one pass over every file otherwise.
+func (r *scanRun) reach() *reach.Result {
+	progs := make([]*core.Program, len(r.units))
+	for i, u := range r.units {
+		progs[i] = u.fe.prog
+	}
+	st := r.st
+	if r.tree != nil || !st.retained {
+		return reach.AnalyzeBudget(progs, r.cfgq, r.b)
+	}
+	units := make([]*exports.Unit, len(r.comps))
+	for i, c := range r.comps {
+		if ge := st.gates[c.key]; ge != nil {
+			st.stats.GateHits++
+			units[i] = ge.unit
+			continue
+		}
+		st.stats.GateMisses++
+		cprogs := make([]*core.Program, len(c.units))
+		rels := make([]string, len(c.units))
+		for j, u := range c.units {
+			cprogs[j] = u.fe.prog
+			rels[j] = u.rel
+		}
+		units[i] = exports.AnalyzeUnit(cprogs, r.b)
+		if r.b.Err() == nil {
+			st.gates[c.key] = &gateEntry{rels: rels, unit: units[i]}
+		}
+	}
+	return reach.AnalyzeUnits(progs, units, r.cfgq, r.b)
+}
+
+// partition is stage 2: it fixes the analysis options and splits the
 // package into components (see the file comment for the three shapes).
+// It runs before the gate, which reuses the components on a retained
+// flat state.
 func (r *scanRun) partition() bool {
 	aopts := r.opts.Analysis
 	if aopts.MaxLoopIter == 0 {
@@ -461,7 +511,7 @@ func (r *scanRun) detect() bool {
 	dkey := detectKey{engine: rep.Engine, fallback: fb, cfg: r.opts.Config}
 	for _, lv := range lives {
 		if lv.stored {
-			if dr := st.detection(lv.fe, dkey); dr != nil {
+			if dr := st.detection(lv.fe, dkey, &r.fp); dr != nil {
 				st.stats.DetectHits++
 				mergeScratch(rep, &Report{Findings: dr.findings, TruncatedSearches: dr.truncated,
 					Err: dr.err, Failure: dr.failure})
@@ -489,7 +539,7 @@ func (r *scanRun) detect() bool {
 				failure:   scratch.Failure,
 			}
 			lv.fe.detect[dkey] = dr
-			st.saveDetect(lv.fe.key, dkey, dr)
+			st.saveDetect(lv.fe.key, dkey, &r.fp, dr)
 		}
 	}
 	return true

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
-	"repro/internal/core"
 	"repro/internal/queries"
 	"repro/internal/reach"
 	"repro/internal/taint"
@@ -88,8 +87,8 @@ type Options struct {
 	// the cheapest-possible triage, used as the floor rung of the sweep
 	// supervisor's degradation ladder. A package the gate can prove
 	// finding-free completes cleanly; anything else returns an
-	// Incomplete report with no findings. Nothing past the front end
-	// is cached on this path.
+	// Incomplete report with no findings. Nothing past the gate is
+	// cached on this path.
 	ReachGateOnly bool
 	// FaultLabel overrides the budget label used for deterministic
 	// fault injection and diagnostics (default: the scan name). Sweep
@@ -272,23 +271,22 @@ func setFailure(rep *Report, err error, def budget.Class) {
 	}
 }
 
-// gateSkips runs the export-graph reachability gate and reports
+// gateSkips records the reachability gate's counters and reports
 // whether the whole detection pipeline can be skipped for this
 // package. Under NoReachGate the gate still runs — its result feeds
 // finding provenance and the precision counters, and keeping it in
 // both modes makes gated and ungated reports byte-identical wherever
 // they overlap — but it never skips.
-func gateSkips(rep *Report, progs []*core.Program, cfgq *queries.Config, opts Options, b *budget.Budget) (*reach.Result, bool) {
-	rr := reach.AnalyzeBudget(progs, cfgq, b)
+func gateSkips(rep *Report, rr *reach.Result, opts Options) bool {
 	rep.FuncsTotal = rr.TotalFuncs
 	rep.FuncsPruned = rr.PrunedFuncs
 	rep.ExportCount = rr.ExportCount
 	rep.ReachFallback = rr.Fallback
 	if !opts.NoReachGate && rr.CanSkipDetection() {
 		rep.SkippedByReach = true
-		return rr, true
+		return true
 	}
-	return rr, false
+	return false
 }
 
 // gateCanceled reports whether the request was canceled while the

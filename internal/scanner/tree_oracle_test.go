@@ -284,7 +284,7 @@ func TestTreeStitchLinkPhase(t *testing.T) {
 		if rep.SkippedByReach {
 			continue
 		}
-		if len(names) < 5 || !reflect.DeepEqual(names[:5], []string{"front-end", "reach-gate", "partition", "analysis", "stitch-link"}) {
+		if len(names) < 5 || !reflect.DeepEqual(names[:5], []string{"front-end", "partition", "reach-gate", "analysis", "stitch-link"}) {
 			t.Errorf("%s: phases %v, want stitch-link right after analysis", tc.Name, names)
 		}
 		stitched++

@@ -382,6 +382,7 @@ type ErrorJSON struct {
 // Error codes used in the envelope.
 const (
 	CodeBadRequest   = "bad_request" // malformed body or invalid knob (400)
+	CodeNotFound     = "not_found"   // unknown route (404)
 	CodeMethod       = "method_not_allowed"
 	CodeOverloaded   = "overloaded"    // admission control shed the request (429)
 	CodeShuttingDown = "shutting_down" // server is draining (503)

@@ -236,7 +236,14 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
+	s.mux.HandleFunc("/", handleNotFound)
 	return s
+}
+
+// handleNotFound answers every unregistered path with the error
+// envelope, not the stdlib plain-text 404.
+func handleNotFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no route %s", r.URL.Path))
 }
 
 // Handler returns the daemon's HTTP handler.
@@ -340,13 +347,12 @@ func (s *Server) state(name string, cold bool) *scanner.IncrementalState {
 	return s.pool.Get(name)
 }
 
-// writeJSON writes v as the response body with the given status.
+// writeJSON writes v as the response body, compact, with the given
+// status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError writes the error envelope every non-2xx response uses.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -429,6 +430,16 @@ func TestRequestValidation(t *testing.T) {
 		{"resume without journal", func() *http.Response {
 			return postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Path: ".", Resume: true})
 		}, CodeBadRequest, 400},
+		{"unknown route", func() *http.Response {
+			resp, err := http.Get(ts.URL + "/v1/nope")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}, CodeNotFound, 404},
+		{"unknown route via POST", func() *http.Response {
+			return postJSON(t, ts.URL+"/v2/scan", ScanRequest{Source: "1"})
+		}, CodeNotFound, 404},
 	}
 	for _, tc := range cases {
 		resp := tc.req()
@@ -440,6 +451,25 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != tc.want || e.Error.Code != tc.code {
 			t.Errorf("%s: got %d/%q, want %d/%q (%s)",
 				tc.name, resp.StatusCode, e.Error.Code, tc.want, tc.code, e.Error.Message)
+		}
+	}
+}
+
+// TestResponsesAreCompact: the daemon writes every JSON body on one
+// line, success and error envelope alike.
+func TestResponsesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for _, resp := range []*http.Response{
+		postJSON(t, ts.URL+"/v1/scan", ScanRequest{Name: "compact", Source: "module.exports = function (c) { require('child_process').exec(c); };"}),
+		postJSON(t, ts.URL+"/v1/scan", ScanRequest{}),
+	} {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(body) || bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+			t.Errorf("status %d: body is not one compact JSON line:\n%s", resp.StatusCode, body)
 		}
 	}
 }
