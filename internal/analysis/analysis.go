@@ -7,10 +7,8 @@
 package analysis
 
 import (
-	"path"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/budget"
 	"repro/internal/core"
@@ -175,6 +173,7 @@ type analyzer struct {
 	// offset that keeps allocation keys distinct across files.
 	curFile  string
 	modules  map[string]moduleGlobals
+	files    []string // the module files, sorted, for core.ResolveRequire
 	siteBase int
 
 	// Cross-package linker side tables (see Result).
@@ -238,6 +237,11 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 	for _, prog := range progs {
 		a.setupModule(prog.FileName)
 	}
+	a.files = make([]string, 0, len(a.modules))
+	for file := range a.modules {
+		a.files = append(a.files, file)
+	}
+	slices.Sort(a.files)
 	// A package has fewer distinct names than statements (most name
 	// one temporary); sizing the table up front saves its regrowth.
 	lw := &lowerer{a: a, ids: make(map[string]int32, nstmts), qids: map[string]int32{}}
@@ -888,32 +892,4 @@ func dedupeLocs(ls []mdg.Loc) []mdg.Loc {
 		}
 	}
 	return out
-}
-
-// resolveModule resolves a require specifier against the package's
-// known module files. Only relative specifiers ('./x', '../y') resolve;
-// bare names are external packages. Matching tries the literal path,
-// a '.js' suffix, and '/index.js', comparing cleaned paths.
-func (a *analyzer) resolveModule(spec string) (string, bool) {
-	if !strings.HasPrefix(spec, "./") && !strings.HasPrefix(spec, "../") {
-		return "", false
-	}
-	baseDir := path.Dir(a.curFile)
-	target := path.Clean(path.Join(baseDir, spec))
-	candidates := []string{target, target + ".js", path.Join(target, "index.js")}
-	for _, c := range candidates {
-		if _, ok := a.modules[c]; ok {
-			return c, true
-		}
-	}
-	// Fall back to basename matching: module file names may carry
-	// generator prefixes while requires use plain names.
-	base := path.Base(target)
-	for file := range a.modules {
-		fb := strings.TrimSuffix(path.Base(file), ".js")
-		if fb == base || fb == strings.TrimSuffix(base, ".js") {
-			return file, true
-		}
-	}
-	return "", false
 }

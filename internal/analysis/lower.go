@@ -414,7 +414,7 @@ func (lw *lowerer) call(x *core.Call, sc *lscope) *callOp {
 	if x.CalleeName == "require" && len(x.Args) == 1 {
 		if lit, ok := x.Args[0].(core.Lit); ok {
 			c.isRequire, c.reqSpec = true, lit.Value
-			c.reqFile, c.reqOK = lw.a.resolveModule(lit.Value)
+			c.reqFile, c.reqOK = core.ResolveRequire(lw.a.files, lw.a.curFile, lit.Value)
 		}
 	}
 	switch n := x.CalleeName; {

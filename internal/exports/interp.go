@@ -1,7 +1,6 @@
 package exports
 
 import (
-	"path"
 	"slices"
 	"sort"
 	"strings"
@@ -446,7 +445,7 @@ func (ip *interp) lowerCall(f int32, o *op, st *core.Call) {
 	name := st.CalleeName
 	if name == "require" && len(st.Args) == 1 && !st.IsNew {
 		if lit, ok := st.Args[0].(core.Lit); ok && lit.Kind == core.LitString {
-			if target, ok := ip.resolveModule(ip.files[f].name, lit.Value); ok {
+			if target, ok := ip.resolve(ip.files[f].name, lit.Value); ok {
 				o.kind, o.aux = opRequire, ip.fileIndex[target]
 				return
 			}
@@ -478,33 +477,17 @@ func (ip *interp) lowerCall(f int32, o *op, st *core.Call) {
 	}
 }
 
-// resolveModule mirrors analysis.resolveModule: relative specifiers
-// against the requiring file's directory, then a basename fallback.
-func (ip *interp) resolveModule(fromFile, spec string) (string, bool) {
-	if !strings.HasPrefix(spec, "./") && !strings.HasPrefix(spec, "../") {
-		return "", false
-	}
-	target := path.Clean(path.Join(path.Dir(fromFile), spec))
-	for _, c := range []string{target, target + ".js", path.Join(target, "index.js")} {
-		if _, ok := ip.fileIndex[c]; ok {
-			return c, true
-		}
-	}
+// resolve resolves a require specifier (see core.ResolveRequire)
+// against the interned files.
+func (ip *interp) resolve(fromFile, spec string) (string, bool) {
 	if ip.sortedFiles == nil {
-		ip.sortedFiles = make([]string, 0, len(ip.fileIndex))
-		for f := range ip.fileIndex {
-			ip.sortedFiles = append(ip.sortedFiles, f)
+		ip.sortedFiles = make([]string, 0, len(ip.files))
+		for _, f := range ip.files {
+			ip.sortedFiles = append(ip.sortedFiles, f.name)
 		}
 		sort.Strings(ip.sortedFiles)
 	}
-	base := path.Base(target)
-	for _, f := range ip.sortedFiles {
-		fb := strings.TrimSuffix(path.Base(f), ".js")
-		if fb == base || fb == strings.TrimSuffix(base, ".js") {
-			return f, true
-		}
-	}
-	return "", false
+	return core.ResolveRequire(ip.sortedFiles, fromFile, spec)
 }
 
 // ---------------------------------------------------------------------------

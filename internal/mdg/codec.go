@@ -39,10 +39,10 @@ func EncodeFragment(f *Fragment) []byte {
 		n := &f.nodes[i]
 		buf = binary.AppendUvarint(buf, uint64(n.Loc))
 		buf = append(buf, byte(n.Kind))
-		buf = appendString(buf, n.Label)
+		buf = AppendString(buf, n.Label)
 		buf = binary.AppendUvarint(buf, uint64(n.Site))
 		buf = binary.AppendUvarint(buf, uint64(n.Line))
-		buf = appendString(buf, n.File)
+		buf = AppendString(buf, n.File)
 		var flags byte
 		if n.Source {
 			flags |= 1
@@ -54,15 +54,15 @@ func EncodeFragment(f *Fragment) []byte {
 			flags |= 4
 		}
 		buf = append(buf, flags)
-		buf = appendString(buf, n.CallName)
+		buf = AppendString(buf, n.CallName)
 		if n.CallArgs != nil {
 			buf = binary.AppendUvarint(buf, uint64(len(n.CallArgs)))
 			for _, arg := range n.CallArgs {
-				buf = appendLocs(buf, arg)
+				buf = AppendLocs(buf, arg)
 			}
 		}
-		buf = appendString(buf, n.FuncName)
-		buf = appendLocs(buf, n.ParamLocs)
+		buf = AppendString(buf, n.FuncName)
+		buf = AppendLocs(buf, n.ParamLocs)
 		buf = binary.AppendUvarint(buf, uint64(n.RetLoc))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(f.edges)))
@@ -70,7 +70,7 @@ func EncodeFragment(f *Fragment) []byte {
 		buf = binary.AppendUvarint(buf, uint64(e.From))
 		buf = binary.AppendUvarint(buf, uint64(e.To))
 		buf = append(buf, byte(e.Type))
-		buf = appendString(buf, e.Prop)
+		buf = AppendString(buf, e.Prop)
 	}
 	buf = binary.AppendUvarint(buf, uint64(f.maxLoc))
 	return buf
@@ -81,58 +81,55 @@ func EncodeFragment(f *Fragment) []byte {
 // must name nodes in the fragment). Corrupt or truncated input returns
 // an error wrapping ErrFragmentCodec.
 func DecodeFragment(data []byte) (*Fragment, error) {
-	r := &fragReader{b: data}
-	if v := r.byte(); r.err == nil && v != fragCodecVersion {
+	r := NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != fragCodecVersion {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrFragmentCodec, v, fragCodecVersion)
 	}
 	f := &Fragment{}
-	nn := r.count(minNodeBytes)
+	nn := r.Count(minNodeBytes)
 	// SnapshotFragment always allocates the node slice (empty, not
 	// nil, for an empty graph) but leaves edges nil when there are
 	// none; mirror that so round trips are deeply equal.
 	f.nodes = make([]Node, 0, nn)
-	for i := 0; i < nn && r.err == nil; i++ {
+	for i := 0; i < nn && r.Err() == nil; i++ {
 		var n Node
-		n.Loc = r.loc()
-		n.Kind = NodeKind(r.byte())
-		n.Label = r.string()
-		n.Site = int(r.uvarint())
-		n.Line = int(r.uvarint())
-		n.File = r.string()
-		flags := r.byte()
+		n.Loc = r.Loc()
+		n.Kind = NodeKind(r.Byte())
+		n.Label = r.Str()
+		n.Site = int(r.Uvarint())
+		n.Line = int(r.Uvarint())
+		n.File = r.Str()
+		flags := r.Byte()
 		n.Source = flags&1 != 0
 		n.Exported = flags&2 != 0
-		n.CallName = r.string()
+		n.CallName = r.Str()
 		if flags&4 != 0 {
-			na := r.count(1)
+			na := r.Count(1)
 			n.CallArgs = make([][]Loc, 0, na)
-			for j := 0; j < na && r.err == nil; j++ {
-				n.CallArgs = append(n.CallArgs, r.locs())
+			for j := 0; j < na && r.Err() == nil; j++ {
+				n.CallArgs = append(n.CallArgs, r.Locs())
 			}
 		}
-		n.FuncName = r.string()
-		n.ParamLocs = r.locs()
-		n.RetLoc = r.loc0()
+		n.FuncName = r.Str()
+		n.ParamLocs = r.Locs()
+		n.RetLoc = r.Loc()
 		f.nodes = append(f.nodes, n)
 	}
-	ne := r.count(minEdgeBytes)
+	ne := r.Count(minEdgeBytes)
 	if ne > 0 {
 		f.edges = make([]Edge, 0, ne)
 	}
-	for i := 0; i < ne && r.err == nil; i++ {
+	for i := 0; i < ne && r.Err() == nil; i++ {
 		var e Edge
-		e.From = r.loc()
-		e.To = r.loc()
-		e.Type = EdgeType(r.byte())
-		e.Prop = r.string()
+		e.From = r.Loc()
+		e.To = r.Loc()
+		e.Type = EdgeType(r.Byte())
+		e.Prop = r.Str()
 		f.edges = append(f.edges, e)
 	}
-	f.maxLoc = r.loc0()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrFragmentCodec, r.err)
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFragmentCodec, len(r.b)-r.off)
+	f.maxLoc = r.Loc()
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFragmentCodec, err)
 	}
 	if err := validateFragment(f); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrFragmentCodec, err)
@@ -219,15 +216,24 @@ func (f *Fragment) LocSet() map[Loc]bool {
 	return set
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString writes a length-prefixed string.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// appendLocs writes a location slice; nil and empty both encode as a
+// AppendBool writes a bool as one byte.
+func AppendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// AppendLocs writes a location slice; nil and empty both encode as a
 // zero count and decode back to nil, matching SnapshotFragment's
 // append([]Loc(nil), ...) convention.
-func appendLocs(buf []byte, ls []Loc) []byte {
+func AppendLocs(buf []byte, ls []Loc) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ls)))
 	for _, l := range ls {
 		buf = binary.AppendUvarint(buf, uint64(l))
@@ -235,27 +241,49 @@ func appendLocs(buf []byte, ls []Loc) []byte {
 	return buf
 }
 
-// fragReader is a bounds-checked sticky-error decoder. After the first
-// failure every method returns zero values, so decode loops terminate
-// without per-call error plumbing.
-type fragReader struct {
+// Reader is the bounds-checked sticky-error decoder of the fragment
+// codec and of the scanner's persisted entries. After the first failure
+// every method returns zero values, so decode loops terminate without
+// per-call error plumbing; Err and Close report the failure.
+type Reader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *fragReader) fail(msg string) {
+// NewReader returns a reader over data.
+func NewReader(data []byte) *Reader { return &Reader{b: data} }
+
+// Fail records msg (with the current offset) unless a failure is
+// already recorded.
+func (r *Reader) Fail(msg string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%s at offset %d", msg, r.off)
 	}
 }
 
-func (r *fragReader) byte() byte {
+// Err returns the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Rest returns the unread input.
+func (r *Reader) Rest() []byte { return r.b[r.off:] }
+
+// Close returns the first failure, or an error when input is left
+// unread.
+func (r *Reader) Close() error {
+	if r.err == nil && r.off != len(r.b) {
+		return fmt.Errorf("%d trailing bytes", len(r.b)-r.off)
+	}
+	return r.err
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
 	if r.off >= len(r.b) {
-		r.fail("truncated")
+		r.Fail("truncated")
 		return 0
 	}
 	v := r.b[r.off]
@@ -263,40 +291,46 @@ func (r *fragReader) byte() byte {
 	return v
 }
 
-func (r *fragReader) uvarint() uint64 {
+// Bool reads a byte written by AppendBool.
+func (r *Reader) Bool() bool { return r.Byte() != 0 }
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		r.fail("bad varint")
+		r.Fail("bad varint")
 		return 0
 	}
 	r.off += n
 	return v
 }
 
-// count reads a declared element count and rejects any value the
-// remaining input could not possibly hold (minBytes per element).
-func (r *fragReader) count(minBytes int) int {
-	v := r.uvarint()
+// Count reads a declared element count and rejects any value the
+// remaining input could not possibly hold (minBytes per element), so a
+// corrupt count cannot drive a huge allocation.
+func (r *Reader) Count(minBytes int) int {
+	v := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
 	if v > uint64(len(r.b)-r.off)/uint64(minBytes)+1 {
-		r.fail(fmt.Sprintf("implausible count %d", v))
+		r.Fail(fmt.Sprintf("implausible count %d", v))
 		return 0
 	}
 	return int(v)
 }
 
-func (r *fragReader) string() string {
-	n := r.uvarint()
+// Str reads a string written by AppendString.
+func (r *Reader) Str() string {
+	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
 	if n > uint64(len(r.b)-r.off) {
-		r.fail("string overruns input")
+		r.Fail("string overruns input")
 		return ""
 	}
 	s := string(r.b[r.off : r.off+int(n)])
@@ -304,21 +338,19 @@ func (r *fragReader) string() string {
 	return s
 }
 
-// loc reads a location that must be meaningful (decode-time zero is
-// legal wire-wise; validateFragment rejects it where it matters).
-func (r *fragReader) loc() Loc { return Loc(r.uvarint()) }
+// Loc reads a location. Zero (NoLoc) is legal on the wire; callers
+// validate references where it matters (see validateFragment).
+func (r *Reader) Loc() Loc { return Loc(r.Uvarint()) }
 
-// loc0 reads a location where NoLoc is legal.
-func (r *fragReader) loc0() Loc { return Loc(r.uvarint()) }
-
-func (r *fragReader) locs() []Loc {
-	n := r.count(1)
+// Locs reads a slice written by AppendLocs.
+func (r *Reader) Locs() []Loc {
+	n := r.Count(1)
 	if n == 0 || r.err != nil {
 		return nil
 	}
 	out := make([]Loc, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, Loc(r.uvarint()))
+		out = append(out, r.Loc())
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package scanner
 
 import (
-	"path"
 	"slices"
 	"strings"
 
@@ -291,33 +290,6 @@ func (w *factsWalker) stmt(s core.Stmt) {
 	}
 }
 
-// resolveRequire mirrors analysis.resolveModule against a file
-// universe: the files a relative specifier from curFile can resolve
-// to. Ambiguous basename fallbacks return every candidate (the
-// analyzer picks one nondeterministically, so the partition must
-// conservatively merge them all).
-func resolveRequire(universe map[string]bool, curFile, spec string) []string {
-	if !strings.HasPrefix(spec, "./") && !strings.HasPrefix(spec, "../") {
-		return nil
-	}
-	baseDir := path.Dir(curFile)
-	target := path.Clean(path.Join(baseDir, spec))
-	for _, c := range []string{target, target + ".js", path.Join(target, "index.js")} {
-		if universe[c] {
-			return []string{c}
-		}
-	}
-	base := path.Base(target)
-	var out []string
-	for file := range universe {
-		fb := strings.TrimSuffix(path.Base(file), ".js")
-		if fb == base || fb == strings.TrimSuffix(base, ".js") {
-			out = append(out, file)
-		}
-	}
-	return out
-}
-
 // unionFind is a plain weighted union-find over file indices.
 type unionFind struct{ parent, size []int }
 
@@ -359,16 +331,16 @@ func partitionComponents(rels []string, facts []*fileFacts) [][]int {
 	n := len(rels)
 	u := newUnionFind(n)
 	idx := make(map[string]int, n)
-	universe := make(map[string]bool, n)
 	for i, r := range rels {
 		idx[r] = i
-		universe[r] = true
 	}
+	sorted := slices.Clone(rels)
+	slices.Sort(sorted)
 
 	// Channel 1: resolved require edges.
 	for i, f := range facts {
 		for _, spec := range f.requires {
-			for _, target := range resolveRequire(universe, rels[i], spec) {
+			if target, ok := core.ResolveRequire(sorted, rels[i], spec); ok {
 				u.union(i, idx[target])
 			}
 		}

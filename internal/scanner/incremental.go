@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
@@ -17,7 +18,7 @@ import (
 // IncrementalStats counts what the incremental state reused and
 // rebuilt, cumulatively over its lifetime.
 type IncrementalStats struct {
-	// Front-end (parse/normalize/CFG) cache traffic.
+	// Front-end (parse/normalize) cache traffic.
 	FrontEndHits, FrontEndMisses int
 	// Fragment (per require-component MDG) cache traffic. A fragment
 	// miss is a rebuild: the component's files changed (or were never
@@ -68,8 +69,8 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 }
 
 // IncrementalState carries everything a package's re-scans can reuse:
-// the per-file front end (keyed by a content hash over path and
-// source), per-file dependency facts, per-component reach-gate units
+// the per-file front end with its dependency facts (keyed by a content
+// hash over path and source), per-component reach-gate units
 // and MDG fragments (both keyed by the component files' content
 // hashes; fragments are immutable mdg.Fragment snapshots), and
 // per-fragment detection results. One state
@@ -85,16 +86,19 @@ type IncrementalState struct {
 	// builds for the package's next scan.
 	retained bool
 	files    map[string]*frontEndEntry
-	facts    map[string]*factsEntry
 	frags    map[string]*fragEntry
 	// gates holds the reach gate's export pass per require-component,
 	// in memory only (a unit's FuncInfo.Def point into the lowered
 	// programs).
 	gates map[string]*gateEntry
 	stats IncrementalStats
+	// published is read without mu, so a metrics scrape or the pool's
+	// limit check never waits on a scan in flight (nil before the
+	// first scan ends).
+	published atomic.Pointer[publishedState]
 	// store, when attached, backs the fragment/detect/facts families
-	// on disk (read-through on miss, write-through on clean build).
-	// See persist.go.
+	// on disk (read-through on miss, write-through on clean build; see
+	// load and save in persist.go).
 	store *store.Store
 }
 
@@ -103,29 +107,40 @@ func NewIncrementalState() *IncrementalState {
 	return &IncrementalState{
 		retained: true,
 		files:    make(map[string]*frontEndEntry),
-		facts:    make(map[string]*factsEntry),
 		frags:    make(map[string]*fragEntry),
 		gates:    make(map[string]*gateEntry),
 	}
 }
 
-// Stats returns a snapshot of the cumulative counters.
-func (st *IncrementalState) Stats() IncrementalStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.stats
+// publishedState is a state's counters and EstimateBytes value as of
+// the end of its last scan.
+type publishedState struct {
+	stats IncrementalStats
+	bytes int64
 }
+
+// publish snapshots the counters and byte estimate at the end of a
+// scan. Callers hold st.mu.
+func (st *IncrementalState) publish() {
+	st.published.Store(&publishedState{stats: st.stats, bytes: st.estimateBytes()})
+}
+
+func (st *IncrementalState) snapshot() publishedState {
+	if p := st.published.Load(); p != nil {
+		return *p
+	}
+	return publishedState{}
+}
+
+// Stats returns the cumulative counters as of the end of the state's
+// last scan; it never waits for a scan in flight.
+func (st *IncrementalState) Stats() IncrementalStats { return st.snapshot().stats }
 
 // gateEntry is one require-component's cached export pass, with the
 // files it covers.
 type gateEntry struct {
 	rels []string
 	unit *exports.Unit
-}
-
-type factsEntry struct {
-	hash  [sha256.Size]byte
-	facts *fileFacts
 }
 
 // fragEntry is one cached require-component: an immutable graph
@@ -247,18 +262,16 @@ func (p *StatePool) Get(name string) *IncrementalState {
 }
 
 // enforceLimits evicts least-recently-used states (never keep) until
-// both caps hold. Called under p.mu.
+// both caps hold, sizing each state by the estimate it published at the
+// end of its last scan. Called under p.mu; takes no state's lock.
 func (p *StatePool) enforceLimits(keep string) {
 	if p.maxStates <= 0 && p.maxBytes <= 0 {
 		return
 	}
 	var total int64
-	sizes := make(map[string]int64, len(p.states))
 	if p.maxBytes > 0 {
-		for name, st := range p.states {
-			sz := st.EstimateBytes()
-			sizes[name] = sz
-			total += sz
+		for _, st := range p.states {
+			total += st.EstimateBytes()
 		}
 	}
 	for (p.maxStates > 0 && len(p.states) > p.maxStates) ||
@@ -276,8 +289,8 @@ func (p *StatePool) enforceLimits(keep string) {
 		if victim == "" {
 			return // only keep remains; it is never evicted
 		}
-		sz := sizes[victim]
-		if p.maxBytes > 0 && sz == 0 {
+		var sz int64
+		if p.maxBytes > 0 {
 			sz = p.states[victim].EstimateBytes()
 		}
 		delete(p.states, victim)
@@ -303,7 +316,8 @@ func (p *StatePool) Len() int {
 	return len(p.states)
 }
 
-// Stats aggregates the counters of every state in the pool.
+// Stats aggregates the counters every state in the pool published at
+// the end of its last scan; it never waits for a scan in flight.
 func (p *StatePool) Stats() IncrementalStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -314,15 +328,17 @@ func (p *StatePool) Stats() IncrementalStats {
 	return out
 }
 
-// EstimateBytes approximates the memory retained by this state's
-// caches. It is a sizing heuristic for pool limits, not an exact
-// accounting: fragments dominate (nodes and edges at struct size plus
-// slice overhead), front-end entries are charged per lowered
-// statement, gate units per call-graph node, facts and detection
-// entries at flat rates.
-func (st *IncrementalState) EstimateBytes() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// EstimateBytes approximates the memory this state's caches retained
+// at the end of its last scan; it never waits for a scan in flight. It
+// is a sizing heuristic for pool limits, not an exact accounting:
+// fragments dominate (nodes and edges at struct size plus slice
+// overhead), front-end entries are charged per lowered statement plus a
+// flat rate for their facts, gate units per call-graph node, detection
+// entries at a flat rate.
+func (st *IncrementalState) EstimateBytes() int64 { return st.snapshot().bytes }
+
+// estimateBytes computes EstimateBytes. Callers hold st.mu.
+func (st *IncrementalState) estimateBytes() int64 {
 	var b int64
 	for _, fe := range st.frags {
 		if fe.frag != nil {
@@ -335,18 +351,14 @@ func (st *IncrementalState) EstimateBytes() int64 {
 	}
 	for _, e := range st.files {
 		b += 1024 + int64(e.coreStmts)*96
+		if e.facts != nil {
+			b += 256
+		}
 	}
 	for _, ge := range st.gates {
 		b += 256 + int64(ge.unit.Nodes())*192
 	}
-	b += int64(len(st.facts)) * 256
 	return b
-}
-
-// statsPtr snapshots the counters for a report.
-func (st *IncrementalState) statsPtr() *IncrementalStats {
-	s := st.stats
-	return &s
 }
 
 // evictFiles drops the front-end entries, facts and gate units of
@@ -356,11 +368,6 @@ func (st *IncrementalState) evictFiles(keep map[string]bool) {
 		if !keep[rel] {
 			delete(st.files, rel)
 			st.stats.EvictedFiles++
-		}
-	}
-	for rel := range st.facts {
-		if !keep[rel] {
-			delete(st.facts, rel)
 		}
 	}
 	for k, ge := range st.gates {
@@ -410,7 +417,9 @@ func (st *IncrementalState) fragment(key string) *fragEntry {
 	if fe, ok := st.frags[key]; ok {
 		return fe
 	}
-	fe, ok := st.loadFrag(key)
+	fe, ok := load(st, store.KindFragment, key, func(b []byte) (*fragEntry, error) {
+		return decodeFragEntry(key, b)
+	})
 	if !ok {
 		return nil
 	}
@@ -425,7 +434,11 @@ func (st *IncrementalState) detection(fe *fragEntry, dkey detectKey, fp *configF
 	if dr, ok := fe.detect[dkey]; ok {
 		return dr
 	}
-	dr, ok := st.loadDetect(fe.key, dkey, fp)
+	cfp, ok := fp.get()
+	if !ok {
+		return nil
+	}
+	dr, ok := load(st, store.KindDetect, detectStoreKey(fe.key, dkey.engine, dkey.fallback, cfp), decodeDetectResult)
 	if !ok {
 		return nil
 	}

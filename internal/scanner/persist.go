@@ -36,12 +36,16 @@ import (
 //   - KindFrontEnd: per-file dependency facts keyed by the file's
 //     front-end content hash (which covers path and source).
 //
+// All three families go through one read-through (load) and one
+// write-through (save); the keys are derived at the call sites.
+//
 // Decoders trust nothing. Bytes arrive CRC-clean from the store but
 // could still be written by a different build or corrupted at a layer
-// the CRC cannot see, so every decode failure is an error the caller
-// converts into store.Quarantine + a cold rebuild — the degrade-to-
-// cold invariant. FuzzStoreDecode drives all of these decoders over
-// corrupted inputs.
+// the CRC cannot see, so they read through mdg.Reader (bounds-checked,
+// sticky error) and load turns every decode failure into
+// store.Quarantine + a cold rebuild — the degrade-to-cold invariant.
+// FuzzStoreDecode drives all of these decoders over corrupted inputs;
+// TestStoreFormatGolden pins their byte format.
 //
 // Function summaries are persisted without their *core.FuncDef: after
 // rehydration, detection consumes only the graph and the summaries'
@@ -71,9 +75,9 @@ func encodeFragEntry(fe *fragEntry) []byte {
 	buf = append(buf, persistVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(fe.rels)))
 	for _, rel := range fe.rels {
-		buf = appendPString(buf, rel)
+		buf = mdg.AppendString(buf, rel)
 	}
-	buf = appendBool(buf, fe.hasReal)
+	buf = mdg.AppendBool(buf, fe.hasReal)
 	names := make([]string, 0, len(fe.functions))
 	for name := range fe.functions {
 		names = append(names, name)
@@ -82,17 +86,14 @@ func encodeFragEntry(fe *fragEntry) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		fn := fe.functions[name]
-		buf = appendPString(buf, name)
+		buf = mdg.AppendString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(fn.Loc))
-		buf = binary.AppendUvarint(buf, uint64(len(fn.Params)))
-		for _, p := range fn.Params {
-			buf = binary.AppendUvarint(buf, uint64(p))
-		}
+		buf = mdg.AppendLocs(buf, fn.Params)
 		buf = binary.AppendUvarint(buf, uint64(fn.ThisLoc))
 		buf = binary.AppendUvarint(buf, uint64(fn.RetLoc))
 		// The build-time export truth, not the possibly fallback-
 		// mutated live bit: rehydrate resets from realExported anyway.
-		buf = appendBool(buf, fe.realExported[name])
+		buf = mdg.AppendBool(buf, fe.realExported[name])
 	}
 	// Cross-package linker side tables, each in sorted key order so
 	// equal entries encode identically.
@@ -103,7 +104,7 @@ func encodeFragEntry(fe *fragEntry) []byte {
 	sort.Strings(specs)
 	buf = binary.AppendUvarint(buf, uint64(len(specs)))
 	for _, spec := range specs {
-		buf = appendPString(buf, spec)
+		buf = mdg.AppendString(buf, spec)
 		buf = binary.AppendUvarint(buf, uint64(fe.externals[spec]))
 	}
 	buf = appendLocTable(buf, fe.calleeLocs)
@@ -116,7 +117,7 @@ func encodeFragEntry(fe *fragEntry) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(files)))
 	for _, file := range files {
 		me := fe.modEnv[file]
-		buf = appendPString(buf, file)
+		buf = mdg.AppendString(buf, file)
 		buf = binary.AppendUvarint(buf, uint64(me.Module))
 		buf = binary.AppendUvarint(buf, uint64(me.Exports))
 	}
@@ -134,13 +135,32 @@ func appendLocTable(buf []byte, m map[mdg.Loc][]mdg.Loc) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, l := range keys {
 		buf = binary.AppendUvarint(buf, uint64(l))
-		vals := m[l]
-		buf = binary.AppendUvarint(buf, uint64(len(vals)))
-		for _, v := range vals {
-			buf = binary.AppendUvarint(buf, uint64(v))
-		}
+		buf = mdg.AppendLocs(buf, m[l])
 	}
 	return buf
+}
+
+// readLocTable decodes a per-call location table written by
+// appendLocTable (nil for an empty table).
+func readLocTable(r *mdg.Reader) map[mdg.Loc][]mdg.Loc {
+	n := r.Count(2)
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	m := make(map[mdg.Loc][]mdg.Loc, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		l := r.Loc()
+		vals := r.Locs()
+		if r.Err() != nil {
+			break
+		}
+		if _, dup := m[l]; dup {
+			r.Fail("duplicate loc-table key")
+			break
+		}
+		m[l] = vals
+	}
+	return m
 }
 
 // decodeFragEntry parses a persisted fragment entry back into the
@@ -148,8 +168,8 @@ func appendLocTable(buf []byte, m map[mdg.Loc][]mdg.Loc) []byte {
 // summary location is validated against the fragment's node set so a
 // corrupt record cannot smuggle dangling references into detection.
 func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
-	r := &pReader{b: data}
-	if v := r.byte(); r.err == nil && v != persistVersion {
+	r := mdg.NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != persistVersion {
 		return nil, fmt.Errorf("%w: version %d (want %d)", errPersistCodec, v, persistVersion)
 	}
 	fe := &fragEntry{
@@ -158,24 +178,21 @@ func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
 		realExported: make(map[string]bool),
 		detect:       make(map[detectKey]*detectResult),
 	}
-	nr := r.count(1)
-	for i := 0; i < nr && r.err == nil; i++ {
-		fe.rels = append(fe.rels, r.string())
+	nr := r.Count(1)
+	for i := 0; i < nr && r.Err() == nil; i++ {
+		fe.rels = append(fe.rels, r.Str())
 	}
-	fe.hasReal = r.bool()
-	nf := r.count(4)
-	for i := 0; i < nf && r.err == nil; i++ {
-		name := r.string()
+	fe.hasReal = r.Bool()
+	nf := r.Count(4)
+	for i := 0; i < nf && r.Err() == nil; i++ {
+		name := r.Str()
 		fn := &analysis.FuncSummary{}
-		fn.Loc = mdg.Loc(r.uvarint())
-		np := r.count(1)
-		for j := 0; j < np && r.err == nil; j++ {
-			fn.Params = append(fn.Params, mdg.Loc(r.uvarint()))
-		}
-		fn.ThisLoc = mdg.Loc(r.uvarint())
-		fn.RetLoc = mdg.Loc(r.uvarint())
-		exported := r.bool()
-		if r.err != nil {
+		fn.Loc = r.Loc()
+		fn.Params = r.Locs()
+		fn.ThisLoc = r.Loc()
+		fn.RetLoc = r.Loc()
+		exported := r.Bool()
+		if r.Err() != nil {
 			break
 		}
 		if _, dup := fe.functions[name]; dup {
@@ -185,14 +202,14 @@ func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
 		fe.functions[name] = fn
 		fe.realExported[name] = exported
 	}
-	ne := r.count(2)
+	ne := r.Count(2)
 	if ne > 0 {
 		fe.externals = make(map[string]mdg.Loc, ne)
 	}
-	for i := 0; i < ne && r.err == nil; i++ {
-		spec := r.string()
-		l := mdg.Loc(r.uvarint())
-		if r.err != nil {
+	for i := 0; i < ne && r.Err() == nil; i++ {
+		spec := r.Str()
+		l := r.Loc()
+		if r.Err() != nil {
 			break
 		}
 		if _, dup := fe.externals[spec]; dup {
@@ -200,16 +217,16 @@ func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
 		}
 		fe.externals[spec] = l
 	}
-	fe.calleeLocs = r.locTable()
-	fe.callThis = r.locTable()
-	nm := r.count(3)
+	fe.calleeLocs = readLocTable(r)
+	fe.callThis = readLocTable(r)
+	nm := r.Count(3)
 	if nm > 0 {
 		fe.modEnv = make(map[string]analysis.ModuleLocs, nm)
 	}
-	for i := 0; i < nm && r.err == nil; i++ {
-		file := r.string()
-		me := analysis.ModuleLocs{Module: mdg.Loc(r.uvarint()), Exports: mdg.Loc(r.uvarint())}
-		if r.err != nil {
+	for i := 0; i < nm && r.Err() == nil; i++ {
+		file := r.Str()
+		me := analysis.ModuleLocs{Module: r.Loc(), Exports: r.Loc()}
+		if r.Err() != nil {
 			break
 		}
 		if _, dup := fe.modEnv[file]; dup {
@@ -217,10 +234,10 @@ func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
 		}
 		fe.modEnv[file] = me
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %w", errPersistCodec, r.err)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("%w: %w", errPersistCodec, r.Err())
 	}
-	frag, err := mdg.DecodeFragment(data[r.off:])
+	frag, err := mdg.DecodeFragment(r.Rest())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", errPersistCodec, err)
 	}
@@ -358,7 +375,7 @@ func encodeFacts(ff *fileFacts) []byte {
 	buf = append(buf, persistVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(ff.requires)))
 	for _, s := range ff.requires {
-		buf = appendPString(buf, s)
+		buf = mdg.AppendString(buf, s)
 	}
 	for _, m := range []map[string]bool{ff.freeReads, ff.assigned, ff.mutated, ff.readRoots} {
 		keys := make([]string, 0, len(m))
@@ -370,15 +387,15 @@ func encodeFacts(ff *fileFacts) []byte {
 		sort.Strings(keys)
 		buf = binary.AppendUvarint(buf, uint64(len(keys)))
 		for _, k := range keys {
-			buf = appendPString(buf, k)
+			buf = mdg.AppendString(buf, k)
 		}
 	}
 	return buf
 }
 
 func decodeFacts(data []byte) (*fileFacts, error) {
-	r := &pReader{b: data}
-	if v := r.byte(); r.err == nil && v != persistVersion {
+	r := mdg.NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != persistVersion {
 		return nil, fmt.Errorf("%w: version %d (want %d)", errPersistCodec, v, persistVersion)
 	}
 	ff := &fileFacts{
@@ -387,21 +404,18 @@ func decodeFacts(data []byte) (*fileFacts, error) {
 		mutated:   map[string]bool{},
 		readRoots: map[string]bool{},
 	}
-	nr := r.count(1)
-	for i := 0; i < nr && r.err == nil; i++ {
-		ff.requires = append(ff.requires, r.string())
+	nr := r.Count(1)
+	for i := 0; i < nr && r.Err() == nil; i++ {
+		ff.requires = append(ff.requires, r.Str())
 	}
 	for _, m := range []map[string]bool{ff.freeReads, ff.assigned, ff.mutated, ff.readRoots} {
-		nk := r.count(1)
-		for i := 0; i < nk && r.err == nil; i++ {
-			m[r.string()] = true
+		nk := r.Count(1)
+		for i := 0; i < nk && r.Err() == nil; i++ {
+			m[r.Str()] = true
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %w", errPersistCodec, r.err)
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errPersistCodec, len(r.b)-r.off)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %w", errPersistCodec, err)
 	}
 	return ff, nil
 }
@@ -425,231 +439,46 @@ func (st *IncrementalState) AttachStore(s *store.Store) {
 	st.store = s
 }
 
-// loadFrag reads one fragment entry through the store. Callers hold
-// st.mu. A decode failure quarantines the record and reports a miss.
-func (st *IncrementalState) loadFrag(key string) (*fragEntry, bool) {
+// load reads one entry of kind through the store and decodes it. No
+// store or no record is a miss; a record that fails to decode is
+// quarantined and is a miss too (the degrade-to-cold invariant).
+// Callers hold st.mu.
+func load[T any](st *IncrementalState, kind store.Kind, key string, decode func([]byte) (T, error)) (T, bool) {
+	var zero T
 	if st.store == nil {
-		return nil, false
+		return zero, false
 	}
-	body, ok := st.store.Get(store.KindFragment, key)
+	body, ok := st.store.Get(kind, key)
 	if !ok {
 		st.stats.StoreMisses++
-		return nil, false
+		return zero, false
 	}
-	fe, err := decodeFragEntry(key, body)
+	v, err := decode(body)
 	if err != nil {
-		st.store.Quarantine(store.KindFragment, key)
+		st.store.Quarantine(kind, key)
 		st.stats.StoreQuarantined++
-		return nil, false
+		return zero, false
 	}
 	st.stats.StoreHits++
-	return fe, true
+	return v, true
 }
 
-// saveFrag writes a clean fragment entry through the store. Write
-// failures (ENOSPC, injected faults) are counted and swallowed: the
-// entry stays in memory, the disk just missed a speedup.
-func (st *IncrementalState) saveFrag(fe *fragEntry) {
-	if st.store == nil || fe.frag == nil {
+// save writes one clean entry through the store. encode runs only when
+// a store is attached; a nil body is not persistable and is skipped.
+// Write failures (ENOSPC, injected faults) are counted and swallowed:
+// the entry stays in memory, the disk just missed a speedup. Callers
+// hold st.mu.
+func (st *IncrementalState) save(kind store.Kind, key string, encode func() []byte) {
+	if st.store == nil {
 		return
 	}
-	if err := st.store.Put(store.KindFragment, fe.key, encodeFragEntry(fe)); err != nil {
+	body := encode()
+	if body == nil {
+		return
+	}
+	if err := st.store.Put(kind, key, body); err != nil {
 		st.stats.StoreErrors++
 		return
 	}
 	st.stats.StorePuts++
-}
-
-// loadDetect reads one detection result through the store; fp is the
-// scan's sink-config fingerprint.
-func (st *IncrementalState) loadDetect(ckey string, dk detectKey, fp *configFP) (*detectResult, bool) {
-	if st.store == nil {
-		return nil, false
-	}
-	cfp, ok := fp.get()
-	if !ok {
-		return nil, false
-	}
-	key := detectStoreKey(ckey, dk.engine, dk.fallback, cfp)
-	body, ok := st.store.Get(store.KindDetect, key)
-	if !ok {
-		st.stats.StoreMisses++
-		return nil, false
-	}
-	dr, err := decodeDetectResult(body)
-	if err != nil {
-		st.store.Quarantine(store.KindDetect, key)
-		st.stats.StoreQuarantined++
-		return nil, false
-	}
-	st.stats.StoreHits++
-	return dr, true
-}
-
-// saveDetect persists a clean detection result.
-func (st *IncrementalState) saveDetect(ckey string, dk detectKey, fp *configFP, dr *detectResult) {
-	if st.store == nil {
-		return
-	}
-	body, ok := encodeDetectResult(dr)
-	if !ok {
-		return
-	}
-	cfp, ok := fp.get()
-	if !ok {
-		return
-	}
-	key := detectStoreKey(ckey, dk.engine, dk.fallback, cfp)
-	if err := st.store.Put(store.KindDetect, key, body); err != nil {
-		st.stats.StoreErrors++
-		return
-	}
-	st.stats.StorePuts++
-}
-
-// loadFacts reads one file's dependency facts through the store.
-func (st *IncrementalState) loadFacts(hash [sha256.Size]byte) (*fileFacts, bool) {
-	if st.store == nil {
-		return nil, false
-	}
-	key := factsStoreKey(hash)
-	body, ok := st.store.Get(store.KindFrontEnd, key)
-	if !ok {
-		st.stats.StoreMisses++
-		return nil, false
-	}
-	ff, err := decodeFacts(body)
-	if err != nil {
-		st.store.Quarantine(store.KindFrontEnd, key)
-		st.stats.StoreQuarantined++
-		return nil, false
-	}
-	st.stats.StoreHits++
-	return ff, true
-}
-
-// saveFacts persists one file's dependency facts.
-func (st *IncrementalState) saveFacts(hash [sha256.Size]byte, ff *fileFacts) {
-	if st.store == nil {
-		return
-	}
-	if err := st.store.Put(store.KindFrontEnd, factsStoreKey(hash), encodeFacts(ff)); err != nil {
-		st.stats.StoreErrors++
-		return
-	}
-	st.stats.StorePuts++
-}
-
-// ---------------------------------------------------------------------------
-// Small codec helpers
-// ---------------------------------------------------------------------------
-
-func appendPString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-// pReader is a bounds-checked sticky-error decoder (same shape as the
-// mdg fragment reader): after the first failure every method returns
-// zero values and the loop unwinds without plumbing errors per call.
-type pReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *pReader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%s at offset %d", msg, r.off)
-	}
-}
-
-func (r *pReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail("truncated")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *pReader) bool() bool { return r.byte() != 0 }
-
-func (r *pReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a declared element count, bounded by what the remaining
-// bytes could hold so a corrupt count cannot drive a huge allocation.
-func (r *pReader) count(minBytes int) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)-r.off)/uint64(minBytes)+1 {
-		r.fail(fmt.Sprintf("implausible count %d", v))
-		return 0
-	}
-	return int(v)
-}
-
-// locTable decodes a per-call location table written by
-// appendLocTable (nil for an empty table).
-func (r *pReader) locTable() map[mdg.Loc][]mdg.Loc {
-	n := r.count(2)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	m := make(map[mdg.Loc][]mdg.Loc, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		l := mdg.Loc(r.uvarint())
-		nv := r.count(1)
-		vals := make([]mdg.Loc, 0, nv)
-		for j := 0; j < nv && r.err == nil; j++ {
-			vals = append(vals, mdg.Loc(r.uvarint()))
-		}
-		if r.err != nil {
-			break
-		}
-		if _, dup := m[l]; dup {
-			r.fail("duplicate loc-table key")
-			break
-		}
-		m[l] = vals
-	}
-	return m
-}
-
-func (r *pReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("string overruns input")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
 }

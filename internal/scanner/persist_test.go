@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/mdg"
@@ -284,6 +285,35 @@ func TestStatePoolByteCapEvicts(t *testing.T) {
 	}
 }
 
+// TestStatePoolDoesNotWaitOnScans: a scan holds its state's lock end
+// to end, so the pool's metrics read and a byte-capped Get of another
+// package must not take that lock.
+func TestStatePoolDoesNotWaitOnScans(t *testing.T) {
+	pool := NewStatePool()
+	pool.SetLimits(0, 1)
+	busy := pool.Get("busy")
+	ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: busy})
+	busy.mu.Lock() // as a scan in flight holds it
+	defer busy.mu.Unlock()
+	done := make(chan IncrementalStats, 1)
+	go func() {
+		s := pool.Stats()
+		pool.Get("other")
+		done <- s
+	}()
+	select {
+	case s := <-done:
+		if s.FrontEndMisses != 1 {
+			t.Fatalf("pool stats = %+v, want the busy state's published scan", s)
+		}
+		if _, bytes := pool.Evictions(); bytes == 0 {
+			t.Fatal("byte-cap eviction did not use the published estimate")
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("StatePool.Stats or Get waited on a scan in flight")
+	}
+}
+
 func TestStatePoolAttachStoreReachesExistingStates(t *testing.T) {
 	dir := t.TempDir()
 	s := openStoreT(t, dir, store.Options{})
@@ -391,6 +421,9 @@ func FuzzStoreDecode(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte("MDGS\x01"))
+	for _, b := range goldenBodies(f) {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if fr, err := mdg.DecodeFragment(data); err == nil {

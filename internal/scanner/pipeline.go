@@ -46,6 +46,7 @@ import (
 	"repro/internal/mdg"
 	"repro/internal/queries"
 	"repro/internal/reach"
+	"repro/internal/store"
 )
 
 // scanRun carries one scan through the pipeline stages.
@@ -129,7 +130,9 @@ func (st *IncrementalState) scan(files []SourceFile, name string, opts Options, 
 		recordPhases(rep, r.b)
 	}
 	if st.retained {
-		rep.IncrStats = st.statsPtr()
+		st.publish()
+		stats := st.stats
+		rep.IncrStats = &stats
 	}
 	return rep
 }
@@ -360,24 +363,24 @@ func (r *scanRun) treeComponents() []component {
 }
 
 // requireComponents partitions a flat package by its files' dependency
-// facts (cached per content hash, in memory and in the store).
+// facts, which live in the front-end entry (and in the store under its
+// content hash).
 func (r *scanRun) requireComponents() []component {
 	st := r.st
 	rels := make([]string, len(r.units))
 	facts := make([]*fileFacts, len(r.units))
 	for i, u := range r.units {
 		rels[i] = u.rel
-		fe := st.facts[u.rel]
-		if fe == nil || fe.hash != u.fe.hash {
-			ff, fromStore := st.loadFacts(u.fe.hash)
-			if !fromStore {
+		if u.fe.facts == nil {
+			key := factsStoreKey(u.fe.hash)
+			ff, ok := load(st, store.KindFrontEnd, key, decodeFacts)
+			if !ok {
 				ff = extractFacts(u.fe.prog)
-				st.saveFacts(u.fe.hash, ff)
+				st.save(store.KindFrontEnd, key, func() []byte { return encodeFacts(ff) })
 			}
-			fe = &factsEntry{hash: u.fe.hash, facts: ff}
-			st.facts[u.rel] = fe
+			u.fe.facts = ff
 		}
-		facts[i] = fe.facts
+		facts[i] = u.fe.facts
 	}
 	aoptsKey := r.aoptsKey()
 	var comps []component
@@ -460,7 +463,7 @@ func (r *scanRun) built(c component, res *analysis.Result) liveFrag {
 	}
 	if cache {
 		r.st.frags[c.key] = lv.fe
-		r.st.saveFrag(lv.fe)
+		r.st.save(store.KindFragment, c.key, func() []byte { return encodeFragEntry(lv.fe) })
 		lv.stored = true
 	}
 	return lv
@@ -539,7 +542,10 @@ func (r *scanRun) detect() bool {
 				failure:   scratch.Failure,
 			}
 			lv.fe.detect[dkey] = dr
-			st.saveDetect(lv.fe.key, dkey, &r.fp, dr)
+			if fp, ok := r.fp.get(); ok {
+				st.save(store.KindDetect, detectStoreKey(lv.fe.key, dkey.engine, dkey.fallback, fp),
+					func() []byte { body, _ := encodeDetectResult(dr); return body })
+			}
 		}
 	}
 	return true
@@ -597,11 +603,14 @@ func mergeScratch(rep, scratch *Report) {
 
 // frontEndEntry is one file's front end: the lowered program, keyed
 // (in a retained state) by a content hash over path and source.
-// coreStmts sizes the entry for the state pool's byte estimate.
+// coreStmts sizes the entry for the state pool's byte estimate. facts
+// are the file's dependency facts, filled by the first partition that
+// needs them.
 type frontEndEntry struct {
 	hash      [sha256.Size]byte
 	prog      *core.Program
 	coreStmts int
+	facts     *fileFacts
 }
 
 // frontEnd parses and lowers one file, memoized in a retained state.

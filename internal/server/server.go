@@ -46,7 +46,7 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: GOMAXPROCS
-// workers, a 2×workers admission queue, the query engine, a 5-minute
+// workers, a 2×workers admission queue, the native engine, a 5-minute
 // default and ceiling timeout, and unlimited step/size caps.
 type Options struct {
 	// Workers bounds the number of concurrently executing scans (the

@@ -64,6 +64,11 @@ func TestCacheDirWarmRestart(t *testing.T) {
 	if status.Store.Entries == 0 || status.Store.Hits == 0 {
 		t.Fatalf("status store counters empty: %+v", status.Store)
 	}
+	// The metrics' statePool block carries the store counters too.
+	m := decodeResp[MetricsResponse](t, getURL(t, ts2.URL+"/v1/metrics"), http.StatusOK)
+	if m.StatePool != *second.Incremental {
+		t.Fatalf("metrics statePool = %+v, want the one scan's counters %+v", m.StatePool, *second.Incremental)
+	}
 }
 
 // TestCorruptCacheDirDegradesToCold flips bytes across the second

@@ -205,12 +205,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.offenders.snapshot(&resp.Breakers)
 	if s.pool != nil {
 		ps := s.pool.Stats()
-		resp.StatePool = IncrStatsJSON{
-			FrontEndHits: ps.FrontEndHits, FrontEndMisses: ps.FrontEndMisses,
-			FragmentHits: ps.FragmentHits, FragmentRebuilds: ps.Rebuilds(),
-			DetectHits: ps.DetectHits, DetectMisses: ps.DetectMisses,
-			EvictedFiles: ps.EvictedFiles, EvictedFragments: ps.EvictedFragments,
-		}
+		resp.StatePool = *incrStatsJSON(&ps)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
