@@ -90,15 +90,18 @@ mutate-check:
 # ENOSPC), bit flips, and resumes that must reproduce the uninterrupted
 # run exactly — corruption may change speed, never findings. Sweep
 # journals are store directories, so the store tests cover their
-# durability too.
+# durability too. A swept target is read once: every ladder rung scans
+# the bytes its journal hash covers, and a package directory named
+# test is scanned, not skipped, by the CLI and /v1/sweep alike.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
+	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestTargetReadOnce|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
 		./internal/metrics ./internal/sweepjournal
 	$(GO) test -race -count=1 -run 'TestCrashMidCompactionLeavesOldLogIntact|TestInjectedDiskFaultsRollBackAndCount|TestTornTailRepairedOnOpen|TestBitFlipQuarantinesRecord|TestGarbageHeaderQuarantinesWholeLog|TestConcurrentPutGet|TestAckedPutVisibleToReadOnlyOpen' \
 		./internal/store
-	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined' \
+	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName' \
 		./internal/scanner
-	$(GO) test -race -count=1 -run 'TestCorruptCacheDirDegradesToCold' ./internal/server
+	$(GO) test -race -count=1 -run 'TestCorruptCacheDirDegradesToCold|TestSweepScansPackageNamedTest' ./internal/server
+	$(GO) test -race -count=1 -run 'TestScanPackageNamedTest' ./cmd/graphjs
 
 # chaos-serve is the live-daemon resilience harness, under the race
 # detector at Workers=4: a real listener behind the production

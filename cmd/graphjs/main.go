@@ -116,7 +116,6 @@ func main() {
 	// or interleaves output. Dump modes and the confirmation/PoC
 	// passes below stay on the main goroutine.
 	targets := flag.Args()
-	reports := make([]*scanner.Report, len(targets))
 	opts := scanner.Options{
 		Config: cfg, Timeout: *timeout, Engine: engine,
 		MaxSteps: *maxSteps, MaxNodes: *maxNodes, MaxEdges: *maxEdges,
@@ -163,8 +162,10 @@ func main() {
 			NoFsync:      *noFsync,
 		}, *asJSON))
 	}
+	var reports []*scanner.Report
+	var sizes []metrics.SourceSize
 	if !(*dumpMDG || *dumpCore || *exportDB) {
-		scanAll(targets, reports, opts, *workers, pool)
+		reports, sizes = scanAll(targets, opts, *workers, pool, *stats)
 	}
 
 	exit := 0
@@ -187,8 +188,7 @@ func main() {
 		} else {
 			var size *metrics.SourceSize
 			if *stats {
-				s := sourceSize(target, opts.Tree)
-				size = &s
+				size = &sizes[i]
 			}
 			printHuman(rep, size, *trace)
 		}
@@ -207,10 +207,14 @@ func main() {
 	finish(exit)
 }
 
-// scanAll fills reports[i] with the scan of targets[i], using a
-// bounded pool of workers goroutines (0 = GOMAXPROCS). When pool is
-// non-nil, each distinct target gets a persistent incremental state.
-func scanAll(targets []string, reports []*scanner.Report, opts scanner.Options, workers int, pool *scanner.StatePool) {
+// scanAll reads each target once and scans it on a bounded pool of
+// workers goroutines (0 = GOMAXPROCS): reports[i] is the scan of
+// targets[i] and, when stats is set, sizes[i] the -stats size of the
+// same file set. When pool is non-nil, each distinct target gets a
+// persistent incremental state.
+func scanAll(targets []string, opts scanner.Options, workers int, pool *scanner.StatePool, stats bool) ([]*scanner.Report, []metrics.SourceSize) {
+	reports := make([]*scanner.Report, len(targets))
+	sizes := make([]metrics.SourceSize, len(targets))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -224,11 +228,19 @@ func scanAll(targets []string, reports []*scanner.Report, opts scanner.Options, 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
+				set, err := scanner.PackageFiles(targets[i], opts.Tree)
+				if err != nil {
+					reports[i] = &scanner.Report{Name: targets[i], Err: err}
+					continue
+				}
 				o := opts
 				if pool != nil {
 					o.Incremental = pool.Get(targets[i])
 				}
-				reports[i] = scanTarget(targets[i], o)
+				reports[i] = set.Scan(o)
+				if stats {
+					sizes[i] = sourceSize(set)
+				}
 			}
 		}()
 	}
@@ -237,6 +249,7 @@ func scanAll(targets []string, reports []*scanner.Report, opts scanner.Options, 
 	}
 	close(idx)
 	wg.Wait()
+	return reports, sizes
 }
 
 // confirmFindings drives the target in the instrumented interpreter
@@ -266,20 +279,6 @@ func confirmFindings(target string, rep *scanner.Report) {
 	}
 }
 
-func scanTarget(target string, opts scanner.Options) *scanner.Report {
-	info, err := os.Stat(target)
-	if err != nil {
-		return &scanner.Report{Name: target, Err: err}
-	}
-	if info.IsDir() {
-		if opts.Tree {
-			return scanner.ScanTreeDir(target, opts)
-		}
-		return scanner.ScanPackage(target, opts)
-	}
-	return scanner.ScanFile(target, opts)
-}
-
 // runSweep is the -sweep mode: a supervised sweep over the CLI targets
 // with the retry/degradation ladder, optionally journaled for -resume.
 // Returns the process exit code.
@@ -297,22 +296,16 @@ func runSweep(targets []string, opts scanner.Options, pool *scanner.StatePool,
 		}
 		seen[target] = true
 		target := target
-		hash := func() string { return hashTarget(target) }
-		if opts.Tree {
-			// Tree scans depend on node_modules content and package.json
-			// manifests, so the resume hash must cover them too.
-			hash = func() string { return metrics.HashTreeTarget(target) }
-		}
-		units = append(units, metrics.Target{
+		// The resume hash covers exactly the file set the attempts scan:
+		// under -tree, node_modules and package.json manifests too.
+		u := metrics.Target{
 			Name: target,
-			Hash: hash,
-			Scan: func(o scanner.Options) *scanner.Report {
-				if pool != nil {
-					o.Incremental = pool.Get(target)
-				}
-				return scanTarget(target, o)
-			},
-		})
+			Read: func() (scanner.FileSet, error) { return scanner.PackageFiles(target, opts.Tree) },
+		}
+		if pool != nil {
+			u.State = func() *scanner.IncrementalState { return pool.Get(target) }
+		}
+		units = append(units, u)
 	}
 
 	sw, stats, err := metrics.SuperviseGraphJSTargets(units, opts, sup)
@@ -363,28 +356,18 @@ func printEntry(e *sweepjournal.Entry) {
 	}
 }
 
-// hashTarget fingerprints a target's on-disk content for the resume
-// check; the directory walk mirrors ScanPackage's file selection. An
-// unreadable target hashes its error text — still deterministic, so a
-// resume skips it until the problem (or the file) changes.
-func hashTarget(target string) string {
-	return metrics.HashTarget(target)
-}
-
-// sourceSize counts the AST and CFG of the files a scan of target
+// sourceSize counts the AST and CFG of the files the scan of set
 // parses (tree mode's package.json manifests feed the resolver only),
 // for the -stats line.
-func sourceSize(target string, tree bool) metrics.SourceSize {
-	var files []scanner.SourceFile
-	if info, err := os.Stat(target); err == nil && info.IsDir() {
-		all, _, _ := scanner.PackageFiles(target, tree)
-		for _, f := range all {
+func sourceSize(set scanner.FileSet) metrics.SourceSize {
+	files := set.Files
+	if set.Tree {
+		files = nil
+		for _, f := range set.Files {
 			if strings.HasSuffix(f.Rel, ".js") {
 				files = append(files, f)
 			}
 		}
-	} else if data, err := os.ReadFile(target); err == nil {
-		files = []scanner.SourceFile{{Rel: target, Src: string(data)}}
 	}
 	return metrics.CountSourceSize(files)
 }

@@ -60,15 +60,7 @@ func TestStatsSizes(t *testing.T) {
 		"pkg/node_modules/dep/package.json": `{"name":"dep","version":"2.0.0"}`,
 		"pkg/node_modules/dep/index.js":     gitResetSrc,
 	}
-	for rel, src := range files {
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFiles(t, dir, files)
 	one := "stats: 10 LoC, 43 AST nodes, 4 CFG nodes, 23 MDG nodes, 26 MDG edges"
 	for _, tc := range []struct {
 		args []string

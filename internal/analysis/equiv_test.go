@@ -119,3 +119,22 @@ func FuzzAnalysisEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestReferenceResolvesAmbiguousRequire: require('./util') with no exact
+// candidate and three basename matches resolves to the sorted-first
+// file in both analyzers, on every run: the reference must not depend
+// on map iteration order.
+func TestReferenceResolvesAmbiguousRequire(t *testing.T) {
+	srcs := map[string]string{
+		"a/util.js": "function fa(c) { return c; }\nmodule.exports = fa;\n",
+		"b/util.js": "function fb(c) { return c; }\nmodule.exports = fb;\n",
+		"c/util.js": "function fc(c) { return c; }\nmodule.exports = fc;\n",
+		"index.js":  "var u = require('./util');\nfunction main(x) { require('child_process').exec(u(x)); }\nmodule.exports = main;\n",
+	}
+	progs := normalizeFiles([]string{"a/util.js", "b/util.js", "c/util.js", "index.js"}, srcs)
+	for i := 0; i < 100; i++ {
+		if d := analysis.CompareWithReference(progs, budget.Limits{}); d != "" {
+			t.Fatalf("round %d: %s", i, d)
+		}
+	}
+}

@@ -10,7 +10,6 @@ package analysis
 import (
 	"bytes"
 	"fmt"
-	"path"
 	"slices"
 	"sort"
 	"strings"
@@ -239,11 +238,13 @@ type refAnalyzer struct {
 	// analyzed (innermost last), for return-edge wiring.
 	fnStack []*FuncSummary
 
-	// Multi-module state: per-file CommonJS globals, the set of known
-	// module files for require resolution, and the per-module site
-	// offset that keeps allocation keys distinct across files.
+	// Multi-module state: per-file CommonJS globals, the sorted module
+	// files for require resolution (core.ResolveRequire, as the MDG
+	// build resolves), and the per-module site offset that keeps
+	// allocation keys distinct across files.
 	curFile  string
 	modules  map[string]moduleGlobals
+	files    []string
 	siteBase int
 
 	// Cross-package linker side tables (see Result).
@@ -275,6 +276,10 @@ func refAnalyzeModules(progs []*core.Program, opts Options) (*Result, *refStore)
 	for _, prog := range progs {
 		a.setupModule(prog.FileName)
 	}
+	for file := range a.modules {
+		a.files = append(a.files, file)
+	}
+	slices.Sort(a.files)
 	lastStore := a.root
 	func() {
 		defer func() {
@@ -645,7 +650,7 @@ func (a *refAnalyzer) call(x *core.Call, st *refStore) {
 	// anything else yields a synthetic external-module object.
 	if x.CalleeName == "require" && len(x.Args) == 1 {
 		if lit, ok := x.Args[0].(core.Lit); ok {
-			if file, ok := a.resolveModule(lit.Value); ok {
+			if file, ok := core.ResolveRequire(a.files, a.curFile, lit.Value); ok {
 				// The sibling module's current exports: whatever the
 				// graph says module.exports holds (filled in by the
 				// cross-module fixpoint passes).
@@ -839,34 +844,6 @@ func (a *refAnalyzer) allVersions(l mdg.Loc) []mdg.Loc {
 	}
 	walk(l)
 	return out
-}
-
-// resolveModule resolves a require specifier against the package's
-// known module files. Only relative specifiers ('./x', '../y') resolve;
-// bare names are external packages. Matching tries the literal path,
-// a '.js' suffix, and '/index.js', comparing cleaned paths.
-func (a *refAnalyzer) resolveModule(spec string) (string, bool) {
-	if !strings.HasPrefix(spec, "./") && !strings.HasPrefix(spec, "../") {
-		return "", false
-	}
-	baseDir := path.Dir(a.curFile)
-	target := path.Clean(path.Join(baseDir, spec))
-	candidates := []string{target, target + ".js", path.Join(target, "index.js")}
-	for _, c := range candidates {
-		if _, ok := a.modules[c]; ok {
-			return c, true
-		}
-	}
-	// Fall back to basename matching: module file names may carry
-	// generator prefixes while requires use plain names.
-	base := path.Base(target)
-	for file := range a.modules {
-		fb := strings.TrimSuffix(path.Base(file), ".js")
-		if fb == base || fb == strings.TrimSuffix(base, ".js") {
-			return file, true
-		}
-	}
-	return "", false
 }
 
 // Built-in function models. Graph.js models the JavaScript built-ins

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -107,9 +106,10 @@ func protect(i int, scan func(i int) PackageResult) (pr PackageResult) {
 	return scan(i)
 }
 
-// fillPackages restores the Package pointer on rows whose scan
-// panicked before producing one (protect can only synthesize the
-// error half of the row).
+// fillPackages restores the Package pointer on rows that lack one: a
+// scan that panicked before producing one (protect can only synthesize
+// the error half of the row), and every supervised row, which a file
+// set or a journal entry produced.
 func fillPackages(sw *Sweep, c *dataset.Corpus) *Sweep {
 	for i := range sw.Results {
 		if sw.Results[i].Package == nil {
@@ -216,22 +216,6 @@ func packageFiles(p *dataset.Package) []scanner.SourceFile {
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].Rel < files[j].Rel })
 	return files
-}
-
-// packageContent is the content string hashed for journal resume keys;
-// it covers every file of the package.
-func packageContent(p *dataset.Package) string {
-	if len(p.Extra) == 0 {
-		return p.Source
-	}
-	var sb strings.Builder
-	for _, f := range packageFiles(p) {
-		sb.WriteString(f.Rel)
-		sb.WriteByte(0)
-		sb.WriteString(f.Src)
-		sb.WriteByte(0)
-	}
-	return sb.String()
 }
 
 // SweepGraphJSIncremental is SweepGraphJS with per-package incremental

@@ -211,10 +211,9 @@ func errString(err error) string {
 // resultFromEntry synthesizes the sweep row for a package satisfied
 // from the journal. Witness paths and timings are not persisted, so
 // the row carries findings, classification and flags only.
-func resultFromEntry(p *dataset.Package, e sweepjournal.Entry) PackageResult {
+func resultFromEntry(e sweepjournal.Entry) PackageResult {
 	class := budget.Class(e.Class)
 	return PackageResult{
-		Package:    p,
 		Findings:   findingsFromJournal(e.Findings),
 		TimedOut:   class == budget.ClassTimeout,
 		Failure:    class,
@@ -343,16 +342,14 @@ func graphjsFingerprintOf(opts scanner.Options, ladder []rung) string {
 	})
 }
 
-// graphjsRun adapts a scan function to one ladder attempt: rung
-// options, a deterministic fault label, and the engine the scan ran as
-// the attempt's label.
-func graphjsRun(opts scanner.Options, scan func(p *dataset.Package, o scanner.Options) *scanner.Report) func(p *dataset.Package, r rung, attempt int) (PackageResult, string) {
-	return func(p *dataset.Package, r rung, attempt int) (PackageResult, string) {
-		o := rungScanOptions(opts, r)
-		o.FaultLabel = fmt.Sprintf("%s#%d", p.Name, attempt)
-		rep := scan(p, o)
-		return graphjsResult(p, rep), string(rep.Engine)
-	}
+// graphjsAttempt runs one ladder attempt of a Graph.js scan of set:
+// rung options, a deterministic fault label, and the engine the scan
+// ran as the attempt's label.
+func graphjsAttempt(set scanner.FileSet, name string, opts scanner.Options, r rung, attempt int) (PackageResult, string) {
+	o := rungScanOptions(opts, r)
+	o.FaultLabel = fmt.Sprintf("%s#%d", name, attempt)
+	rep := set.Scan(o)
+	return graphjsResult(nil, rep), string(rep.Engine)
 }
 
 // rungScanOptions derives the scanner options for one ladder rung.
@@ -377,38 +374,54 @@ func rungScanOptions(base scanner.Options, r rung) scanner.Options {
 func SuperviseGraphJS(c *dataset.Corpus, opts scanner.Options, sup SuperviseOptions) (*Sweep, *SuperviseStats, error) {
 	ladder := defaultLadder()
 	fp := graphjsFingerprintOf(opts, ladder)
-	return supervise(c, opts.Workers, fp, ladder, sup, nil, graphjsRun(opts, scanPackage))
+	return supervisePackages(c, opts.Workers, fp, ladder, sup,
+		func(p *dataset.Package, files []scanner.SourceFile, r rung, attempt int) (PackageResult, string) {
+			set := scanner.FileSet{Path: p.Name, Files: files, Tree: opts.Tree}
+			return graphjsAttempt(set, p.Name, opts, r, attempt)
+		})
 }
 
-// Target is one named scan unit of a supervised CLI sweep: a file or
-// package directory, with its own content-hash and scan functions
-// (the supervisor never touches the filesystem itself).
+// Target is one named scan unit of a supervised CLI or daemon sweep: a
+// file or package directory. The supervisor reads it once, through
+// Read, and every ladder rung scans those bytes.
 type Target struct {
 	Name string
-	// Hash fingerprints the target's current content; resume compares
-	// it against the journaled hash.
-	Hash func() string
-	// Scan runs one attempt under the given (possibly rung-degraded)
-	// options.
-	Scan func(opts scanner.Options) *scanner.Report
+	// Read returns the target's file set (scanner.PackageFiles);
+	// resume compares its content hash against the journaled one.
+	Read func() (scanner.FileSet, error)
+	// State, when non-nil, returns the warm state the target's
+	// attempts scan with.
+	State func() *scanner.IncrementalState
 }
 
 // SuperviseGraphJSTargets is SuperviseGraphJS for filesystem targets
-// instead of an in-memory corpus: the graphjs CLI's -sweep mode. The
-// ladder, fingerprint and journal semantics are identical, so a CLI
-// journal and a corpus journal are interchangeable formats.
+// instead of an in-memory corpus: the graphjs CLI's -sweep mode and the
+// daemon's /v1/sweep. The ladder, fingerprint and journal semantics
+// are identical, so a CLI journal and a corpus journal are
+// interchangeable formats. Rows carry no dataset package.
 func SuperviseGraphJSTargets(targets []Target, opts scanner.Options, sup SuperviseOptions) (*Sweep, *SuperviseStats, error) {
 	ladder := defaultLadder()
 	fp := graphjsFingerprintOf(opts, ladder)
-	c := &dataset.Corpus{Name: "targets"}
-	byName := make(map[string]Target, len(targets))
-	for _, t := range targets {
-		c.Packages = append(c.Packages, &dataset.Package{Name: t.Name})
-		byName[t.Name] = t
-	}
-	hash := func(p *dataset.Package) string { return byName[p.Name].Hash() }
-	scan := func(p *dataset.Package, o scanner.Options) *scanner.Report { return byName[p.Name].Scan(o) }
-	return supervise(c, opts.Workers, fp, ladder, sup, hash, graphjsRun(opts, scan))
+	return supervise(len(targets), opts.Workers, fp, ladder, sup, func(i int) sweepUnit {
+		t := targets[i]
+		set, err := t.Read()
+		if err != nil {
+			// An unreadable target hashes its error text (an empty Rel
+			// names no file a read returns), so it resumes only while
+			// it fails the same way.
+			rep := &scanner.Report{Name: t.Name, Err: err}
+			return sweepUnit{name: t.Name, hash: scanner.ContentHash([]scanner.SourceFile{{Src: err.Error()}}),
+				run: func(rung, int) (PackageResult, string) { return graphjsResult(nil, rep), "" }}
+		}
+		o := opts
+		if t.State != nil {
+			o.Incremental = t.State()
+		}
+		return sweepUnit{name: t.Name, hash: scanner.ContentHash(set.Files),
+			run: func(r rung, attempt int) (PackageResult, string) {
+				return graphjsAttempt(set, t.Name, o, r, attempt)
+			}}
+	})
 }
 
 // odgenFingerprint is the resume-relevant slice of odgen.Options.
@@ -458,24 +471,47 @@ func SuperviseODGen(c *dataset.Corpus, opts odgen.Options, sup SuperviseOptions)
 		Timeout:     opts.Timeout,
 		Ladder:      ladderNames(ladder),
 	})
-	run := func(p *dataset.Package, r rung, attempt int) (PackageResult, string) {
-		o := rungODGenOptions(opts, r)
-		return odgenResult(p, odgen.Scan(p.Source, p.Name, o)), "odgen"
-	}
-	return supervise(c, opts.Workers, fp, ladder, sup, nil, run)
+	return supervisePackages(c, opts.Workers, fp, ladder, sup,
+		func(p *dataset.Package, _ []scanner.SourceFile, r rung, attempt int) (PackageResult, string) {
+			o := rungODGenOptions(opts, r)
+			return odgenResult(p, odgen.Scan(p.Source, p.Name, o)), "odgen"
+		})
 }
 
-// supervise is the shared supervised-sweep body: resume filter, worker
-// pool, ladder, journal puts, terminal-state accounting. hash
-// fingerprints a package's content (nil = hash p.Source).
-func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup SuperviseOptions,
-	hash func(p *dataset.Package) string,
-	run func(p *dataset.Package, r rung, attempt int) (PackageResult, string)) (*Sweep, *SuperviseStats, error) {
+// sweepUnit is one package of a supervised sweep, read once: its
+// journal name, the content hash of the bytes its attempts scan, and
+// one ladder attempt on those bytes.
+type sweepUnit struct {
+	name string
+	hash string
+	run  func(r rung, attempt int) (PackageResult, string)
+}
 
-	if hash == nil {
-		hash = func(p *dataset.Package) string { return sweepjournal.ContentHash(packageContent(p)) }
+// supervisePackages supervises an in-memory corpus: each package's file
+// set is its sources, hashed once and handed to every attempt. Rows get
+// their package back after the sweep.
+func supervisePackages(c *dataset.Corpus, workers int, fp string, ladder []rung, sup SuperviseOptions,
+	run func(p *dataset.Package, files []scanner.SourceFile, r rung, attempt int) (PackageResult, string)) (*Sweep, *SuperviseStats, error) {
+
+	sw, stats, err := supervise(len(c.Packages), workers, fp, ladder, sup, func(i int) sweepUnit {
+		p := c.Packages[i]
+		files := packageSources(p)
+		return sweepUnit{name: p.Name, hash: scanner.ContentHash(files),
+			run: func(r rung, attempt int) (PackageResult, string) { return run(p, files, r, attempt) }}
+	})
+	if sw != nil {
+		fillPackages(sw, c)
 	}
-	stats := &SuperviseStats{Entries: make([]sweepjournal.Entry, len(c.Packages))}
+	return sw, stats, err
+}
+
+// supervise is the shared supervised-sweep body over n units: resume
+// filter, worker pool, ladder, journal puts, terminal-state
+// accounting. unit reads unit i; it runs once per unit, on a worker.
+func supervise(n, workers int, fp string, ladder []rung, sup SuperviseOptions,
+	unit func(i int) sweepUnit) (*Sweep, *SuperviseStats, error) {
+
+	stats := &SuperviseStats{Entries: make([]sweepjournal.Entry, n)}
 	prior := map[string]sweepjournal.Entry{}
 	var journal *store.Store
 	if sup.Journal != "" {
@@ -494,12 +530,11 @@ func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup Sup
 
 	var mu sync.Mutex // stats counters + first journal error
 	var journalErr error
-	sw := fillPackages(runCorpus(len(c.Packages), workers, func(i int) PackageResult {
-		p := c.Packages[i]
-		h := hash(p)
+	sw := runCorpus(n, workers, func(i int) PackageResult {
+		u := unit(i)
 		// Canceled entries never satisfy a resume: they record that a
 		// client went away, not anything about the package.
-		if e, ok := prior[p.Name]; ok && e.Matches(h, fp) && e.State != sweepjournal.StateCanceled {
+		if e, ok := prior[u.name]; ok && e.Matches(u.hash, fp) && e.State != sweepjournal.StateCanceled {
 			quarantined := e.State == sweepjournal.StateQuarantined
 			if !quarantined || !sup.Requarantine {
 				stats.Entries[i] = e
@@ -507,13 +542,10 @@ func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup Sup
 				stats.Resumed++
 				stats.tally(e.State)
 				mu.Unlock()
-				return resultFromEntry(p, e)
+				return resultFromEntry(e)
 			}
 		}
-		res, entry := runLadder(p.Name, h, fp, ladder, sup.Backoff,
-			func(r rung, attempt int) (PackageResult, string) {
-				return run(p, r, attempt)
-			})
+		res, entry := runLadder(u.name, u.hash, fp, ladder, sup.Backoff, u.run)
 		perr := sweepjournal.Put(journal, entry)
 		stats.Entries[i] = entry
 		mu.Lock()
@@ -523,7 +555,7 @@ func supervise(c *dataset.Corpus, workers int, fp string, ladder []rung, sup Sup
 		}
 		mu.Unlock()
 		return res
-	}), c)
+	})
 
 	if journal != nil {
 		// Compaction keeps one record per package however many sweeps

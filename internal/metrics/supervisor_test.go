@@ -177,11 +177,10 @@ func TestLadderFloorWithPool(t *testing.T) {
 	pool := scanner.NewStatePool()
 	target := Target{
 		Name: huge.Name,
-		Hash: func() string { return "fixed" },
-		Scan: func(o scanner.Options) *scanner.Report {
-			o.Incremental = pool.Get(huge.Name)
-			return scanner.ScanSource(huge.Source, huge.Name, o)
+		Read: func() (scanner.FileSet, error) {
+			return scanner.FileSet{Path: huge.Name, Files: []scanner.SourceFile{{Rel: huge.Name, Src: huge.Source}}}, nil
 		},
+		State: func() *scanner.IncrementalState { return pool.Get(huge.Name) },
 	}
 	journal := filepath.Join(t.TempDir(), "sweep-journal")
 	sw, stats, err := SuperviseGraphJSTargets([]Target{target}, scanner.Options{Workers: 1, MaxSteps: 50},
@@ -484,5 +483,58 @@ func TestSupervisedODGenTerminates(t *testing.T) {
 		if len(e.Attempts) == 0 {
 			t.Errorf("%s: no attempt history", p.Name)
 		}
+	}
+}
+
+// TestTargetReadOnce: a supervised sweep reads a target once, and every
+// ladder rung scans those bytes. The target's content changes after
+// the first read (A, then B, which does not parse). A 20-step cap
+// trips A's full, half and quarter rungs and leaves the gate-only floor
+// clean; an attempt that scanned B would be classed parse and end the
+// ladder instead. The journal records A's hash.
+func TestTargetReadOnce(t *testing.T) {
+	a := []scanner.SourceFile{{Rel: "index.js", Src: gitResetSrc}}
+	b := []scanner.SourceFile{{Rel: "index.js", Src: "function ("}}
+	reads := 0
+	target := Target{
+		Name: "flip",
+		Read: func() (scanner.FileSet, error) {
+			reads++
+			files := a
+			if reads > 1 {
+				files = b
+			}
+			return scanner.FileSet{Path: "flip", Files: files}, nil
+		},
+	}
+	journal := filepath.Join(t.TempDir(), "sweep-journal")
+	_, stats, err := SuperviseGraphJSTargets([]Target{target}, scanner.Options{Workers: 1, MaxSteps: 20},
+		SuperviseOptions{Journal: journal})
+	if err != nil {
+		t.Fatalf("supervised sweep: %v", err)
+	}
+	if reads != 1 {
+		t.Errorf("target read %d times, want once", reads)
+	}
+	e := stats.Entries[0]
+	if e.State != sweepjournal.StateDegraded || e.Rung != "reach-gate" || len(e.Attempts) != len(defaultLadder()) {
+		t.Fatalf("entry %s at rung %q after %d attempts, want degraded at the floor after one attempt per rung: %+v",
+			e.State, e.Rung, len(e.Attempts), e.Attempts)
+	}
+	for i, at := range e.Attempts {
+		want := string(budget.ClassBudget)
+		if i == len(e.Attempts)-1 {
+			want = ""
+		}
+		if at.Class != want {
+			t.Errorf("attempt %d at %s: class %q, want %q (it did not scan A)", i, at.Rung, at.Class, want)
+		}
+	}
+	entries, _, err := loadJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := entries["flip"].Hash; h != scanner.ContentHash(a) || e.Hash != h {
+		t.Errorf("journaled hash %s (stats %s), want A's %s", h, e.Hash, scanner.ContentHash(a))
 	}
 }

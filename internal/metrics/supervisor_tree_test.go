@@ -21,16 +21,10 @@ import (
 
 // treeTarget adapts an in-memory tree fixture to a sweep Target.
 func treeTarget(name string, files []scanner.SourceFile) Target {
-	fmap := make(map[string]string, len(files))
-	for _, f := range files {
-		fmap[f.Rel] = f.Src
-	}
 	return Target{
 		Name: name,
-		Hash: func() string { return sweepjournal.ContentHashFiles(fmap) },
-		Scan: func(opts scanner.Options) *scanner.Report {
-			opts.Tree = true
-			return scanner.ScanFiles(files, name, opts)
+		Read: func() (scanner.FileSet, error) {
+			return scanner.FileSet{Path: name, Files: files, Tree: true}, nil
 		},
 	}
 }

@@ -1,7 +1,7 @@
 package scanner
 
-// The scan pipeline. Every entry point — ScanSource, ScanFile,
-// ScanPackage, ScanFiles and ScanTreeDir, cold or warm, flat or tree —
+// The scan pipeline. Every entry point — ScanSource, ScanPackage,
+// ScanFiles and FileSet.Scan, cold or warm, flat or tree —
 // runs the same stages, each written once below inside one phase and
 // one panic guard:
 //

@@ -7,7 +7,10 @@ package scanner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -98,13 +101,13 @@ type Options struct {
 	// Workers bounds the worker pool for multi-package sweeps
 	// (metrics.SweepGraphJS, graphjs -workers). 0 means
 	// runtime.GOMAXPROCS(0); 1 forces a sequential sweep. A single
-	// ScanSource/ScanFile/ScanPackage call ignores it.
+	// ScanSource/ScanPackage/ScanFiles call ignores it.
 	Workers int
 	// Tree treats the input as a dependency tree: node_modules
 	// packages are resolved (internal/deptree), analyzed as separate
 	// MDG fragments, stitched, and cross-package require edges are
 	// linked so taint flows into real dependency code. package.json
-	// files in the input feed the resolver. See ScanTreeDir.
+	// files in the input feed the resolver. See PackageFiles.
 	Tree bool
 }
 
@@ -468,15 +471,6 @@ func ScanSource(src, name string, opts Options) *Report {
 	return scanFiles([]SourceFile{{Rel: name, Src: src}}, name, opts, nil)
 }
 
-// ScanFile scans one JavaScript file.
-func ScanFile(path string, opts Options) *Report {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return &Report{Name: path, Err: fmt.Errorf("scanner: %w", err)}
-	}
-	return ScanSource(string(data), path, opts)
-}
-
 // SourceFile is one file of an in-memory package: Rel is the
 // package-relative path used for require resolution, Src the source
 // text.
@@ -485,61 +479,110 @@ type SourceFile struct {
 	Src string
 }
 
-// ScanPackage scans every .js file under dir (skipping node_modules and
-// test directories, like the artifact does) as one multi-module
-// package: a single combined MDG is built so that require('./sibling')
-// flows connect across files, then the vulnerability queries run once
-// over the whole graph.
-func ScanPackage(dir string, opts Options) *Report {
-	files, readErr, err := PackageFiles(dir, false)
-	if err != nil {
-		return &Report{Name: dir, Err: err}
+// ContentHash fingerprints a file set in sorted Rel order: same paths,
+// same bytes → same hash. It is the one content hash of a scan target:
+// sweep journals key resume on it and the daemon's offender ledger
+// keys quarantine on it.
+func ContentHash(files []SourceFile) string {
+	h := sha256.New()
+	for _, f := range files {
+		fmt.Fprintf(h, "%d %s\x00%d ", len(f.Rel), f.Rel, len(f.Src))
+		io.WriteString(h, f.Src)
 	}
-	return scanFiles(files, dir, opts, readErr)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// PackageFiles reads the files a scan of the package directory dir
-// covers, in sorted Rel order: every .js file except minified ones,
-// skipping test directories and VCS internals and, unless tree is set,
-// node_modules. With tree set it also reads every package.json
-// manifest, which the dependency-tree resolver needs. readErr is the
-// first file that could not be read (the scan skips it); err is a
-// failed directory walk.
-func PackageFiles(dir string, tree bool) (files []SourceFile, readErr, err error) {
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+// FileSet is the file set a scan of one filesystem target covers, as
+// PackageFiles reads it: what is hashed, scanned and sized is these
+// bytes, however often the target changes on disk afterwards.
+type FileSet struct {
+	// Path is the target as given; reports are named after it.
+	Path string
+	// Files is sorted by Rel.
+	Files []SourceFile
+	// Tree is set when Path is a directory read in tree mode; a file
+	// target is never a tree.
+	Tree bool
+	// ReadErr is the first file that could not be read: the scan skips
+	// it and reports the error.
+	ReadErr error
+}
+
+// Scan scans the file set as one package under opts; Options.Tree is
+// the set's own.
+func (s FileSet) Scan(opts Options) *Report {
+	opts.Tree = s.Tree
+	return scanFiles(s.Files, s.Path, opts, s.ReadErr)
+}
+
+// ScanPackage scans the file or package directory at path: a file is
+// a one-file package; a directory's .js files (see PackageFiles) form
+// one multi-module package, so require('./sibling') flows connect
+// across files, and under opts.Tree its node_modules tree is resolved
+// and linked too.
+func ScanPackage(path string, opts Options) *Report {
+	s, err := PackageFiles(path, opts.Tree)
+	if err != nil {
+		return &Report{Name: path, Err: err}
+	}
+	return s.Scan(opts)
+}
+
+// PackageFiles reads the file set a scan of path covers. A file is one
+// SourceFile whose Rel is path itself. A directory gives every .js
+// file under it except minified ones, in sorted Rel order, skipping
+// test directories and VCS internals and, unless tree is set,
+// node_modules; with tree set it also reads every package.json
+// manifest, which the dependency-tree resolver needs. The skip rules
+// apply below path only, so a package directory named test is
+// scanned. err is a target that cannot be read at all.
+func PackageFiles(path string, tree bool) (FileSet, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return FileSet{}, err
+	}
+	if !info.IsDir() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return FileSet{}, fmt.Errorf("scanner: %w", err)
+		}
+		return FileSet{Path: path, Files: []SourceFile{{Rel: path, Src: string(data)}}}, nil
+	}
+	s := FileSet{Path: path, Tree: tree}
+	err = filepath.Walk(path, func(p string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
 		if info.IsDir() {
-			base := filepath.Base(path)
-			if base == "node_modules" && !tree || base == "test" || base == "tests" || base == ".git" {
+			base := filepath.Base(p)
+			if p != path && (base == "node_modules" && !tree || base == "test" || base == "tests" || base == ".git") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		isJS := strings.HasSuffix(path, ".js") && !strings.HasSuffix(path, ".min.js")
-		if !isJS && !(tree && filepath.Base(path) == "package.json") {
+		isJS := strings.HasSuffix(p, ".js") && !strings.HasSuffix(p, ".min.js")
+		if !isJS && !(tree && filepath.Base(p) == "package.json") {
 			return nil
 		}
-		rel, relErr := filepath.Rel(dir, path)
+		rel, relErr := filepath.Rel(path, p)
 		if relErr != nil {
-			rel = path
+			rel = p
 		}
-		data, rdErr := os.ReadFile(path)
+		data, rdErr := os.ReadFile(p)
 		if rdErr != nil {
-			if readErr == nil {
-				readErr = fmt.Errorf("scanner: %w", rdErr)
+			if s.ReadErr == nil {
+				s.ReadErr = fmt.Errorf("scanner: %w", rdErr)
 			}
 			return nil
 		}
-		files = append(files, SourceFile{Rel: filepath.ToSlash(rel), Src: string(data)})
+		s.Files = append(s.Files, SourceFile{Rel: filepath.ToSlash(rel), Src: string(data)})
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("scanner: %w", err)
+		return FileSet{}, fmt.Errorf("scanner: %w", err)
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Rel < files[j].Rel })
-	return files, readErr, nil
+	sort.Slice(s.Files, func(i, j int) bool { return s.Files[i].Rel < s.Files[j].Rel })
+	return s, nil
 }
 
 // ScanFiles scans an in-memory file set as one multi-module package,

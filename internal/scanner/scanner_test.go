@@ -132,6 +132,9 @@ module.exports = add;
 
 func mustWrite(t *testing.T, path, content string) {
 	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -363,5 +366,69 @@ func TestCachedScanEqualsUncached(t *testing.T) {
 			}
 			prevHits = hits2
 		}
+	}
+}
+
+func TestContentHash(t *testing.T) {
+	set := func(kv ...string) []SourceFile {
+		var fs []SourceFile
+		for i := 0; i < len(kv); i += 2 {
+			fs = append(fs, SourceFile{Rel: kv[i], Src: kv[i+1]})
+		}
+		return fs
+	}
+	a := ContentHash(set("a.js", "x", "b.js", "y"))
+	if a != ContentHash(set("a.js", "x", "b.js", "y")) {
+		t.Error("hash is not a function of the file set")
+	}
+	for name, other := range map[string][]SourceFile{
+		"content edit":                  set("a.js", "x", "b.js", "z"),
+		"file deletion":                 set("a.js", "x"),
+		"rename":                        set("a.js", "x", "c.js", "y"),
+		"path/content boundary":         set("a.js", "xb", ".js", "y"),
+		"file boundary between two Src": set("a.js", "xy"),
+	} {
+		if a == ContentHash(other) {
+			t.Errorf("%s not reflected in hash", name)
+		}
+	}
+}
+
+// TestPackageFilesRootName: the walker's skip rules apply below the
+// target only. A package directory named like a skipped one (test,
+// tests, .git, or node_modules outside tree mode) is still read.
+func TestPackageFilesRootName(t *testing.T) {
+	for _, root := range []string{"test", "tests", ".git", "node_modules"} {
+		dir := filepath.Join(t.TempDir(), root)
+		mustWrite(t, filepath.Join(dir, "index.js"), gitResetSrc)
+		mustWrite(t, filepath.Join(dir, "test", "spec.js"), "module.exports = 1;\n")
+		set, err := PackageFiles(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set.Files) != 1 || set.Files[0].Rel != "index.js" {
+			t.Errorf("%s: files %v, want just index.js (the nested test dir skipped)", root, set.Files)
+		}
+		if rep := ScanPackage(dir, Options{}); len(rep.Findings) == 0 {
+			t.Errorf("%s: a package named %s scans as empty", root, root)
+		}
+	}
+}
+
+// TestPackageFilesFile: a file target is one SourceFile named by the
+// path given, and never a tree.
+func TestPackageFilesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "git_reset.js")
+	mustWrite(t, path, gitResetSrc)
+	set, err := PackageFiles(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FileSet{Path: path, Files: []SourceFile{{Rel: path, Src: gitResetSrc}}}
+	if !reflect.DeepEqual(set, want) {
+		t.Errorf("file set %+v, want %+v", set, want)
+	}
+	if _, err := PackageFiles(filepath.Join(t.TempDir(), "missing.js"), false); err == nil {
+		t.Error("a missing target reads without error")
 	}
 }

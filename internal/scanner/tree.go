@@ -30,20 +30,6 @@ import (
 	"repro/internal/reach"
 )
 
-// ScanTreeDir scans a package directory *including* its node_modules
-// dependencies as one dependency tree. Unlike ScanPackage's walker it
-// descends into node_modules and collects package.json manifests (for
-// the resolver), while still skipping test directories and VCS
-// internals.
-func ScanTreeDir(dir string, opts Options) *Report {
-	files, readErr, err := PackageFiles(dir, true)
-	if err != nil {
-		return &Report{Name: dir, Err: err}
-	}
-	opts.Tree = true
-	return scanFiles(files, dir, opts, readErr)
-}
-
 // treeKeyPrefix namespaces tree-mode fragment keys so they can share
 // an IncrementalState (and its store) with per-component keys without
 // either mode invalidating the other's entries.

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -55,7 +52,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 
 	// Offender breaker: content the daemon has repeatedly died on is
 	// answered from the ledger instead of burning another run slot.
-	hash := contentHash(files)
+	hash := scanner.ContentHash(files)
 	if dec := s.offenders.admit(hash); dec.quarantined {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(dec.retryAfter.Seconds()+0.999)))
 		writeError(w, http.StatusTooManyRequests, CodeQuarantined,
@@ -77,7 +74,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		if testHookScanning != nil {
 			testHookScanning(name, r.Context())
 		}
-		st := s.state(name, req.Cold)
+		// The request's own name, not the "inline" display name: an
+		// anonymous scan is one-shot and shares no warm state.
+		st := s.state(req.Name, req.Cold)
 		eff.Warm = st != nil
 		opts.Incremental = st
 		rep = scanner.ScanFiles(files, name, opts)
@@ -109,18 +108,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, scanResponse(rep, eff))
-}
-
-// contentHash fingerprints a request's exact file set for the offender
-// ledger: same rel paths, same bytes → same hash, regardless of the
-// package name the client chose.
-func contentHash(files []scanner.SourceFile) string {
-	h := sha256.New()
-	for _, f := range files {
-		fmt.Fprintf(h, "%d %s\x00%d ", len(f.Rel), f.Rel, len(f.Src))
-		io.WriteString(h, f.Src)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // files normalizes the request's source/files forms into the sorted

@@ -559,3 +559,48 @@ func TestWarmScanReportsPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestAnonymousScanIsOneShot: a scan without a name keeps no warm
+// state, so two anonymous clients never share (or wait on) one.
+func TestAnonymousScanIsOneShot(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2})
+	src := "module.exports = function(c){ require('child_process').exec(c) }\n"
+	for i := 0; i < 2; i++ {
+		resp := decodeResp[ScanResponse](t, postJSON(t, ts.URL+"/v1/scan", ScanRequest{Source: src}), http.StatusOK)
+		if resp.Effective.Warm || resp.Incremental != nil {
+			t.Fatalf("anonymous scan %d: warm=%v incremental=%+v, want a one-shot cold scan", i, resp.Effective.Warm, resp.Incremental)
+		}
+		if len(resp.Findings) == 0 {
+			t.Fatalf("anonymous scan %d: no findings", i)
+		}
+	}
+	if n := srv.pool.Len(); n != 0 {
+		t.Fatalf("state pool holds %d states after anonymous scans, want 0", n)
+	}
+}
+
+// TestSweepScansPackageNamedTest: the walker's test-directory skip
+// applies inside a package, never to the package directory itself.
+func TestSweepScansPackageNamedTest(t *testing.T) {
+	corpus := t.TempDir()
+	vuln := "module.exports = function(c){ require('child_process').exec(c) }\n"
+	for _, rel := range []string{"test/index.js", "pkg/index.js"} {
+		path := filepath.Join(corpus, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(vuln), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, Options{Workers: 2})
+	sw := decodeResp[SweepResponse](t, postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Path: corpus}), http.StatusOK)
+	if sw.Targets != 2 {
+		t.Fatalf("sweep = %+v, want 2 targets", sw)
+	}
+	for _, e := range sw.Entries {
+		if len(e.Findings) != 1 {
+			t.Errorf("target %s: %d findings, want 1", e.Package, len(e.Findings))
+		}
+	}
+}

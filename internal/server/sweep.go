@@ -132,9 +132,9 @@ func (s *Server) sweepState(cold bool) *scanner.StatePool {
 // sweepTargets enumerates a corpus directory the way the graphjs CLI
 // treats its arguments: every immediate child directory is one package
 // target, every immediate *.js child (minus .min.js) one file target,
-// in sorted name order. Each target hashes its current on-disk content
-// for journal resume and scans with the pool's warm state when pool is
-// non-nil.
+// in sorted name order. The sweep reads each target once, hashes that
+// file set for journal resume and scans it with the pool's warm state
+// when pool is non-nil.
 func sweepTargets(dir string, pool *scanner.StatePool) ([]metrics.Target, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -156,30 +156,16 @@ func sweepTargets(dir string, pool *scanner.StatePool) ([]metrics.Target, error)
 	targets := make([]metrics.Target, 0, len(names))
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		targets = append(targets, metrics.Target{
+		t := metrics.Target{
 			Name: name,
-			Hash: func() string { return metrics.HashTarget(path) },
-			Scan: func(o scanner.Options) *scanner.Report {
-				if pool != nil {
-					o.Incremental = pool.Get(path)
-				}
-				return scanTargetPath(path, o)
-			},
-		})
+			Read: func() (scanner.FileSet, error) { return scanner.PackageFiles(path, false) },
+		}
+		if pool != nil {
+			t.State = func() *scanner.IncrementalState { return pool.Get(path) }
+		}
+		targets = append(targets, t)
 	}
 	return targets, nil
-}
-
-// scanTargetPath scans one filesystem target (file or package dir).
-func scanTargetPath(path string, opts scanner.Options) *scanner.Report {
-	info, err := os.Stat(path)
-	if err != nil {
-		return &scanner.Report{Name: path, Err: err}
-	}
-	if info.IsDir() {
-		return scanner.ScanPackage(path, opts)
-	}
-	return scanner.ScanFile(path, opts)
 }
 
 // handleStatus is GET /v1/status.

@@ -11,11 +11,11 @@
 // store supplies the durability story (CRC'd records, group-commit
 // fsync, torn-tail repair, quarantine, atomic compaction, one writer
 // per directory); this package only owns the record schema, the
-// hashing helpers and the Entry codec. When a package is re-scanned
-// the newest record wins. Entries carry no wall-clock timestamps, so a
-// journal is a deterministic function of (corpus, options, fault plan)
-// and two journals can be compared entry for entry in the chaos
-// harness.
+// options fingerprint and the Entry codec (content hashes are
+// scanner.ContentHash). When a package is re-scanned the newest record
+// wins. Entries carry no wall-clock timestamps, so a journal is a
+// deterministic function of (corpus, options, fault plan) and two
+// journals can be compared entry for entry in the chaos harness.
 package sweepjournal
 
 import (
@@ -23,7 +23,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/store"
 )
@@ -136,29 +135,6 @@ func Entries(s *store.Store) map[string]Entry {
 		entries[k] = e
 	}
 	return entries
-}
-
-// ContentHash fingerprints one source text.
-func ContentHash(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:8])
-}
-
-// ContentHashFiles fingerprints a multi-file package: the hash covers
-// every (path, content) pair in sorted path order, so renames, edits,
-// additions and deletions all change it.
-func ContentHashFiles(files map[string]string) string {
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	h := sha256.New()
-	for _, p := range paths {
-		fmt.Fprintf(h, "%d:%s=%d:", len(p), p, len(files[p]))
-		h.Write([]byte(files[p]))
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // Fingerprint hashes an arbitrary JSON-serializable options value into

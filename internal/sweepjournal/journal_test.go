@@ -279,23 +279,6 @@ func TestMatches(t *testing.T) {
 	}
 }
 
-func TestContentHashFiles(t *testing.T) {
-	a := ContentHashFiles(map[string]string{"a.js": "x", "b.js": "y"})
-	b := ContentHashFiles(map[string]string{"b.js": "y", "a.js": "x"})
-	if a != b {
-		t.Error("hash depends on map iteration order")
-	}
-	if a == ContentHashFiles(map[string]string{"a.js": "x", "b.js": "z"}) {
-		t.Error("content edit not reflected in hash")
-	}
-	if a == ContentHashFiles(map[string]string{"a.js": "x"}) {
-		t.Error("file deletion not reflected in hash")
-	}
-	if a == ContentHashFiles(map[string]string{"a.js": "xb", ".js": "y"}) {
-		t.Error("path/content boundary ambiguity")
-	}
-}
-
 // TestCreateRepairsTornTail: opening a journal for writing after a
 // kill (what every sweep does first) must not let the next entry land
 // after the torn bytes. A partial record is truncated away; a whole
