@@ -92,13 +92,17 @@ mutate-check:
 # journals are store directories, so the store tests cover their
 # durability too. A swept target is read once: every ladder rung scans
 # the bytes its journal hash covers, and a package directory named
-# test is scanned, not skipped, by the CLI and /v1/sweep alike.
+# test is scanned, not skipped, by the CLI and /v1/sweep alike. The
+# scratch-reuse oracle interleaves plain, capped, crash-corpus and
+# panicking scans forward, in reverse and on GOMAXPROCS workers, and
+# every report must equal a first pass in a fresh process, whatever
+# the per-layer scratch pools still hold.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestTargetReadOnce|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
 		./internal/metrics ./internal/sweepjournal
 	$(GO) test -race -count=1 -run 'TestCrashMidCompactionLeavesOldLogIntact|TestInjectedDiskFaultsRollBackAndCount|TestTornTailRepairedOnOpen|TestBitFlipQuarantinesRecord|TestGarbageHeaderQuarantinesWholeLog|TestConcurrentPutGet|TestAckedPutVisibleToReadOnlyOpen' \
 		./internal/store
-	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName' \
+	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName|TestScratchReuseMatchesFresh' \
 		./internal/scanner
 	$(GO) test -race -count=1 -run 'TestCorruptCacheDirDegradesToCold|TestSweepScansPackageNamedTest' ./internal/server
 	$(GO) test -race -count=1 -run 'TestScanPackageNamedTest' ./cmd/graphjs

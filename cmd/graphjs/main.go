@@ -162,21 +162,24 @@ func main() {
 			NoFsync:      *noFsync,
 		}, *asJSON))
 	}
-	var reports []*scanner.Report
-	var sizes []metrics.SourceSize
-	if !(*dumpMDG || *dumpCore || *exportDB) {
-		reports, sizes = scanAll(targets, opts, *workers, pool, *stats)
-	}
-
-	exit := 0
-	for i, target := range targets {
-		if *dumpMDG || *dumpCore || *exportDB {
-			if err := dump(target, *dumpMDG, *dumpCore, *exportDB); err != nil {
+	if *dumpMDG || *dumpCore || *exportDB {
+		exit := 0
+		for _, target := range targets {
+			set, err := scanner.PackageFiles(target, opts.Tree)
+			if err == nil {
+				err = dump(set, *dumpMDG, *dumpCore, *exportDB)
+			}
+			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				exit = 1
 			}
-			continue
 		}
+		finish(exit)
+	}
+	reports, sets, sizes := scanAll(targets, opts, *workers, pool, *stats)
+
+	exit := 0
+	for i, target := range targets {
 		rep := reports[i]
 		if rep.Err != nil {
 			fmt.Fprintf(os.Stderr, "graphjs: %v\n", rep.Err)
@@ -198,7 +201,7 @@ func main() {
 			}
 		}
 		if *confirm {
-			confirmFindings(target, rep)
+			confirmFindings(sets[i], rep)
 		}
 		if len(rep.Findings) > 0 {
 			exit = 3 // findings present
@@ -209,11 +212,12 @@ func main() {
 
 // scanAll reads each target once and scans it on a bounded pool of
 // workers goroutines (0 = GOMAXPROCS): reports[i] is the scan of
-// targets[i] and, when stats is set, sizes[i] the -stats size of the
-// same file set. When pool is non-nil, each distinct target gets a
-// persistent incremental state.
-func scanAll(targets []string, opts scanner.Options, workers int, pool *scanner.StatePool, stats bool) ([]*scanner.Report, []metrics.SourceSize) {
+// sets[i], the file set read for targets[i], and, when stats is set,
+// sizes[i] the -stats size of the same set. When pool is non-nil, each
+// distinct target gets a persistent incremental state.
+func scanAll(targets []string, opts scanner.Options, workers int, pool *scanner.StatePool, stats bool) ([]*scanner.Report, []scanner.FileSet, []metrics.SourceSize) {
 	reports := make([]*scanner.Report, len(targets))
+	sets := make([]scanner.FileSet, len(targets))
 	sizes := make([]metrics.SourceSize, len(targets))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -237,9 +241,10 @@ func scanAll(targets []string, opts scanner.Options, workers int, pool *scanner.
 				if pool != nil {
 					o.Incremental = pool.Get(targets[i])
 				}
+				sets[i] = set
 				reports[i] = set.Scan(o)
 				if stats {
-					sizes[i] = sourceSize(set)
+					sizes[i] = metrics.CountSourceSize(jsFiles(set))
 				}
 			}
 		}()
@@ -249,18 +254,22 @@ func scanAll(targets []string, opts scanner.Options, workers int, pool *scanner.
 	}
 	close(idx)
 	wg.Wait()
-	return reports, sizes
+	return reports, sets, sizes
 }
 
-// confirmFindings drives the target in the instrumented interpreter
-// for each finding class and reports the dynamic verdicts (§5.3).
-func confirmFindings(target string, rep *scanner.Report) {
-	data, err := os.ReadFile(target)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "graphjs: confirm: %v\n", err)
+// confirmFindings drives the scanned file set in the instrumented
+// interpreter, entering at its entry file, for each finding class and
+// reports the dynamic verdicts (§5.3).
+func confirmFindings(set scanner.FileSet, rep *scanner.Report) {
+	files := jsFiles(set)
+	if len(files) == 0 {
 		return
 	}
-	sources := map[string]string{target: string(data)}
+	sources := make(map[string]string, len(files))
+	for _, f := range files {
+		sources[f.Rel] = f.Src
+	}
+	target := entryFile(files)
 	seen := map[queries.CWE]bool{}
 	for _, f := range rep.Findings {
 		if seen[f.CWE] {
@@ -356,20 +365,31 @@ func printEntry(e *sweepjournal.Entry) {
 	}
 }
 
-// sourceSize counts the AST and CFG of the files the scan of set
-// parses (tree mode's package.json manifests feed the resolver only),
-// for the -stats line.
-func sourceSize(set scanner.FileSet) metrics.SourceSize {
-	files := set.Files
-	if set.Tree {
-		files = nil
-		for _, f := range set.Files {
-			if strings.HasSuffix(f.Rel, ".js") {
-				files = append(files, f)
-			}
+// entryFile picks the module -confirm enters a package at: index.js
+// when the package has one, else its first file. A file target is its
+// own entry.
+func entryFile(files []scanner.SourceFile) string {
+	for _, f := range files {
+		if f.Rel == "index.js" {
+			return f.Rel
 		}
 	}
-	return metrics.CountSourceSize(files)
+	return files[0].Rel
+}
+
+// jsFiles returns the files of set a scan parses: tree mode's
+// package.json manifests feed the resolver only.
+func jsFiles(set scanner.FileSet) []scanner.SourceFile {
+	if !set.Tree {
+		return set.Files
+	}
+	var files []scanner.SourceFile
+	for _, f := range set.Files {
+		if strings.HasSuffix(f.Rel, ".js") {
+			files = append(files, f)
+		}
+	}
+	return files
 }
 
 // printHuman renders one report; size, when non-nil, selects the
@@ -445,28 +465,39 @@ func printJSON(rep *scanner.Report) {
 	_ = enc.Encode(server.ReportToJSON(rep))
 }
 
-func dump(target string, mdgOut, coreOut, exportDB bool) error {
-	data, err := os.ReadFile(target)
-	if err != nil {
-		return err
+// dump prints the requested dumps of the file set a scan of the target
+// covers: the normalized Core of each file (under a "// file:" header
+// when there are several), and the MDG or the loaded property graph of
+// the package analyzed as one multi-module build. Like a scan, it skips
+// a file that could not be read and then reports it.
+func dump(set scanner.FileSet, mdgOut, coreOut, exportDB bool) error {
+	files := jsFiles(set)
+	progs := make([]*core.Program, 0, len(files))
+	for _, f := range files {
+		prog, err := normalize.File(f.Src, f.Rel)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.Rel, err)
+		}
+		progs = append(progs, prog)
+		if coreOut {
+			if len(files) > 1 {
+				fmt.Printf("// file: %s\n", f.Rel)
+			}
+			fmt.Print(core.Print(prog.Body))
+		}
 	}
-	prog, err := normalize.File(string(data), target)
-	if err != nil {
-		return err
+	if !mdgOut && !exportDB {
+		return set.ReadErr
 	}
-	if coreOut {
-		fmt.Print(core.Print(prog.Body))
-	}
+	res := analysis.AnalyzeModules(progs, analysis.DefaultOptions())
 	if mdgOut {
-		res := analysis.Analyze(prog, analysis.DefaultOptions())
 		fmt.Print(res.Graph.DOT())
 	}
 	if exportDB {
-		res := analysis.Analyze(prog, analysis.DefaultOptions())
 		lg := queries.Load(res)
 		if err := lg.DB.ExportJSON(os.Stdout); err != nil {
 			return err
 		}
 	}
-	return nil
+	return set.ReadErr
 }

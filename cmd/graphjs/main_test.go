@@ -79,3 +79,32 @@ func TestStatsSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestPackageDirConfirmAndDump: -confirm and the dump modes work on a
+// package directory. They run over the file set the scan reads (the
+// cross-file flow of examples/multifile spans index.js and
+// lib/runner.js), and -confirm enters the package at index.js, instead
+// of reading the directory as one file.
+func TestPackageDirConfirmAndDump(t *testing.T) {
+	pkg := filepath.Join("..", "..", "examples", "multifile", "pkg")
+	for _, tc := range []struct {
+		flag     string
+		wantCode int
+		want     []string
+	}{
+		{"-confirm", 3, []string{"[CWE-78] tainted call to exec", "confirm CWE-78: EXPLOITABLE"}},
+		{"-dump-core", 0, []string{"// file: index.js", "func deploy(branch)", "// file: lib/runner.js", "func checkout(ref)"}},
+		{"-dump-mdg", 0, []string{"digraph MDG", "deploy", "exec()"}},
+		{"-export-db", 0, []string{`"nodes"`, `"exec()"`}},
+	} {
+		out, code := runCLI(t, tc.flag, pkg)
+		if code != tc.wantCode {
+			t.Errorf("graphjs %s %s: exit %d, want %d\n%s", tc.flag, pkg, code, tc.wantCode, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("graphjs %s %s: no %q in\n%s", tc.flag, pkg, w, out)
+			}
+		}
+	}
+}

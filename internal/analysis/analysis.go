@@ -97,11 +97,10 @@ type Result struct {
 
 // Bindings is a read-only view of a top-level abstract store.
 type Bindings struct {
-	module *frame
-	slots  []string // the module frame's slot names
-	global *frame
-	names  map[string]int32
-	gslot  []int32 // global-frame slot by name id (-1: none)
+	module  *frame
+	slots   []string // the module frame's slot names
+	global  *frame
+	globals []string // the global frame's slot names
 }
 
 // Get returns the locations bound to name (nil when unbound).
@@ -113,10 +112,8 @@ func (b *Bindings) Get(name string) []mdg.Loc {
 			}
 		}
 	}
-	if id, ok := b.names[name]; ok {
-		if rs := b.gslot[id]; rs >= 0 {
-			return nonEmpty(b.global.at(rs))
-		}
+	if rs := slices.Index(b.globals, name); rs >= 0 {
+		return nonEmpty(b.global.at(int32(rs)))
 	}
 	return nil
 }
@@ -194,6 +191,15 @@ type analyzer struct {
 	// mark/epoch: a reusable location set (see markBegin).
 	mark  []uint32
 	epoch uint32
+
+	// frames, vals and envs carve function frames, their bindings
+	// arrays and chains (see funcEnv and frame.cloneVals).
+	frames slab[frame]
+	vals   slab[[]mdg.Loc]
+	envs   slab[*frame]
+
+	// lw lowers the package before interpretation.
+	lw lowerer
 }
 
 // moduleGlobals holds one module's CommonJS objects.
@@ -221,15 +227,13 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 	for _, prog := range progs {
 		nstmts += core.CountStmts(prog.Body)
 	}
-	a := &analyzer{
-		// Graphs have about 1.4 nodes per Core statement (GroundTruth).
-		g:          mdg.NewSized(nstmts + nstmts/2 + 8),
-		opts:       opts,
-		modules:    make(map[string]moduleGlobals),
-		externals:  make(map[string]mdg.Loc),
-		calleeLocs: make(map[mdg.Loc][]mdg.Loc),
-		callThis:   make(map[mdg.Loc][]mdg.Loc),
-	}
+	a := analyzerPool.Get().(*analyzer)
+	// Graphs have about 1.4 nodes per Core statement (GroundTruth).
+	a.g = mdg.NewSized(nstmts + nstmts/2 + 8)
+	a.opts = opts
+	a.externals = make(map[string]mdg.Loc)
+	a.calleeLocs = make(map[mdg.Loc][]mdg.Loc)
+	a.callThis = make(map[mdg.Loc][]mdg.Loc)
 	a.g.SetBudget(opts.Budget)
 	res := &Result{Graph: a.g}
 	// Pre-create every module's CommonJS globals so require() calls
@@ -237,27 +241,24 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 	for _, prog := range progs {
 		a.setupModule(prog.FileName)
 	}
-	a.files = make([]string, 0, len(a.modules))
 	for file := range a.modules {
 		a.files = append(a.files, file)
 	}
 	slices.Sort(a.files)
-	// A package has fewer distinct names than statements (most name
-	// one temporary); sizing the table up front saves its regrowth.
-	lw := &lowerer{a: a, ids: make(map[string]int32, nstmts), qids: map[string]int32{}}
+	lw := &a.lw
 	mods := make([]*moduleOp, len(progs))
 	for i, prog := range progs {
 		a.curFile = prog.FileName
 		mods[i] = lw.module(prog)
 	}
-	a.rootSlot = make([]int32, len(lw.infos))
+	a.rootSlot = slices.Grow(a.rootSlot, len(lw.infos))[:len(lw.infos)]
 	for i := range a.rootSlot {
 		a.rootSlot[i] = -1
 	}
-	a.globalLoc = make([]mdg.Loc, len(lw.infos))
-	a.fnByID = make([]*FuncSummary, len(a.qnames))
+	a.globalLoc = zeroed(slices.Grow(a.globalLoc, len(lw.infos))[:len(lw.infos)])
+	a.fnByID = zeroed(slices.Grow(a.fnByID, len(a.qnames))[:len(a.qnames)])
 	global := newFrame(0)
-	res.Root = &Bindings{global: global, names: lw.ids}
+	res.Root = &Bindings{global: global}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -295,7 +296,12 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 			}
 		}
 	}()
-	res.Root.gslot = a.rootSlot
+	res.Root.globals = make([]string, a.nextRoot)
+	for id, rs := range a.rootSlot {
+		if rs >= 0 {
+			res.Root.globals[rs] = lw.infos[id].name
+		}
+	}
 	res.Functions = make(map[string]*FuncSummary, len(a.fnByID))
 	for id, fn := range a.fnByID {
 		if fn != nil {
@@ -315,6 +321,7 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 		res.ModuleEnv[file] = ModuleLocs{Module: mg.moduleLoc, Exports: mg.exportsLoc}
 	}
 	recomputeSources(res, opts.TreatAllFunctionsAsExported)
+	a.recycle()
 	return res
 }
 
@@ -648,7 +655,7 @@ func (a *analyzer) funcDef(o *op, e env) {
 	// Bind the name before analyzing the body so recursion resolves.
 	a.set(e, f.name, a.single(fn.Loc))
 
-	child := append(e[:len(e):len(e)], newFrame(f.nslots))
+	child := a.funcEnv(e, f.nslots)
 	fr := child[len(child)-1]
 	for i, slot := range f.params {
 		fr.put(slot, a.single(fn.Params[i]))

@@ -23,6 +23,10 @@ import (
 type frame struct {
 	vals   [][]mdg.Loc
 	shared bool // vals is shared with another frame: copy before writing
+	// scratch, when set, carves this frame's copies of vals: function
+	// frames and chain copies never outlive the build, so their arrays
+	// are build scratch (see scratch.go). Root's frames leave it nil.
+	scratch *slab[[]mdg.Loc]
 }
 
 type env []*frame
@@ -44,13 +48,24 @@ func (f *frame) put(slot int32, ls []mdg.Loc) {
 		ls = bound
 	}
 	if f.shared {
-		f.vals = slices.Clone(f.vals)
+		f.vals = f.cloneVals()
 		f.shared = false
 	}
 	if int(slot) >= len(f.vals) {
 		f.vals = append(f.vals, make([][]mdg.Loc, int(slot)+1-len(f.vals))...)
 	}
 	f.vals[slot] = ls
+}
+
+// cloneVals copies vals for a write: from the scratch slab while it is
+// under maxPooled elements, else from the heap.
+func (f *frame) cloneVals() [][]mdg.Loc {
+	if f.scratch == nil || f.scratch.n+len(f.vals) > maxPooled {
+		return slices.Clone(f.vals)
+	}
+	c := f.scratch.alloc(len(f.vals))
+	copy(c, f.vals)
+	return c
 }
 
 // sameArray reports that two frames hold the very same bindings array.
@@ -83,7 +98,7 @@ func (a *analyzer) copyEnv(e env) (env, copyMark) {
 	ps := c.ptrs[a.copyOff : a.copyOff+n : a.copyOff+n]
 	for i, f := range e {
 		f.shared = true
-		fs[i] = frame{vals: f.vals, shared: true}
+		fs[i] = frame{vals: f.vals, shared: true, scratch: &a.vals}
 		ps[i] = &fs[i]
 	}
 	a.copyOff += n
@@ -100,6 +115,21 @@ type copyChunk struct {
 type copyMark struct{ chunk, off int }
 
 func (a *analyzer) release(m copyMark) { a.copyChunk, a.copyOff = m.chunk, m.off }
+
+// funcEnv returns the chain e extended by a fresh nslots-slot function
+// frame. The frame, its bindings array and the chain are build scratch
+// while the slabs are under maxPooled elements.
+func (a *analyzer) funcEnv(e env, nslots int) env {
+	if a.frames.n >= maxPooled || a.vals.n+nslots > maxPooled || a.envs.n+len(e) >= maxPooled {
+		return append(e[:len(e):len(e)], newFrame(nslots))
+	}
+	fr := a.frames.next()
+	fr.vals, fr.scratch = a.vals.alloc(nslots), &a.vals
+	child := a.envs.alloc(len(e) + 1)
+	copy(child, e)
+	child[len(e)] = fr
+	return child
+}
 
 // get returns r's binding: the first candidate frame that binds it,
 // else the global frame's.

@@ -186,8 +186,10 @@ type memoEntry struct {
 // lowerer resolves names with a binding stack: each name's open
 // declarations form a chain through decls, innermost first, which is
 // exactly a reference's candidate frames. Scopes close in LIFO order,
-// so decls and shadow are stacks. Small objects are carved from
-// chunks (refs, lits, addrs) rather than allocated one by one.
+// so decls and shadow are stacks. The lowered program — ops, calls,
+// function definitions, references, literals and their small slices —
+// is carved from slabs rather than allocated one by one; it is the
+// build's scratch, pooled with the analyzer (see scratch.go).
 type lowerer struct {
 	a      *analyzer
 	ids    map[string]int32 // analysis-wide name ids
@@ -198,20 +200,15 @@ type lowerer struct {
 	qids   map[string]int32
 	file   string
 
-	refs  []varRef
-	lits  []litRef
-	addrs []addr
-}
-
-// carve returns a new zero element of *chunk, starting a new chunk
-// (twice the last one, 16 to 256 elements) when it is full; earlier
-// elements never move.
-func carve[T any](chunk *[]T) *T {
-	if len(*chunk) == cap(*chunk) {
-		*chunk = make([]T, 0, min(max(2*cap(*chunk), 16), 256))
-	}
-	*chunk = (*chunk)[:len(*chunk)+1]
-	return &(*chunk)[len(*chunk)-1]
+	refs     slab[varRef]
+	lits     slab[litRef]
+	addrs    []addr
+	ops      slab[op]
+	calls    slab[callOp]
+	funcs    slab[funcOp]
+	operands slab[operand]
+	slots    slab[int32]
+	strs     slab[string]
 }
 
 func (lw *lowerer) id(name string) int32 {
@@ -271,7 +268,7 @@ func (lw *lowerer) ref(sc *lscope, name string) *varRef {
 	if ni.memoSc != 0 {
 		lw.shadow = append(lw.shadow, memoEntry{id: id, serial: ni.memoSc, ref: ni.memo})
 	}
-	r := carve(&lw.refs)
+	r := lw.refs.next()
 	r.name, r.id = ni.name, id
 	start := len(lw.addrs)
 	for d := ni.head; d >= 0; d = lw.decls[d].prev {
@@ -333,7 +330,7 @@ func (lw *lowerer) module(prog *core.Program) *moduleOp {
 }
 
 func (lw *lowerer) block(ss []core.Stmt, sc *lscope) []op {
-	ops := make([]op, len(ss))
+	ops := lw.ops.alloc(len(ss))
 	for i, s := range ss {
 		lw.stmt(s, sc, &ops[i])
 	}
@@ -345,7 +342,7 @@ func (lw *lowerer) operand(e core.Expr, sc *lscope) operand {
 	case core.Var:
 		return operand{v: lw.ref(sc, x.Name)}
 	case core.Lit:
-		l := carve(&lw.lits)
+		l := lw.lits.next()
 		l.key, l.label = x.Value+"#"+strconv.Itoa(int(x.Kind)), x.String()
 		return operand{lit: l}
 	}
@@ -398,7 +395,8 @@ func (lw *lowerer) stmt(s core.Stmt, sc *lscope, o *op) {
 }
 
 func (lw *lowerer) call(x *core.Call, sc *lscope) *callOp {
-	c := &callOp{
+	c := lw.calls.next()
+	*c = callOp{
 		name:   x.CalleeName,
 		label:  x.CalleeName + "()",
 		callee: lw.operand(x.Callee, sc),
@@ -407,7 +405,7 @@ func (lw *lowerer) call(x *core.Call, sc *lscope) *callOp {
 	if x.This != nil {
 		c.this = lw.operand(x.This, sc)
 	}
-	c.args = make([]operand, len(x.Args))
+	c.args = lw.operands.alloc(len(x.Args))
 	for i, arg := range x.Args {
 		c.args[i] = lw.operand(arg, sc)
 	}
@@ -445,10 +443,11 @@ func (lw *lowerer) funcDef(x *core.FuncDef, sc *lscope) *funcOp {
 		lw.qids[qname] = qid
 		lw.a.qnames = append(lw.a.qnames, qname)
 	}
-	f := &funcOp{def: x, qname: qname, qid: qid, name: lw.ref(sc, x.Name), retLabel: x.Name + "$ret"}
+	f := lw.funcs.next()
+	*f = funcOp{def: x, qname: qname, qid: qid, name: lw.ref(sc, x.Name), retLabel: x.Name + "$ret"}
 	child := lw.enter(sc)
 	n := len(x.Params)
-	f.params, f.paramKeys, f.argProps = make([]int32, n), make([]string, n), make([]string, n)
+	f.params, f.paramKeys, f.argProps = lw.slots.alloc(n), lw.strs.alloc(n), lw.strs.alloc(n)
 	for i, p := range x.Params {
 		f.params[i] = lw.declare(&child, p)
 		f.paramKeys[i] = p + "#" + strconv.Itoa(i)

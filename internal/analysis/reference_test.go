@@ -1045,11 +1045,7 @@ func storeDiff(res *Result, ref *refStore) string {
 	if res.Root.module != nil {
 		names = append(names, res.Root.slots...)
 	}
-	for x, id := range res.Root.names {
-		if res.Root.gslot[id] >= 0 {
-			names = append(names, x)
-		}
-	}
+	names = append(names, res.Root.globals...)
 	sort.Strings(names)
 	for _, x := range slices.Compact(names) {
 		if d, r := res.Root.Get(x), ref.Get(x); !slices.Equal(d, r) {

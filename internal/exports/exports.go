@@ -226,7 +226,9 @@ func AnalyzeUnit(progs []*core.Program, b *budget.Budget) *Unit {
 	if ip.aborted {
 		converged = false
 	}
-	return ip.finish(converged)
+	u := ip.finish(converged)
+	ip.release()
+	return u
 }
 
 // Merge combines the units of one package into its Result. progs are
@@ -395,7 +397,7 @@ func (ip *interp) finish(converged bool) *Unit {
 // rankFuncs orders the function ids by qname, the order every
 // qname-sorted output of the pass uses.
 func (ip *interp) rankFuncs() {
-	ip.rank = make([]int32, len(ip.fnNames))
+	ip.rank = slices.Grow(ip.rank[:0], len(ip.fnNames))[:len(ip.fnNames)]
 	if len(ip.rank) == 0 {
 		return
 	}

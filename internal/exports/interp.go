@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/budget"
 	"repro/internal/core"
@@ -187,29 +188,85 @@ type interp struct {
 	cut     int  // ops visited by a budget-cut pass
 }
 
+// interpPool holds interpreters between passes (see release).
+var interpPool = sync.Pool{New: func() any {
+	return &interp{
+		fileIndex: map[string]int32{},
+		propIndex: map[string]int32{},
+		vars:      map[varKey]int32{},
+		fnIndex:   map[string]int32{},
+	}
+}}
+
+// maxPooled caps the entries any one table may hold for its
+// interpreter to be pooled, so one huge package cannot pin memory.
+const maxPooled = 1 << 14
+
 func newInterp(progs []*core.Program, b *budget.Budget) *interp {
 	n := 0
 	//lint:allow budgetloop -- O(#files) sum that sizes the tables; no per-statement work
 	for _, p := range progs {
 		n += p.MaxIndex
 	}
+	ip := interpPool.Get().(*interp)
+	ip.bud, ip.progs = b, progs
+	// The tables a Unit keeps are the caller's: fresh on every pass.
+	ip.ownerIndex = map[string]int32{}
+	ip.funcs = map[string]*FuncInfo{}
 	// Sized from the corpus averages: per statement index about 1.4
 	// ops, 1.2 variables, 0.9 objects and 0.5 allocation sites.
-	return &interp{
-		bud:        b,
-		progs:      progs,
-		fileIndex:  make(map[string]int32, len(progs)),
-		progFile:   make([]int32, len(progs)),
-		propIndex:  map[string]int32{},
-		vars:       make(map[varKey]int32, n+n/4),
-		fnIndex:    map[string]int32{},
-		ownerIndex: map[string]int32{},
-		ops:        make([]op, 0, n+n/2+len(progs)),
-		env:        make([][]int32, 0, n+n/4),
-		objs:       make([]object, 0, n+2*len(progs)),
-		sites:      make([]int32, 0, n/2+len(progs)),
-		funcs:      map[string]*FuncInfo{},
+	ip.progFile = slices.Grow(ip.progFile[:0], len(progs))[:len(progs)]
+	ip.ops = slices.Grow(ip.ops, n+n/2+len(progs))
+	ip.env = slices.Grow(ip.env, n+n/4)
+	ip.objs = slices.Grow(ip.objs, n+2*len(progs))
+	ip.sites = slices.Grow(ip.sites, n/2+len(progs))
+	return ip
+}
+
+// release returns the interpreter's working tables to the pool once
+// finish has built the Unit: everything the Unit keeps (funcs, order,
+// the owner index and names, fnNode, calls) is dropped from ip, and the
+// rest is cleared. A pass the budget cut short drops its tables, as
+// does one whose tables grew past maxPooled.
+func (ip *interp) release() {
+	if ip.aborted || cap(ip.ops) > maxPooled || cap(ip.env) > maxPooled ||
+		cap(ip.objs) > maxPooled || len(ip.vars) > maxPooled {
+		return
 	}
+	clear(ip.fileIndex)
+	clear(ip.propIndex)
+	clear(ip.vars)
+	clear(ip.fnIndex)
+	clear(ip.files)
+	clear(ip.sortedFiles)
+	clear(ip.propNames)
+	clear(ip.fnNames)
+	clear(ip.params)
+	clear(ip.env)
+	clear(ip.objs)
+	*ip = interp{
+		files:       ip.files[:0],
+		fileIndex:   ip.fileIndex,
+		progFile:    ip.progFile[:0],
+		sortedFiles: ip.sortedFiles[:0],
+		propIndex:   ip.propIndex,
+		propNames:   ip.propNames[:0],
+		vars:        ip.vars,
+		fnIndex:     ip.fnIndex,
+		fnNames:     ip.fnNames[:0],
+		params:      ip.params[:0],
+		rank:        ip.rank[:0],
+		ops:         ip.ops[:0],
+		args:        ip.args[:0],
+		progEnd:     ip.progEnd[:0],
+		objs:        ip.objs[:0],
+		env:         ip.env[:0],
+		sites:       ip.sites[:0],
+		fnObj:       ip.fnObj[:0],
+		escaped:     ip.escaped[:0],
+		scratch:     ip.scratch[:0],
+	}
+	interpPool.Put(ip)
 }
 
 // step charges one cooperative budget step; once the budget trips the
@@ -480,8 +537,7 @@ func (ip *interp) lowerCall(f int32, o *op, st *core.Call) {
 // resolve resolves a require specifier (see core.ResolveRequire)
 // against the interned files.
 func (ip *interp) resolve(fromFile, spec string) (string, bool) {
-	if ip.sortedFiles == nil {
-		ip.sortedFiles = make([]string, 0, len(ip.files))
+	if len(ip.sortedFiles) == 0 {
 		for _, f := range ip.files {
 			ip.sortedFiles = append(ip.sortedFiles, f.name)
 		}
@@ -499,11 +555,13 @@ func (ip *interp) resolve(fromFile, spec string) (string, bool) {
 func (ip *interp) pass() bool {
 	if ip.calls == nil {
 		ip.calls = make([][]int32, len(ip.ownerNames))
-		ip.fnObj = make([]int32, len(ip.fnNames))
+		nf := len(ip.fnNames)
+		ip.fnObj = slices.Grow(ip.fnObj[:0], nf)[:nf]
 		for i := range ip.fnObj {
 			ip.fnObj[i] = -1
 		}
-		ip.escaped = make([]bool, len(ip.fnNames))
+		ip.escaped = slices.Grow(ip.escaped[:0], nf)[:nf]
+		clear(ip.escaped)
 	}
 	ip.changed = false
 	for i := range ip.ops {

@@ -642,20 +642,19 @@ func (l *Lexer) operator(c byte) (token.Kind, string) {
 	return token.ILLEGAL, ""
 }
 
-// ScanAll tokenizes the whole input, returning all tokens up to and
-// including EOF, or the first error.
-func ScanAll(src string) ([]token.Token, error) {
+// AppendAll tokenizes the whole input into buf, so a caller can lex
+// into a reused buffer: it returns buf extended by every token up to
+// and including EOF, or up to the first error, with that error.
+func AppendAll(buf []token.Token, src string) ([]token.Token, error) {
 	l := New(src)
-	// Sources average about three bytes per token.
-	out := make([]token.Token, 0, len(src)/3+16)
 	for {
 		t := l.Next()
 		if l.Err() != nil {
-			return out, l.Err()
+			return buf, l.Err()
 		}
-		out = append(out, t)
+		buf = append(buf, t)
 		if t.Kind == token.EOF {
-			return out, nil
+			return buf, nil
 		}
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/js/token"
 )
 
+// ScanAll tokenizes the whole input into a fresh slice.
+func ScanAll(src string) ([]token.Token, error) { return AppendAll(nil, src) }
+
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
 	toks, err := ScanAll(src)

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/lexer"
 	"repro/internal/js/token"
 )
 
@@ -619,12 +618,13 @@ func (p *parser) buildTemplate(t token.Token) ast.Expr {
 }
 
 func parseSubExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.ScanAll(src)
+	buf, toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	sp := &parser{toks: toks}
 	e := sp.parseExpr()
+	releaseTokens(buf, toks)
 	if sp.err != nil {
 		return nil, sp.err
 	}

@@ -8,6 +8,7 @@ package parser
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/budget"
 	"repro/internal/js/ast"
@@ -75,7 +76,7 @@ func Parse(src string) (*ast.Program, error) {
 // statement. When the budget trips, the returned error is the budget's
 // classified error (timeout or cap), not a syntax error.
 func ParseBudget(src string, b *budget.Budget) (*ast.Program, error) {
-	toks, err := lexer.ScanAll(src)
+	buf, toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
@@ -91,10 +92,47 @@ func ParseBudget(src string, b *budget.Budget) (*ast.Program, error) {
 	if p.budErr != nil {
 		return nil, p.budErr
 	}
+	releaseTokens(buf, toks)
 	if p.err != nil {
 		return nil, p.err
 	}
 	return prog, nil
+}
+
+// tokenPool holds token buffers between parses. Tokens are values and
+// the AST keeps only their strings, so a buffer is cleared and pooled
+// once its parse ends. A parse that panics or trips its budget drops
+// its buffer, and a buffer grown past maxPooled is dropped so one
+// huge file cannot pin memory.
+var tokenPool = sync.Pool{New: func() any { return new([]token.Token) }}
+
+// maxPooled caps a pooled buffer's capacity (tokens).
+const maxPooled = 1 << 14
+
+// lex tokenizes src into a pooled buffer. On a lexing error the buffer
+// goes straight back to the pool.
+func lex(src string) (*[]token.Token, []token.Token, error) {
+	buf := tokenPool.Get().(*[]token.Token)
+	// Sources average about three bytes per token.
+	if need := len(src)/3 + 16; cap(*buf) < need && need <= maxPooled {
+		*buf = make([]token.Token, 0, need)
+	}
+	toks, err := lexer.AppendAll((*buf)[:0], src)
+	if err != nil {
+		releaseTokens(buf, toks)
+		return nil, nil, err
+	}
+	return buf, toks, nil
+}
+
+// releaseTokens clears toks, the tokens lexed into buf, and pools buf.
+func releaseTokens(buf *[]token.Token, toks []token.Token) {
+	if cap(toks) > maxPooled {
+		return
+	}
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
 }
 
 // ---------------------------------------------------------------------------

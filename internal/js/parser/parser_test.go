@@ -10,7 +10,7 @@ import (
 
 // ParseExpr parses a single expression.
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.ScanAll(src)
+	toks, err := lexer.AppendAll(nil, src)
 	if err != nil {
 		return nil, err
 	}

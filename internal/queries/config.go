@@ -103,6 +103,21 @@ func DefaultConfig() *Config {
 	}
 }
 
+// sharedDefault is DefaultConfig built once, for the callers that
+// resolve a nil config and only read it.
+var sharedDefault = DefaultConfig()
+
+// OrDefault returns cfg, or for a nil cfg the default configuration
+// shared by every such caller. The shared default must not be
+// modified; a caller that mutates its config starts from
+// DefaultConfig, which returns a fresh copy.
+func OrDefault(cfg *Config) *Config {
+	if cfg == nil {
+		return sharedDefault
+	}
+	return cfg
+}
+
 // LoadConfig reads a JSON configuration file.
 func LoadConfig(path string) (*Config, error) {
 	data, err := os.ReadFile(path)
@@ -133,6 +148,9 @@ func MatchSink(calleeName, sinkName string) bool {
 	return i > 0 && calleeName[i-1] == '.' && calleeName[i:] == sinkName
 }
 
+// requireSink is the CWE-94 sink RequireAsCodeInjection adds.
+var requireSink = Sink{CWE: CWECodeInjection, Name: "require", Args: []int{0}}
+
 // SinksFor returns the sinks of one class.
 func (c *Config) SinksFor(cwe CWE) []Sink {
 	var out []Sink
@@ -142,7 +160,23 @@ func (c *Config) SinksFor(cwe CWE) []Sink {
 		}
 	}
 	if cwe == CWECodeInjection && c.RequireAsCodeInjection {
-		out = append(out, Sink{CWE: CWECodeInjection, Name: "require", Args: []int{0}})
+		out = append(out, requireSink)
 	}
 	return out
+}
+
+// SinkFor returns the first sink of SinksFor(cwe) that a call with
+// callee path calleeName matches (see MatchSink), or nil. It matches
+// over the configuration in place; the sink returned must not be
+// modified.
+func (c *Config) SinkFor(cwe CWE, calleeName string) *Sink {
+	for i := range c.Sinks {
+		if c.Sinks[i].CWE == cwe && MatchSink(calleeName, c.Sinks[i].Name) {
+			return &c.Sinks[i]
+		}
+	}
+	if cwe == CWECodeInjection && c.RequireAsCodeInjection && MatchSink(calleeName, requireSink.Name) {
+		return &requireSink
+	}
+	return nil
 }

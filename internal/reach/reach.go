@@ -95,11 +95,9 @@ func AnalyzeUnits(progs []*core.Program, units []*exports.Unit, cfg *queries.Con
 
 // fromExports derives the gate's result from the package's export
 // graph: the reachable set, the source shape and the dangerous-
-// operation scan under cfg (nil means DefaultConfig).
+// operation scan under cfg (nil means the default config).
 func fromExports(exp *exports.Result, progs []*core.Program, cfg *queries.Config) *Result {
-	if cfg == nil {
-		cfg = queries.DefaultConfig()
-	}
+	cfg = queries.OrDefault(cfg)
 	r := &Result{
 		TotalFuncs:   len(exp.Order),
 		Reachable:    map[string]bool{},

@@ -119,11 +119,8 @@ func (st *IncrementalState) scan(files []SourceFile, name string, opts Options, 
 		return rep
 	}
 	rep.Engine = engine
-	r := &scanRun{st: st, opts: opts, cfgq: opts.Config, b: newBudget(opts, name), rep: rep,
-		fp: configFP{cfg: opts.Config}}
-	if r.cfgq == nil {
-		r.cfgq = queries.DefaultConfig()
-	}
+	r := &scanRun{st: st, opts: opts, cfgq: queries.OrDefault(opts.Config), b: newBudget(opts, name),
+		rep: rep, fp: configFP{cfg: opts.Config}}
 	if r.frontEnd(files) && r.partition() && r.gate() && r.analyze() && r.detect() {
 		r.finish()
 	} else {
@@ -508,9 +505,11 @@ func (r *scanRun) detect() bool {
 	if r.aborted {
 		detb = r.b.DeadlineOnly()
 	}
+	// Cached lookups are detection work too: the phase begins before
+	// them, so a fully cached re-scan still records its detection row.
+	detb.BeginPhase(firstDetectPhase(rep.Engine))
 	// Detection results are keyed by the caller's config pointer; a nil
-	// Config means the canonical default (DefaultConfig allocates per
-	// call, so keying on cfgq would never hit).
+	// Config means the canonical default.
 	dkey := detectKey{engine: rep.Engine, fallback: fb, cfg: r.opts.Config}
 	for _, lv := range lives {
 		if lv.stored {
@@ -549,6 +548,15 @@ func (r *scanRun) detect() bool {
 		}
 	}
 	return true
+}
+
+// firstDetectPhase names the phase an engine's detection begins in:
+// differential runs the query backend first.
+func firstDetectPhase(engine Engine) string {
+	if engine == EngineNative {
+		return PhaseDetectNative
+	}
+	return PhaseDetectQuery
 }
 
 // finish is stage 6.

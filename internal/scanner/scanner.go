@@ -349,6 +349,7 @@ func detectNative(rep *Report, res *analysis.Result, cfgq *queries.Config, b *bu
 		if eng.Incomplete {
 			rep.Incomplete = true
 		}
+		eng.Release()
 		return nil
 	})
 	return fs, err

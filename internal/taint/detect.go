@@ -40,20 +40,13 @@ func locPath(locs []mdg.Loc) []graphdb.NodeID {
 // off the fixpoint facts: a sink call argument must hold a location
 // some source's bit reached.
 func (e *Engine) detectTaintStyle(cwe queries.CWE) []queries.Finding {
-	sinks := e.cfg.SinksFor(cwe)
-	if len(sinks) == 0 || len(e.sources) == 0 {
+	if len(e.sources) == 0 {
 		return nil
 	}
 	var out []queries.Finding
 	seen := map[string]bool{}
 	for _, n := range e.res.Graph.NodesOfKind(mdg.KindCall) {
-		var sink *queries.Sink
-		for i := range sinks {
-			if queries.MatchSink(n.CallName, sinks[i].Name) {
-				sink = &sinks[i]
-				break
-			}
-		}
+		sink := e.cfg.SinkFor(cwe, n.CallName)
 		if sink == nil {
 			continue
 		}

@@ -22,6 +22,7 @@ package taint
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
@@ -47,44 +48,22 @@ type predKey struct {
 
 // Engine holds the fixpoint result for one analyzed package. Build it
 // with NewEngineBudget (which runs the fixpoint eagerly), then run
-// Detect.
+// Detect, then Release.
 type Engine struct {
 	res *analysis.Result
 	cfg *queries.Config
 
-	maxHops   int
-	sanitized map[mdg.Loc]bool
-
-	// Detection roots. sources are the taint sources (parameters of
-	// exported functions); the remaining roots are the sub-objects of
-	// the pollution queries, which the query engine reaches with their
-	// own TaintReach searches.
-	sources []*mdg.Node
-	roots   []mdg.Loc
-	rootOf  map[mdg.Loc]int // loc -> its bit (first wins)
+	maxHops int
 	words   int
 
-	// Pollution structure extracted from the graph (in deterministic
-	// node/edge order, mirroring the query engine's scan order).
-	lookupPairs [][2]*mdg.Node // (o, sub) with o -P(*)-> sub
-	protoSubs   []*mdg.Node    // P(__proto__) / constructor.prototype targets
-
-	facts       map[state][]uint64
-	depth       map[state]int
-	agg         map[mdg.Loc][]uint64 // per-node union over all states
-	statesByLoc map[mdg.Loc][]state
-	pred        map[predKey]state
-	queue       []state
-	inQueue     map[state]bool
-
-	wsIntern map[string]wsID
-	wsProps  [][]string // wsID -> sorted property names
+	// tables are the engine's working tables, pooled between engines
+	// (see Release).
+	*tables
 
 	// Truncated counts fixpoint states abandoned at the hop bound with
 	// unexplored out-edges — the observable form of the silent
 	// under-approximation the hop bound introduces.
 	Truncated int
-	truncated map[state]bool
 
 	// bud is the scan-wide fault-containment budget (nil = unlimited);
 	// the fixpoint charges one step per state popped. Incomplete
@@ -94,35 +73,126 @@ type Engine struct {
 	Incomplete bool
 }
 
-// NewEngineBudget builds the dataflow engine for one analysis result
-// and runs the taint fixpoint. cfg may be nil (DefaultConfig is used).
-// Under a fault-containment budget b (nil = unlimited) the worklist
-// fixpoint checks b per popped state and stops early — marking the
-// engine Incomplete — when the deadline or step cap trips.
-func NewEngineBudget(res *analysis.Result, cfg *queries.Config, b *budget.Budget) *Engine {
-	if cfg == nil {
-		cfg = queries.DefaultConfig()
+// tables is one engine's working state. Nothing in it is reachable
+// from a Finding, so Release can clear it for the next engine.
+type tables struct {
+	sanitized map[mdg.Loc]bool
+
+	// Detection roots. sources are the taint sources (parameters of
+	// exported functions); the remaining roots are the sub-objects of
+	// the pollution queries, which the query engine reaches with their
+	// own TaintReach searches.
+	sources []*mdg.Node
+	roots   []mdg.Loc
+	rootOf  map[mdg.Loc]int // loc -> its bit (first wins)
+
+	// Pollution structure extracted from the graph (in deterministic
+	// node/edge order, mirroring the query engine's scan order).
+	lookupPairs [][2]*mdg.Node // (o, sub) with o -P(*)-> sub
+	protoSubs   []*mdg.Node    // P(__proto__) / constructor.prototype targets
+
+	facts map[state][]uint64
+	depth map[state]int
+	agg   map[mdg.Loc][]uint64 // per-node union over all states
+	// Every state of one location, in creation order: locStates holds
+	// the first and last index into stateList, stateNext chains them.
+	locStates map[mdg.Loc][2]int32
+	stateList []state
+	stateNext []int32
+	pred      map[predKey]state
+	// queue[head:] is the fixpoint's FIFO worklist.
+	queue   []state
+	head    int
+	inQueue map[state]bool
+	// arena backs the fact and aggregate bitsets.
+	arena []uint64
+
+	wsIntern map[string]wsID
+	wsProps  [][]string // wsID -> sorted property names
+
+	truncated map[state]bool
+}
+
+// tablePool holds released engines' tables.
+var tablePool = sync.Pool{New: func() any {
+	return &tables{
+		sanitized: map[mdg.Loc]bool{},
+		rootOf:    map[mdg.Loc]int{},
+		facts:     map[state][]uint64{},
+		depth:     map[state]int{},
+		agg:       map[mdg.Loc][]uint64{},
+		locStates: map[mdg.Loc][2]int32{},
+		pred:      map[predKey]state{},
+		inQueue:   map[state]bool{},
+		wsIntern:  map[string]wsID{"": 0},
+		wsProps:   [][]string{nil},
+		truncated: map[state]bool{},
 	}
+}}
+
+// maxPooled caps the entries any one table may have held for
+// its engine's tables to be pooled: a pathological package's tables
+// are dropped rather than pinned.
+const maxPooled = 1 << 14
+
+// Release hands the engine's working tables back for the next engine;
+// the engine must not be used afterwards. An engine whose fixpoint the
+// budget cut short drops its tables instead, as does one whose tables
+// grew past maxPooled.
+func (e *Engine) Release() {
+	t := e.tables
+	e.tables = nil
+	if t == nil || e.Incomplete || len(t.pred) > maxPooled || len(t.stateList) > maxPooled ||
+		cap(t.arena) > maxPooled || cap(t.queue) > maxPooled {
+		return
+	}
+	t.reset()
+	tablePool.Put(t)
+}
+
+// reset empties every table, keeping its storage.
+func (t *tables) reset() {
+	clear(t.sanitized)
+	clear(t.rootOf)
+	clear(t.facts)
+	clear(t.depth)
+	clear(t.agg)
+	clear(t.locStates)
+	clear(t.pred)
+	clear(t.inQueue)
+	clear(t.truncated)
+	clear(t.wsIntern)
+	t.wsIntern[""] = 0
+	clear(t.wsProps)
+	t.wsProps = append(t.wsProps[:0], nil)
+	clear(t.sources)
+	clear(t.lookupPairs)
+	clear(t.protoSubs)
+	clear(t.arena)
+	t.sources, t.roots = t.sources[:0], t.roots[:0]
+	t.lookupPairs, t.protoSubs = t.lookupPairs[:0], t.protoSubs[:0]
+	t.stateList, t.stateNext = t.stateList[:0], t.stateNext[:0]
+	t.queue, t.head = t.queue[:0], 0
+	t.arena = t.arena[:0]
+}
+
+// NewEngineBudget builds the dataflow engine for one analysis result
+// and runs the taint fixpoint. cfg may be nil (the default config is
+// used). Under a fault-containment budget b (nil = unlimited) the
+// worklist fixpoint checks b per popped state and stops early —
+// marking the engine Incomplete — when the deadline or step cap trips.
+func NewEngineBudget(res *analysis.Result, cfg *queries.Config, b *budget.Budget) *Engine {
+	cfg = queries.OrDefault(cfg)
 	maxHops := cfg.MaxHops
 	if maxHops <= 0 {
 		maxHops = queries.DefaultMaxHops
 	}
 	e := &Engine{
-		res:         res,
-		cfg:         cfg,
-		maxHops:     maxHops,
-		sanitized:   map[mdg.Loc]bool{},
-		rootOf:      map[mdg.Loc]int{},
-		facts:       map[state][]uint64{},
-		depth:       map[state]int{},
-		agg:         map[mdg.Loc][]uint64{},
-		statesByLoc: map[mdg.Loc][]state{},
-		pred:        map[predKey]state{},
-		inQueue:     map[state]bool{},
-		wsIntern:    map[string]wsID{"": 0},
-		wsProps:     [][]string{nil},
-		truncated:   map[state]bool{},
-		bud:         b,
+		res:     res,
+		cfg:     cfg,
+		maxHops: maxHops,
+		tables:  tablePool.Get().(*tables),
+		bud:     b,
 	}
 	e.collectSanitizers()
 	e.collectRoots()
@@ -150,7 +220,6 @@ func (e *Engine) collectSanitizers() {
 // (P(__proto__) targets and constructor→prototype chains).
 func (e *Engine) collectRoots() {
 	g := e.res.Graph
-	seenSub := map[mdg.Loc]bool{}
 	seenProto := map[mdg.Loc]bool{}
 	for _, n := range g.Nodes() {
 		if n.Kind == mdg.KindParam && n.Source {
@@ -161,7 +230,6 @@ func (e *Engine) collectRoots() {
 			case mdg.PropStar:
 				if sub := g.Node(edge.To); sub != nil {
 					e.lookupPairs = append(e.lookupPairs, [2]*mdg.Node{n, sub})
-					seenSub[edge.To] = true
 				}
 			case mdg.Prop:
 				switch edge.Prop {
@@ -235,7 +303,7 @@ func (e *Engine) run() {
 			e.push(st)
 		}
 	}
-	for len(e.queue) > 0 {
+	for e.head < len(e.queue) {
 		if e.bud.Step() != nil {
 			// Budget hit mid-fixpoint: keep the facts computed so far
 			// (monotone, hence sound-but-partial) and let Detect report
@@ -243,8 +311,7 @@ func (e *Engine) run() {
 			e.Incomplete = true
 			return
 		}
-		st := e.queue[0]
-		e.queue = e.queue[1:]
+		st := e.pop()
 		e.inQueue[st] = false
 		d := e.depth[st]
 		if d >= e.maxHops {
@@ -290,6 +357,19 @@ func (e *Engine) push(st state) {
 	}
 }
 
+// pop takes the worklist's oldest state. The popped prefix is reclaimed
+// once it is half the queue, so the backing array is reused rather
+// than resliced away.
+func (e *Engine) pop() state {
+	st := e.queue[e.head]
+	e.head++
+	if e.head >= 64 && 2*e.head >= len(e.queue) {
+		n := copy(e.queue, e.queue[e.head:])
+		e.queue, e.head = e.queue[:n], 0
+	}
+	return st
+}
+
 // setBit sets one bit at a state, recording the predecessor (unless it
 // is a root arrival). Reports whether the fact changed.
 func (e *Engine) setBit(st state, bit int, from state, isRoot bool) bool {
@@ -333,14 +413,33 @@ func (e *Engine) orInto(st state, add []uint64, from state) bool {
 func (e *Engine) ensureState(st state) []uint64 {
 	dst, ok := e.facts[st]
 	if !ok {
-		dst = make([]uint64, e.words)
+		dst = e.bitset()
 		e.facts[st] = dst
-		e.statesByLoc[st.loc] = append(e.statesByLoc[st.loc], st)
-		if e.agg[st.loc] == nil {
-			e.agg[st.loc] = make([]uint64, e.words)
+		i := int32(len(e.stateList))
+		e.stateList = append(e.stateList, st)
+		e.stateNext = append(e.stateNext, -1)
+		if span, ok := e.locStates[st.loc]; ok {
+			e.stateNext[span[1]] = i
+			e.locStates[st.loc] = [2]int32{span[0], i}
+		} else {
+			e.locStates[st.loc] = [2]int32{i, i}
+			e.agg[st.loc] = e.bitset()
 		}
 	}
 	return dst
+}
+
+// bitset carves one zeroed e.words-word bitset from the arena. A full
+// arena is replaced by a larger one; bitsets already carved keep the
+// old one.
+func (e *Engine) bitset() []uint64 {
+	n := len(e.arena)
+	if n+e.words > cap(e.arena) {
+		e.arena = make([]uint64, 0, max(2*cap(e.arena), 64, e.words))
+		n = 0
+	}
+	e.arena = e.arena[:n+e.words]
+	return e.arena[n : n+e.words : n+e.words]
 }
 
 // taintedBy reports whether any tainted path from root bit reaches the
@@ -359,11 +458,13 @@ func (e *Engine) taintedBy(l mdg.Loc, bit int) bool {
 func (e *Engine) witness(bit int, dst mdg.Loc) []mdg.Loc {
 	var at state
 	found := false
-	for _, st := range e.statesByLoc[dst] {
-		if e.facts[st][bit/64]&(1<<uint(bit%64)) != 0 {
-			at = st
-			found = true
-			break
+	if span, ok := e.locStates[dst]; ok {
+		for i := span[0]; i >= 0; i = e.stateNext[i] {
+			if st := e.stateList[i]; e.facts[st][bit/64]&(1<<uint(bit%64)) != 0 {
+				at = st
+				found = true
+				break
+			}
 		}
 	}
 	if !found {
