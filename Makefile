@@ -65,10 +65,12 @@ tables:
 
 # pathological runs the fault-containment regressions: every
 # crash-corpus package must terminate under a tight budget with its
-# expected failure class, and sweeps must survive injected panics.
+# expected failure class, sweeps must survive injected panics, and the
+# step cap and deadline classify both tools' scans (the ODGen baseline
+# runs under the same budget.Budget).
 pathological:
-	$(GO) test -race -run 'Pathological|Fallback|PanicIsolation|SweepSurvives' \
-		./internal/scanner ./internal/metrics
+	$(GO) test -race -run 'Pathological|Fallback|PanicIsolation|SweepSurvives|Timeout|FindingsSurvive' \
+		./internal/scanner ./internal/metrics ./internal/odgen
 
 # mutate-check replays the single-file edit script (touch, benign edit,
 # source-introducing edit, sink-removing edit, file add/delete, and

@@ -488,8 +488,11 @@ func (r *runner) figure7() {
 func maxTime(rs []metrics.PackageResult) time.Duration {
 	var m time.Duration
 	for _, r := range rs {
-		if !r.TimedOut && r.GraphTime+r.QueryTime > m {
-			m = r.GraphTime + r.QueryTime
+		if r.OutOfBudget() {
+			continue
+		}
+		if graph, traversal := budget.SplitTime(r.Phases); graph+traversal > m {
+			m = graph + traversal
 		}
 	}
 	return m
@@ -541,7 +544,7 @@ func (r *runner) table7() {
 	var gN, oN, gE, oE float64
 	n := 0
 	for i := range gjs {
-		if !r.odg[i].TimedOut {
+		if !r.odg[i].OutOfBudget() {
 			gN += float64(gjs[i].TotalNodes)
 			gE += float64(gjs[i].TotalEdges)
 			oN += float64(r.odg[i].TotalNodes)

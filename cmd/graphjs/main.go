@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/js/normalize"
 	"repro/internal/metrics"
@@ -396,7 +397,7 @@ func jsFiles(set scanner.FileSet) []scanner.SourceFile {
 // -stats lines.
 func printHuman(rep *scanner.Report, size *metrics.SourceSize, trace bool) {
 	fmt.Printf("%s:\n", rep.Name)
-	if rep.TimedOut {
+	if rep.Failure == budget.ClassTimeout {
 		fmt.Println("  analysis timed out")
 	}
 	if rep.Failure != "" {
@@ -426,17 +427,14 @@ func printHuman(rep *scanner.Report, size *metrics.SourceSize, trace bool) {
 		if rep.TreePackages > 0 {
 			fmt.Printf("  tree: %d packages, node_modules depth %d\n", rep.TreePackages, rep.TreeDepth)
 		}
-		fmt.Printf("  time: graph %s, traversals %s (engine %s)\n", rep.TotalTime()-rep.DetectTime(), rep.DetectTime(), rep.Engine)
+		graph, traversal := budget.SplitTime(rep.Phases)
+		fmt.Printf("  time: graph %s, traversals %s (engine %s)\n", graph, traversal, rep.Engine)
 		for _, ph := range rep.Phases {
 			fmt.Printf("  phase %s: %d steps, %d nodes, %d edges, %s\n",
 				ph.Phase, ph.Steps, ph.Nodes, ph.Edges, ph.Dur.Round(time.Microsecond))
 		}
 		if rep.ExhaustedPhase != "" {
 			fmt.Printf("  budget exhausted in phase: %s\n", rep.ExhaustedPhase)
-		}
-		if rep.Engine == scanner.EngineDifferential {
-			fmt.Printf("  engines: query %s, native %s\n",
-				rep.PhaseTime(scanner.PhaseDetectQuery), rep.PhaseTime(scanner.PhaseDetectNative))
 		}
 		if rep.FuncsTotal > 0 || rep.SkippedByReach {
 			fmt.Printf("  reach: %d/%d functions pruned, skipped=%v, exports=%d, fallback=%v\n",

@@ -51,8 +51,8 @@ func main() {
 
 	// The unrolling baseline on the same input.
 	rep := odgen.Scan(setValue, "set-value.js", odgen.DefaultOptions())
-	fmt.Printf("\nODGen-style baseline: %d ODG nodes, timed out: %v, findings: %d\n",
-		rep.ODGNodes, rep.TimedOut, len(rep.Findings))
+	fmt.Printf("\nODGen-style baseline: %d ODG nodes, outcome: %s, findings: %d\n",
+		rep.ODGNodes, rep.Failure, len(rep.Findings))
 	fmt.Println("\n(§5.5: Graph.js's version edges and fixed-point summary detect the")
 	fmt.Println("pollution quickly; ODGen's unrolled representation struggles.)")
 }

@@ -1,6 +1,9 @@
 package budget
 
-import "time"
+import (
+	"strings"
+	"time"
+)
 
 // PhaseUsage is the budget consumption of one pipeline phase: the
 // cooperative steps, graph nodes/edges and wall-clock time charged
@@ -15,6 +18,32 @@ type PhaseUsage struct {
 	Edges int
 	Dur   time.Duration
 }
+
+// DetectPrefix starts the name of every traversal phase row: the
+// scanner's detect-native and detect-query, the baseline's
+// detect-odgen.
+const DetectPrefix = "detect-"
+
+// SplitTime splits a scan's phase rows into Table 6's two columns:
+// traversal time is the sum of the detect-* rows, graph time the sum
+// of every other row. The rows cover a scan contiguously, so the two
+// add up to its analysis time.
+func SplitTime(rows []PhaseUsage) (graph, traversal time.Duration) {
+	for _, u := range rows {
+		if strings.HasPrefix(u.Phase, DetectPrefix) {
+			traversal += u.Dur
+		} else {
+			graph += u.Dur
+		}
+	}
+	return graph, traversal
+}
+
+// phaseRows is the row capacity a phase log allocates up front: the
+// scanner's seven phases (front-end, partition, reach-gate, analysis,
+// stitch-link, detect-query, detect-native), which also covers the
+// baseline's two.
+const phaseRows = 7
 
 // phaseLog accumulates PhaseUsage rows for one scan. It is owned by
 // the scan goroutine (like the Budget itself) and shared with the
@@ -76,7 +105,7 @@ func (b *Budget) BeginPhase(name string) {
 		return
 	}
 	if b.plog == nil {
-		b.plog = &phaseLog{}
+		b.plog = &phaseLog{phases: make([]PhaseUsage, 0, phaseRows)}
 	}
 	b.plog.closeCurrent()
 	b.plog.cur = name

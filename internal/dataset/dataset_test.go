@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/odgen"
 	"repro/internal/queries"
 	"repro/internal/scanner"
@@ -30,11 +31,11 @@ func odgenFinds(t *testing.T, p *Package) (found, timedOut bool) {
 	for _, f := range rep.Findings {
 		for _, a := range p.Annotated {
 			if f.CWE == a.CWE {
-				return true, rep.TimedOut
+				return true, rep.Failure == budget.ClassBudget
 			}
 		}
 	}
-	return false, rep.TimedOut
+	return false, rep.Failure == budget.ClassBudget
 }
 
 func matchesAnnotation(fs []queries.Finding, p *Package) bool {
@@ -160,8 +161,8 @@ func TestSanitizedLoopyPollution(t *testing.T) {
 		t.Fatalf("graphjs must flag the loopy sanitized pollution\n%s", p.Source)
 	}
 	orep := odgen.Scan(p.Source, p.Name, odgen.DefaultOptions())
-	if !orep.TimedOut {
-		t.Fatal("baseline must time out on the loopy sanitized pollution")
+	if orep.Failure != budget.ClassBudget {
+		t.Fatalf("baseline must exhaust its step budget on the loopy sanitized pollution, got %q", orep.Failure)
 	}
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,8 +85,8 @@ func runCorpus(packages, workers int, scan func(i int) PackageResult) *Sweep {
 
 	sw.Wall = time.Since(start)
 	for i := range sw.Results {
-		r := &sw.Results[i]
-		sw.CPU += r.GraphTime + r.QueryTime
+		graph, traversal := budget.SplitTime(sw.Results[i].Phases)
+		sw.CPU += graph + traversal
 	}
 	return sw
 }
@@ -130,22 +131,23 @@ func FailureCounts(results []PackageResult) map[budget.Class]int {
 }
 
 // graphjsResult assembles one Graph.js scan report into a
-// PackageResult row.
+// PackageResult row. Both row builders clone the phase rows: a sweep
+// keeps every row, and the report's phase log is sized for the longest
+// pipeline, so an exact-length copy keeps a sweep's memory down.
 func graphjsResult(p *dataset.Package, rep *scanner.Report) PackageResult {
+	graph, traversal := budget.SplitTime(rep.Phases)
 	return PackageResult{
 		Package:           p,
 		Findings:          rep.Findings,
-		TimedOut:          rep.TimedOut,
 		Err:               rep.Err,
 		Failure:           rep.Failure,
 		Incomplete:        rep.Incomplete,
-		GraphTime:         rep.TotalTime() - rep.DetectTime(),
-		QueryTime:         rep.DetectTime(),
+		Phases:            slices.Clone(rep.Phases),
+		GraphTime:         graph,
+		QueryTime:         traversal,
 		TotalNodes:        rep.MDGNodes,
 		TotalEdges:        rep.MDGEdges,
 		LoC:               rep.LoC,
-		QueryEngineTime:   rep.PhaseTime(scanner.PhaseDetectQuery),
-		NativeTime:        rep.PhaseTime(scanner.PhaseDetectNative),
 		FuncsTotal:        rep.FuncsTotal,
 		FuncsPruned:       rep.FuncsPruned,
 		SkippedByReach:    rep.SkippedByReach,
@@ -159,15 +161,16 @@ func graphjsResult(p *dataset.Package, rep *scanner.Report) PackageResult {
 // odgenResult assembles one baseline scan report into a PackageResult
 // row.
 func odgenResult(p *dataset.Package, rep *odgen.Report) PackageResult {
+	graph, traversal := budget.SplitTime(rep.Phases)
 	return PackageResult{
 		Package:    p,
 		Findings:   rep.Findings,
-		TimedOut:   rep.TimedOut,
 		Err:        rep.Err,
 		Failure:    rep.Failure,
 		Incomplete: rep.Incomplete,
-		GraphTime:  rep.GraphTime,
-		QueryTime:  rep.QueryTime,
+		Phases:     slices.Clone(rep.Phases),
+		GraphTime:  graph,
+		QueryTime:  traversal,
 		TotalNodes: rep.ODGNodes,
 		TotalEdges: rep.ODGEdges,
 		LoC:        rep.LoC,

@@ -63,7 +63,8 @@ type Outcome struct {
 	// Detected records which annotated vulnerabilities were found,
 	// keyed by package name and annotation index (Venn diagram input).
 	Detected map[string]bool
-	// TimedOut counts packages whose analysis timed out.
+	// TimedOut counts packages whose analysis ran out of its budget
+	// (PackageResult.OutOfBudget).
 	TimedOut int
 	Packages int
 }
@@ -83,7 +84,6 @@ func (o *Outcome) TotalCounts() Counts {
 type PackageResult struct {
 	Package  *dataset.Package
 	Findings []queries.Finding
-	TimedOut bool
 	// Err is the scan error, if any (differential-engine mismatches
 	// surface here rather than being silently dropped).
 	Err error
@@ -92,19 +92,21 @@ type PackageResult struct {
 	// subset established before a budget tripped.
 	Failure    budget.Class
 	Incomplete bool
-	// Timing and size metrics for Tables 6/7 and Figure 7. A Graph.js
-	// row's sizes are its MDG's until WithSourceSizes adds the AST and
-	// CFG; a baseline row's are its whole ODG's.
-	GraphTime  time.Duration
-	QueryTime  time.Duration
+	// Phases is the tool's per-phase record, copied from either
+	// tool's report: the row's only timing source. Table 6 and
+	// Figure 7 read it through budget.SplitTime.
+	Phases []budget.PhaseUsage
+	// GraphTime and QueryTime are budget.SplitTime(Phases), kept as
+	// fields because perfbench's opTime (perfbench/sweep.go) reads
+	// them.
+	GraphTime time.Duration
+	QueryTime time.Duration
+	// Size metrics for Table 7. A Graph.js row's sizes are its MDG's
+	// until WithSourceSizes adds the AST and CFG; a baseline row's are
+	// its whole ODG's.
 	TotalNodes int
 	TotalEdges int
 	LoC        int
-	// Per-engine detection timings. QueryEngineTime and NativeTime
-	// are each non-zero only when the corresponding backend ran
-	// (both do under the differential engine).
-	QueryEngineTime time.Duration
-	NativeTime      time.Duration
 	// Export-graph gate counters: function totals and pruning, the
 	// resolved API-surface size, whether the gate fell back to the
 	// every-function attack model, and the deepest call-hop provenance
@@ -116,6 +118,14 @@ type PackageResult struct {
 	ReachFallback     bool
 	ProvenanceDepth   int
 	TruncatedSearches int
+}
+
+// OutOfBudget reports whether the scan ran out of its budget: the
+// wall-clock deadline or a step/size cap. The baseline models the
+// paper's analysis timeout as a step budget, so both classes are the
+// "timed out" of Tables 6 and 7 and Figure 7.
+func (r *PackageResult) OutOfBudget() bool {
+	return r.Failure == budget.ClassTimeout || r.Failure == budget.ClassBudget
 }
 
 // vulnKey identifies one annotated vulnerability.
@@ -146,7 +156,7 @@ func Evaluate(tool string, results []PackageResult, lenient bool) *Outcome {
 	}
 	for _, r := range results {
 		out.Packages++
-		if r.TimedOut {
+		if r.OutOfBudget() {
 			out.TimedOut++
 		}
 		for _, a := range r.Package.Annotated {
@@ -217,8 +227,9 @@ func CDF(results []PackageResult, thresholds []time.Duration, timeoutCap time.Du
 	for i, th := range thresholds {
 		n := 0
 		for _, r := range results {
-			t := r.GraphTime + r.QueryTime
-			if r.TimedOut {
+			graph, traversal := budget.SplitTime(r.Phases)
+			t := graph + traversal
+			if r.OutOfBudget() {
 				t = timeoutCap
 			}
 			if t <= th {
@@ -231,18 +242,19 @@ func CDF(results []PackageResult, thresholds []time.Duration, timeoutCap time.Du
 }
 
 // PhaseAverages computes per-CWE average graph-construction and
-// traversal times over packages that did not time out (Table 6). A
-// package contributes to the row of its primary class.
+// traversal times over packages that did not run out of their budget
+// (Table 6). A package contributes to the row of its primary class.
 func PhaseAverages(results []PackageResult) map[queries.CWE][2]time.Duration {
 	sums := map[queries.CWE][2]time.Duration{}
 	counts := map[queries.CWE]int{}
 	for _, r := range results {
-		if r.TimedOut || r.Package.CWE == "" {
+		if r.OutOfBudget() || r.Package.CWE == "" {
 			continue
 		}
+		graph, traversal := budget.SplitTime(r.Phases)
 		s := sums[r.Package.CWE]
-		s[0] += r.GraphTime
-		s[1] += r.QueryTime
+		s[0] += graph
+		s[1] += traversal
 		sums[r.Package.CWE] = s
 		counts[r.Package.CWE]++
 	}
@@ -256,18 +268,15 @@ func PhaseAverages(results []PackageResult) map[queries.CWE][2]time.Duration {
 	return out
 }
 
-// EngineAverage aggregates per-backend detection timings over a run.
+// EngineAverage totals the reach gate's counters over a run.
 type EngineAverage struct {
-	QueryEngine    time.Duration // avg query-backend detection time
-	Native         time.Duration // avg native-backend detection time
-	Packages       int           // packages contributing to the averages
-	SkippedByReach int           // packages the reach gate skipped entirely
-	FuncsTotal     int           // total functions defined across the run
-	FuncsPruned    int           // total functions pruned across the run
-	Exports        int           // total resolved API-surface entries
-	ReachFallbacks int           // packages scanned under the fallback attack model
-	MaxProvDepth   int           // deepest finding provenance chain seen
-	Truncated      int           // total hop-bound-truncated searches
+	SkippedByReach int // packages the reach gate skipped entirely
+	FuncsTotal     int // total functions defined across the run
+	FuncsPruned    int // total functions pruned across the run
+	Exports        int // total resolved API-surface entries
+	ReachFallbacks int // packages scanned under the fallback attack model
+	MaxProvDepth   int // deepest finding provenance chain seen
+	Truncated      int // total hop-bound-truncated searches
 }
 
 // PrunedRate is the fraction of defined functions the gate pruned.
@@ -278,13 +287,9 @@ func (e EngineAverage) PrunedRate() float64 {
 	return float64(e.FuncsPruned) / float64(e.FuncsTotal)
 }
 
-// EngineAverages summarizes the per-engine timing columns recorded by
-// RunGraphJS. Packages that timed out are excluded from the averages;
-// packages skipped by the reach gate count toward SkippedByReach but
-// not toward the timing averages (neither backend ran on them).
+// EngineAverages sums the reach-gate counters recorded by RunGraphJS.
 func EngineAverages(results []PackageResult) EngineAverage {
 	var out EngineAverage
-	var timed int
 	for _, r := range results {
 		out.FuncsTotal += r.FuncsTotal
 		out.FuncsPruned += r.FuncsPruned
@@ -298,20 +303,8 @@ func EngineAverages(results []PackageResult) EngineAverage {
 		}
 		if r.SkippedByReach {
 			out.SkippedByReach++
-			continue
 		}
-		if r.TimedOut {
-			continue
-		}
-		out.QueryEngine += r.QueryEngineTime
-		out.Native += r.NativeTime
-		timed++
 	}
-	if timed > 0 {
-		out.QueryEngine /= time.Duration(timed)
-		out.Native /= time.Duration(timed)
-	}
-	out.Packages = timed
 	return out
 }
 
@@ -350,7 +343,7 @@ func SizeBuckets(results []PackageResult, bounds []int) []SizeBucket {
 			}
 		}
 		buckets[bi].Packages++
-		if !r.TimedOut {
+		if !r.OutOfBudget() {
 			buckets[bi].Graphs++
 			sumN[bi] += float64(r.TotalNodes)
 			sumE[bi] += float64(r.TotalEdges)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/odgen"
 	"repro/internal/queries"
@@ -84,12 +85,41 @@ func TestF1(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	mk := func(ms int, timedOut bool) PackageResult {
-		return PackageResult{GraphTime: time.Duration(ms) * time.Millisecond, TimedOut: timedOut,
-			Package: &dataset.Package{}}
+// phases builds a row's phase log: graphMs in a graph-construction
+// row, detectMs in a detection row.
+func phases(graphMs, detectMs int) []budget.PhaseUsage {
+	return []budget.PhaseUsage{
+		{Phase: "analysis", Dur: time.Duration(graphMs) * time.Millisecond},
+		{Phase: scanner.PhaseDetectNative, Dur: time.Duration(detectMs) * time.Millisecond},
 	}
-	results := []PackageResult{mk(1, false), mk(5, false), mk(50, false), mk(1, true)}
+}
+
+// TestOutOfBudget pins the harness's "timed out" predicate on one row
+// per (tool, class): the step cap and the wall clock count for both
+// tools (the baseline models its timeout as a step budget); a clean
+// run, a parse error and a recovered panic do not.
+func TestOutOfBudget(t *testing.T) {
+	for class, want := range map[budget.Class]bool{
+		budget.ClassNone: false, budget.ClassParse: false, budget.ClassPanic: false,
+		budget.ClassTimeout: true, budget.ClassBudget: true,
+	} {
+		rows := map[string]PackageResult{
+			"graphjs": graphjsResult(nil, &scanner.Report{Failure: class}),
+			"odgen":   odgenResult(nil, &odgen.Report{Failure: class}),
+		}
+		for tool, r := range rows {
+			if got := r.OutOfBudget(); got != want {
+				t.Errorf("%s row with class %q: OutOfBudget %v, want %v", tool, class, got, want)
+			}
+		}
+	}
+}
+
+func TestCDF(t *testing.T) {
+	mk := func(ms int, failure budget.Class) PackageResult {
+		return PackageResult{Phases: phases(ms, 0), Failure: failure, Package: &dataset.Package{}}
+	}
+	results := []PackageResult{mk(1, ""), mk(5, ""), mk(50, ""), mk(1, budget.ClassBudget)}
 	cdf := CDF(results, []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, time.Second}, time.Minute)
 	if cdf[0] != 0.25 || cdf[1] != 0.5 || cdf[2] != 0.75 {
 		t.Fatalf("cdf = %v", cdf)
@@ -101,7 +131,7 @@ func TestSizeBuckets(t *testing.T) {
 		{LoC: 10, TotalNodes: 100, TotalEdges: 200, Package: &dataset.Package{}},
 		{LoC: 10, TotalNodes: 300, TotalEdges: 400, Package: &dataset.Package{}},
 		{LoC: 500, TotalNodes: 1000, TotalEdges: 1, Package: &dataset.Package{}},
-		{LoC: 500, TimedOut: true, Package: &dataset.Package{}},
+		{LoC: 500, Failure: budget.ClassTimeout, Package: &dataset.Package{}},
 	}
 	buckets := SizeBuckets(results, []int{100})
 	if len(buckets) != 2 {
@@ -197,13 +227,13 @@ func TestHeadlineReproduction(t *testing.T) {
 	var gCnt, oCnt int
 	gjs = WithSourceSizes(gjs)
 	for i := range gjs {
-		if !odg[i].TimedOut {
+		if !odg[i].OutOfBudget() {
 			gN += float64(gjs[i].TotalNodes)
 			gCnt++
 		}
 	}
 	for i := range odg {
-		if !odg[i].TimedOut {
+		if !odg[i].OutOfBudget() {
 			oN += float64(odg[i].TotalNodes)
 			oCnt++
 		}
@@ -215,19 +245,14 @@ func TestHeadlineReproduction(t *testing.T) {
 }
 
 func TestPhaseAverages(t *testing.T) {
-	mk := func(cwe queries.CWE, g, q int, timedOut bool) PackageResult {
-		return PackageResult{
-			Package:   &dataset.Package{CWE: cwe},
-			GraphTime: time.Duration(g) * time.Millisecond,
-			QueryTime: time.Duration(q) * time.Millisecond,
-			TimedOut:  timedOut,
-		}
+	mk := func(cwe queries.CWE, g, q int, failure budget.Class) PackageResult {
+		return PackageResult{Package: &dataset.Package{CWE: cwe}, Phases: phases(g, q), Failure: failure}
 	}
 	results := []PackageResult{
-		mk(queries.CWECommandInjection, 10, 2, false),
-		mk(queries.CWECommandInjection, 20, 4, false),
-		mk(queries.CWECommandInjection, 99, 99, true), // excluded
-		mk(queries.CWECodeInjection, 6, 6, false),
+		mk(queries.CWECommandInjection, 10, 2, ""),
+		mk(queries.CWECommandInjection, 20, 4, ""),
+		mk(queries.CWECommandInjection, 99, 99, budget.ClassTimeout), // excluded
+		mk(queries.CWECodeInjection, 6, 6, ""),
 	}
 	avg := PhaseAverages(results)
 	ci := avg[queries.CWECommandInjection]
@@ -241,35 +266,17 @@ func TestPhaseAverages(t *testing.T) {
 
 func TestEngineAverages(t *testing.T) {
 	results := []PackageResult{
-		{QueryEngineTime: 10 * time.Millisecond, NativeTime: 2 * time.Millisecond, FuncsPruned: 3},
-		{QueryEngineTime: 20 * time.Millisecond, NativeTime: 4 * time.Millisecond, TruncatedSearches: 1},
-		{SkippedByReach: true, FuncsPruned: 5},
-		{TimedOut: true, QueryEngineTime: time.Hour}, // excluded from averages
+		{FuncsTotal: 10, FuncsPruned: 3, ExportCount: 2, ProvenanceDepth: 1},
+		{FuncsTotal: 4, TruncatedSearches: 1, ReachFallback: true, ProvenanceDepth: 3},
+		{SkippedByReach: true, FuncsTotal: 6, FuncsPruned: 5},
+		{Failure: budget.ClassTimeout, FuncsTotal: 1}, // counted like any other row
 	}
 	avg := EngineAverages(results)
-	if avg.QueryEngine != 15*time.Millisecond || avg.Native != 3*time.Millisecond {
-		t.Fatalf("averages = %+v", avg)
-	}
-	if avg.Packages != 2 || avg.SkippedByReach != 1 {
+	if avg.SkippedByReach != 1 || avg.ReachFallbacks != 1 || avg.MaxProvDepth != 3 {
 		t.Errorf("counts = %+v", avg)
 	}
-	if avg.FuncsPruned != 8 || avg.Truncated != 1 {
+	if avg.FuncsTotal != 21 || avg.FuncsPruned != 8 || avg.Exports != 2 || avg.Truncated != 1 {
 		t.Errorf("totals = %+v", avg)
-	}
-}
-
-// TestEngineColumnsRecorded checks the harness copies the per-engine
-// timing columns off the scanner report in differential mode.
-func TestEngineColumnsRecorded(t *testing.T) {
-	vul, _ := dataset.GroundTruth(42)
-	small := &dataset.Corpus{Name: "small", Packages: vul.Packages[:4]}
-	results := RunGraphJS(small, scanner.Options{Engine: scanner.EngineDifferential})
-	avg := EngineAverages(results)
-	if avg.Packages == 0 && avg.SkippedByReach == 0 {
-		t.Fatal("no packages classified")
-	}
-	if avg.Packages > 0 && (avg.QueryEngine == 0 || avg.Native == 0) {
-		t.Errorf("differential run must record both backend timings: %+v", avg)
 	}
 }
 
@@ -296,6 +303,9 @@ func TestRunBothToolsSmallCorpus(t *testing.T) {
 		}
 		if g[i].LoC == 0 {
 			t.Fatal("LoC not recorded")
+		}
+		if len(g[i].Phases) == 0 || len(o[i].Phases) == 0 {
+			t.Fatalf("%s: phase rows not copied: graphjs %v, baseline %v", g[i].Package.Name, g[i].Phases, o[i].Phases)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/queries"
 	"repro/internal/scanner"
@@ -168,7 +169,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			if cold.Err != nil {
 				continue
 			}
-			if cold.Incomplete || incr.Incomplete || cold.TimedOut || incr.TimedOut {
+			if cold.Incomplete || incr.Incomplete || cold.Failure == budget.ClassTimeout || incr.Failure == budget.ClassTimeout {
 				continue
 			}
 			if err := compareReports(step.Name, cold, incr); err != nil {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/odgen"
 	"repro/internal/scanner"
@@ -49,9 +50,9 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 			t.Errorf("package %s: parallel findings differ from sequential: %v",
 				s.Package.Name, err)
 		}
-		if s.TimedOut != p.TimedOut || s.SkippedByReach != p.SkippedByReach {
-			t.Errorf("package %s: flags differ: seq timeout=%v skip=%v, par timeout=%v skip=%v",
-				s.Package.Name, s.TimedOut, s.SkippedByReach, p.TimedOut, p.SkippedByReach)
+		if s.Failure != p.Failure || s.SkippedByReach != p.SkippedByReach {
+			t.Errorf("package %s: outcomes differ: seq failure=%q skip=%v, par failure=%q skip=%v",
+				s.Package.Name, s.Failure, s.SkippedByReach, p.Failure, p.SkippedByReach)
 		}
 	}
 }
@@ -114,7 +115,8 @@ func TestSweepTiming(t *testing.T) {
 	}
 	var sum int64
 	for _, r := range sw.Results {
-		sum += int64(r.GraphTime + r.QueryTime)
+		graph, traversal := budget.SplitTime(r.Phases)
+		sum += int64(graph + traversal)
 	}
 	if int64(sw.CPU) != sum {
 		t.Errorf("CPU = %v, want sum of per-package times %v", sw.CPU, sum)

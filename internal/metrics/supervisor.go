@@ -212,11 +212,9 @@ func errString(err error) string {
 // from the journal. Witness paths and timings are not persisted, so
 // the row carries findings, classification and flags only.
 func resultFromEntry(e sweepjournal.Entry) PackageResult {
-	class := budget.Class(e.Class)
 	return PackageResult{
 		Findings:   findingsFromJournal(e.Findings),
-		TimedOut:   class == budget.ClassTimeout,
-		Failure:    class,
+		Failure:    budget.Class(e.Class),
 		Incomplete: e.Incomplete,
 	}
 }

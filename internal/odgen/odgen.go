@@ -18,7 +18,9 @@
 //   - a step budget modelling the analysis timeout: loop- and
 //     recursion-heavy prototype-pollution packages exhaust it (§5.2:
 //     "in 95% of the cases, ODGen timed out without detecting any
-//     vulnerability");
+//     vulnerability"). The scan runs under a budget.Budget with
+//     MaxSteps set to the step budget, so the harness reads the
+//     baseline's outcome and timing exactly as it reads Graph.js's;
 //   - natively implemented taint queries (fast traversal phase for
 //     taint-style CWEs, Table 6);
 //   - path-traversal findings only in a web-server context
@@ -46,7 +48,8 @@ type Options struct {
 	UnrollLimit int
 	// CallDepth bounds call-site inlining.
 	CallDepth int
-	// StepBudget models the analysis timeout (0 = default).
+	// StepBudget models the analysis timeout (0 = default): the
+	// scan budget's MaxSteps, one step per interpreted statement.
 	StepBudget int
 	// Timeout additionally bounds a scan by wall-clock time
 	// (0 = none); like the step budget, hitting it keeps the findings
@@ -65,31 +68,38 @@ func DefaultOptions() Options {
 	return Options{UnrollLimit: 5, CallDepth: 6, StepBudget: 200000}
 }
 
+// Phase names of a baseline scan: graph construction (parse,
+// normalization, interpretation), then the traversal that reports the
+// findings, named like the scanner's detection rows so
+// budget.SplitTime puts it in Table 6's traversal column.
+const (
+	PhaseGraph  = "odgen-graph"
+	PhaseDetect = budget.DetectPrefix + "odgen"
+)
+
 // Report is the outcome of one baseline scan.
 type Report struct {
 	Name     string
 	Findings []queries.Finding
-	TimedOut bool
 	Err      error
 
 	// Failure classifies why the scan ended early (budget.ClassNone on
-	// a clean run): parse errors, the step budget, the wall-clock
+	// a clean run): parse errors, the step budget (ClassBudget, the
+	// baseline's model of the paper's timeout), the wall-clock
 	// deadline, or a recovered interpreter panic. Incomplete marks
 	// budget/deadline hits whose Findings are the pre-timeout subset.
 	Failure    budget.Class
 	Incomplete bool
 
-	GraphTime time.Duration
-	QueryTime time.Duration
+	// Phases records the scan's budget consumption per phase
+	// (PhaseGraph, PhaseDetect): its only timing record.
+	Phases []budget.PhaseUsage
 
 	LoC      int
 	ASTNodes int
 	ODGNodes int
 	ODGEdges int
 }
-
-// TotalTime returns the end-to-end analysis time.
-func (r *Report) TotalTime() time.Duration { return r.GraphTime + r.QueryTime }
 
 // ---------------------------------------------------------------------------
 // ODG representation
@@ -110,15 +120,11 @@ type object struct {
 }
 
 type interp struct {
-	opts     Options
-	objs     []*object
-	edges    int
-	steps    int
-	budget   int
-	depth    int
-	timeout  bool
-	deadline time.Time    // zero = no wall-clock bound
-	failure  budget.Class // why the interpreter stopped early
+	opts  Options
+	b     *budget.Budget
+	objs  []*object
+	edges int
+	depth int
 
 	findings []queries.Finding
 	seen     map[string]bool
@@ -132,19 +138,12 @@ type interp struct {
 	exported  map[string]bool
 }
 
-type timeoutSignal struct{}
-
+// tick charges one interpreted statement to the scan budget. Once a
+// cap or the deadline trips, it unwinds the interpretation with the
+// budget error.
 func (ip *interp) tick() {
-	ip.steps++
-	if ip.steps > ip.budget {
-		ip.timeout = true
-		ip.failure = budget.ClassBudget
-		panic(timeoutSignal{}) //lint:allow nakedpanic -- timeoutSignal is recovered by the run fence below
-	}
-	if !ip.deadline.IsZero() && ip.steps%256 == 0 && !time.Now().Before(ip.deadline) {
-		ip.timeout = true
-		ip.failure = budget.ClassTimeout
-		panic(timeoutSignal{}) //lint:allow nakedpanic -- timeoutSignal is recovered by the run fence below
+	if err := ip.b.Step(); err != nil {
+		panic(err) //lint:allow nakedpanic -- unwound by budget.Guard in Scan, classification intact
 	}
 }
 
@@ -198,12 +197,19 @@ func Scan(src, name string, opts Options) *Report {
 		cfg = queries.DefaultConfig()
 	}
 	rep := &Report{Name: name, LoC: strings.Count(src, "\n") + 1}
-	start := time.Now()
+	maxSteps := opts.StepBudget
+	if maxSteps == 0 {
+		maxSteps = DefaultOptions().StepBudget
+	}
+	b := budget.New(budget.Limits{MaxSteps: maxSteps, Timeout: opts.Timeout})
+	b.SetLabel(name)
+	b.BeginPhase(PhaseGraph)
 
 	prog, err := parser.Parse(src)
 	if err != nil {
 		rep.Err = fmt.Errorf("odgen: parse %s: %w", name, err)
 		rep.Failure = budget.ClassParse
+		rep.Phases = b.PhaseUsages()
 		return rep
 	}
 	rep.ASTNodes = ast.Count(prog)
@@ -211,19 +217,13 @@ func Scan(src, name string, opts Options) *Report {
 
 	ip := &interp{
 		opts:      opts,
-		budget:    opts.StepBudget,
+		b:         b,
 		seen:      map[string]bool{},
 		globalFns: map[string]*core.FuncDef{},
 		exported:  map[string]bool{},
 		sinksCI:   cfg.SinksFor(queries.CWECodeInjection),
 		sinks78:   cfg.SinksFor(queries.CWECommandInjection),
 		sinks22:   cfg.SinksFor(queries.CWEPathTraversal),
-	}
-	if ip.budget == 0 {
-		ip.budget = 200000
-	}
-	if opts.Timeout > 0 {
-		ip.deadline = start.Add(opts.Timeout)
 	}
 	core.Walk(nprog.Body, func(s core.Stmt) bool {
 		if fd, ok := s.(*core.FuncDef); ok {
@@ -236,39 +236,27 @@ func Scan(src, name string, opts Options) *Report {
 	})
 	ip.findExported(nprog)
 
-	if perr := budget.Guard("odgen-interp", func() error {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(timeoutSignal); ok {
-						return
-					}
-					panic(r) //lint:allow nakedpanic -- re-raises foreign panics for the scanner's phase guard
-				}
-			}()
-			ip.run(nprog)
-		}()
+	if err := budget.Guard("odgen-interp", func() error {
+		ip.run(nprog)
 		return nil
-	}); perr != nil {
-		// Any panic other than the cooperative timeout signal is an
-		// engine bug; contain it and keep the findings established so
-		// far rather than killing the whole sweep.
-		rep.Err = perr
-		rep.Failure = budget.ClassPanic
+	}); err != nil {
+		// A cap or the deadline is a classified outcome; any other
+		// panic is an engine bug. Either way the findings established
+		// so far are kept rather than killing the whole sweep.
+		rep.Failure = budget.ClassOf(err)
+		if rep.Failure == budget.ClassPanic {
+			rep.Err = err
+		} else {
+			rep.Incomplete = true
+		}
 	}
 
-	rep.GraphTime = time.Since(start)
-	rep.TimedOut = ip.timeout
-	if ip.timeout {
-		rep.Failure = ip.failure
-		rep.Incomplete = true
-	}
 	rep.ODGNodes = rep.ASTNodes + len(ip.objs)
 	rep.ODGEdges = ip.edges
 	// ODGen reports the vulnerabilities found before timing out.
-	qStart := time.Now()
+	b.BeginPhase(PhaseDetect)
 	rep.Findings = ip.findings
-	rep.QueryTime = time.Since(qStart)
+	rep.Phases = b.PhaseUsages()
 	return rep
 }
 

@@ -3,7 +3,9 @@ package odgen
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/budget"
 	"repro/internal/queries"
 	"repro/internal/scanner"
 )
@@ -103,8 +105,9 @@ module.exports = f;
 	}
 }
 
-func TestTimeoutOnRecursivePollution(t *testing.T) {
-	// Deep recursion + loops exhaust the unrolling interpreter's budget.
+// recursiveMerge is a deep-merge whose recursion and nested loops
+// exhaust the unrolling interpreter's budget.
+func recursiveMerge() string {
 	var sb strings.Builder
 	sb.WriteString("function merge(target, source) {\n")
 	sb.WriteString("  for (var k in source) {\n")
@@ -116,11 +119,31 @@ func TestTimeoutOnRecursivePollution(t *testing.T) {
 	sb.WriteString("  }\n")
 	sb.WriteString("  return target;\n")
 	sb.WriteString("}\nmodule.exports = merge;\n")
+	return sb.String()
+}
+
+func TestTimeoutOnRecursivePollution(t *testing.T) {
 	opts := DefaultOptions()
 	opts.StepBudget = 20000
-	rep := Scan(sb.String(), "merge.js", opts)
-	if !rep.TimedOut {
-		t.Fatalf("expected timeout; steps survived, findings: %v", rep.Findings)
+	rep := Scan(recursiveMerge(), "merge.js", opts)
+	if rep.Failure != budget.ClassBudget || !rep.Incomplete {
+		t.Fatalf("expected the step budget to trip; failure %q, incomplete %v, findings: %v",
+			rep.Failure, rep.Incomplete, rep.Findings)
+	}
+	if rep.Err != nil {
+		t.Errorf("budget exhaustion surfaced as error: %v", rep.Err)
+	}
+}
+
+// TestWallClockTimeoutClass: the baseline's wall-clock deadline is the
+// budget's, classified as a timeout rather than as the step cap.
+func TestWallClockTimeoutClass(t *testing.T) {
+	opts := DefaultOptions()
+	opts.StepBudget = 1 << 30
+	opts.Timeout = time.Nanosecond
+	rep := Scan(recursiveMerge(), "merge.js", opts)
+	if rep.Failure != budget.ClassTimeout || !rep.Incomplete || rep.Err != nil {
+		t.Fatalf("failure %q, incomplete %v, err %v; want a timeout", rep.Failure, rep.Incomplete, rep.Err)
 	}
 }
 
@@ -162,8 +185,8 @@ func TestCallDepthBounded(t *testing.T) {
 function rec(a) { rec(a); }
 module.exports = rec;
 `)
-	if rep.TimedOut {
-		t.Fatal("bounded recursion should not time out")
+	if rep.Failure != budget.ClassNone {
+		t.Fatalf("bounded recursion should run to completion, got %q", rep.Failure)
 	}
 }
 
@@ -184,7 +207,7 @@ module.exports = f;
 	opts.StepBudget = 300
 	rep := Scan(src, "t.js", opts)
 	if !hasCWE(rep.Findings, queries.CWECommandInjection) {
-		t.Fatalf("pre-timeout finding lost: timedout=%v findings=%v", rep.TimedOut, rep.Findings)
+		t.Fatalf("pre-timeout finding lost: failure=%q findings=%v", rep.Failure, rep.Findings)
 	}
 }
 
@@ -237,8 +260,8 @@ module.exports = run;
 	// .apply passes an array; taint is approximated through the array
 	// object itself, so detection depends on element tracking. The run
 	// must at least not crash and not time out.
-	if rep.Err != nil || rep.TimedOut {
-		t.Fatalf("apply handling broken: err=%v timedOut=%v", rep.Err, rep.TimedOut)
+	if rep.Err != nil || rep.Failure != budget.ClassNone {
+		t.Fatalf("apply handling broken: err=%v failure=%q", rep.Err, rep.Failure)
 	}
 }
 
@@ -265,9 +288,19 @@ module.exports = f;
 	}
 }
 
+// TestReportTotalTime: a baseline scan's time is its two phase rows,
+// a graph row and a traversal row, and budget.SplitTime puts them in
+// Table 6's two columns.
 func TestReportTotalTime(t *testing.T) {
 	rep := scan(t, "function f(a) { return a; }\nmodule.exports = f;")
-	if rep.TotalTime() != rep.GraphTime+rep.QueryTime {
-		t.Fatal("TotalTime mismatch")
+	if len(rep.Phases) != 2 || rep.Phases[0].Phase != PhaseGraph || rep.Phases[1].Phase != PhaseDetect {
+		t.Fatalf("phases %+v, want [%s %s]", rep.Phases, PhaseGraph, PhaseDetect)
+	}
+	if rep.Phases[0].Steps == 0 {
+		t.Error("graph phase charged no interpreter steps")
+	}
+	graph, traversal := budget.SplitTime(rep.Phases)
+	if graph != rep.Phases[0].Dur || traversal != rep.Phases[1].Dur {
+		t.Errorf("split (%v, %v) does not match the rows %+v", graph, traversal, rep.Phases)
 	}
 }

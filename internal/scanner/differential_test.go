@@ -133,9 +133,11 @@ module.exports = git_reset;
 			t.Errorf("native finding %d has no witness path: %+v", i, n.Findings[i])
 		}
 	}
-	if n.PhaseTime(PhaseDetectNative) == 0 || q.PhaseTime(PhaseDetectQuery) == 0 {
-		t.Errorf("per-engine timings not recorded: native=%v query=%v",
-			n.PhaseTime(PhaseDetectNative), q.PhaseTime(PhaseDetectQuery))
+	for rep, phase := range map[*Report]string{n: PhaseDetectNative, q: PhaseDetectQuery} {
+		last := rep.Phases[len(rep.Phases)-1]
+		if _, traversal := budget.SplitTime(rep.Phases); last.Phase != phase || traversal != last.Dur || traversal == 0 {
+			t.Errorf("%s: detection row not recorded as traversal time: %+v", phase, rep.Phases)
+		}
 	}
 }
 

@@ -533,7 +533,7 @@ func (r *scanRun) detect() bool {
 		scratch := &Report{Name: rep.Name, Engine: rep.Engine}
 		detectInto(scratch, res, r.cfgq, rep.Engine, detb)
 		mergeScratch(rep, scratch)
-		if lv.stored && detb.Err() == nil && !scratch.Incomplete && !scratch.TimedOut {
+		if lv.stored && detb.Err() == nil && !scratch.Incomplete && scratch.Failure != budget.ClassTimeout {
 			dr := &detectResult{
 				findings:  scratch.Findings,
 				truncated: scratch.TruncatedSearches,
@@ -565,17 +565,12 @@ func (r *scanRun) finish() {
 	// The wall clock (or the client) may have run out during the last
 	// detection pass; classify that while its phase is still current.
 	b.CheckDeadline()
-	switch budget.ClassOf(b.Err()) {
-	case budget.ClassTimeout:
-		rep.TimedOut = true
+	// A cap that tripped earlier keeps its class: the first failure
+	// names how the scan ended.
+	if class := budget.ClassOf(b.Err()); class == budget.ClassTimeout || class == budget.ClassCanceled {
 		rep.Incomplete = true
 		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassTimeout
-		}
-	case budget.ClassCanceled:
-		rep.Incomplete = true
-		if rep.Failure == budget.ClassNone {
-			rep.Failure = budget.ClassCanceled
+			rep.Failure = class
 		}
 	}
 	recordPhases(rep, b)
@@ -600,7 +595,6 @@ func mergeScratch(rep, scratch *Report) {
 	rep.Findings = append(rep.Findings, scratch.Findings...)
 	rep.TruncatedSearches += scratch.TruncatedSearches
 	rep.Incomplete = rep.Incomplete || scratch.Incomplete
-	rep.TimedOut = rep.TimedOut || scratch.TimedOut
 	if scratch.Err != nil && rep.Err == nil {
 		rep.Err = scratch.Err
 	}

@@ -124,13 +124,12 @@ func (o Options) limits() budget.Limits {
 type Report struct {
 	Name     string
 	Findings []queries.Finding
-	TimedOut bool
 	Err      error
 
 	// Failure classifies why the scan ended early (budget.ClassNone
 	// on a clean run): parse error, wall-clock timeout, a step/size
-	// cap, a recovered engine panic, or a query-evaluation error.
-	// TimedOut is the legacy boolean view of the timeout class.
+	// cap, a recovered engine panic, or a query-evaluation error. It
+	// is the report's only record of how the scan ended.
 	Failure budget.Class
 	// Incomplete marks reports whose Findings are a sound subset
 	// computed before a budget tripped.
@@ -164,9 +163,10 @@ type Report struct {
 	// in ("" when the budget held) — so callers see *which* phase
 	// starved, not just that one did. The rows are the report's only
 	// timing record (Table 6): they cover the pipeline contiguously
-	// from the front end through detection, cold or warm, so
-	// TotalTime and DetectTime are sums over them. A re-entered phase
-	// (detection per fragment) accumulates into one row.
+	// from the front end through detection, cold or warm, and
+	// budget.SplitTime splits them into graph and traversal time. A
+	// re-entered phase (detection per fragment) accumulates into one
+	// row.
 	Phases         []budget.PhaseUsage
 	ExhaustedPhase string
 
@@ -190,41 +190,13 @@ type Report struct {
 	TreeDepth    int
 }
 
-// Detection phase names: each backend runs under its own phase.
+// Detection phase names: each backend runs under its own phase (the
+// query engine's includes the database load). Both carry
+// budget.DetectPrefix, so budget.SplitTime counts them as traversal.
 const (
-	PhaseDetectNative = "detect-native"
-	PhaseDetectQuery  = "detect-query"
+	PhaseDetectNative = budget.DetectPrefix + "native"
+	PhaseDetectQuery  = budget.DetectPrefix + "query"
 )
-
-// PhaseTime sums the wall time of the named phase rows.
-func (r *Report) PhaseTime(names ...string) time.Duration {
-	var d time.Duration
-	for _, u := range r.Phases {
-		for _, n := range names {
-			if u.Phase == n {
-				d += u.Dur
-			}
-		}
-	}
-	return d
-}
-
-// DetectTime returns the time spent in detection backends (the query
-// engine's time includes the database load).
-func (r *Report) DetectTime() time.Duration {
-	return r.PhaseTime(PhaseDetectNative, PhaseDetectQuery)
-}
-
-// TotalTime returns the end-to-end analysis time: every phase row,
-// front end through detection. TotalTime - DetectTime is the graph
-// construction time of Table 6.
-func (r *Report) TotalTime() time.Duration {
-	var d time.Duration
-	for _, u := range r.Phases {
-		d += u.Dur
-	}
-	return d
-}
 
 // testHookNative, when set, runs at the start of native detection.
 // Tests use it to inject engine panics or burn the scan's budget; it
@@ -261,13 +233,12 @@ func setFailure(rep *Report, err error, def budget.Class) {
 	rep.Failure = class
 	switch class {
 	case budget.ClassTimeout:
-		rep.TimedOut = true
-	case budget.ClassBudget:
-		rep.Incomplete = true
-	case budget.ClassCanceled:
-		// The client is gone; whatever was computed is a best-effort
-		// subset, and like timeout/cap this is a classified outcome,
-		// not an error.
+		// A classified outcome, not an error. Incomplete is set by
+		// finish, which runs only when the pipeline reached detection.
+	case budget.ClassBudget, budget.ClassCanceled:
+		// A cap, or a client that is gone: whatever was computed is a
+		// best-effort subset, and like a timeout this is a classified
+		// outcome, not an error.
 		rep.Incomplete = true
 	default:
 		rep.Err = err

@@ -28,8 +28,8 @@ func TestScanSourceEndToEnd(t *testing.T) {
 	if rep.Err != nil {
 		t.Fatalf("err: %v", rep.Err)
 	}
-	if rep.TimedOut {
-		t.Fatal("unexpected timeout")
+	if rep.Failure != budget.ClassNone {
+		t.Fatalf("unexpected failure class %q", rep.Failure)
 	}
 	var cwes []queries.CWE
 	for _, f := range rep.Findings {
@@ -57,7 +57,7 @@ func TestScanMetrics(t *testing.T) {
 	if rep.MDGNodes <= 0 || rep.MDGEdges <= 0 {
 		t.Errorf("metrics: %+v", rep)
 	}
-	if rep.TotalTime()-rep.DetectTime() <= 0 {
+	if graph, _ := budget.SplitTime(rep.Phases); graph <= 0 {
 		t.Error("graph time not measured")
 	}
 }
@@ -115,8 +115,8 @@ func TestScanPackageDir(t *testing.T) {
 
 func TestScanWallClockTimeout(t *testing.T) {
 	rep := ScanSource(gitResetSrc, "t.js", Options{Timeout: time.Nanosecond})
-	if !rep.TimedOut {
-		t.Fatal("expected wall-clock timeout")
+	if rep.Failure != budget.ClassTimeout {
+		t.Fatalf("failure class %q, want a wall-clock timeout", rep.Failure)
 	}
 }
 

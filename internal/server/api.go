@@ -1,6 +1,7 @@
 package server
 
 import (
+	"repro/internal/budget"
 	"repro/internal/scanner"
 	"repro/internal/sweepjournal"
 )
@@ -36,7 +37,9 @@ type FindingJSON struct {
 
 // ReportJSON is the wire rendering of a scan outcome shared by the
 // graphjs CLI (-json) and the daemon's /v1/scan response: name,
-// failure taxonomy, and the findings list.
+// failure taxonomy, and the findings list. TimedOut is derived from
+// the failure class (failure == "timeout") and kept for existing
+// clients.
 type ReportJSON struct {
 	Name       string        `json:"name"`
 	TimedOut   bool          `json:"timedOut"`
@@ -48,7 +51,7 @@ type ReportJSON struct {
 // ReportToJSON flattens a scanner report into its wire rendering.
 func ReportToJSON(rep *scanner.Report) ReportJSON {
 	out := ReportJSON{
-		Name: rep.Name, TimedOut: rep.TimedOut, Failure: string(rep.Failure),
+		Name: rep.Name, TimedOut: rep.Failure == budget.ClassTimeout, Failure: string(rep.Failure),
 		Incomplete: rep.Incomplete, Findings: []FindingJSON{},
 	}
 	for _, f := range rep.Findings {

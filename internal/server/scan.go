@@ -197,6 +197,7 @@ func (s *Server) scanOptions(engine string, timeoutMs, steps, nodes, edges int,
 
 // scanResponse renders a scan report onto the wire.
 func scanResponse(rep *scanner.Report, eff EffectiveJSON) ScanResponse {
+	graph, detect := budget.SplitTime(rep.Phases)
 	resp := ScanResponse{
 		ReportJSON:     ReportToJSON(rep),
 		Engine:         string(rep.Engine),
@@ -206,8 +207,8 @@ func scanResponse(rep *scanner.Report, eff EffectiveJSON) ScanResponse {
 		Truncated:      rep.TruncatedSearches,
 		Stats: ScanStatsJSON{
 			LoC: rep.LoC, MDGNodes: rep.MDGNodes, MDGEdges: rep.MDGEdges,
-			GraphMs:    float64((rep.TotalTime() - rep.DetectTime()).Microseconds()) / 1000,
-			DetectMs:   float64(rep.DetectTime().Microseconds()) / 1000,
+			GraphMs:    float64(graph.Microseconds()) / 1000,
+			DetectMs:   float64(detect.Microseconds()) / 1000,
 			FuncsTotal: rep.FuncsTotal, FuncsPruned: rep.FuncsPruned,
 			SkippedByReach: rep.SkippedByReach, ExportCount: rep.ExportCount,
 			ReachFallback: rep.ReachFallback, ProvenanceDepth: rep.ProvenanceDepth,

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/queries"
 	"repro/internal/scanner"
@@ -556,6 +557,22 @@ func TestWarmScanReportsPhases(t *testing.T) {
 		}
 		if resp.Stats.GraphMs <= 0 {
 			t.Errorf("cold=%v: graphMs %v not derived from the phase rows", cold, resp.Stats.GraphMs)
+		}
+	}
+}
+
+// TestTimedOutDerivedFromClass: the wire timedOut is failure ==
+// "timeout". A cap that tripped first keeps the scan budget-exceeded
+// even when the deadline then expires in the grace detection pass, so
+// such a report is not timedOut.
+func TestTimedOutDerivedFromClass(t *testing.T) {
+	for class, want := range map[budget.Class]bool{
+		budget.ClassNone: false, budget.ClassTimeout: true,
+		budget.ClassBudget: false, budget.ClassCanceled: false,
+	} {
+		got := ReportToJSON(&scanner.Report{Failure: class, Incomplete: class != budget.ClassNone})
+		if got.TimedOut != want {
+			t.Errorf("failure %q: timedOut %v, want %v", class, got.TimedOut, want)
 		}
 	}
 }
