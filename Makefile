@@ -96,9 +96,12 @@ mutate-check:
 # the bytes its journal hash covers, and a package directory named
 # test is scanned, not skipped, by the CLI and /v1/sweep alike. The
 # scratch-reuse oracle interleaves plain, capped, crash-corpus and
-# panicking scans forward, in reverse and on GOMAXPROCS workers, and
-# every report must equal a first pass in a fresh process, whatever
-# the per-layer scratch pools still hold.
+# panicking scans, the differential engine, retained states through
+# one-file edits, warm and cold tree scans and a rehydrate under a
+# changed export fallback, forward, in reverse and on GOMAXPROCS
+# workers, and every report must equal a first pass in a fresh
+# process, whatever the per-layer scratch pools and the recycled
+# graphs still hold; the graph's own reset is checked slot by slot.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestTargetReadOnce|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
 		./internal/metrics ./internal/sweepjournal
@@ -106,6 +109,7 @@ chaos:
 		./internal/store
 	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName|TestScratchReuseMatchesFresh' \
 		./internal/scanner
+	$(GO) test -race -count=1 -run 'TestResetGraphBuildsLikeNew|TestResetKeepsStorageZeroed|TestReleasePoolsOnceWithinCap' ./internal/mdg
 	$(GO) test -race -count=1 -run 'TestCorruptCacheDirDegradesToCold|TestSweepScansPackageNamedTest' ./internal/server
 	$(GO) test -race -count=1 -run 'TestScanPackageNamedTest' ./cmd/graphjs
 

@@ -56,8 +56,9 @@ func layerPackages(b *testing.B) []layerPackage {
 // BenchmarkLayerAllocs reports the bytes and allocations of each hot
 // layer's call on one package, cycling over GroundTruth(1): the parse
 // (lexer and parser) of its files, the export pass of the reach gate,
-// the MDG build, and native detection (the engine's fixpoint and
-// queries, its tables released as the scanner releases them). It
+// the MDG build (its graph released as the scanner releases it after
+// detection), and native detection (the engine's fixpoint and queries,
+// its tables released as the scanner releases them). It
 // shows what each layer allocates per scan; it is not a timing gate.
 func BenchmarkLayerAllocs(b *testing.B) {
 	pkgs := layerPackages(b)
@@ -73,7 +74,9 @@ func BenchmarkLayerAllocs(b *testing.B) {
 			}
 		}},
 		{"export-pass", func(p *layerPackage) { exports.Analyze(p.progs, nil) }},
-		{"mdg-build", func(p *layerPackage) { analysis.AnalyzeModules(p.progs, analysis.DefaultOptions()) }},
+		{"mdg-build", func(p *layerPackage) {
+			analysis.AnalyzeModules(p.progs, analysis.DefaultOptions()).Graph.Release()
+		}},
 		{"native-detection", func(p *layerPackage) {
 			eng := taint.NewEngineBudget(p.res, nil, nil)
 			eng.Detect()

@@ -55,6 +55,8 @@ func DefaultOptions() Options {
 
 // Result is the outcome of analyzing one program.
 type Result struct {
+	// Graph comes from mdg.Acquire; the caller owns it and may Release
+	// it once nothing reads it any more.
 	Graph *mdg.Graph
 	// Calls lists all call nodes in creation order.
 	Calls []mdg.Loc
@@ -223,13 +225,8 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 	if opts.MaxLoopIter <= 0 {
 		opts.MaxLoopIter = 30
 	}
-	nstmts := 0
-	for _, prog := range progs {
-		nstmts += core.CountStmts(prog.Body)
-	}
 	a := analyzerPool.Get().(*analyzer)
-	// Graphs have about 1.4 nodes per Core statement (GroundTruth).
-	a.g = mdg.NewSized(nstmts + nstmts/2 + 8)
+	a.g = mdg.Acquire()
 	a.opts = opts
 	a.externals = make(map[string]mdg.Loc)
 	a.calleeLocs = make(map[mdg.Loc][]mdg.Loc)

@@ -48,62 +48,61 @@ func (f *Fragment) NumNodes() int { return len(f.nodes) }
 // NumEdges returns the fragment's edge count.
 func (f *Fragment) NumEdges() int { return len(f.edges) }
 
-// Stitch combines fragments into one graph, renumbering locations so
-// fragments never collide: fragment i's location l becomes l plus the
-// running offset of the fragments before it. The per-fragment old→new
-// location maps are returned so callers can translate cached
+// Shift moves a fragment-local location by a stitch offset (see
+// Stitch), keeping NoLoc absent.
+func (l Loc) Shift(offset Loc) Loc {
+	if l == NoLoc {
+		return NoLoc
+	}
+	return l + offset
+}
+
+// Stitch combines fragments into one acquired graph (see Acquire),
+// renumbering locations so fragments never collide: fragment i's
+// location l becomes l.Shift(offsets[i]), offsets[i] being the location
+// count of the fragments before it. Callers translate cached
 // fragment-local facts (function summaries, sources, witness paths)
-// into the stitched graph. Stitching is deterministic in the fragment
-// order given.
-func Stitch(frags ...*Fragment) (*Graph, []map[Loc]Loc) {
-	g := New()
-	remaps := make([]map[Loc]Loc, len(frags))
+// into the stitched graph the same way. Stitching is deterministic in
+// the fragment order given.
+func Stitch(frags ...*Fragment) (*Graph, []Loc) {
+	g := Acquire()
+	offsets := make([]Loc, len(frags))
 	var offset Loc
 	for i, f := range frags {
-		remap := make(map[Loc]Loc, len(f.nodes))
+		offsets[i] = offset
 		g.grow(f.maxLoc + offset)
-		slab := make([]Node, len(f.nodes))
-		shift := func(l Loc) Loc {
-			if l == NoLoc {
-				return NoLoc
-			}
-			return l + offset
-		}
-		for ni, n := range f.nodes {
-			c := &slab[ni]
+		for _, n := range f.nodes {
+			c := g.carve()
 			*c = n // value copy; fragment stays immutable
-			c.Loc = shift(n.Loc)
+			c.Loc = n.Loc.Shift(offset)
 			if n.CallArgs != nil {
 				c.CallArgs = make([][]Loc, len(n.CallArgs))
 				for ai, arg := range n.CallArgs {
 					c.CallArgs[ai] = make([]Loc, len(arg))
 					for j, l := range arg {
-						c.CallArgs[ai][j] = shift(l)
+						c.CallArgs[ai][j] = l.Shift(offset)
 					}
 				}
 			}
 			if n.ParamLocs != nil {
 				c.ParamLocs = make([]Loc, len(n.ParamLocs))
 				for j, l := range n.ParamLocs {
-					c.ParamLocs[j] = shift(l)
+					c.ParamLocs[j] = l.Shift(offset)
 				}
 			}
-			c.RetLoc = shift(n.RetLoc)
+			c.RetLoc = n.RetLoc.Shift(offset)
 			g.place(c)
-			remap[n.Loc] = c.Loc
 		}
 		for _, e := range f.edges {
-			ne := Edge{From: shift(e.From), To: shift(e.To), Type: e.Type, Prop: e.Prop}
+			ne := Edge{From: e.From.Shift(offset), To: e.To.Shift(offset), Type: e.Type, Prop: e.Prop}
 			if !g.HasEdge(ne) {
 				g.link(ne)
 			}
 		}
-		remaps[i] = remap
 		offset += f.maxLoc
 	}
 	if g.next < offset {
 		g.next = offset
 	}
-	g.sorted = nil
-	return g, remaps
+	return g, offsets
 }

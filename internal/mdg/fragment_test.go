@@ -33,20 +33,20 @@ func buildSample(tag string) *Graph {
 func TestStitchSingleFragmentIdentity(t *testing.T) {
 	g := buildSample("a")
 	f := SnapshotFragment(g)
-	st, remaps := Stitch(f)
+	st, offsets := Stitch(f)
 	if st.String() != g.String() {
 		t.Fatalf("stitched graph differs:\n%s\n--- want ---\n%s", st.String(), g.String())
 	}
 	if st.NumNodes() != g.NumNodes() || st.NumEdges() != g.NumEdges() {
 		t.Fatalf("size mismatch: %d/%d vs %d/%d", st.NumNodes(), st.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
-	for old, nw := range remaps[0] {
-		if old != nw {
-			t.Fatalf("single-fragment stitch renumbered %v -> %v", old, nw)
-		}
-		a, b := g.Node(old), st.Node(nw)
+	if offsets[0] != NoLoc {
+		t.Fatalf("single-fragment stitch renumbers by %v", offsets[0])
+	}
+	for _, a := range g.Nodes() {
+		b := st.Node(a.Loc)
 		if a.Kind != b.Kind || a.Label != b.Label || a.File != b.File || a.Line != b.Line {
-			t.Fatalf("node %v metadata differs", old)
+			t.Fatalf("node %v metadata differs", a.Loc)
 		}
 	}
 }
@@ -81,11 +81,11 @@ func TestFragmentIsImmutableSnapshot(t *testing.T) {
 }
 
 // Stitching two fragments must keep them disjoint, preserve all edges,
-// and remap every location-bearing field consistently.
+// and shift every location-bearing field consistently.
 func TestStitchTwoFragmentsDisjoint(t *testing.T) {
 	ga, gb := buildSample("a"), buildSample("b")
 	fa, fb := SnapshotFragment(ga), SnapshotFragment(gb)
-	st, remaps := Stitch(fa, fb)
+	st, offsets := Stitch(fa, fb)
 	if st.NumNodes() != fa.NumNodes()+fb.NumNodes() {
 		t.Fatalf("node count %d, want %d", st.NumNodes(), fa.NumNodes()+fb.NumNodes())
 	}
@@ -93,34 +93,35 @@ func TestStitchTwoFragmentsDisjoint(t *testing.T) {
 		t.Fatalf("edge count %d, want %d", st.NumEdges(), fa.NumEdges()+fb.NumEdges())
 	}
 	seen := map[Loc]bool{}
-	for i, remap := range remaps {
-		for _, nw := range remap {
+	for i, g := range []*Graph{ga, gb} {
+		for _, n := range g.Nodes() {
+			nw := n.Loc.Shift(offsets[i])
 			if seen[nw] {
 				t.Fatalf("fragment %d maps onto an occupied location %v", i, nw)
 			}
 			seen[nw] = true
 			if st.Node(nw) == nil {
-				t.Fatalf("remap target %v missing from stitched graph", nw)
+				t.Fatalf("shifted location %v missing from stitched graph", nw)
 			}
 		}
 	}
 	// Second fragment's metadata must point inside its own image.
-	for old, nw := range remaps[1] {
-		a, b := gb.Node(old), st.Node(nw)
+	for _, a := range gb.Nodes() {
+		b := st.Node(a.Loc.Shift(offsets[1]))
 		if a.Kind != b.Kind || a.File != b.File {
-			t.Fatalf("fragment-b node %v metadata differs", old)
+			t.Fatalf("fragment-b node %v metadata differs", a.Loc)
 		}
 		if a.Kind == KindFunc {
 			if len(a.ParamLocs) != len(b.ParamLocs) {
 				t.Fatalf("param count differs")
 			}
 			for j := range a.ParamLocs {
-				if remaps[1][a.ParamLocs[j]] != b.ParamLocs[j] {
-					t.Fatalf("param loc not remapped consistently")
+				if a.ParamLocs[j].Shift(offsets[1]) != b.ParamLocs[j] {
+					t.Fatalf("param loc not shifted consistently")
 				}
 			}
-			if remaps[1][a.RetLoc] != b.RetLoc {
-				t.Fatalf("ret loc not remapped consistently")
+			if a.RetLoc.Shift(offsets[1]) != b.RetLoc {
+				t.Fatalf("ret loc not shifted consistently")
 			}
 		}
 	}
@@ -143,9 +144,9 @@ func TestStitchPreservesLookup(t *testing.T) {
 	g.AddEdge(Edge{From: v, To: val, Type: Prop, Prop: "p"})
 
 	pad := buildSample("pad") // force a nonzero offset for g's image
-	st, remaps := Stitch(SnapshotFragment(pad), SnapshotFragment(g))
-	res := st.Lookup(remaps[1][v], "p")
-	if len(res.Values) != 1 || res.Values[0] != remaps[1][val] {
-		t.Fatalf("stitched lookup = %v, want [%v]", res.Values, remaps[1][val])
+	st, offsets := Stitch(SnapshotFragment(pad), SnapshotFragment(g))
+	res := st.Lookup(v.Shift(offsets[1]), "p")
+	if len(res.Values) != 1 || res.Values[0] != val.Shift(offsets[1]) {
+		t.Fatalf("stitched lookup = %v, want [%v]", res.Values, val.Shift(offsets[1]))
 	}
 }

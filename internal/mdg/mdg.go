@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/budget"
 )
@@ -150,6 +151,10 @@ type Node struct {
 // (long bindings on adversarial input) do not make insertion
 // quadratic. A Graph is not safe for concurrent use: even the
 // version-chain walks write its visit stamps.
+//
+// A graph is a recycled resource: Acquire takes one from a pool and
+// Release hands it back, its storage kept for the next graph (see
+// Release).
 type Graph struct {
 	nodes    []*Node  // by Loc; nodes[0] is always nil
 	out, in  [][]Edge // by Loc
@@ -158,11 +163,15 @@ type Graph struct {
 	numEdges int
 	next     Loc
 
-	// slab is the current chunk that new nodes are carved from, so
-	// node creation does not allocate per node; edgeChunk likewise
-	// holds the first slots of adjacency lists (see appendEdge).
-	slab      []Node
+	// chunks are the slabs new nodes are carved from, so node creation
+	// does not allocate per node; chunks[cur] is the one being filled.
+	// edgeChunk likewise holds the first slots of adjacency lists (see
+	// appendEdge), and spill counts the adjacency slots the lists hold
+	// past those, for Release's size cap.
+	chunks    [][]Node
+	cur       int
 	edgeChunk []Edge
+	spill     int
 
 	// alloc implements site-keyed deterministic allocation.
 	alloc map[allocKey]Loc
@@ -177,9 +186,10 @@ type Graph struct {
 	// (multi-module analysis); see SetCurrentFile.
 	curFile string
 
-	// sorted caches the ascending-Loc node slice handed out by Nodes;
-	// node creation invalidates it. Detection backends iterate the
-	// frozen graph many times, so the scan must not repeat per call.
+	// sorted is the ascending-Loc node slice handed out by Nodes, valid
+	// while it holds every node (nodes are never removed). Detection
+	// backends iterate the frozen graph many times, so the scan must
+	// not repeat per call.
 	sorted []*Node
 
 	// bud, when set, is charged for every node and edge created, so a
@@ -187,6 +197,9 @@ type Graph struct {
 	// graph only records the charge; the analyzer's per-statement tick
 	// notices the exceeded budget and aborts.
 	bud *budget.Budget
+
+	// pooled is set while the graph sits in the pool.
+	pooled bool
 }
 
 // bigDegree is the out-degree from which a source's edges are also
@@ -232,20 +245,73 @@ type allocKey struct {
 	prop   string
 }
 
-// New returns an empty MDG.
-func New() *Graph { return NewSized(15) }
-
-// NewSized returns an empty MDG with room for about n nodes, so a
-// caller that can estimate the graph's size saves the tables'
-// regrowth.
-func NewSized(n int) *Graph {
+// New returns an empty MDG that no pool owns. A scan takes its graphs
+// with Acquire instead.
+func New() *Graph {
 	return &Graph{
-		nodes: make([]*Node, 1, n+1),
-		out:   make([][]Edge, 1, n+1),
-		in:    make([][]Edge, 1, n+1),
-		alloc: make(map[allocKey]Loc, n),
-		slab:  make([]Node, 0, min(n, 256)),
+		nodes: make([]*Node, 1),
+		out:   make([][]Edge, 1),
+		in:    make([][]Edge, 1),
+		alloc: make(map[allocKey]Loc),
 	}
+}
+
+// graphPool holds released graphs.
+var graphPool = sync.Pool{New: func() any { return New() }}
+
+// maxPooled caps the locations, and the adjacency slots past each
+// list's first two, that a released graph may have held for it to be
+// pooled, so one huge package cannot pin memory.
+const maxPooled = 1 << 14
+
+// Acquire returns an empty MDG, recycled from a released graph when
+// one is pooled. A recycled graph keeps its predecessors' storage, so
+// it is already about the size the next build needs.
+func Acquire() *Graph {
+	g := graphPool.Get().(*Graph)
+	g.pooled = false
+	return g
+}
+
+// Release empties g and pools it for Acquire, keeping its storage. The
+// caller owns g and must hold its last reference: nothing may read g,
+// or a *Node or adjacency list taken from it, afterwards. A graph past
+// maxPooled is dropped instead. Releasing a pooled graph again is a
+// no-op.
+func (g *Graph) Release() {
+	if g.pooled || len(g.nodes) > maxPooled || g.spill > maxPooled {
+		return
+	}
+	g.reset()
+	g.pooled = true
+	graphPool.Put(g)
+}
+
+// reset empties g, keeping its storage: the node chunks, the
+// Loc-indexed tables with every adjacency list truncated in place, the
+// cleared allocation map, the edge chunk, the visit stamps and the
+// Nodes buffer. The kept node and edge slots are zeroed, so nothing a
+// previous graph referenced stays reachable through them.
+func (g *Graph) reset() {
+	for i := range g.chunks[:min(g.cur+1, len(g.chunks))] {
+		clear(g.chunks[i])
+		g.chunks[i] = g.chunks[i][:0]
+	}
+	g.cur = 0
+	clear(g.nodes)
+	g.nodes = g.nodes[:1]
+	for l := range g.out {
+		clear(g.out[l])
+		g.out[l] = g.out[l][:0]
+		clear(g.in[l])
+		g.in[l] = g.in[l][:0]
+	}
+	g.out, g.in = g.out[:1], g.in[:1]
+	clear(g.big)
+	clear(g.alloc)
+	g.sorted = g.sorted[:0]
+	g.numNodes, g.numEdges, g.next = 0, 0, NoLoc
+	g.curFile, g.bud = "", nil
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -263,11 +329,12 @@ func (g *Graph) Node(l Loc) *Node {
 }
 
 // Nodes returns all nodes in ascending Loc order. The slice is cached
-// and shared between calls until the next node is created; callers
-// must not modify it.
+// and shared between calls; creating a node invalidates it, and the
+// next call rebuilds it in the same storage. Callers must not modify
+// it.
 func (g *Graph) Nodes() []*Node {
-	if g.sorted == nil {
-		g.sorted = make([]*Node, 0, g.numNodes)
+	if len(g.sorted) != g.numNodes {
+		g.sorted = g.sorted[:0]
 		for _, n := range g.nodes {
 			if n != nil {
 				g.sorted = append(g.sorted, n)
@@ -316,11 +383,24 @@ func (g *Graph) In(l Loc) []Edge {
 
 // grow extends the Loc-indexed tables to hold l.
 func (g *Graph) grow(l Loc) {
-	for int(l) >= len(g.nodes) {
-		g.nodes = append(g.nodes, nil)
-		g.out = append(g.out, nil)
-		g.in = append(g.in, nil)
+	n := int(l) + 1
+	if n <= len(g.nodes) {
+		return
 	}
+	g.nodes = extend(g.nodes, n)
+	g.out = extend(g.out, n)
+	g.in = extend(g.in, n)
+}
+
+// extend sets s's length to n, reslicing into kept capacity before it
+// grows s: past len(s), a released graph's node table is nil and its
+// adjacency lists are empty lists that keep their storage.
+func extend[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	s = s[:cap(s)]
+	return append(s, make([]T, n-len(s))...)
 }
 
 // place stores n at n.Loc.
@@ -328,20 +408,30 @@ func (g *Graph) place(n *Node) {
 	g.grow(n.Loc)
 	g.nodes[n.Loc] = n
 	g.numNodes++
-	g.sorted = nil
+}
+
+// carve returns the next free node slot of the chunks, adding a chunk
+// when every kept one is full.
+func (g *Graph) carve() *Node {
+	for g.cur < len(g.chunks) && len(g.chunks[g.cur]) == cap(g.chunks[g.cur]) {
+		g.cur++
+	}
+	if g.cur == len(g.chunks) {
+		// Chunks grow with the graph (4, 4, 4, 6, 9, ... up to 256
+		// nodes), so small graphs waste little.
+		g.chunks = append(g.chunks, make([]Node, 0, min(max(g.numNodes/2, 4), 256)))
+	}
+	c := &g.chunks[g.cur]
+	*c = (*c)[:len(*c)+1]
+	return &(*c)[len(*c)-1]
 }
 
 // fresh creates a brand-new node.
 func (g *Graph) fresh(kind NodeKind, label string, site, line int) *Node {
 	g.bud.AddNode() // cap recorded in the budget; the analyzer's tick aborts
 	g.next++
-	if len(g.slab) == cap(g.slab) {
-		// Slabs grow with the graph (4, 4, 4, 6, 9, ... up to 256
-		// nodes), so small graphs waste little.
-		g.slab = make([]Node, 0, min(max(g.numNodes/2, 4), 256))
-	}
-	g.slab = append(g.slab, Node{Loc: g.next, Kind: kind, Label: label, Site: site, Line: line, File: g.curFile})
-	n := &g.slab[len(g.slab)-1]
+	n := g.carve()
+	*n = Node{Loc: g.next, Kind: kind, Label: label, Site: site, Line: line, File: g.curFile}
 	g.place(n)
 	return n
 }
@@ -399,15 +489,20 @@ func (g *Graph) link(e Edge) {
 // appendEdge appends e to an adjacency list. Most lists hold one or two
 // edges, so a list's first two slots are carved from a shared chunk
 // (edgeChunk) instead of allocated per list; longer lists grow on the
-// heap as usual.
+// heap as usual, and spill counts what they grew by.
 func (g *Graph) appendEdge(list []Edge, e Edge) []Edge {
-	if cap(list) == 0 {
+	switch c := cap(list); {
+	case c == 0:
 		if len(g.edgeChunk)+2 > cap(g.edgeChunk) {
 			g.edgeChunk = make([]Edge, 0, min(max(g.numEdges, 16), 256))
 		}
 		n := len(g.edgeChunk)
 		g.edgeChunk = g.edgeChunk[:n+2]
 		list = g.edgeChunk[n : n : n+2]
+	case len(list) == c:
+		list = append(list, e)
+		g.spill += cap(list) - c
+		return list
 	}
 	return append(list, e)
 }

@@ -1,28 +1,15 @@
 package scanner
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// scanAliasPkg scans one export-alias package, multi-file packages
-// through ScanFiles (mirroring the metrics harness).
+// scanAliasPkg scans one dataset package as the metrics harness does
+// (see packageFiles).
 func scanAliasPkg(p *dataset.Package, opts Options) *Report {
-	if len(p.Extra) == 0 {
-		return ScanSource(p.Source, p.Name, opts)
-	}
-	files := []SourceFile{{Rel: "index.js", Src: p.Source}}
-	rels := make([]string, 0, len(p.Extra))
-	for rel := range p.Extra {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
-	for _, rel := range rels {
-		files = append(files, SourceFile{Rel: rel, Src: p.Extra[rel]})
-	}
-	return ScanFiles(files, p.Name, opts)
+	return ScanFiles(packageFiles(p), p.Name, opts)
 }
 
 // TestExportAliasPrunedPins pins the reach-gate counters for every

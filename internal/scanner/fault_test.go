@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -96,6 +97,41 @@ func TestScanTimeoutClass(t *testing.T) {
 	}
 	if rep.Err != nil {
 		t.Errorf("timeout surfaced as error: %v", rep.Err)
+	}
+	if !rep.Incomplete || rep.ExhaustedPhase != "front-end" {
+		t.Errorf("incomplete %v, exhausted phase %q; want Incomplete, front-end", rep.Incomplete, rep.ExhaustedPhase)
+	}
+}
+
+// TestTimeoutBeforeDetectionIsIncomplete: a deadline that runs out in
+// the front end, the reach gate or the analysis leaves no findings
+// established, so the report is Incomplete, as one whose deadline runs
+// out in detection is. An injected timeout (deterministic per label)
+// lands in each phase: the test tries labels until it has hit every
+// one.
+func TestTimeoutBeforeDetectionIsIncomplete(t *testing.T) {
+	vul, _ := dataset.GroundTruth(1)
+	p := vul.Packages[0]
+	hit := map[string]bool{}
+	for i := 0; i < 200 && len(hit) < 3; i++ {
+		label := fmt.Sprintf("timeout-before-detection#%d", i)
+		budget.SetFaultPlan(&budget.FaultPlan{Seed: 1, TimeoutProb: 1, Spread: 5,
+			Arm: func(l string) bool { return l == label }})
+		rep := ScanSource(p.Source, p.Name, Options{FaultLabel: label})
+		budget.SetFaultPlan(nil)
+		switch rep.ExhaustedPhase {
+		case "front-end", "reach-gate", "analysis":
+		default:
+			continue
+		}
+		hit[rep.ExhaustedPhase] = true
+		if rep.Failure != budget.ClassTimeout || !rep.Incomplete || rep.Err != nil || len(rep.Findings) != 0 {
+			t.Errorf("timeout in %s: failure %q, incomplete %v, err %v, %d findings; want timeout, Incomplete, no error, none",
+				rep.ExhaustedPhase, rep.Failure, rep.Incomplete, rep.Err, len(rep.Findings))
+		}
+	}
+	if len(hit) < 3 {
+		t.Fatalf("injected timeouts landed only in %v", hit)
 	}
 }
 

@@ -160,7 +160,7 @@ type fragEntry struct {
 	// Cross-package linker side tables (tree mode): unresolved require
 	// placeholders, per-call callee/this value sets, and per-module
 	// CommonJS globals. Locations are fragment-local; the tree linker
-	// translates them through the stitch remap (see analysis.Result).
+	// shifts them by the fragment's stitch offset (see analysis.Result).
 	externals  map[string]mdg.Loc
 	calleeLocs map[mdg.Loc][]mdg.Loc
 	callThis   map[mdg.Loc][]mdg.Loc
@@ -459,20 +459,13 @@ func componentKey(units []fileUnit, aoptsKey string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// newFragEntry snapshots a freshly built component into a cacheable
-// fragment. Called only on clean builds.
+// newFragEntry snapshots a freshly built component into a fragment
+// entry: cached after a clean build, or (tree mode) stitched this scan.
 func newFragEntry(key string, rels []string, res *analysis.Result) *fragEntry {
-	fe := partialFragEntry(key, rels, res)
-	fe.frag = mdg.SnapshotFragment(res.Graph)
-	return fe
-}
-
-// partialFragEntry wraps a (possibly budget-truncated) build without a
-// graph snapshot; it is used for this scan only and never cached.
-func partialFragEntry(key string, rels []string, res *analysis.Result) *fragEntry {
 	fe := &fragEntry{
 		key:          key,
 		rels:         rels,
+		frag:         mdg.SnapshotFragment(res.Graph),
 		functions:    res.Functions,
 		realExported: make(map[string]bool, len(res.Functions)),
 		hasReal:      res.HasRealExports,
@@ -489,9 +482,10 @@ func partialFragEntry(key string, rels []string, res *analysis.Result) *fragEntr
 }
 
 // rehydrate rebuilds a detection-ready analysis result from a cached
-// fragment: a fresh graph via the stitching API (a single-fragment
+// fragment: an acquired graph via the stitching API (a single-fragment
 // stitch preserves locations, so the stored summaries stay valid) with
-// the export marks reset to the build-time truth.
+// the export marks reset to the build-time truth. The scan releases the
+// graph after its detection.
 func rehydrate(fe *fragEntry) *analysis.Result {
 	g, _ := mdg.Stitch(fe.frag)
 	res := &analysis.Result{

@@ -96,11 +96,17 @@ type component struct {
 
 // liveFrag is one fragment in this scan.
 type liveFrag struct {
+	// fe is the fragment's entry: cached, or snapshotted for the
+	// stitch; nil for a throwaway flat build, which keeps nothing.
 	fe *fragEntry
 	// res is the analysis result when the fragment was built this scan
-	// (possibly partially); nil when it was fetched from the cache.
+	// (possibly partially) and its graph is still live; nil when it
+	// was fetched from the cache.
 	res *analysis.Result
 	pkg *deptree.Package
+	// hasReal records a real export in the fragment, the input of the
+	// package-wide export fallback.
+	hasReal bool
 	// stored marks fe as living in the state's fragment cache, so its
 	// detection results are cacheable too.
 	stored bool
@@ -407,7 +413,7 @@ func (r *scanRun) analyze() bool {
 				st.stats.FragmentHits++
 				rep.MDGNodes += fe.frag.NumNodes()
 				rep.MDGEdges += fe.frag.NumEdges()
-				r.lives = append(r.lives, liveFrag{fe: fe, pkg: c.pkg, stored: true})
+				r.lives = append(r.lives, liveFrag{fe: fe, pkg: c.pkg, hasReal: fe.hasReal, stored: true})
 				continue
 			}
 			if r.aborted {
@@ -443,27 +449,41 @@ func (r *scanRun) analyze() bool {
 }
 
 // built wraps a fragment analyzed this scan. Stitching needs a graph
-// snapshot, so tree mode always takes one; a retained state also
-// snapshots, caches and persists every clean build. A throwaway flat
-// scan detects straight on res and keeps nothing.
+// snapshot, so tree mode always takes one, and the snapshot is the
+// package graph's last reader; a retained state also snapshots, caches
+// and persists every clean build. A throwaway flat scan detects
+// straight on res and keeps nothing.
 func (r *scanRun) built(c component, res *analysis.Result) liveFrag {
+	lv := liveFrag{res: res, pkg: c.pkg, hasReal: res.HasRealExports}
+	cache := r.st.retained && !r.aborted
+	if !cache && r.tree == nil {
+		return lv
+	}
 	rels := make([]string, len(c.units))
 	for i, u := range c.units {
 		rels[i] = u.rel
 	}
-	lv := liveFrag{res: res, pkg: c.pkg}
-	cache := r.st.retained && !r.aborted
-	if cache || r.tree != nil {
-		lv.fe = newFragEntry(c.key, rels, res)
-	} else {
-		lv.fe = partialFragEntry(c.key, rels, res)
-	}
+	lv.fe = newFragEntry(c.key, rels, res)
 	if cache {
 		r.st.frags[c.key] = lv.fe
 		r.st.save(store.KindFragment, c.key, func() []byte { return encodeFragEntry(lv.fe) })
 		lv.stored = true
 	}
+	if r.tree != nil {
+		r.release(res)
+		lv.res = nil
+	}
 	return lv
+}
+
+// release hands a result's graph, built or rehydrated this scan, back
+// to the graph pool after its last reader. Callers never release a
+// graph whose build, stitch or detection panicked; a graph whose
+// scan's budget tripped is dropped here.
+func (r *scanRun) release(res *analysis.Result) {
+	if res != nil && r.b.Err() == nil {
+		res.Graph.Release()
+	}
 }
 
 // detect is stage 5. The script-mode export fallback is a package-wide
@@ -476,7 +496,7 @@ func (r *scanRun) detect() bool {
 	st, rep := r.st, r.rep
 	anyReal := false
 	for _, lv := range r.lives {
-		anyReal = anyReal || lv.fe.hasReal
+		anyReal = anyReal || lv.hasReal
 	}
 	fb := !anyReal && !r.aopts.TreatAllFunctionsAsExported && !r.callerNoFallback
 
@@ -489,8 +509,8 @@ func (r *scanRun) detect() bool {
 			for i, lv := range r.lives {
 				frags[i] = lv.fe.frag
 			}
-			g, remaps := mdg.Stitch(frags...)
-			res = linkTree(g, remaps, r.lives, r.tree, anyReal)
+			g, offsets := mdg.Stitch(frags...)
+			res = linkTree(g, offsets, r.lives, r.tree, anyReal)
 			return nil
 		}); err != nil {
 			setFailure(rep, err, budget.ClassPanic)
@@ -517,10 +537,11 @@ func (r *scanRun) detect() bool {
 				st.stats.DetectHits++
 				mergeScratch(rep, &Report{Findings: dr.findings, TruncatedSearches: dr.truncated,
 					Err: dr.err, Failure: dr.failure})
+				r.release(lv.res) // a rebuild whose detection the store held
 				continue
 			}
 		}
-		if lv.fe != nil { // a fragment, not tree mode's stitched graph
+		if r.tree == nil { // a fragment, not tree mode's stitched graph
 			st.stats.DetectMisses++
 		}
 		res := lv.res
@@ -533,7 +554,10 @@ func (r *scanRun) detect() bool {
 		scratch := &Report{Name: rep.Name, Engine: rep.Engine}
 		detectInto(scratch, res, r.cfgq, rep.Engine, detb)
 		mergeScratch(rep, scratch)
-		if lv.stored && detb.Err() == nil && !scratch.Incomplete && scratch.Failure != budget.ClassTimeout {
+		if scratch.Failure != budget.ClassPanic {
+			r.release(res)
+		}
+		if lv.stored && detb.Err() == nil && !scratch.Incomplete {
 			dr := &detectResult{
 				findings:  scratch.Findings,
 				truncated: scratch.TruncatedSearches,

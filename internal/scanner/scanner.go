@@ -232,13 +232,10 @@ func setFailure(rep *Report, err error, def budget.Class) {
 	}
 	rep.Failure = class
 	switch class {
-	case budget.ClassTimeout:
-		// A classified outcome, not an error. Incomplete is set by
-		// finish, which runs only when the pipeline reached detection.
-	case budget.ClassBudget, budget.ClassCanceled:
-		// A cap, or a client that is gone: whatever was computed is a
-		// best-effort subset, and like a timeout this is a classified
-		// outcome, not an error.
+	case budget.ClassTimeout, budget.ClassBudget, budget.ClassCanceled:
+		// The wall clock, a cap, or a client that is gone, in whichever
+		// phase: whatever was computed is a best-effort subset, and this
+		// is a classified outcome, not an error.
 		rep.Incomplete = true
 	default:
 		rep.Err = err

@@ -85,8 +85,9 @@ type phInfo struct {
 }
 
 // linkTree builds the merged analysis result for a stitched tree and
-// runs the cross-package linker over it.
-func linkTree(g *mdg.Graph, remaps []map[mdg.Loc]mdg.Loc, lives []liveFrag, tree *deptree.Tree, anyReal bool) *analysis.Result {
+// runs the cross-package linker over it; offsets are the stitch's
+// per-fragment location offsets (see mdg.Stitch).
+func linkTree(g *mdg.Graph, offsets []mdg.Loc, lives []liveFrag, tree *deptree.Tree, anyReal bool) *analysis.Result {
 	ln := &treeLinker{
 		g:        g,
 		tree:     tree,
@@ -105,23 +106,17 @@ func linkTree(g *mdg.Graph, remaps []map[mdg.Loc]mdg.Loc, lives []liveFrag, tree
 	// different packages cannot collide.
 	merged := make(map[string]*analysis.FuncSummary)
 	res := &analysis.Result{Graph: g, Functions: merged, HasRealExports: anyReal}
-	rm := func(remap map[mdg.Loc]mdg.Loc, l mdg.Loc) mdg.Loc {
-		if l == mdg.NoLoc {
-			return mdg.NoLoc
-		}
-		return remap[l]
-	}
 	for i, lv := range lives {
-		remap := remaps[i]
+		off := offsets[i]
 		for fname, fn := range lv.fe.functions {
 			nf := &analysis.FuncSummary{
-				Loc:      rm(remap, fn.Loc),
-				ThisLoc:  rm(remap, fn.ThisLoc),
-				RetLoc:   rm(remap, fn.RetLoc),
+				Loc:      fn.Loc.Shift(off),
+				ThisLoc:  fn.ThisLoc.Shift(off),
+				RetLoc:   fn.RetLoc.Shift(off),
 				Exported: lv.fe.realExported[fname],
 			}
 			for _, p := range fn.Params {
-				nf.Params = append(nf.Params, rm(remap, p))
+				nf.Params = append(nf.Params, p.Shift(off))
 			}
 			merged[lv.pkg.Dir+"|"+fname] = nf
 			ln.byLoc[nf.Loc] = nf
@@ -130,22 +125,22 @@ func linkTree(g *mdg.Graph, remaps []map[mdg.Loc]mdg.Loc, lives []liveFrag, tree
 			}
 		}
 		for spec, ml := range lv.fe.externals {
-			ln.ph[rm(remap, ml)] = phInfo{pkg: lv.pkg, spec: spec}
+			ln.ph[ml.Shift(off)] = phInfo{pkg: lv.pkg, spec: spec}
 		}
 		for file, me := range lv.fe.modEnv {
 			ln.fileEnv[file] = analysis.ModuleLocs{
-				Module:  rm(remap, me.Module),
-				Exports: rm(remap, me.Exports),
+				Module:  me.Module.Shift(off),
+				Exports: me.Exports.Shift(off),
 			}
 		}
 	}
 
-	ln.graft(lives, remaps)
+	ln.graft(lives, offsets)
 	return res
 }
 
 // graft runs the three linking passes in deterministic order.
-func (ln *treeLinker) graft(lives []liveFrag, remaps []map[mdg.Loc]mdg.Loc) {
+func (ln *treeLinker) graft(lives []liveFrag, offsets []mdg.Loc) {
 	// Pass 1 — require grafting: every require('pkg') call node gains
 	// value edges to the dependency's real exports, replaying the
 	// resolved-require branch of the abstract interpreter.
@@ -225,24 +220,24 @@ func (ln *treeLinker) graft(lives []liveFrag, remaps []map[mdg.Loc]mdg.Loc) {
 	// function summaries, replaying the interpreter's summary linking
 	// (argument → parameter, this → ThisLoc, RetLoc → call).
 	for i, lv := range lives {
-		remap := remaps[i]
+		off := offsets[i]
 		cls := make([]mdg.Loc, 0, len(lv.fe.calleeLocs))
 		for cl := range lv.fe.calleeLocs {
 			cls = append(cls, cl)
 		}
 		sort.Slice(cls, func(a, b int) bool { return cls[a] < cls[b] })
 		for _, cl := range cls {
-			ncl := remap[cl]
+			ncl := cl.Shift(off)
 			cn := ln.g.Node(ncl)
 			if cn == nil {
 				continue
 			}
 			var this []mdg.Loc
 			for _, tl := range lv.fe.callThis[cl] {
-				this = append(this, remap[tl])
+				this = append(this, tl.Shift(off))
 			}
 			for _, x := range lv.fe.calleeLocs[cl] {
-				for _, t := range ln.resolved[remap[x]] {
+				for _, t := range ln.resolved[x.Shift(off)] {
 					sum := ln.byLoc[t]
 					if sum == nil {
 						continue

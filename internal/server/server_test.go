@@ -577,6 +577,17 @@ func TestTimedOutDerivedFromClass(t *testing.T) {
 	}
 }
 
+// TestTimeoutInFrontEndIsIncompleteOnTheWire: a scan whose deadline
+// runs out before detection sends incomplete, like one whose deadline
+// runs out in detection.
+func TestTimeoutInFrontEndIsIncompleteOnTheWire(t *testing.T) {
+	src := "module.exports = function(c){ require('child_process').exec(c) }\n"
+	got := ReportToJSON(scanner.ScanSource(src, "t.js", scanner.Options{Timeout: time.Nanosecond}))
+	if got.Failure != string(budget.ClassTimeout) || !got.TimedOut || !got.Incomplete {
+		t.Fatalf("failure %q, timedOut %v, incomplete %v; want timeout, timedOut, incomplete", got.Failure, got.TimedOut, got.Incomplete)
+	}
+}
+
 // TestAnonymousScanIsOneShot: a scan without a name keeps no warm
 // state, so two anonymous clients never share (or wait on) one.
 func TestAnonymousScanIsOneShot(t *testing.T) {
