@@ -76,7 +76,8 @@ pathological:
 # source-introducing edit, sink-removing edit, file add/delete, and
 # adds and renames that change require resolution) over
 # every dataset template and asserts incremental findings ≡ cold-scan
-# findings after every step, under the race detector at Workers=4. It
+# findings after every step, under the race detector at Workers=4, and
+# that the touch step (a trailing comment) rebuilds no fragment. It
 # also runs the warm-state cache tests and the full-corpus oracle: a
 # pooled warm sweep (per-component fragments) ≡ a cold sweep (one
 # whole-package fragment) over the ground truth, the wild-corpus
@@ -102,12 +103,16 @@ mutate-check:
 # workers, and every report must equal a first pass in a fresh
 # process, whatever the per-layer scratch pools and the recycled
 # graphs still hold; the graph's own reset is checked slot by slot.
+# The early-cutoff oracle edits every file of a ground-truth sample,
+# bundles and every dependency tree: a comment or blank-line edit must
+# rebuild nothing (also after a store restart), a line-shifting one
+# exactly the file's component, and both must match a cold scan.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestTargetReadOnce|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
 		./internal/metrics ./internal/sweepjournal
 	$(GO) test -race -count=1 -run 'TestCrashMidCompactionLeavesOldLogIntact|TestInjectedDiskFaultsRollBackAndCount|TestTornTailRepairedOnOpen|TestBitFlipQuarantinesRecord|TestGarbageHeaderQuarantinesWholeLog|TestConcurrentPutGet|TestAckedPutVisibleToReadOnlyOpen' \
 		./internal/store
-	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName|TestScratchReuseMatchesFresh' \
+	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName|TestScratchReuseMatchesFresh|TestEarlyCutoffOracle|TestEarlyCutoffStoreRestart' \
 		./internal/scanner
 	$(GO) test -race -count=1 -run 'TestResetGraphBuildsLikeNew|TestResetKeepsStorageZeroed|TestReleasePoolsOnceWithinCap' ./internal/mdg
 	$(GO) test -race -count=1 -run 'TestCorruptCacheDirDegradesToCold|TestSweepScansPackageNamedTest' ./internal/server

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/scanner"
 )
@@ -21,7 +22,8 @@ import (
 // provenance. Any under-approximation in the scanner's component
 // partition (internal/scanner/deps.go), and any per-component cache
 // entry served after its component changed, shows up here as a
-// divergence.
+// divergence. The touch step keeps the lowered program, so its
+// re-scan must also rebuild no fragment (the early cutoff).
 
 // MutationStep is one package state of the edit script.
 type MutationStep struct {
@@ -29,6 +31,10 @@ type MutationStep struct {
 	// Files is the full package content after the step, sorted by Rel
 	// (the order scanner.ScanFiles requires).
 	Files []scanner.SourceFile
+	// SameCore marks an edit that leaves every file's lowered program
+	// unchanged (a trailing comment): the incremental scan must rebuild
+	// no fragment (see checkCutoff).
+	SameCore bool
 }
 
 // Synthetic satellites added by the script. Identifiers are __-prefixed
@@ -62,7 +68,7 @@ func MutationSequence(src string) []MutationStep {
 	uses := scanner.SourceFile{Rel: "uses.js", Src: mutUsesFile}
 	steps := []MutationStep{
 		{Name: "seed", Files: []scanner.SourceFile{{Rel: "index.js", Src: src}}},
-		{Name: "touch", Files: []scanner.SourceFile{{Rel: "index.js", Src: src + "\n// touched\n"}}},
+		{Name: "touch", Files: []scanner.SourceFile{{Rel: "index.js", Src: src + "\n// touched\n"}}, SameCore: true},
 		{Name: "benign-edit", Files: []scanner.SourceFile{
 			{Rel: "index.js", Src: src + "\nfunction __noop(__z) { return __z; }\n"}}},
 		{Name: "source-introducing", Files: []scanner.SourceFile{{Rel: "index.js", Src: intro}}},
@@ -110,6 +116,21 @@ func compareReports(step string, cold, incr *scanner.Report) error {
 	return nil
 }
 
+// checkCutoff asserts the early cutoff on a SameCore step: the
+// incremental scan rebuilt no fragment. It holds only when the previous
+// incremental scan cached its fragments, so a previous scan that ran
+// out of budget or panicked, or a step that itself did, is not checked.
+func checkCutoff(step MutationStep, prev, incr *scanner.Report) error {
+	if !step.SameCore || prev == nil || prev.Incomplete || prev.Failure == budget.ClassPanic ||
+		incr.Incomplete || incr.Failure == budget.ClassPanic {
+		return nil
+	}
+	if n := incr.IncrStats.FragmentMisses - prev.IncrStats.FragmentMisses; n != 0 {
+		return fmt.Errorf("step %q keeps every lowered program but rebuilt %d fragments", step.Name, n)
+	}
+	return nil
+}
+
 // gateView renders a report's reach-gate counters and the provenance
 // of its findings, in the report's (sorted) finding order.
 func gateView(rep *scanner.Report) string {
@@ -134,12 +155,17 @@ func CheckMutationEquivalence(name, src string, opts scanner.Options) error {
 	incrOpts := coldOpts
 	incrOpts.Incremental = st
 
+	var prev *scanner.Report
 	for _, step := range MutationSequence(src) {
 		cold := scanner.ScanFiles(step.Files, name, coldOpts)
 		incr := scanner.ScanFiles(step.Files, name, incrOpts)
 		if err := compareReports(step.Name, cold, incr); err != nil {
 			return fmt.Errorf("package %s: %w", name, err)
 		}
+		if err := checkCutoff(step, prev, incr); err != nil {
+			return fmt.Errorf("package %s: %w", name, err)
+		}
+		prev = incr
 	}
 	return nil
 }

@@ -140,8 +140,9 @@ func TestResolutionStepsMoveTheGate(t *testing.T) {
 // edit script, exercising the fragment build/stitch/rehydrate paths
 // (internal/mdg.Stitch via scanner.IncrementalState) against cold
 // scans. Budget-capped steps are skipped — a warm scan under a cap
-// legitimately does less work than a cold one — but parse-error parity
-// and findings equivalence must hold everywhere else.
+// legitimately does less work than a cold one — but parse-error parity,
+// findings equivalence and the touch step's early cutoff must hold
+// everywhere else.
 func FuzzIncrementalEquivalence(f *testing.F) {
 	g := dataset.NewGenForTest(17)
 	for _, cwe := range queries.AllCWEs {
@@ -159,9 +160,14 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		coldOpts := scanner.Options{MaxSteps: 20000, Timeout: 2 * time.Second}
 		incrOpts := coldOpts
 		incrOpts.Incremental = scanner.NewIncrementalState()
+		var prev *scanner.Report
 		for _, step := range MutationSequence(src) {
 			cold := scanner.ScanFiles(step.Files, "fuzz", coldOpts)
 			incr := scanner.ScanFiles(step.Files, "fuzz", incrOpts)
+			if err := checkCutoff(step, prev, incr); err != nil {
+				t.Fatal(err)
+			}
+			prev = incr
 			if (cold.Err == nil) != (incr.Err == nil) {
 				t.Fatalf("step %q: error parity broken: cold=%v incremental=%v",
 					step.Name, cold.Err, incr.Err)

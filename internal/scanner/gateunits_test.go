@@ -219,7 +219,9 @@ func FuzzGateUnits(f *testing.F) {
 // TestGateUnitCachedAcrossEdit: a one-file edit of a package whose
 // files are independent re-runs the export pass for the edited file's
 // component only; the other units are served from the state, and the
-// report's gate counters equal a cold scan's.
+// report's gate counters equal a cold scan's. The edit changes the
+// file's lowered program (TestGateUnitCachedAcrossCommentEdit covers
+// one that does not).
 func TestGateUnitCachedAcrossEdit(t *testing.T) {
 	files := []SourceFile{
 		{Rel: "a.js", Src: gitResetSrc},
@@ -232,7 +234,7 @@ func TestGateUnitCachedAcrossEdit(t *testing.T) {
 		t.Fatalf("first scan: gate hits/misses %d/%d, want 0/3", s.GateHits, s.GateMisses)
 	}
 	edited := append([]SourceFile(nil), files...)
-	edited[1].Src += "// edited\n"
+	edited[1].Src = "function b(x) { return x + 1; }\nmodule.exports = b;\n"
 	warm := ScanFiles(edited, "pkg", Options{Incremental: st})
 	if s := warm.IncrStats; s.GateMisses != 4 || s.GateHits != 2 {
 		t.Fatalf("after a one-file edit: gate hits/misses %d/%d, want 2/4 (one unit re-run)", s.GateHits, s.GateMisses)
@@ -257,6 +259,31 @@ func TestGateUnitCachedAcrossEdit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGateUnitCachedAcrossCommentEdit: an edit that leaves the file's
+// lowered program unchanged re-runs no export pass: every unit is
+// served from the state, and the report still equals a cold scan's.
+func TestGateUnitCachedAcrossCommentEdit(t *testing.T) {
+	files := []SourceFile{
+		{Rel: "a.js", Src: gitResetSrc},
+		{Rel: "b.js", Src: "function b(x) { return x; }\nmodule.exports = b;\n"},
+		{Rel: "c.js", Src: "exports.c = function (y) { return y + 1; };\n"},
+	}
+	st := NewIncrementalState()
+	first := ScanFiles(files, "pkg", Options{Incremental: st}).IncrStats
+	edited := append([]SourceFile(nil), files...)
+	edited[1].Src += "// edited\n"
+	warm := ScanFiles(edited, "pkg", Options{Incremental: st})
+	if hits, misses := warm.IncrStats.GateHits-first.GateHits, warm.IncrStats.GateMisses-first.GateMisses; hits != 3 || misses != 0 {
+		t.Fatalf("after a comment-only edit: gate hits/misses %d/%d, want 3/0", hits, misses)
+	}
+	cold := ScanFiles(edited, "pkg", Options{})
+	if warm.FuncsTotal != cold.FuncsTotal || warm.FuncsPruned != cold.FuncsPruned ||
+		warm.ExportCount != cold.ExportCount || warm.ProvenanceDepth != cold.ProvenanceDepth {
+		t.Fatalf("warm gate counters differ from cold:\n  warm %+v\n  cold %+v", warm, cold)
+	}
+	sameFindings(t, cold, warm)
 }
 
 // TestGateUnitNotCachedAfterTrip: a unit whose export pass ran while

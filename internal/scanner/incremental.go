@@ -69,12 +69,12 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 }
 
 // IncrementalState carries everything a package's re-scans can reuse:
-// the per-file front end with its dependency facts (keyed by a content
-// hash over path and source), per-component reach-gate units
-// and MDG fragments (both keyed by the component files' content
-// hashes; fragments are immutable mdg.Fragment snapshots), and
-// per-fragment detection results. One state
-// serves one logical package; all methods are safe for concurrent use
+// the per-file front end with its dependency facts (found by a content
+// hash over path and source, keyed by the lowered program),
+// per-component reach-gate units and MDG fragments (both keyed by the
+// component files' lowered-program keys; fragments are immutable
+// mdg.Fragment snapshots), and per-fragment detection results. One
+// state serves one logical package; all methods are safe for concurrent use
 // (a scan holds the state's lock end to end, so concurrent scans of
 // the same state serialize).
 //
@@ -91,6 +91,8 @@ type IncrementalState struct {
 	// in memory only (a unit's FuncInfo.Def point into the lowered
 	// programs).
 	gates map[string]*gateEntry
+	// last is the last flat partition (see lastPartition).
+	last  lastPartition
 	stats IncrementalStats
 	// published is read without mu, so a metrics scrape or the pool's
 	// limit check never waits on a scan in flight (nil before the
@@ -384,8 +386,10 @@ func (st *IncrementalState) evictFiles(keep map[string]bool) {
 // mode (tree or component) that is not one of comps' keys belongs to
 // changed or deleted files and is stale for good — a changed file can
 // never produce the old key again without also reproducing the old
-// content. The two modes' key namespaces never invalidate each other;
-// gate units live in the component namespace. Callers hold st.mu.
+// lowered program (an edit that keeps the program keeps the key, so
+// its fragment is current, not stale). The two modes' key namespaces
+// never invalidate each other; gate units live in the component
+// namespace. Callers hold st.mu.
 func (st *IncrementalState) evictStale(comps []component, tree bool) {
 	current := make(map[string]bool, len(comps))
 	for _, c := range comps {
@@ -446,15 +450,15 @@ func (st *IncrementalState) detection(fe *fragEntry, dkey detectKey, fp *configF
 	return dr
 }
 
-// componentKey identifies a component by its files' content hashes
-// (which cover both path and source) plus the analysis options that
-// shape the fragment.
+// componentKey identifies a component by its files' lowered-program
+// keys (which cover both path and program) plus the analysis options
+// that shape the fragment.
 func componentKey(units []fileUnit, aoptsKey string) string {
 	h := sha256.New()
 	h.Write([]byte(aoptsKey))
 	for _, u := range units {
 		h.Write([]byte{0})
-		h.Write(u.fe.hash[:])
+		h.Write(u.fe.key[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -420,10 +420,10 @@ func decodeFacts(data []byte) (*fileFacts, error) {
 	return ff, nil
 }
 
-// factsStoreKey is the per-file facts key: the front-end content hash
-// (sha256 over rel + NUL + source) in hex.
-func factsStoreKey(hash [sha256.Size]byte) string {
-	return hex.EncodeToString(hash[:])
+// factsStoreKey is the per-file facts key: the lowered program's key
+// (core.Key, which covers the file name) in hex.
+func factsStoreKey(key [sha256.Size]byte) string {
+	return hex.EncodeToString(key[:])
 }
 
 // ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -367,15 +368,19 @@ func (r *scanRun) treeComponents() []component {
 
 // requireComponents partitions a flat package by its files' dependency
 // facts, which live in the front-end entry (and in the store under its
-// content hash).
+// lowered program's key).
 func (r *scanRun) requireComponents() []component {
 	st := r.st
+	aoptsKey := r.aoptsKey()
+	if last := st.last; last.aoptsKey == aoptsKey && slices.Equal(last.units, r.units) {
+		return last.comps
+	}
 	rels := make([]string, len(r.units))
 	facts := make([]*fileFacts, len(r.units))
 	for i, u := range r.units {
 		rels[i] = u.rel
 		if u.fe.facts == nil {
-			key := factsStoreKey(u.fe.hash)
+			key := factsStoreKey(u.fe.key)
 			ff, ok := load(st, store.KindFrontEnd, key, decodeFacts)
 			if !ok {
 				ff = extractFacts(u.fe.prog)
@@ -385,7 +390,6 @@ func (r *scanRun) requireComponents() []component {
 		}
 		facts[i] = u.fe.facts
 	}
-	aoptsKey := r.aoptsKey()
 	var comps []component
 	for _, idx := range partitionComponents(rels, facts) {
 		c := component{units: make([]fileUnit, len(idx))}
@@ -395,7 +399,19 @@ func (r *scanRun) requireComponents() []component {
 		c.key = componentKey(c.units, aoptsKey)
 		comps = append(comps, c)
 	}
+	st.last = lastPartition{units: r.units, aoptsKey: aoptsKey, comps: comps}
 	return comps
+}
+
+// lastPartition is a retained flat state's last partition. The
+// components and their keys are a function of the units' rels, their
+// front-end entries and the analysis options, so a scan whose units
+// are the same entries under the same rels and options reuses them —
+// every scan after an edit that kept each file's lowered program.
+type lastPartition struct {
+	units    []fileUnit
+	aoptsKey string
+	comps    []component
 }
 
 // analyze is stage 4: build or fetch each component's fragment. After
@@ -627,30 +643,40 @@ func mergeScratch(rep, scratch *Report) {
 	}
 }
 
-// frontEndEntry is one file's front end: the lowered program, keyed
-// (in a retained state) by a content hash over path and source.
-// coreStmts sizes the entry for the state pool's byte estimate. facts
-// are the file's dependency facts, filled by the first partition that
+// frontEndEntry is one file's front end: the lowered program and, in a
+// retained state, two keys. hash (sha256 over path and source) is the
+// fast path: unchanged bytes are not parsed again. key is the lowered
+// program's canonical key (core.Key), which keys everything built from
+// the file below the front end — its facts, and the gate units,
+// fragments and detection results of its component — so an edit that
+// leaves the program unchanged keeps every one of them. coreStmts
+// sizes a stored entry for the state pool's byte estimate. facts are
+// the file's dependency facts, filled by the first partition that
 // needs them.
 type frontEndEntry struct {
 	hash      [sha256.Size]byte
+	key       [sha256.Size]byte
 	prog      *core.Program
 	coreStmts int
 	facts     *fileFacts
 }
 
 // frontEnd parses and lowers one file, memoized in a retained state.
-// rel is the module-relative name used for require resolution. The
-// scan budget b is charged for parser and normalizer work; an entry
-// built while the budget was tripping may be truncated, so it is
-// returned but never stored. Callers hold st.mu.
+// rel is the module-relative name used for require resolution. A file
+// whose bytes changed is parsed; when its lowered program is the one
+// the state already holds for rel (a comment or whitespace edit), the
+// state keeps that entry, program and facts alike, and only takes the
+// new byte hash. The scan budget b is charged for parser and
+// normalizer work; an entry built while the budget was tripping may be
+// truncated, so it is returned but never stored. Callers hold st.mu.
 func (st *IncrementalState) frontEnd(rel, src string, b *budget.Budget) (*frontEndEntry, error) {
 	var h [sha256.Size]byte
+	old := st.files[rel]
 	if st.retained {
 		h = sha256.Sum256([]byte(rel + "\x00" + src))
-		if e, ok := st.files[rel]; ok && e.hash == h {
+		if old != nil && old.hash == h {
 			st.stats.FrontEndHits++
-			return e, nil
+			return old, nil
 		}
 		st.stats.FrontEndMisses++
 	}
@@ -658,11 +684,17 @@ func (st *IncrementalState) frontEnd(rel, src string, b *budget.Budget) (*frontE
 	if err != nil {
 		return nil, err
 	}
-	nprog := normalize.NormalizeBudget(prog, rel, b)
-	e := &frontEndEntry{hash: h, prog: nprog, coreStmts: core.CountStmts(nprog.Body)}
-	if st.retained && b.Err() == nil {
-		st.files[rel] = e
+	e := &frontEndEntry{hash: h, prog: normalize.NormalizeBudget(prog, rel, b)}
+	if !st.retained || b.Err() != nil {
+		return e, nil
 	}
+	e.key = core.Key(e.prog)
+	if old != nil && old.key == e.key {
+		old.hash = h
+		return old, nil
+	}
+	e.coreStmts = core.CountStmts(e.prog.Body)
+	st.files[rel] = e
 	return e, nil
 }
 

@@ -36,7 +36,7 @@ import (
 const treeKeyPrefix = "tree|"
 
 // treePackageKey identifies one package's fragment by its directory,
-// its files' content hashes, and the analysis options shaping it.
+// its files' lowered-program keys, and the analysis options shaping it.
 func treePackageKey(dir string, units []fileUnit, aoptsKey string) string {
 	h := sha256.New()
 	h.Write([]byte(aoptsKey))
@@ -46,7 +46,7 @@ func treePackageKey(dir string, units []fileUnit, aoptsKey string) string {
 	for _, u := range units {
 		h.Write([]byte(u.rel))
 		h.Write([]byte{0})
-		h.Write(u.fe.hash[:])
+		h.Write(u.fe.key[:])
 	}
 	return treeKeyPrefix + fmt.Sprintf("%x", h.Sum(nil))
 }
