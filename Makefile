@@ -99,20 +99,25 @@ mutate-check:
 # scratch-reuse oracle interleaves plain, capped, crash-corpus and
 # panicking scans, the differential engine, retained states through
 # one-file edits, warm and cold tree scans and a rehydrate under a
-# changed export fallback, forward, in reverse and on GOMAXPROCS
-# workers, and every report must equal a first pass in a fresh
+# changed export fallback, in a shuffled order, forward, in reverse
+# and on GOMAXPROCS workers, and every report must equal a first pass in a fresh
 # process, whatever the per-layer scratch pools and the recycled
 # graphs still hold; the graph's own reset is checked slot by slot.
 # The early-cutoff oracle edits every file of a ground-truth sample,
 # bundles and every dependency tree: a comment or blank-line edit must
 # rebuild nothing (also after a store restart), a line-shifting one
-# exactly the file's component, and both must match a cold scan.
+# exactly the file's component, and both must match a cold scan. The
+# last-scan oracle drives retained states through unchanged re-scans,
+# A→B→A edits, config, engine, fallback and NoReachGate switches and
+# manifest-only tree edits: a re-scan reuses the last scan's partition,
+# gate result and tree detection exactly when its inputs are the
+# record's, and always reports what a fresh state does.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosKillResume|TestChaosStoreKillResume|TestTargetReadOnce|TestJournalsDoNotShareEntries|TestCreateRepairsTornTail|TestConcurrentWriters|TestTornFinalLine|TestCorruptMiddleRecordQuarantined' \
 		./internal/metrics ./internal/sweepjournal
 	$(GO) test -race -count=1 -run 'TestCrashMidCompactionLeavesOldLogIntact|TestInjectedDiskFaultsRollBackAndCount|TestTornTailRepairedOnOpen|TestBitFlipQuarantinesRecord|TestGarbageHeaderQuarantinesWholeLog|TestConcurrentPutGet|TestAckedPutVisibleToReadOnlyOpen' \
 		./internal/store
-	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName|TestScratchReuseMatchesFresh|TestEarlyCutoffOracle|TestEarlyCutoffStoreRestart' \
+	$(GO) test -race -count=1 -run 'TestStoreCorruptionDegradesToCold|TestStoreUndecodableEntryQuarantined|TestPackageFilesRootName|TestScratchReuseMatchesFresh|TestEarlyCutoffOracle|TestEarlyCutoffStoreRestart|TestLastScanReuseOracle' \
 		./internal/scanner
 	$(GO) test -race -count=1 -run 'TestResetGraphBuildsLikeNew|TestResetKeepsStorageZeroed|TestReleasePoolsOnceWithinCap' ./internal/mdg
 	$(GO) test -race -count=1 -run 'TestCorruptCacheDirDegradesToCold|TestSweepScansPackageNamedTest' ./internal/server

@@ -8,6 +8,7 @@ package normalize
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/budget"
 	"repro/internal/core"
@@ -60,20 +61,20 @@ func (n *normalizer) nextIdx() int {
 
 func (n *normalizer) fresh() string {
 	n.tmp++
-	return fmt.Sprintf("$t%d", n.tmp)
+	return "$t" + strconv.Itoa(n.tmp)
 }
 
 func (n *normalizer) freshFn(hint string) string {
 	if hint == "" {
 		n.anon++
-		return fmt.Sprintf("__anon%d", n.anon)
+		return "__anon" + strconv.Itoa(n.anon)
 	}
 	if n.names == nil {
 		n.names = make(map[string]int)
 	}
 	n.names[hint]++
 	if c := n.names[hint]; c > 1 {
-		return fmt.Sprintf("%s$%d", hint, c)
+		return hint + "$" + strconv.Itoa(c)
 	}
 	return hint
 }

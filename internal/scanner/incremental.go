@@ -73,8 +73,9 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 // hash over path and source, keyed by the lowered program),
 // per-component reach-gate units and MDG fragments (both keyed by the
 // component files' lowered-program keys; fragments are immutable
-// mdg.Fragment snapshots), and per-fragment detection results. One
-// state serves one logical package; all methods are safe for concurrent use
+// mdg.Fragment snapshots), per-fragment detection results, and a
+// record of its last clean scan (lastScan). One state serves one
+// logical package; all methods are safe for concurrent use
 // (a scan holds the state's lock end to end, so concurrent scans of
 // the same state serialize).
 //
@@ -91,8 +92,8 @@ type IncrementalState struct {
 	// in memory only (a unit's FuncInfo.Def point into the lowered
 	// programs).
 	gates map[string]*gateEntry
-	// last is the last flat partition (see lastPartition).
-	last  lastPartition
+	// last records the last clean scan (see lastScan).
+	last  lastScan
 	stats IncrementalStats
 	// published is read without mu, so a metrics scrape or the pool's
 	// limit check never waits on a scan in flight (nil before the
@@ -335,8 +336,9 @@ func (p *StatePool) Stats() IncrementalStats {
 // is a sizing heuristic for pool limits, not an exact accounting:
 // fragments dominate (nodes and edges at struct size plus slice
 // overhead), front-end entries are charged per lowered statement plus a
-// flat rate for their facts, gate units per call-graph node, detection
-// entries at a flat rate.
+// flat rate for their facts, gate units and the last scan's gate result
+// per function, detection entries (the last scan's tree detections
+// among them) at a flat rate plus their findings.
 func (st *IncrementalState) EstimateBytes() int64 { return st.snapshot().bytes }
 
 // estimateBytes computes EstimateBytes. Callers hold st.mu.
@@ -359,6 +361,12 @@ func (st *IncrementalState) estimateBytes() int64 {
 	}
 	for _, ge := range st.gates {
 		b += 256 + int64(ge.unit.Nodes())*192
+	}
+	if last := &st.last; last.rr != nil {
+		b += 256 + int64(len(last.units))*64 + int64(last.rr.TotalFuncs)*192
+		for _, td := range last.treeDetect {
+			b += 128 + int64(len(td.findings))*160
+		}
 	}
 	return b
 }

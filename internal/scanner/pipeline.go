@@ -29,13 +29,21 @@ package scanner
 //   - Detection. Fragments are detected (and their results cached) one
 //     by one, except in tree mode, which stitches the package
 //     fragments, links the cross-package boundaries and detects once.
+//
+// A retained state also keeps a record of its last clean scan
+// (lastScan): a re-scan whose parsed programs, options and config are
+// the record's skips the partition and the gate's analysis, and in
+// tree mode the stitch, link and detection too.
 
 import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
@@ -64,6 +72,14 @@ type scanRun struct {
 	units []fileUnit
 	// rr is the reach gate's result, kept for finding provenance.
 	rr *reach.Result
+	// treeKey covers what the deptree resolver reads besides the
+	// parsed programs (tree mode on a retained state only).
+	treeKey [sha256.Size]byte
+	// rec is the state's record of its last clean scan when this scan
+	// reuses it (reused), or else the record this scan fills in and
+	// installs if it ends clean; nil on a throwaway state.
+	rec    *lastScan
+	reused bool
 	// fp fingerprints the sink config for detection store keys.
 	fp configFP
 	// aopts are the analysis options every fragment is built with;
@@ -202,6 +218,9 @@ func (r *scanRun) resolveTree(files []SourceFile) error {
 	for _, f := range files {
 		fmap[f.Rel] = f.Src
 	}
+	if r.st.retained {
+		r.treeKey = treeInputsKey(files)
+	}
 	tree := deptree.Build(fmap)
 	if probs := tree.Problems(); len(probs) > 0 {
 		return fmt.Errorf("scanner: dependency tree %s: %w", r.rep.Name, errors.Join(probs...))
@@ -230,7 +249,14 @@ func (r *scanRun) gate() bool {
 	skip := false
 	b.BeginPhase("reach-gate")
 	if err := budget.Guard("reach-gate", func() error {
-		r.rr = r.reach()
+		if r.reused {
+			r.rr = r.rec.rr
+			if r.tree == nil {
+				r.st.stats.GateHits += len(r.comps) // every unit the record's result merged
+			}
+		} else {
+			r.rr = r.reach()
+		}
 		skip = gateSkips(rep, r.rr, r.opts)
 		return nil
 	}); err != nil {
@@ -247,6 +273,7 @@ func (r *scanRun) gate() bool {
 		// The scan ends here, complete: the partition already knows
 		// every current component key.
 		r.st.evictStale(r.comps, r.tree != nil)
+		r.record()
 	}
 	if skip {
 		return false
@@ -315,6 +342,15 @@ func (r *scanRun) partition() bool {
 
 	r.b.BeginPhase("partition")
 	err := budget.Guard("partition", func() error {
+		if r.st.retained {
+			in := scanInputs{aoptsKey: r.aoptsKey(), cfg: r.opts.Config, treeKey: r.treeKey}
+			if last := &r.st.last; last.rr != nil && last.inputs == in && slices.Equal(last.units, r.units) {
+				r.rec, r.reused, r.comps = last, true, last.comps
+				return nil
+			}
+			r.st.last = lastScan{} // stale: never matches again
+			r.rec = &lastScan{units: r.units, inputs: in}
+		}
 		switch {
 		case r.tree != nil:
 			r.comps = r.treeComponents()
@@ -372,9 +408,6 @@ func (r *scanRun) treeComponents() []component {
 func (r *scanRun) requireComponents() []component {
 	st := r.st
 	aoptsKey := r.aoptsKey()
-	if last := st.last; last.aoptsKey == aoptsKey && slices.Equal(last.units, r.units) {
-		return last.comps
-	}
 	rels := make([]string, len(r.units))
 	facts := make([]*fileFacts, len(r.units))
 	for i, u := range r.units {
@@ -399,19 +432,73 @@ func (r *scanRun) requireComponents() []component {
 		c.key = componentKey(c.units, aoptsKey)
 		comps = append(comps, c)
 	}
-	st.last = lastPartition{units: r.units, aoptsKey: aoptsKey, comps: comps}
 	return comps
 }
 
-// lastPartition is a retained flat state's last partition. The
-// components and their keys are a function of the units' rels, their
-// front-end entries and the analysis options, so a scan whose units
-// are the same entries under the same rels and options reuses them —
-// every scan after an edit that kept each file's lowered program.
-type lastPartition struct {
-	units    []fileUnit
+// lastScan is a retained state's record of its last clean scan: the
+// inputs everything below the front end derives from, and what the
+// scan derived. The units (their rels and front-end entries, which
+// hold the lowered programs), the analysis options and the config
+// determine the partition and the gate's result; in tree mode the
+// tree key adds every path and every manifest, which with the
+// fragments determine the stitched, linked graph. So a scan whose
+// inputs are the record's — every scan after an edit that kept each
+// file's lowered program — reuses the components with their keys and
+// the gate's result, and in tree mode the stitched detection under the
+// same engine and export-fallback bit.
+type lastScan struct {
+	units  []fileUnit
+	inputs scanInputs
+	comps  []component
+	rr     *reach.Result
+	// treeDetect holds the stitched tree's clean detection outcomes.
+	treeDetect map[detectKey]*treeDetection
+}
+
+// scanInputs is the part of a lastScan's key that is not the units.
+// treeKey is zero in flat mode.
+type scanInputs struct {
 	aoptsKey string
-	comps    []component
+	cfg      *queries.Config
+	treeKey  [sha256.Size]byte
+}
+
+// treeDetection is a stitched tree's detection outcome and the size
+// of the linked graph it ran on.
+type treeDetection struct {
+	detectResult
+	nodes, edges int
+}
+
+// record installs the record this scan filled in, once it has ended
+// clean: no budget trip (an aborted build is one).
+func (r *scanRun) record() {
+	if r.reused || r.b.Err() != nil {
+		return
+	}
+	r.rec.comps, r.rec.rr = r.comps, r.rr
+	r.st.last = *r.rec
+}
+
+// treeInputsKey covers what deptree.Build reads that no fragment key
+// does: every file's path (a package's entry and its subpaths resolve
+// by file existence) and the bytes of every file that is not a .js
+// module — the package.json manifests, whose main and dependencies
+// steer how linkTree resolves a bare require.
+func treeInputsKey(files []SourceFile) [sha256.Size]byte {
+	fh := fileHashers.Get().(*fileHasher)
+	defer fileHashers.Put(fh)
+	fh.h.Reset()
+	for _, f := range files {
+		fh.write(f.Rel)
+		fh.write("\x00")
+		if !strings.HasSuffix(f.Rel, ".js") {
+			fh.write(strconv.Itoa(len(f.Src)))
+			fh.write("\x00")
+			fh.write(f.Src)
+		}
+	}
+	return fh.sum()
 }
 
 // analyze is stage 4: build or fetch each component's fragment. After
@@ -506,8 +593,7 @@ func (r *scanRun) release(res *analysis.Result) {
 // decision made here, exactly the cold rule: it applies only when no
 // fragment has a real export. Fragments are then detected one by one
 // (cached results served where the fragment is cached), except in tree
-// mode: findings can span packages there, so the fragments are
-// stitched, linked and detected as one graph.
+// mode (see detectTree).
 func (r *scanRun) detect() bool {
 	st, rep := r.st, r.rep
 	anyReal := false
@@ -515,51 +601,27 @@ func (r *scanRun) detect() bool {
 		anyReal = anyReal || lv.hasReal
 	}
 	fb := !anyReal && !r.aopts.TreatAllFunctionsAsExported && !r.callerNoFallback
-
-	lives := r.lives
-	if r.tree != nil {
-		var res *analysis.Result
-		r.b.BeginPhase("stitch-link")
-		if err := budget.Guard("stitch-link", func() error {
-			frags := make([]*mdg.Fragment, len(r.lives))
-			for i, lv := range r.lives {
-				frags[i] = lv.fe.frag
-			}
-			g, offsets := mdg.Stitch(frags...)
-			res = linkTree(g, offsets, r.lives, r.tree, anyReal)
-			return nil
-		}); err != nil {
-			setFailure(rep, err, budget.ClassPanic)
-			return false
-		}
-		rep.MDGNodes = res.Graph.NumNodes()
-		rep.MDGEdges = res.Graph.NumEdges()
-		lives = []liveFrag{{res: res}}
-	}
-
-	detb := r.b
-	if r.aborted {
-		detb = r.b.DeadlineOnly()
-	}
-	// Cached lookups are detection work too: the phase begins before
-	// them, so a fully cached re-scan still records its detection row.
-	detb.BeginPhase(firstDetectPhase(rep.Engine))
 	// Detection results are keyed by the caller's config pointer; a nil
 	// Config means the canonical default.
 	dkey := detectKey{engine: rep.Engine, fallback: fb, cfg: r.opts.Config}
-	for _, lv := range lives {
+	if r.tree != nil {
+		return r.detectTree(dkey, anyReal)
+	}
+
+	detb := r.detectBudget()
+	// Cached lookups are detection work too: the phase begins before
+	// them, so a fully cached re-scan still records its detection row.
+	detb.BeginPhase(firstDetectPhase(rep.Engine))
+	for _, lv := range r.lives {
 		if lv.stored {
 			if dr := st.detection(lv.fe, dkey, &r.fp); dr != nil {
 				st.stats.DetectHits++
-				mergeScratch(rep, &Report{Findings: dr.findings, TruncatedSearches: dr.truncated,
-					Err: dr.err, Failure: dr.failure})
+				mergeDetectResult(rep, dr)
 				r.release(lv.res) // a rebuild whose detection the store held
 				continue
 			}
 		}
-		if r.tree == nil { // a fragment, not tree mode's stitched graph
-			st.stats.DetectMisses++
-		}
+		st.stats.DetectMisses++
 		res := lv.res
 		if res == nil {
 			res = rehydrate(lv.fe)
@@ -567,19 +629,8 @@ func (r *scanRun) detect() bool {
 		if fb {
 			analysis.ApplyExportFallback(res)
 		}
-		scratch := &Report{Name: rep.Name, Engine: rep.Engine}
-		detectInto(scratch, res, r.cfgq, rep.Engine, detb)
-		mergeScratch(rep, scratch)
-		if scratch.Failure != budget.ClassPanic {
-			r.release(res)
-		}
-		if lv.stored && detb.Err() == nil && !scratch.Incomplete {
-			dr := &detectResult{
-				findings:  scratch.Findings,
-				truncated: scratch.TruncatedSearches,
-				err:       scratch.Err,
-				failure:   scratch.Failure,
-			}
+		dr, ok := r.detectOne(res, detb)
+		if lv.stored && ok {
 			lv.fe.detect[dkey] = dr
 			if fp, ok := r.fp.get(); ok {
 				st.save(store.KindDetect, detectStoreKey(lv.fe.key, dkey.engine, dkey.fallback, fp),
@@ -588,6 +639,84 @@ func (r *scanRun) detect() bool {
 		}
 	}
 	return true
+}
+
+// detectTree detects a dependency tree: findings can span packages, so
+// the fragments are stitched, the cross-package boundaries linked, and
+// the one graph detected. A scan that reused the state's record serves
+// the record's outcome for the same engine and fallback bit instead
+// (one detection hit, no stitch-link row); otherwise the stitched
+// detection is one miss, and a clean outcome joins the record.
+func (r *scanRun) detectTree(dkey detectKey, anyReal bool) bool {
+	st, rep := r.st, r.rep
+	detb := r.detectBudget()
+	if r.rec != nil && !r.aborted {
+		if td := r.rec.treeDetect[dkey]; td != nil {
+			detb.BeginPhase(firstDetectPhase(rep.Engine))
+			st.stats.DetectHits++
+			mergeDetectResult(rep, &td.detectResult)
+			rep.MDGNodes, rep.MDGEdges = td.nodes, td.edges
+			return true
+		}
+	}
+	st.stats.DetectMisses++
+	var res *analysis.Result
+	r.b.BeginPhase("stitch-link")
+	if err := budget.Guard("stitch-link", func() error {
+		frags := make([]*mdg.Fragment, len(r.lives))
+		for i, lv := range r.lives {
+			frags[i] = lv.fe.frag
+		}
+		g, offsets := mdg.Stitch(frags...)
+		res = linkTree(g, offsets, r.lives, r.tree, anyReal)
+		return nil
+	}); err != nil {
+		setFailure(rep, err, budget.ClassPanic)
+		return false
+	}
+	rep.MDGNodes = res.Graph.NumNodes()
+	rep.MDGEdges = res.Graph.NumEdges()
+	if dkey.fallback {
+		analysis.ApplyExportFallback(res)
+	}
+	detb.BeginPhase(firstDetectPhase(rep.Engine))
+	dr, ok := r.detectOne(res, detb)
+	if r.rec != nil && ok && !r.aborted {
+		if r.rec.treeDetect == nil {
+			r.rec.treeDetect = make(map[detectKey]*treeDetection)
+		}
+		r.rec.treeDetect[dkey] = &treeDetection{detectResult: *dr, nodes: rep.MDGNodes, edges: rep.MDGEdges}
+	}
+	return true
+}
+
+// detectBudget is the budget detection runs under: after a cap tripped
+// mid-analysis, only the deadline still binds, so the partial graph is
+// still detected.
+func (r *scanRun) detectBudget() *budget.Budget {
+	if r.aborted {
+		return r.b.DeadlineOnly()
+	}
+	return r.b
+}
+
+// detectOne runs the selected backend over res, merges the outcome
+// into the report and releases the graph (unless detection panicked).
+// ok reports a complete outcome, which may be cached.
+func (r *scanRun) detectOne(res *analysis.Result, detb *budget.Budget) (dr *detectResult, ok bool) {
+	scratch := &Report{Name: r.rep.Name, Engine: r.rep.Engine}
+	detectInto(scratch, res, r.cfgq, r.rep.Engine, detb)
+	mergeScratch(r.rep, scratch)
+	if scratch.Failure != budget.ClassPanic {
+		r.release(res)
+	}
+	dr = &detectResult{
+		findings:  scratch.Findings,
+		truncated: scratch.TruncatedSearches,
+		err:       scratch.Err,
+		failure:   scratch.Failure,
+	}
+	return dr, detb.Err() == nil && !scratch.Incomplete
 }
 
 // firstDetectPhase names the phase an engine's detection begins in:
@@ -626,7 +755,14 @@ func (r *scanRun) finish() {
 	}
 	if r.st.retained && !r.aborted {
 		r.st.evictStale(r.comps, r.tree != nil)
+		r.record()
 	}
+}
+
+// mergeDetectResult folds a cached detection outcome into the report.
+func mergeDetectResult(rep *Report, dr *detectResult) {
+	mergeScratch(rep, &Report{Findings: dr.findings, TruncatedSearches: dr.truncated,
+		Err: dr.err, Failure: dr.failure})
 }
 
 // mergeScratch folds one detection unit's report into the package
@@ -673,7 +809,7 @@ func (st *IncrementalState) frontEnd(rel, src string, b *budget.Budget) (*frontE
 	var h [sha256.Size]byte
 	old := st.files[rel]
 	if st.retained {
-		h = sha256.Sum256([]byte(rel + "\x00" + src))
+		h = fileHash(rel, src)
 		if old != nil && old.hash == h {
 			st.stats.FrontEndHits++
 			return old, nil
@@ -696,6 +832,40 @@ func (st *IncrementalState) frontEnd(rel, src string, b *budget.Budget) (*frontE
 	e.coreStmts = core.CountStmts(e.prog.Body)
 	st.files[rel] = e
 	return e, nil
+}
+
+// fileHasher streams strings into sha256 through a fixed buffer, so
+// hashing a source never copies it whole.
+type fileHasher struct {
+	h   hash.Hash
+	buf [4096]byte
+	out [sha256.Size]byte
+}
+
+var fileHashers = sync.Pool{New: func() any { return &fileHasher{h: sha256.New()} }}
+
+func (fh *fileHasher) write(s string) {
+	for len(s) > 0 {
+		n := copy(fh.buf[:], s)
+		fh.h.Write(fh.buf[:n])
+		s = s[n:]
+	}
+}
+
+func (fh *fileHasher) sum() [sha256.Size]byte {
+	fh.h.Sum(fh.out[:0])
+	return fh.out
+}
+
+// fileHash is a file's byte hash, sha256 over rel, a NUL and src.
+func fileHash(rel, src string) [sha256.Size]byte {
+	fh := fileHashers.Get().(*fileHasher)
+	defer fileHashers.Put(fh)
+	fh.h.Reset()
+	fh.write(rel)
+	fh.write("\x00")
+	fh.write(src)
+	return fh.sum()
 }
 
 func countLines(src string) int {

@@ -3,6 +3,7 @@ package scanner
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -203,11 +204,13 @@ func panicInDetection(name string, b *budget.Budget) {
 // TestScratchReuseMatchesFresh is the reuse-leak oracle for the pooled
 // per-layer scratch (parser tokens, export pass, MDG build, native
 // detection) and the recycled graphs: interleaved cases (see
-// reuseCases) run forward, then in reverse, then on GOMAXPROCS
-// workers, and every report's findings (provenance and witness paths
-// included), graph sizes and truncation count must equal a first pass
-// in a fresh process, whatever scratch and graphs earlier scans left
-// in the pools.
+// reuseCases) run in a shuffled order, then forward, then in reverse,
+// then on GOMAXPROCS workers, and every report's findings (provenance
+// and witness paths included), graph sizes and truncation count must
+// equal a first pass in a fresh process, whatever scratch and graphs
+// earlier scans left in the pools. The shuffled pass is what makes the
+// forward one count: without it the forward pass would start from empty
+// pools in the fresh process's order and see exactly its graphs.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	testHookNative = panicInDetection
 	defer func() { testHookNative = nil }()
@@ -258,6 +261,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if string(b) != string(want[i]) {
 			t.Errorf("%s pass, %s: differs from the fresh process\n got %s\nwant %s", pass, cases[i].label, b, want[i])
 		}
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(cases)) {
+		check("shuffled", i, runReuseCase(cases[i]))
 	}
 	for i, c := range cases {
 		check("forward", i, runReuseCase(c))
