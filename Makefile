@@ -12,7 +12,7 @@ check: fmt vet lint build race pathological mutate-check chaos chaos-serve serve
 
 # lint runs the custom repo-invariant analyzers (naked panics outside
 # Guard fences, budget-carrying loops without cooperative checks,
-# Fragment mutation after caching). See internal/lint for the checks
+# writes into a cached fragment record). See internal/lint for the checks
 # and the //lint:allow waiver syntax.
 lint:
 	$(GO) run ./cmd/graphjslint internal cmd

@@ -1068,8 +1068,8 @@ func CompareWithReference(progs []*core.Program, limits budget.Limits) string {
 	dense := AnalyzeModules(progs, opts)
 	opts.Budget = rb
 	ref, refRoot := refAnalyzeModules(progs, opts)
-	dg := mdg.EncodeFragment(mdg.SnapshotFragment(dense.Graph))
-	rg := mdg.EncodeFragment(mdg.SnapshotFragment(ref.Graph))
+	dg := mdg.AppendGraph(nil, dense.Graph)
+	rg := mdg.AppendGraph(nil, ref.Graph)
 	if !bytes.Equal(dg, rg) {
 		return "graphs differ: " + firstLineDiff(dense.Graph.String(), ref.Graph.String())
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"sync"
 )
 
 // Key returns the canonical key of a lowered program: a sha256 over
@@ -22,17 +23,27 @@ import (
 // type defined outside this package is keyed by its %#v rendering.
 func Key(p *Program) [sha256.Size]byte {
 	var out [sha256.Size]byte
-	k := keyer{h: sha256.New(), buf: make([]byte, 0, keyFlush+64)}
+	k := keyers.Get().(*keyer)
+	k.h.Reset()
+	k.buf = k.buf[:0]
 	k.str(p.FileName)
 	k.int(p.MaxIndex)
 	k.stmts(p.Body)
 	k.h.Write(k.buf)
 	k.h.Sum(out[:0])
+	if cap(k.buf) <= 4*keyFlush { // a long string literal grew it: drop that
+		keyers.Put(k)
+	}
 	return out
 }
 
 // keyFlush is the size at which the keyer hands its buffer to the hash.
 const keyFlush = 4096
+
+// keyers recycles the hash state and buffer of Key.
+var keyers = sync.Pool{New: func() any {
+	return &keyer{h: sha256.New(), buf: make([]byte, 0, keyFlush+64)}
+}}
 
 // Statement and expression tags. Zero is nil; tagForeign marks a type
 // defined outside this package.

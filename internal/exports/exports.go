@@ -146,6 +146,21 @@ func (r *Result) PathTo(file string, line int) (entry string, hops []string, ok 
 	return r.rootEntry[r.nodes[root]], hops, true
 }
 
+// PathTables returns a Result holding only what PathTo and Reachable
+// read — the owner lines and the provenance tree — plus Fallback and
+// Converged, sharing r's tables. A scan keeps it, not r, for a later
+// scan's provenance. nil stays nil.
+func (r *Result) PathTables() *Result {
+	if r == nil {
+		return nil
+	}
+	return &Result{
+		Fallback: r.Fallback, Converged: r.Converged,
+		ownerOf: r.ownerOf, nodes: r.nodes, names: r.names,
+		parent: r.parent, rootEntry: r.rootEntry, reachable: r.reachable,
+	}
+}
+
 // Analyze runs the export-graph pass over the normalized programs of
 // one package. b may be nil; when set, the fixpoint consumes
 // cooperative steps and aborts (to the fallback attack model) once

@@ -10,10 +10,13 @@
 //     consult it inside every loop — otherwise the cooperative
 //     deadline/step accounting the fault-containment layer relies on
 //     has a blind spot exactly where the work happens.
-//   - fragmutate: mdg.Fragment snapshots are immutable once cached by
-//     the incremental scanner. Fragment fields may only be written in
-//     the function that constructs the fragment (&Fragment{...});
-//     any later field write is cache corruption.
+//   - fragmutate: the incremental scanner's cached fragment records
+//     (the enc bytes of a fragEntry) are immutable: graphs and findings
+//     decoded from a record share its string bytes. A record may only
+//     be written in the function that constructs its entry
+//     (&fragEntry{...}); any later write through an .enc field — an
+//     assignment, an element write, copy into it, append onto it — is
+//     cache corruption.
 //   - syncclose: the Close/Sync result of a writable file (os.Create,
 //     os.OpenFile with write flags) must be checked. A write error can
 //     surface only at close/fsync time; discarding it turns silent
@@ -97,7 +100,7 @@ func Dirs(roots ...string) ([]Finding, error) {
 // File lints a single file. src may be nil (read from disk) or the
 // file's contents (used by tests). Which checks run depends on the
 // path: nakedpanic and budgetloop apply to internal/* library code,
-// fragmutate applies everywhere Fragment values are manipulated.
+// fragmutate applies everywhere.
 func File(path string, src any) ([]Finding, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, path, src, parser.ParseComments)
@@ -269,36 +272,37 @@ func mentionsAny(n ast.Node, names map[string]bool) bool {
 	return found
 }
 
-// fragMutate flags writes to fields of mdg.Fragment values outside the
-// function that constructs them. Fragment identifiers are method
-// receivers, parameters typed *Fragment / []*Fragment (or the
-// mdg-qualified forms), and range variables drawn from those slices.
-// An identifier assigned a &Fragment{...} composite literal in the
-// same function is under construction and exempt.
+// fragMutate flags writes through a cached fragment record — an
+// .enc selector, or an element or slice of one — outside a function
+// that constructs a fragEntry: assignments and increments with such
+// a left-hand side, and copy or append with it as the destination.
+// Reading a record is free.
 func (l *linter) fragMutate(file *ast.File) {
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
+		if !ok || fn.Body == nil || constructsFragEntry(fn.Body) {
 			continue
 		}
-		frags := fragmentIdents(fn)
-		if len(frags) == 0 {
-			continue
+		flag := func(pos token.Pos) {
+			l.report(pos, "fragmutate",
+				fmt.Sprintf("write to a cached fragment record in %s; records are immutable once their entry is made", fn.Name.Name))
 		}
-		constructed := constructedIdents(fn.Body)
 		ast.Inspect(fn.Body, func(node ast.Node) bool {
-			asg, ok := node.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for _, lhs := range asg.Lhs {
-				root, isField := rootIdent(lhs)
-				if root == nil || !isField {
-					continue
+			switch st := node.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range st.Lhs {
+					if isRecordExpr(lhs) {
+						flag(st.Pos())
+					}
 				}
-				if frags[root.Name] && !constructed[root.Name] {
-					l.report(asg.Pos(), "fragmutate",
-						fmt.Sprintf("write to field of cached Fragment %q in %s; fragments are immutable after SnapshotFragment", root.Name, fn.Name.Name))
+			case *ast.IncDecStmt:
+				if isRecordExpr(st.X) {
+					flag(st.Pos())
+				}
+			case *ast.CallExpr:
+				if id, ok := st.Fun.(*ast.Ident); ok && (id.Name == "copy" || id.Name == "append") &&
+					len(st.Args) > 0 && isRecordExpr(st.Args[0]) {
+					flag(st.Pos())
 				}
 			}
 			return true
@@ -306,95 +310,37 @@ func (l *linter) fragMutate(file *ast.File) {
 	}
 }
 
-// fragmentIdents collects names bound to Fragment values in fn's
-// signature and range statements over Fragment slices.
-func fragmentIdents(fn *ast.FuncDecl) map[string]bool {
-	frags := map[string]bool{}
-	collect := func(list *ast.FieldList) {
-		if list == nil {
-			return
-		}
-		for _, field := range list.List {
-			if !isFragmentType(field.Type) {
-				continue
-			}
-			for _, name := range field.Names {
-				if name.Name != "_" {
-					frags[name.Name] = true
-				}
-			}
+// isRecordExpr matches x.enc and its elements and slices.
+func isRecordExpr(e ast.Expr) bool {
+	for {
+		switch ee := e.(type) {
+		case *ast.SelectorExpr:
+			return ee.Sel.Name == "enc"
+		case *ast.IndexExpr:
+			e = ee.X
+		case *ast.SliceExpr:
+			e = ee.X
+		case *ast.ParenExpr:
+			e = ee.X
+		default:
+			return false
 		}
 	}
-	collect(fn.Recv)
-	collect(fn.Type.Params)
-	if len(frags) == 0 {
-		return frags
-	}
-	// Range variables over Fragment-typed slices inherit the marking.
-	ast.Inspect(fn.Body, func(node ast.Node) bool {
-		rng, ok := node.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		src, _ := rootIdent(rng.X)
-		if src == nil || !frags[src.Name] {
-			return true
-		}
-		if id, ok := rng.Value.(*ast.Ident); ok && id.Name != "_" {
-			frags[id.Name] = true
-		}
-		return true
-	})
-	return frags
 }
 
-// isFragmentType matches Fragment, *Fragment, []*Fragment, ...*Fragment
-// and their mdg-qualified spellings.
-func isFragmentType(t ast.Expr) bool {
-	switch tt := t.(type) {
-	case *ast.StarExpr:
-		return isFragmentType(tt.X)
-	case *ast.ArrayType:
-		return isFragmentType(tt.Elt)
-	case *ast.Ellipsis:
-		return isFragmentType(tt.Elt)
-	case *ast.Ident:
-		return tt.Name == "Fragment"
-	case *ast.SelectorExpr:
-		pkg, ok := tt.X.(*ast.Ident)
-		return ok && pkg.Name == "mdg" && tt.Sel.Name == "Fragment"
-	}
-	return false
-}
-
-// constructedIdents returns names assigned a &Fragment{...} (or
-// Fragment{...}) composite literal anywhere in body.
-func constructedIdents(body *ast.BlockStmt) map[string]bool {
-	made := map[string]bool{}
+// constructsFragEntry reports whether body builds a fragEntry
+// composite literal.
+func constructsFragEntry(body *ast.BlockStmt) bool {
+	found := false
 	ast.Inspect(body, func(node ast.Node) bool {
-		asg, ok := node.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range asg.Rhs {
-			if i >= len(asg.Lhs) {
-				break
-			}
-			expr := rhs
-			if un, ok := expr.(*ast.UnaryExpr); ok && un.Op == token.AND {
-				expr = un.X
-			}
-			lit, ok := expr.(*ast.CompositeLit)
-			if !ok || !isFragmentType(lit.Type) {
-				continue
-			}
-			if id, ok := asg.Lhs[i].(*ast.Ident); ok {
-				made[id.Name] = true
+		if lit, ok := node.(*ast.CompositeLit); ok {
+			if id, ok := lit.Type.(*ast.Ident); ok && id.Name == "fragEntry" {
+				found = true
 			}
 		}
-		return true
+		return !found
 	})
-	return made
+	return found
 }
 
 // syncClose flags discarded Close()/Sync() results on files opened
@@ -625,29 +571,4 @@ func hasCompositeKey(lit *ast.CompositeLit, name string) bool {
 		}
 	}
 	return false
-}
-
-// rootIdent walks selector/index chains to the base identifier and
-// reports whether the expression actually dereferences into it (a bare
-// identifier on the LHS is a rebind, not a field write).
-func rootIdent(e ast.Expr) (*ast.Ident, bool) {
-	field := false
-	for {
-		switch ee := e.(type) {
-		case *ast.Ident:
-			return ee, field
-		case *ast.SelectorExpr:
-			e = ee.X
-			field = true
-		case *ast.IndexExpr:
-			e = ee.X
-			field = true
-		case *ast.StarExpr:
-			e = ee.X
-		case *ast.ParenExpr:
-			e = ee.X
-		default:
-			return nil, false
-		}
-	}
 }

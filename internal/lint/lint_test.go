@@ -122,17 +122,23 @@ func f(items []int, b *budget.Budget) {
 }
 
 func TestFragMutateFlagged(t *testing.T) {
-	src := `package mdg
-type Fragment struct{ nodes []int }
-func grow(f *Fragment) {
-	f.nodes = append(f.nodes, 1)
+	src := `package scanner
+type fragEntry struct{ enc []byte }
+func poke(fe *fragEntry) {
+	fe.enc[0] = 1
 }
-func (f *Fragment) reset() {
-	f.nodes = nil
+func (fe *fragEntry) overwrite(b []byte) {
+	copy(fe.enc, b)
+}
+func grow(fe *fragEntry) []byte {
+	return append(fe.enc[:1], 2)
+}
+func swapIn(fe *fragEntry, b []byte) {
+	fe.enc = b
 }
 `
-	fs := findings(t, "internal/mdg/x.go", src)
-	if len(fs) != 2 {
+	fs := findings(t, "internal/scanner/x.go", src)
+	if len(fs) != 4 {
 		t.Fatalf("findings = %v", fs)
 	}
 	for _, f := range fs {
@@ -143,27 +149,24 @@ func (f *Fragment) reset() {
 }
 
 func TestFragMutateConstructionExempt(t *testing.T) {
-	src := `package mdg
-type Fragment struct{ nodes []int }
-func snapshot(src []int) *Fragment {
-	f := &Fragment{}
-	for _, n := range src {
-		f.nodes = append(f.nodes, n)
-	}
-	return f
+	src := `package scanner
+type fragEntry struct{ enc []byte }
+func newEntry(b []byte) *fragEntry {
+	fe := &fragEntry{}
+	fe.enc = append(fe.enc, b...)
+	return fe
 }
 `
-	if fs := findings(t, "internal/mdg/x.go", src); len(fs) != 0 {
+	if fs := findings(t, "internal/scanner/x.go", src); len(fs) != 0 {
 		t.Fatalf("construction writes are exempt: %v", fs)
 	}
 }
 
 func TestFragMutateRangeVarAndQualified(t *testing.T) {
 	src := `package scanner
-import "repro/internal/mdg"
-func stomp(frags []*mdg.Fragment) {
-	for _, f := range frags {
-		f.Loc = 0
+func stomp(lives []liveFrag) {
+	for _, lv := range lives {
+		(lv.fe.enc)[0]++
 	}
 }
 `
@@ -175,14 +178,15 @@ func stomp(frags []*mdg.Fragment) {
 
 func TestFragMutateRebindNotFlagged(t *testing.T) {
 	src := `package scanner
-import "repro/internal/mdg"
-func swap(f *mdg.Fragment, g *mdg.Fragment) *mdg.Fragment {
-	f = g // pointer rebind, not a field write
-	return f
+func swap(a, b *fragEntry) (*fragEntry, byte) {
+	a = b // pointer rebind, not a record write
+	enc := a.enc
+	enc = nil // a local copy of the slice header
+	return a, a.enc[0] + byte(len(enc))
 }
 `
 	if fs := findings(t, "internal/scanner/x.go", src); len(fs) != 0 {
-		t.Fatalf("rebinds are not mutations: %v", fs)
+		t.Fatalf("rebinds and reads are not mutations: %v", fs)
 	}
 }
 

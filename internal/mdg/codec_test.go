@@ -1,7 +1,8 @@
 package mdg
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -39,93 +40,169 @@ func buildCodecGraph() *Graph {
 	return g
 }
 
+// sameNodes compares every node field of two graphs.
+func sameNodes(t *testing.T, want, got *Graph) {
+	t.Helper()
+	if want.NumNodes() != got.NumNodes() || want.NumEdges() != got.NumEdges() {
+		t.Fatalf("size %d/%d, want %d/%d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for _, a := range want.Nodes() {
+		b := got.Node(a.Loc)
+		if b == nil {
+			t.Fatalf("node %v missing", a.Loc)
+		}
+		if a.Kind != b.Kind || a.Label != b.Label || a.Site != b.Site || a.Line != b.Line ||
+			a.File != b.File || a.Source != b.Source || a.Exported != b.Exported ||
+			a.CallName != b.CallName || a.FuncName != b.FuncName || a.RetLoc != b.RetLoc ||
+			len(a.CallArgs) != len(b.CallArgs) || (a.CallArgs == nil) != (b.CallArgs == nil) ||
+			len(a.ParamLocs) != len(b.ParamLocs) {
+			t.Fatalf("node %v differs:\nwant %+v\ngot  %+v", a.Loc, *a, *b)
+		}
+		for i := range a.CallArgs {
+			if len(a.CallArgs[i]) != len(b.CallArgs[i]) {
+				t.Fatalf("node %v call arg %d differs", a.Loc, i)
+			}
+			for j := range a.CallArgs[i] {
+				if a.CallArgs[i][j] != b.CallArgs[i][j] {
+					t.Fatalf("node %v call arg %d differs", a.Loc, i)
+				}
+			}
+		}
+		for i := range a.ParamLocs {
+			if a.ParamLocs[i] != b.ParamLocs[i] {
+				t.Fatalf("node %v params differ", a.Loc)
+			}
+		}
+	}
+	if want.String() != got.String() {
+		t.Fatal("edges differ")
+	}
+}
+
 func TestFragmentCodecRoundTrip(t *testing.T) {
-	frag := SnapshotFragment(buildCodecGraph())
-	data := EncodeFragment(frag)
-	got, err := DecodeFragment(data)
-	if err != nil {
+	g := buildCodecGraph()
+	data := AppendGraph(nil, g)
+	got := Acquire()
+	if _, err := got.Stitch(data); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(frag, got) {
-		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", frag, got)
-	}
-	// A decoded fragment must behave identically under Stitch.
-	g1, _ := Stitch(frag)
-	g2, _ := Stitch(got)
-	if g1.String() != g2.String() {
-		t.Fatal("stitched graphs diverge")
+	sameNodes(t, g, got)
+	if again := AppendGraph(nil, got); !bytes.Equal(data, again) {
+		t.Fatalf("round trip changed the bytes:\n got %x\nwant %x", again, data)
 	}
 }
 
 func TestFragmentCodecEmpty(t *testing.T) {
-	frag := SnapshotFragment(New())
-	got, err := DecodeFragment(EncodeFragment(frag))
-	if err != nil {
+	data := AppendGraph(nil, New())
+	got := Acquire()
+	if _, err := got.Stitch(data); err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
-	if !reflect.DeepEqual(frag, got) {
-		t.Fatalf("empty round trip diverged: %+v vs %+v", frag, got)
+	if got.NumNodes() != 0 || got.NumEdges() != 0 || !bytes.Equal(AppendGraph(nil, got), data) {
+		t.Fatalf("empty round trip diverged: %d/%d", got.NumNodes(), got.NumEdges())
+	}
+}
+
+// checkConsistent fails when a decoded graph holds a reference to a
+// location that is not one of its nodes.
+func checkConsistent(t *testing.T, what string, g *Graph) {
+	t.Helper()
+	ok := func(l Loc) bool { return l == NoLoc || g.Node(l) != nil }
+	for _, n := range g.Nodes() {
+		for _, arg := range n.CallArgs {
+			for _, l := range arg {
+				if !ok(l) {
+					t.Fatalf("%s: dangling call argument %v", what, l)
+				}
+			}
+		}
+		for _, l := range n.ParamLocs {
+			if !ok(l) {
+				t.Fatalf("%s: dangling parameter %v", what, l)
+			}
+		}
+		if !ok(n.RetLoc) {
+			t.Fatalf("%s: dangling return %v", what, n.RetLoc)
+		}
+	}
+	for _, e := range g.Edges() {
+		if g.Node(e.From) == nil || g.Node(e.To) == nil {
+			t.Fatalf("%s: dangling edge %v", what, e)
+		}
 	}
 }
 
 // Every single-byte corruption and every truncation of a valid
-// encoding must either fail cleanly or decode to a fragment that still
-// passes validation — never panic, never produce a graph with dangling
-// references.
+// encoding must either fail cleanly or decode to a graph without
+// dangling references — never panic.
 func TestFragmentCodecCorruptionNeverPanics(t *testing.T) {
-	data := EncodeFragment(SnapshotFragment(buildCodecGraph()))
+	data := AppendGraph(nil, buildCodecGraph())
+	try := func(what string, b []byte) {
+		g := Acquire()
+		if _, err := g.Stitch(b); err == nil {
+			checkConsistent(t, what, g)
+		}
+		g.Release()
+	}
 	for i := 0; i < len(data); i++ {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xA5
-		f, err := DecodeFragment(mut)
-		if err == nil {
-			if verr := validateFragment(f); verr != nil {
-				t.Fatalf("byte %d: decode accepted an inconsistent fragment: %v", i, verr)
-			}
-		}
+		try("corruption", mut)
 	}
 	for i := 0; i < len(data); i++ {
-		if f, err := DecodeFragment(data[:i]); err == nil {
-			if verr := validateFragment(f); verr != nil {
-				t.Fatalf("truncation %d: inconsistent fragment: %v", i, verr)
-			}
-		}
+		try("truncation", data[:i])
 	}
 }
 
-func TestFragmentCodecRejectsDanglingEdge(t *testing.T) {
-	frag := SnapshotFragment(buildCodecGraph())
-	bad := &Fragment{
-		nodes:  append([]Node(nil), frag.nodes...),
-		edges:  append(frag.edges, Edge{From: 1, To: 9999, Type: Dep}),
-		maxLoc: 9999,
+// encodeRaw writes a fragment encoding by hand: nodes carry only a
+// location, edges only endpoints, so tests can describe graphs no
+// Graph would hold.
+func encodeRaw(locs []Loc, edges [][2]Loc, maxLoc Loc) []byte {
+	buf := []byte{fragCodecVersion}
+	buf = binary.AppendUvarint(buf, uint64(len(locs)))
+	for _, l := range locs {
+		buf = binary.AppendUvarint(buf, uint64(l))
+		buf = append(buf, byte(KindObject))
+		buf = AppendString(buf, "n")
+		buf = append(buf, 0, 0)            // site, line
+		buf = AppendString(buf, "")        // file
+		buf = append(buf, 0)               // flags
+		buf = AppendString(buf, "")        // call name
+		buf = AppendString(buf, "")        // func name
+		buf = AppendLocs(buf, nil)         // params
+		buf = binary.AppendUvarint(buf, 0) // ret
 	}
-	if _, err := DecodeFragment(EncodeFragment(bad)); err == nil {
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	for _, e := range edges {
+		buf = binary.AppendUvarint(buf, uint64(e[0]))
+		buf = binary.AppendUvarint(buf, uint64(e[1]))
+		buf = append(buf, byte(Dep))
+		buf = AppendString(buf, "")
+	}
+	return binary.AppendUvarint(buf, uint64(maxLoc))
+}
+
+func TestFragmentCodecRejectsDanglingEdge(t *testing.T) {
+	if _, err := Acquire().Stitch(encodeRaw([]Loc{1, 2}, [][2]Loc{{1, 2}}, 2)); err != nil {
+		t.Fatalf("the well-formed control graph must decode: %v", err)
+	}
+	if _, err := Acquire().Stitch(encodeRaw([]Loc{1, 2}, [][2]Loc{{1, 9999}}, 2)); err == nil {
 		t.Fatal("dangling edge must be rejected")
 	}
 }
 
 // Graphs number their nodes densely from 1 and Stitch sizes its tables
-// by location, so a fragment whose maxLoc exceeds its node count is
+// by location, so a fragment with a location past its node count is
 // rejected rather than allowed to drive a huge allocation.
 func TestFragmentCodecRejectsSparseLocations(t *testing.T) {
-	frag := SnapshotFragment(buildCodecGraph())
-	bad := &Fragment{
-		nodes:  append([]Node(nil), frag.nodes...),
-		edges:  frag.edges,
-		maxLoc: 1 << 40,
-	}
-	bad.nodes[0].Loc = 1 << 40
-	for i := range bad.edges {
-		if bad.edges[i].From == frag.nodes[0].Loc {
-			bad.edges[i].From = bad.nodes[0].Loc
-		}
-		if bad.edges[i].To == frag.nodes[0].Loc {
-			bad.edges[i].To = bad.nodes[0].Loc
-		}
-	}
-	_, err := DecodeFragment(EncodeFragment(bad))
+	_, err := Acquire().Stitch(encodeRaw([]Loc{1 << 40, 2}, [][2]Loc{{1 << 40, 2}}, 1<<40))
 	if err == nil || !strings.Contains(err.Error(), "exceeds node count") {
 		t.Fatalf("sparse locations must be rejected as such, got %v", err)
+	}
+	if _, err := Acquire().Stitch(encodeRaw([]Loc{1, 2}, nil, 3)); err == nil {
+		t.Fatal("a maxLoc past the node count must be rejected")
+	}
+	if _, err := Acquire().Stitch(encodeRaw([]Loc{1, 1}, nil, 2)); err == nil {
+		t.Fatal("a duplicate location must be rejected")
 	}
 }

@@ -1,6 +1,9 @@
 package mdg
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // buildSample constructs a small graph exercising every node kind and
 // edge type, with location-bearing metadata on call and func nodes.
@@ -27,13 +30,28 @@ func buildSample(tag string) *Graph {
 	return g
 }
 
+// stitch decodes encoded fragments into one acquired graph, returning
+// each fragment's offset.
+func stitch(t *testing.T, encs ...[]byte) (*Graph, []Loc) {
+	t.Helper()
+	g := Acquire()
+	offsets := make([]Loc, len(encs))
+	for i, enc := range encs {
+		off, err := g.Stitch(enc)
+		if err != nil {
+			t.Fatalf("stitch fragment %d: %v", i, err)
+		}
+		offsets[i] = off
+	}
+	return g, offsets
+}
+
 // A stitch of a single fragment must reproduce the original graph
 // exactly (locations included, since the first fragment's offset is
 // zero).
 func TestStitchSingleFragmentIdentity(t *testing.T) {
 	g := buildSample("a")
-	f := SnapshotFragment(g)
-	st, offsets := Stitch(f)
+	st, offsets := stitch(t, AppendGraph(nil, g))
 	if st.String() != g.String() {
 		t.Fatalf("stitched graph differs:\n%s\n--- want ---\n%s", st.String(), g.String())
 	}
@@ -51,12 +69,12 @@ func TestStitchSingleFragmentIdentity(t *testing.T) {
 	}
 }
 
-// Fragments must be value snapshots: mutating the source graph after
-// SnapshotFragment must not leak into the fragment.
+// An encoding is a value: growing or mutating the source graph after
+// AppendGraph must not leak into what a later Stitch decodes.
 func TestFragmentIsImmutableSnapshot(t *testing.T) {
 	g := buildSample("a")
-	f := SnapshotFragment(g)
-	n0, e0 := f.NumNodes(), f.NumEdges()
+	enc := AppendGraph(nil, g)
+	n0, e0 := g.NumNodes(), g.NumEdges()
 	// Grow the source graph and mutate shared-looking metadata.
 	extra := g.Alloc(RoleObj, 99, 0, "", KindObject, "late", 9)
 	g.AddDep(extra, Loc(1))
@@ -65,18 +83,31 @@ func TestFragmentIsImmutableSnapshot(t *testing.T) {
 			n.CallArgs[0][0] = extra
 		}
 	}
-	if f.NumNodes() != n0 || f.NumEdges() != e0 {
-		t.Fatalf("fragment grew with source graph: %d/%d vs %d/%d", f.NumNodes(), f.NumEdges(), n0, e0)
+	st, _ := stitch(t, enc)
+	if st.NumNodes() != n0 || st.NumEdges() != e0 {
+		t.Fatalf("encoding grew with source graph: %d/%d vs %d/%d", st.NumNodes(), st.NumEdges(), n0, e0)
 	}
-	st, _ := Stitch(f)
 	for _, n := range st.NodesOfKind(KindCall) {
 		for _, arg := range n.CallArgs {
 			for _, l := range arg {
 				if l == extra {
-					t.Fatalf("fragment call args alias the mutated source graph")
+					t.Fatalf("decoded call args alias the mutated source graph")
 				}
 			}
 		}
+	}
+}
+
+// Encoding is deterministic: the same graph encodes to the same bytes,
+// and a graph decoded from them encodes back to them.
+func TestGraphEncodingDeterministic(t *testing.T) {
+	enc := AppendGraph(nil, buildSample("a"))
+	if again := AppendGraph(nil, buildSample("a")); !bytes.Equal(enc, again) {
+		t.Fatal("equal graphs encode differently")
+	}
+	st, _ := stitch(t, enc)
+	if again := AppendGraph(nil, st); !bytes.Equal(enc, again) {
+		t.Fatalf("decode+encode changed the bytes:\n got %x\nwant %x", again, enc)
 	}
 }
 
@@ -84,13 +115,13 @@ func TestFragmentIsImmutableSnapshot(t *testing.T) {
 // and shift every location-bearing field consistently.
 func TestStitchTwoFragmentsDisjoint(t *testing.T) {
 	ga, gb := buildSample("a"), buildSample("b")
-	fa, fb := SnapshotFragment(ga), SnapshotFragment(gb)
-	st, offsets := Stitch(fa, fb)
-	if st.NumNodes() != fa.NumNodes()+fb.NumNodes() {
-		t.Fatalf("node count %d, want %d", st.NumNodes(), fa.NumNodes()+fb.NumNodes())
+	ea, eb := AppendGraph(nil, ga), AppendGraph(nil, gb)
+	st, offsets := stitch(t, ea, eb)
+	if st.NumNodes() != ga.NumNodes()+gb.NumNodes() {
+		t.Fatalf("node count %d, want %d", st.NumNodes(), ga.NumNodes()+gb.NumNodes())
 	}
-	if st.NumEdges() != fa.NumEdges()+fb.NumEdges() {
-		t.Fatalf("edge count %d, want %d", st.NumEdges(), fa.NumEdges()+fb.NumEdges())
+	if st.NumEdges() != ga.NumEdges()+gb.NumEdges() {
+		t.Fatalf("edge count %d, want %d", st.NumEdges(), ga.NumEdges()+gb.NumEdges())
 	}
 	seen := map[Loc]bool{}
 	for i, g := range []*Graph{ga, gb} {
@@ -127,7 +158,7 @@ func TestStitchTwoFragmentsDisjoint(t *testing.T) {
 	}
 	// Determinism: stitching the same fragments again yields the same
 	// rendering.
-	st2, _ := Stitch(fa, fb)
+	st2, _ := stitch(t, ea, eb)
 	if st.String() != st2.String() {
 		t.Fatalf("stitch is not deterministic")
 	}
@@ -144,7 +175,7 @@ func TestStitchPreservesLookup(t *testing.T) {
 	g.AddEdge(Edge{From: v, To: val, Type: Prop, Prop: "p"})
 
 	pad := buildSample("pad") // force a nonzero offset for g's image
-	st, offsets := Stitch(SnapshotFragment(pad), SnapshotFragment(g))
+	st, offsets := stitch(t, AppendGraph(nil, pad), AppendGraph(nil, g))
 	res := st.Lookup(v.Shift(offsets[1]), "p")
 	if len(res.Values) != 1 || res.Values[0] != val.Shift(offsets[1]) {
 		t.Fatalf("stitched lookup = %v, want [%v]", res.Values, val.Shift(offsets[1]))

@@ -172,6 +172,8 @@ type Graph struct {
 	cur       int
 	edgeChunk []Edge
 	spill     int
+	// locs is the slab Stitch carves the nodes' location lists from.
+	locs []Loc
 
 	// alloc implements site-keyed deterministic allocation.
 	alloc map[allocKey]Loc
@@ -289,8 +291,8 @@ func (g *Graph) Release() {
 
 // reset empties g, keeping its storage: the node chunks, the
 // Loc-indexed tables with every adjacency list truncated in place, the
-// cleared allocation map, the edge chunk, the visit stamps and the
-// Nodes buffer. The kept node and edge slots are zeroed, so nothing a
+// cleared allocation map, the edge chunk, the visit stamps, the Nodes
+// buffer and the location slab. The kept node and edge slots are zeroed, so nothing a
 // previous graph referenced stays reachable through them.
 func (g *Graph) reset() {
 	for i := range g.chunks[:min(g.cur+1, len(g.chunks))] {
@@ -310,6 +312,7 @@ func (g *Graph) reset() {
 	clear(g.big)
 	clear(g.alloc)
 	g.sorted = g.sorted[:0]
+	g.locs = g.locs[:0]
 	g.numNodes, g.numEdges, g.next = 0, 0, NoLoc
 	g.curFile, g.bud = "", nil
 }

@@ -71,6 +71,17 @@ func (r *Result) CanSkipDetection() bool {
 	return !r.HasSources || (!r.SinkReachable && !r.PollutionPossible)
 }
 
+// Retained returns what a later scan that reuses r reads: the
+// counters, the fallback and skip bits, and the export graph's
+// provenance tables (exports.Result.PathTables) — not the reachable
+// set or the export pass's maps.
+func (r *Result) Retained() *Result {
+	c := *r
+	c.Reachable = nil
+	c.Exports = r.Exports.PathTables()
+	return &c
+}
+
 // Analyze runs the gate over the (normalized) programs of one
 // package. cfg supplies the sink configuration; nil means
 // DefaultConfig.

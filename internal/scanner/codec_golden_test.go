@@ -16,10 +16,10 @@ import (
 // output. goldenStore holds the encodings of fixed inputs; FuzzStoreDecode
 // seeds its corpus with them.
 
-// goldenFragment is a small graph exercising every field the fragment
+// goldenGraph is a small graph exercising every field the fragment
 // codec writes: labels, sites, lines, files, the source/exported/call-
 // args flags, call and function metadata, and dep/prop edges.
-func goldenFragment() *mdg.Fragment {
+func goldenGraph() *mdg.Graph {
 	g := mdg.New()
 	obj := g.Alloc(mdg.RoleObj, 1, 0, "", mdg.KindObject, "opts", 3)
 	param := g.Alloc(mdg.RoleParam, 2, 0, "", mdg.KindParam, "cmd", 2)
@@ -37,24 +37,25 @@ func goldenFragment() *mdg.Fragment {
 	g.Node(call).CallArgs = [][]mdg.Loc{{param, obj}, nil}
 	g.AddDep(param, call)
 	g.AddEdge(mdg.Edge{From: obj, To: param, Type: mdg.Prop, Prop: "cmd"})
-	return mdg.SnapshotFragment(g)
+	return g
 }
 
-func goldenFragEntry() *fragEntry {
-	return &fragEntry{
-		key:  "golden",
-		rels: []string{"index.js", "lib/run.js"},
-		frag: goldenFragment(),
-		functions: map[string]*analysis.FuncSummary{
+// goldenRels and goldenResult are a built component: its files and its
+// analysis result.
+var goldenRels = []string{"index.js", "lib/run.js"}
+
+func goldenResult() *analysis.Result {
+	return &analysis.Result{
+		Graph: goldenGraph(),
+		Functions: map[string]*analysis.FuncSummary{
 			"lib/run.js:run": {Loc: 3, Params: []mdg.Loc{2}, ThisLoc: mdg.NoLoc, RetLoc: 1, Exported: true},
 			"index.js:main":  {Loc: 4, ThisLoc: 1},
 		},
-		realExported: map[string]bool{"lib/run.js:run": true},
-		hasReal:      true,
-		externals:    map[string]mdg.Loc{"child_process": 1},
-		calleeLocs:   map[mdg.Loc][]mdg.Loc{4: {3}},
-		callThis:     map[mdg.Loc][]mdg.Loc{4: {1, 2}},
-		modEnv: map[string]analysis.ModuleLocs{
+		HasRealExports: true,
+		Externals:      map[string]mdg.Loc{"child_process": 1},
+		CalleeLocs:     map[mdg.Loc][]mdg.Loc{4: {3}},
+		CallThis:       map[mdg.Loc][]mdg.Loc{4: {1, 2}},
+		ModuleEnv: map[string]analysis.ModuleLocs{
 			"index.js":   {Module: 1, Exports: 2},
 			"lib/run.js": {Module: 3, Exports: 4},
 		},
@@ -122,23 +123,30 @@ var goldenCodecs = map[string]struct {
 	roundTrip func([]byte) ([]byte, error)
 }{
 	"fragment": {
-		func() []byte { return mdg.EncodeFragment(goldenFragment()) },
+		func() []byte { return mdg.AppendGraph(nil, goldenGraph()) },
 		func(b []byte) ([]byte, error) {
-			f, err := mdg.DecodeFragment(b)
-			if err != nil {
+			g := mdg.Acquire()
+			defer g.Release()
+			if _, err := g.Stitch(b); err != nil {
 				return nil, err
 			}
-			return mdg.EncodeFragment(f), nil
+			return mdg.AppendGraph(nil, g), nil
 		},
 	},
 	"fragEntry": {
-		func() []byte { return encodeFragEntry(goldenFragEntry()) },
+		func() []byte { return encodeFragEntry(goldenRels, goldenResult()) },
 		func(b []byte) ([]byte, error) {
 			fe, err := decodeFragEntry("golden", b)
 			if err != nil {
 				return nil, err
 			}
-			return encodeFragEntry(fe), nil
+			g := mdg.Acquire()
+			defer g.Release()
+			fb, _, err := readFragEntry(fe.enc, g)
+			if err != nil {
+				return nil, err
+			}
+			return encodeFragEntry(fb.rels, fb.result(g)), nil
 		},
 	},
 	"facts": {
@@ -162,6 +170,36 @@ var goldenCodecs = map[string]struct {
 			return body, nil
 		},
 	},
+}
+
+// result rebuilds the analysis result a fragment body was encoded
+// from, over its decoded graph g.
+func (fb *fragBody) result(g *mdg.Graph) *analysis.Result {
+	res := &analysis.Result{Graph: g, Functions: fb.functions(), HasRealExports: fb.hasReal}
+	if len(fb.externals) > 0 {
+		res.Externals = make(map[string]mdg.Loc)
+		for _, e := range fb.externals {
+			res.Externals[e.spec] = e.loc
+		}
+	}
+	table := func(rows []locRow) map[mdg.Loc][]mdg.Loc {
+		if len(rows) == 0 {
+			return nil
+		}
+		m := make(map[mdg.Loc][]mdg.Loc)
+		for _, row := range rows {
+			m[row.loc] = row.vals
+		}
+		return m
+	}
+	res.CalleeLocs, res.CallThis = table(fb.calleeLocs), table(fb.callThis)
+	if len(fb.modEnv) > 0 {
+		res.ModuleEnv = make(map[string]analysis.ModuleLocs)
+		for _, me := range fb.modEnv {
+			res.ModuleEnv[me.file] = me.locs
+		}
+	}
+	return res
 }
 
 // goldenBodies returns the recorded encodings, for fuzz seeds.

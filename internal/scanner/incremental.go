@@ -72,8 +72,8 @@ func (s *IncrementalStats) Add(o IncrementalStats) {
 // the per-file front end with its dependency facts (found by a content
 // hash over path and source, keyed by the lowered program),
 // per-component reach-gate units and MDG fragments (both keyed by the
-// component files' lowered-program keys; fragments are immutable
-// mdg.Fragment snapshots), per-fragment detection results, and a
+// component files' lowered-program keys; fragments are held as their
+// store records), per-fragment detection results, and a
 // record of its last clean scan (lastScan). One state serves one
 // logical package; all methods are safe for concurrent use
 // (a scan holds the state's lock end to end, so concurrent scans of
@@ -146,28 +146,23 @@ type gateEntry struct {
 	unit *exports.Unit
 }
 
-// fragEntry is one cached require-component: an immutable graph
-// snapshot plus the function summaries and export facts needed to
-// rehydrate an analysis result for detection.
+// fragEntry is one cached require-component (or, in tree mode, one
+// package): its fragment record — the component's graph, function
+// summaries and linker side tables in the store's encoding — and its
+// detection results. A scan that reads the fragment decodes the record
+// straight into an acquired graph (rehydrate, linkTree); a cached
+// detection is served without decoding anything.
 type fragEntry struct {
-	key  string
-	rels []string
-	frag *mdg.Fragment
-	// functions are shared mutable summaries (their Exported bit is
-	// flipped when the package-wide export fallback toggles);
-	// realExported records the build-time truth they are reset from.
-	functions    map[string]*analysis.FuncSummary
-	realExported map[string]bool
-	hasReal      bool
+	key string
+	// enc is the record exactly as the store holds it
+	// (encodeFragEntry). It is immutable: graphs and findings decoded
+	// from it share its string bytes, so it is written only where the
+	// entry is made (the fragmutate lint check).
+	enc     []byte
+	hasReal bool
+	// nodes and edges size the graph, for the report on a hit.
+	nodes, edges int
 	detect       map[detectKey]*detectResult
-	// Cross-package linker side tables (tree mode): unresolved require
-	// placeholders, per-call callee/this value sets, and per-module
-	// CommonJS globals. Locations are fragment-local; the tree linker
-	// shifts them by the fragment's stitch offset (see analysis.Result).
-	externals  map[string]mdg.Loc
-	calleeLocs map[mdg.Loc][]mdg.Loc
-	callThis   map[mdg.Loc][]mdg.Loc
-	modEnv     map[string]analysis.ModuleLocs
 }
 
 type detectKey struct {
@@ -334,33 +329,31 @@ func (p *StatePool) Stats() IncrementalStats {
 // EstimateBytes approximates the memory this state's caches retained
 // at the end of its last scan; it never waits for a scan in flight. It
 // is a sizing heuristic for pool limits, not an exact accounting:
-// fragments dominate (nodes and edges at struct size plus slice
-// overhead), front-end entries are charged per lowered statement plus a
-// flat rate for their facts, gate units and the last scan's gate result
-// per function, detection entries (the last scan's tree detections
-// among them) at a flat rate plus their findings.
+// a fragment is charged its record's length plus a flat rate,
+// front-end entries per lowered statement plus a flat rate for their
+// facts, gate units and the last scan's gate result per function,
+// detection entries (the last scan's tree detections among them) at a
+// flat rate plus their findings. TestEstimateBytesTracksHeap holds it
+// to the heap the states retain.
 func (st *IncrementalState) EstimateBytes() int64 { return st.snapshot().bytes }
 
 // estimateBytes computes EstimateBytes. Callers hold st.mu.
 func (st *IncrementalState) estimateBytes() int64 {
 	var b int64
 	for _, fe := range st.frags {
-		if fe.frag != nil {
-			b += int64(fe.frag.NumNodes())*112 + int64(fe.frag.NumEdges())*48
-		}
-		b += int64(len(fe.functions)) * 96
+		b += 512 + int64(len(fe.enc))
 		for _, dr := range fe.detect {
-			b += 128 + int64(len(dr.findings))*160
+			b += 256 + int64(len(dr.findings))*160
 		}
 	}
 	for _, e := range st.files {
-		b += 1024 + int64(e.coreStmts)*96
+		b += 512 + int64(e.coreStmts)*176
 		if e.facts != nil {
 			b += 256
 		}
 	}
 	for _, ge := range st.gates {
-		b += 256 + int64(ge.unit.Nodes())*192
+		b += 2048 + int64(ge.unit.Nodes())*384
 	}
 	if last := &st.last; last.rr != nil {
 		b += 256 + int64(len(last.units))*64 + int64(last.rr.TotalFuncs)*192
@@ -471,45 +464,29 @@ func componentKey(units []fileUnit, aoptsKey string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// newFragEntry snapshots a freshly built component into a fragment
-// entry: cached after a clean build, or (tree mode) stitched this scan.
-func newFragEntry(key string, rels []string, res *analysis.Result) *fragEntry {
-	fe := &fragEntry{
-		key:          key,
-		rels:         rels,
-		frag:         mdg.SnapshotFragment(res.Graph),
-		functions:    res.Functions,
-		realExported: make(map[string]bool, len(res.Functions)),
-		hasReal:      res.HasRealExports,
-		detect:       make(map[detectKey]*detectResult),
-		externals:    res.Externals,
-		calleeLocs:   res.CalleeLocs,
-		callThis:     res.CallThis,
-		modEnv:       res.ModuleEnv,
+// newFragEntry makes the entry of the record enc, whose graph is g.
+func newFragEntry(key string, enc []byte, hasReal bool, g *mdg.Graph) *fragEntry {
+	return &fragEntry{
+		key:     key,
+		enc:     enc,
+		hasReal: hasReal,
+		nodes:   g.NumNodes(),
+		edges:   g.NumEdges(),
+		detect:  make(map[detectKey]*detectResult),
 	}
-	for name, fn := range res.Functions {
-		fe.realExported[name] = fn.Exported
-	}
-	return fe
 }
 
-// rehydrate rebuilds a detection-ready analysis result from a cached
-// fragment: an acquired graph via the stitching API (a single-fragment
-// stitch preserves locations, so the stored summaries stay valid) with
-// the export marks reset to the build-time truth. The scan releases the
-// graph after its detection.
-func rehydrate(fe *fragEntry) *analysis.Result {
-	g, _ := mdg.Stitch(fe.frag)
-	res := &analysis.Result{
-		Graph: g, Functions: fe.functions, HasRealExports: fe.hasReal,
-		Externals: fe.externals, CalleeLocs: fe.calleeLocs,
-		CallThis: fe.callThis, ModuleEnv: fe.modEnv,
+// rehydrate decodes a cached fragment into a detection-ready analysis
+// result: its graph in an acquired graph (a single fragment keeps its
+// locations, so the decoded summaries stay valid) and summaries of its
+// own, at their build-time export marks. The scan releases the graph
+// after its detection.
+func rehydrate(fe *fragEntry) (*analysis.Result, error) {
+	g := mdg.Acquire()
+	fb, _, err := readFragEntry(fe.enc, g)
+	if err != nil {
+		g.Release()
+		return nil, err
 	}
-	for name, fn := range fe.functions {
-		fn.Exported = fe.realExported[name]
-		if n := g.Node(fn.Loc); n != nil {
-			n.Exported = fn.Exported
-		}
-	}
-	return res
+	return &analysis.Result{Graph: g, Functions: fb.functions(), HasRealExports: fb.hasReal}, nil
 }

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
@@ -21,10 +23,11 @@ import (
 // This file gives the incremental scanner's three cache families a
 // durable form in the content-addressed store (internal/store):
 //
-//   - KindFragment: one fragEntry — the component's MDG fragment
-//     (compact mdg codec) plus the function summaries and export facts
-//     rehydration needs — keyed by the componentKey already used for
-//     the in-memory map. Content-addressed keys make invalidation
+//   - KindFragment: one fragment record — the component's MDG
+//     (mdg.AppendGraph) plus the function summaries and linker side
+//     tables rehydration and the tree linker read, the very bytes the
+//     in-memory fragEntry holds — keyed by the componentKey already
+//     used for the in-memory map. Content-addressed keys make invalidation
 //     unnecessary: a stale key can only be hit again if the exact file
 //     contents (and analysis options) that produced it come back, and
 //     then it is valid again by construction.
@@ -68,61 +71,70 @@ var errPersistCodec = errors.New("scanner: persisted entry decode")
 // Fragment entries
 // ---------------------------------------------------------------------------
 
-// encodeFragEntry serializes a cacheable fragment entry. Only called
-// for clean builds (fe.frag != nil).
-func encodeFragEntry(fe *fragEntry) []byte {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, persistVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(fe.rels)))
-	for _, rel := range fe.rels {
+// encodeFragEntry serializes a component built this scan into its
+// fragment record: the component's files, its real-export bit, the
+// function summaries with their build-time export marks, the cross-
+// package linker side tables, and the graph (mdg.AppendGraph). It runs
+// before detection can apply the export fallback to res. The record
+// is exactly sized: a retained state keeps it for as long as the
+// component is current.
+func encodeFragEntry(rels []string, res *analysis.Result) []byte {
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	buf := append((*bp)[:0], persistVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(rels)))
+	for _, rel := range rels {
 		buf = mdg.AppendString(buf, rel)
 	}
-	buf = mdg.AppendBool(buf, fe.hasReal)
-	names := make([]string, 0, len(fe.functions))
-	for name := range fe.functions {
+	buf = mdg.AppendBool(buf, res.HasRealExports)
+	names := make([]string, 0, len(res.Functions))
+	for name := range res.Functions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		fn := fe.functions[name]
+		fn := res.Functions[name]
 		buf = mdg.AppendString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(fn.Loc))
 		buf = mdg.AppendLocs(buf, fn.Params)
 		buf = binary.AppendUvarint(buf, uint64(fn.ThisLoc))
 		buf = binary.AppendUvarint(buf, uint64(fn.RetLoc))
-		// The build-time export truth, not the possibly fallback-
-		// mutated live bit: rehydrate resets from realExported anyway.
-		buf = mdg.AppendBool(buf, fe.realExported[name])
+		buf = mdg.AppendBool(buf, fn.Exported)
 	}
 	// Cross-package linker side tables, each in sorted key order so
 	// equal entries encode identically.
-	specs := make([]string, 0, len(fe.externals))
-	for spec := range fe.externals {
+	specs := make([]string, 0, len(res.Externals))
+	for spec := range res.Externals {
 		specs = append(specs, spec)
 	}
 	sort.Strings(specs)
 	buf = binary.AppendUvarint(buf, uint64(len(specs)))
 	for _, spec := range specs {
 		buf = mdg.AppendString(buf, spec)
-		buf = binary.AppendUvarint(buf, uint64(fe.externals[spec]))
+		buf = binary.AppendUvarint(buf, uint64(res.Externals[spec]))
 	}
-	buf = appendLocTable(buf, fe.calleeLocs)
-	buf = appendLocTable(buf, fe.callThis)
-	files := make([]string, 0, len(fe.modEnv))
-	for file := range fe.modEnv {
+	buf = appendLocTable(buf, res.CalleeLocs)
+	buf = appendLocTable(buf, res.CallThis)
+	files := make([]string, 0, len(res.ModuleEnv))
+	for file := range res.ModuleEnv {
 		files = append(files, file)
 	}
 	sort.Strings(files)
 	buf = binary.AppendUvarint(buf, uint64(len(files)))
 	for _, file := range files {
-		me := fe.modEnv[file]
+		me := res.ModuleEnv[file]
 		buf = mdg.AppendString(buf, file)
 		buf = binary.AppendUvarint(buf, uint64(me.Module))
 		buf = binary.AppendUvarint(buf, uint64(me.Exports))
 	}
-	return append(buf, mdg.EncodeFragment(fe.frag)...)
+	buf = mdg.AppendGraph(buf, res.Graph)
+	*bp = buf
+	return bytes.Clone(buf)
 }
+
+// encodeBufs recycles encodeFragEntry's scratch buffer.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendLocTable encodes a per-call location table in sorted key
 // order.
@@ -140,143 +152,176 @@ func appendLocTable(buf []byte, m map[mdg.Loc][]mdg.Loc) []byte {
 	return buf
 }
 
-// readLocTable decodes a per-call location table written by
-// appendLocTable (nil for an empty table).
-func readLocTable(r *mdg.Reader) map[mdg.Loc][]mdg.Loc {
-	n := r.Count(2)
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	m := make(map[mdg.Loc][]mdg.Loc, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		l := r.Loc()
-		vals := r.Locs()
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := m[l]; dup {
-			r.Fail("duplicate loc-table key")
-			break
-		}
-		m[l] = vals
+// fragBody is a fragment record less its graph, decoded: every table
+// in the record's sorted order and fragment-local locations. Each
+// decode makes its own, so a scan may shift or mark it freely.
+type fragBody struct {
+	rels    []string
+	hasReal bool
+	// funcs[i] is the summary of the function names[i].
+	names []string
+	funcs []analysis.FuncSummary
+	// The linker side tables (see analysis.Result).
+	externals            []external
+	calleeLocs, callThis []locRow
+	modEnv               []moduleEnv
+}
+
+type external struct {
+	spec string
+	loc  mdg.Loc
+}
+
+type locRow struct {
+	loc  mdg.Loc
+	vals []mdg.Loc
+}
+
+type moduleEnv struct {
+	file string
+	locs analysis.ModuleLocs
+}
+
+// functions returns the summaries by name, as analysis.Result holds
+// them.
+func (fb *fragBody) functions() map[string]*analysis.FuncSummary {
+	m := make(map[string]*analysis.FuncSummary, len(fb.names))
+	for i, name := range fb.names {
+		m[name] = &fb.funcs[i]
 	}
 	return m
 }
 
-// decodeFragEntry parses a persisted fragment entry back into the
-// in-memory form (Def-less summaries, detect map empty). Every
-// summary location is validated against the fragment's node set so a
-// corrupt record cannot smuggle dangling references into detection.
-func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
-	r := mdg.NewReader(data)
+// readFragEntry decodes a fragment record (encodeFragEntry) and
+// stitches its graph into g (see mdg.Graph.Stitch), returning the
+// record's body and the fragment's stitch offset in g. Strings share
+// rec's bytes. Every table must be in strictly increasing key order,
+// as encodeFragEntry writes it, and every location it names must be a
+// node of the fragment, so a corrupt record cannot smuggle a
+// duplicate or a dangling reference into detection; on an error g is
+// left partly filled.
+func readFragEntry(rec []byte, g *mdg.Graph) (*fragBody, mdg.Loc, error) {
+	r := mdg.NewAliasReader(rec)
 	if v := r.Byte(); r.Err() == nil && v != persistVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", errPersistCodec, v, persistVersion)
+		return nil, 0, fmt.Errorf("%w: version %d (want %d)", errPersistCodec, v, persistVersion)
 	}
-	fe := &fragEntry{
-		key:          key,
-		functions:    make(map[string]*analysis.FuncSummary),
-		realExported: make(map[string]bool),
-		detect:       make(map[detectKey]*detectResult),
-	}
+	fb := &fragBody{}
 	nr := r.Count(1)
+	fb.rels = make([]string, 0, nr)
 	for i := 0; i < nr && r.Err() == nil; i++ {
-		fe.rels = append(fe.rels, r.Str())
+		fb.rels = append(fb.rels, r.Str())
 	}
-	fe.hasReal = r.Bool()
+	fb.hasReal = r.Bool()
 	nf := r.Count(4)
+	fb.names, fb.funcs = make([]string, nf), make([]analysis.FuncSummary, nf)
 	for i := 0; i < nf && r.Err() == nil; i++ {
-		name := r.Str()
-		fn := &analysis.FuncSummary{}
-		fn.Loc = r.Loc()
-		fn.Params = r.Locs()
-		fn.ThisLoc = r.Loc()
-		fn.RetLoc = r.Loc()
-		exported := r.Bool()
-		if r.Err() != nil {
-			break
+		fb.names[i] = r.Str()
+		fb.funcs[i] = analysis.FuncSummary{Loc: r.Loc(), Params: r.Locs(),
+			ThisLoc: r.Loc(), RetLoc: r.Loc(), Exported: r.Bool()}
+		if i > 0 && fb.names[i] <= fb.names[i-1] {
+			r.Fail("functions out of order")
 		}
-		if _, dup := fe.functions[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate function %q", errPersistCodec, name)
-		}
-		fn.Exported = exported
-		fe.functions[name] = fn
-		fe.realExported[name] = exported
 	}
-	ne := r.Count(2)
-	if ne > 0 {
-		fe.externals = make(map[string]mdg.Loc, ne)
+	if ne := r.Count(2); ne > 0 {
+		fb.externals = make([]external, ne)
+		for i := 0; i < ne && r.Err() == nil; i++ {
+			fb.externals[i] = external{spec: r.Str(), loc: r.Loc()}
+			if i > 0 && fb.externals[i].spec <= fb.externals[i-1].spec {
+				r.Fail("externals out of order")
+			}
+		}
 	}
-	for i := 0; i < ne && r.Err() == nil; i++ {
-		spec := r.Str()
-		l := r.Loc()
-		if r.Err() != nil {
-			break
+	fb.calleeLocs = readLocTable(r)
+	fb.callThis = readLocTable(r)
+	if nm := r.Count(3); nm > 0 {
+		fb.modEnv = make([]moduleEnv, nm)
+		for i := 0; i < nm && r.Err() == nil; i++ {
+			fb.modEnv[i] = moduleEnv{file: r.Str(), locs: analysis.ModuleLocs{Module: r.Loc(), Exports: r.Loc()}}
+			if i > 0 && fb.modEnv[i].file <= fb.modEnv[i-1].file {
+				r.Fail("module envs out of order")
+			}
 		}
-		if _, dup := fe.externals[spec]; dup {
-			return nil, fmt.Errorf("%w: duplicate external %q", errPersistCodec, spec)
-		}
-		fe.externals[spec] = l
-	}
-	fe.calleeLocs = readLocTable(r)
-	fe.callThis = readLocTable(r)
-	nm := r.Count(3)
-	if nm > 0 {
-		fe.modEnv = make(map[string]analysis.ModuleLocs, nm)
-	}
-	for i := 0; i < nm && r.Err() == nil; i++ {
-		file := r.Str()
-		me := analysis.ModuleLocs{Module: r.Loc(), Exports: r.Loc()}
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := fe.modEnv[file]; dup {
-			return nil, fmt.Errorf("%w: duplicate module env %q", errPersistCodec, file)
-		}
-		fe.modEnv[file] = me
 	}
 	if r.Err() != nil {
-		return nil, fmt.Errorf("%w: %w", errPersistCodec, r.Err())
+		return nil, 0, fmt.Errorf("%w: %w", errPersistCodec, r.Err())
 	}
-	frag, err := mdg.DecodeFragment(r.Rest())
+	before := g.NumNodes()
+	off, err := g.Stitch(r.Rest())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errPersistCodec, err)
+		return nil, 0, fmt.Errorf("%w: %w", errPersistCodec, err)
 	}
-	fe.frag = frag
-	locs := frag.LocSet()
-	okLoc := func(l mdg.Loc) bool { return l == mdg.NoLoc || locs[l] }
-	for name, fn := range fe.functions {
-		if !okLoc(fn.Loc) || !okLoc(fn.ThisLoc) || !okLoc(fn.RetLoc) {
-			return nil, fmt.Errorf("%w: function %q references missing node", errPersistCodec, name)
+	if !fb.refsWithin(mdg.Loc(g.NumNodes() - before)) {
+		return nil, 0, fmt.Errorf("%w: a summary or side table references a missing node", errPersistCodec)
+	}
+	return fb, off, nil
+}
+
+// readLocTable decodes a per-call location table written by
+// appendLocTable.
+func readLocTable(r *mdg.Reader) []locRow {
+	n := r.Count(2)
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	rows := make([]locRow, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		rows[i] = locRow{loc: r.Loc(), vals: r.Locs()}
+		if i > 0 && rows[i].loc <= rows[i-1].loc {
+			r.Fail("loc table out of order")
 		}
-		for _, p := range fn.Params {
-			if !okLoc(p) {
-				return nil, fmt.Errorf("%w: function %q parameter references missing node", errPersistCodec, name)
+	}
+	return rows
+}
+
+// refsWithin reports whether every location the body names is NoLoc
+// or one of a fragment's n nodes (locations 1..n).
+func (fb *fragBody) refsWithin(n mdg.Loc) bool {
+	ok := func(ls ...mdg.Loc) bool {
+		for _, l := range ls {
+			if l < mdg.NoLoc || l > n {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range fb.funcs {
+		fn := &fb.funcs[i]
+		if !ok(fn.Loc, fn.ThisLoc, fn.RetLoc) || !ok(fn.Params...) {
+			return false
+		}
+	}
+	for _, e := range fb.externals {
+		if !ok(e.loc) {
+			return false
+		}
+	}
+	for _, rows := range [][]locRow{fb.calleeLocs, fb.callThis} {
+		for _, row := range rows {
+			if !ok(row.loc) || !ok(row.vals...) {
+				return false
 			}
 		}
 	}
-	for spec, l := range fe.externals {
-		if !okLoc(l) {
-			return nil, fmt.Errorf("%w: external %q references missing node", errPersistCodec, spec)
+	for _, me := range fb.modEnv {
+		if !ok(me.locs.Module, me.locs.Exports) {
+			return false
 		}
 	}
-	for _, m := range []map[mdg.Loc][]mdg.Loc{fe.calleeLocs, fe.callThis} {
-		for l, vals := range m {
-			if !okLoc(l) {
-				return nil, fmt.Errorf("%w: call table references missing node", errPersistCodec)
-			}
-			for _, v := range vals {
-				if !okLoc(v) {
-					return nil, fmt.Errorf("%w: call table value references missing node", errPersistCodec)
-				}
-			}
-		}
+	return true
+}
+
+// decodeFragEntry validates a stored fragment record in full — its
+// graph decoded into a pooled scratch graph — and keeps the record
+// itself as the entry (detect map empty), so a corrupt record is
+// quarantined at load, not at its first use.
+func decodeFragEntry(key string, data []byte) (*fragEntry, error) {
+	g := mdg.Acquire()
+	defer g.Release()
+	fb, _, err := readFragEntry(data, g)
+	if err != nil {
+		return nil, err
 	}
-	for file, me := range fe.modEnv {
-		if !okLoc(me.Module) || !okLoc(me.Exports) {
-			return nil, fmt.Errorf("%w: module env %q references missing node", errPersistCodec, file)
-		}
-	}
-	return fe, nil
+	return newFragEntry(key, data, fb.hasReal, g), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/deptree"
 	"repro/internal/mdg"
 	"repro/internal/queries"
 	"repro/internal/store"
@@ -399,17 +400,8 @@ func FuzzStoreDecode(f *testing.F) {
 	l1 := g.Alloc(mdg.RoleObj, 1, 0, "", mdg.KindObject, "o", 1)
 	l2 := g.Alloc(mdg.RoleParam, 2, 0, "", mdg.KindParam, "x", 2)
 	g.AddDep(l2, l1)
-	frag := mdg.SnapshotFragment(g)
-	fe := &fragEntry{
-		key:          "seed",
-		rels:         []string{"a.js"},
-		frag:         frag,
-		functions:    map[string]*analysis.FuncSummary{},
-		realExported: map[string]bool{},
-		detect:       map[detectKey]*detectResult{},
-	}
-	f.Add(encodeFragEntry(fe))
-	f.Add(mdg.EncodeFragment(frag))
+	f.Add(encodeFragEntry([]string{"a.js"}, &analysis.Result{Graph: g, Functions: map[string]*analysis.FuncSummary{}}))
+	f.Add(mdg.AppendGraph(nil, g))
 	f.Add(encodeFacts(&fileFacts{
 		requires:  []string{"./b"},
 		freeReads: map[string]bool{"a": true},
@@ -426,12 +418,22 @@ func FuzzStoreDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fr, err := mdg.DecodeFragment(data); err == nil {
-			_, _ = mdg.Stitch(fr) // an accepted fragment must be stitchable
+		g := mdg.Acquire()
+		if _, err := g.Stitch(data); err == nil {
+			g.Release() // an accepted graph must be releasable
 		}
 		if fe, err := decodeFragEntry("k", data); err == nil {
-			// and rehydratable (with the export fallback) without panicking
-			analysis.ApplyExportFallback(rehydrate(fe))
+			// An accepted record must rehydrate (with the export
+			// fallback) and stitch into a tree without an error or a panic.
+			res, err := rehydrate(fe)
+			if err != nil {
+				t.Fatalf("accepted record fails to rehydrate: %v", err)
+			}
+			analysis.ApplyExportFallback(res)
+			lv := liveFrag{fe: fe, pkg: &deptree.Package{}}
+			if _, err := linkTree([]liveFrag{lv, lv}, &deptree.Tree{}, false); err != nil {
+				t.Fatalf("accepted record fails to stitch: %v", err)
+			}
 		}
 		_, _ = decodeFacts(data)
 		_, _ = decodeDetectResult(data)

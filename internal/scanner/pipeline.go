@@ -24,7 +24,7 @@ package scanner
 //     analysis only for the component it touches. A throwaway
 //     state — a cold scan — gates and analyzes the whole package as
 //     one unit: it keeps nothing, so it never hashes files, extracts
-//     facts, snapshots fragments or writes the store. Tree mode gates
+//     facts, encodes fragments or writes the store. Tree mode gates
 //     the whole package as one unit too.
 //   - Detection. Fragments are detected (and their results cached) one
 //     by one, except in tree mode, which stitches the package
@@ -52,7 +52,6 @@ import (
 	"repro/internal/exports"
 	"repro/internal/js/normalize"
 	"repro/internal/js/parser"
-	"repro/internal/mdg"
 	"repro/internal/queries"
 	"repro/internal/reach"
 	"repro/internal/store"
@@ -113,8 +112,8 @@ type component struct {
 
 // liveFrag is one fragment in this scan.
 type liveFrag struct {
-	// fe is the fragment's entry: cached, or snapshotted for the
-	// stitch; nil for a throwaway flat build, which keeps nothing.
+	// fe is the fragment's entry: cached, or encoded for the stitch;
+	// nil for a throwaway flat build, which keeps nothing.
 	fe *fragEntry
 	// res is the analysis result when the fragment was built this scan
 	// (possibly partially) and its graph is still live; nil when it
@@ -450,7 +449,9 @@ type lastScan struct {
 	units  []fileUnit
 	inputs scanInputs
 	comps  []component
-	rr     *reach.Result
+	// rr is the gate's result as a reusing scan reads it
+	// (reach.Result.Retained).
+	rr *reach.Result
 	// treeDetect holds the stitched tree's clean detection outcomes.
 	treeDetect map[detectKey]*treeDetection
 }
@@ -476,7 +477,7 @@ func (r *scanRun) record() {
 	if r.reused || r.b.Err() != nil {
 		return
 	}
-	r.rec.comps, r.rec.rr = r.comps, r.rr
+	r.rec.comps, r.rec.rr = r.comps, r.rr.Retained()
 	r.st.last = *r.rec
 }
 
@@ -514,8 +515,8 @@ func (r *scanRun) analyze() bool {
 		for _, c := range r.comps {
 			if fe := st.fragment(c.key); fe != nil {
 				st.stats.FragmentHits++
-				rep.MDGNodes += fe.frag.NumNodes()
-				rep.MDGEdges += fe.frag.NumEdges()
+				rep.MDGNodes += fe.nodes
+				rep.MDGEdges += fe.edges
 				r.lives = append(r.lives, liveFrag{fe: fe, pkg: c.pkg, hasReal: fe.hasReal, stored: true})
 				continue
 			}
@@ -551,11 +552,11 @@ func (r *scanRun) analyze() bool {
 	return len(r.lives) > 0
 }
 
-// built wraps a fragment analyzed this scan. Stitching needs a graph
-// snapshot, so tree mode always takes one, and the snapshot is the
-// package graph's last reader; a retained state also snapshots, caches
-// and persists every clean build. A throwaway flat scan detects
-// straight on res and keeps nothing.
+// built wraps a fragment analyzed this scan. Stitching reads fragment
+// records, so tree mode always encodes one, and the record is the
+// package graph's last reader; a retained state also caches and
+// persists the record of every clean build (one encoding serves both).
+// A throwaway flat scan detects straight on res and keeps nothing.
 func (r *scanRun) built(c component, res *analysis.Result) liveFrag {
 	lv := liveFrag{res: res, pkg: c.pkg, hasReal: res.HasRealExports}
 	cache := r.st.retained && !r.aborted
@@ -566,10 +567,11 @@ func (r *scanRun) built(c component, res *analysis.Result) liveFrag {
 	for i, u := range c.units {
 		rels[i] = u.rel
 	}
-	lv.fe = newFragEntry(c.key, rels, res)
+	enc := encodeFragEntry(rels, res)
+	lv.fe = newFragEntry(c.key, enc, res.HasRealExports, res.Graph)
 	if cache {
 		r.st.frags[c.key] = lv.fe
-		r.st.save(store.KindFragment, c.key, func() []byte { return encodeFragEntry(lv.fe) })
+		r.st.save(store.KindFragment, c.key, func() []byte { return enc })
 		lv.stored = true
 	}
 	if r.tree != nil {
@@ -624,7 +626,11 @@ func (r *scanRun) detect() bool {
 		st.stats.DetectMisses++
 		res := lv.res
 		if res == nil {
-			res = rehydrate(lv.fe)
+			var err error
+			if res, err = rehydrate(lv.fe); err != nil {
+				setFailure(rep, err, budget.ClassPanic)
+				return false
+			}
 		}
 		if fb {
 			analysis.ApplyExportFallback(res)
@@ -662,14 +668,9 @@ func (r *scanRun) detectTree(dkey detectKey, anyReal bool) bool {
 	st.stats.DetectMisses++
 	var res *analysis.Result
 	r.b.BeginPhase("stitch-link")
-	if err := budget.Guard("stitch-link", func() error {
-		frags := make([]*mdg.Fragment, len(r.lives))
-		for i, lv := range r.lives {
-			frags[i] = lv.fe.frag
-		}
-		g, offsets := mdg.Stitch(frags...)
-		res = linkTree(g, offsets, r.lives, r.tree, anyReal)
-		return nil
+	if err := budget.Guard("stitch-link", func() (err error) {
+		res, err = linkTree(r.lives, r.tree, anyReal)
+		return err
 	}); err != nil {
 		setFailure(rep, err, budget.ClassPanic)
 		return false

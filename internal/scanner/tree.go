@@ -84,10 +84,12 @@ type phInfo struct {
 	spec string
 }
 
-// linkTree builds the merged analysis result for a stitched tree and
-// runs the cross-package linker over it; offsets are the stitch's
-// per-fragment location offsets (see mdg.Stitch).
-func linkTree(g *mdg.Graph, offsets []mdg.Loc, lives []liveFrag, tree *deptree.Tree, anyReal bool) *analysis.Result {
+// linkTree stitches the fragments' records into one acquired graph,
+// in lives order, builds the merged analysis result over it and runs
+// the cross-package linker. Each record's summaries and side tables
+// are decoded afresh and moved to its stitch offset.
+func linkTree(lives []liveFrag, tree *deptree.Tree, anyReal bool) (*analysis.Result, error) {
+	g := mdg.Acquire()
 	ln := &treeLinker{
 		g:        g,
 		tree:     tree,
@@ -100,47 +102,55 @@ func linkTree(g *mdg.Graph, offsets []mdg.Loc, lives []liveFrag, tree *deptree.T
 		phBusy:   make(map[mdg.Loc]bool),
 	}
 
-	// Merged result: per-scan summary copies with stitched locations
-	// (cached fragment summaries are shared across scans and must not
-	// be mutated), keyed by package dir so same-named functions in
+	// Merged result, keyed by package dir so same-named functions in
 	// different packages cannot collide.
 	merged := make(map[string]*analysis.FuncSummary)
 	res := &analysis.Result{Graph: g, Functions: merged, HasRealExports: anyReal}
+	parts := make([]linkPart, len(lives))
 	for i, lv := range lives {
-		off := offsets[i]
-		for fname, fn := range lv.fe.functions {
-			nf := &analysis.FuncSummary{
-				Loc:      fn.Loc.Shift(off),
-				ThisLoc:  fn.ThisLoc.Shift(off),
-				RetLoc:   fn.RetLoc.Shift(off),
-				Exported: lv.fe.realExported[fname],
+		fb, off, err := readFragEntry(lv.fe.enc, g)
+		if err != nil {
+			g.Release()
+			return nil, err
+		}
+		parts[i] = linkPart{off: off, calleeLocs: fb.calleeLocs, callThis: fb.callThis}
+		for j, name := range fb.names {
+			fn := &fb.funcs[j]
+			fn.Loc, fn.ThisLoc, fn.RetLoc = fn.Loc.Shift(off), fn.ThisLoc.Shift(off), fn.RetLoc.Shift(off)
+			for k, p := range fn.Params {
+				fn.Params[k] = p.Shift(off)
 			}
-			for _, p := range fn.Params {
-				nf.Params = append(nf.Params, p.Shift(off))
-			}
-			merged[lv.pkg.Dir+"|"+fname] = nf
-			ln.byLoc[nf.Loc] = nf
-			if n := g.Node(nf.Loc); n != nil {
-				n.Exported = nf.Exported
+			merged[lv.pkg.Dir+"|"+name] = fn
+			ln.byLoc[fn.Loc] = fn
+			if n := g.Node(fn.Loc); n != nil {
+				n.Exported = fn.Exported
 			}
 		}
-		for spec, ml := range lv.fe.externals {
-			ln.ph[ml.Shift(off)] = phInfo{pkg: lv.pkg, spec: spec}
+		for _, e := range fb.externals {
+			ln.ph[e.loc.Shift(off)] = phInfo{pkg: lv.pkg, spec: e.spec}
 		}
-		for file, me := range lv.fe.modEnv {
-			ln.fileEnv[file] = analysis.ModuleLocs{
-				Module:  me.Module.Shift(off),
-				Exports: me.Exports.Shift(off),
+		for _, me := range fb.modEnv {
+			ln.fileEnv[me.file] = analysis.ModuleLocs{
+				Module:  me.locs.Module.Shift(off),
+				Exports: me.locs.Exports.Shift(off),
 			}
 		}
 	}
 
-	ln.graft(lives, offsets)
-	return res
+	ln.graft(parts)
+	return res, nil
+}
+
+// linkPart is what the call-grafting pass reads of one stitched
+// fragment: its offset and its fragment-local call tables, each in
+// ascending call-location order.
+type linkPart struct {
+	off                  mdg.Loc
+	calleeLocs, callThis []locRow
 }
 
 // graft runs the three linking passes in deterministic order.
-func (ln *treeLinker) graft(lives []liveFrag, offsets []mdg.Loc) {
+func (ln *treeLinker) graft(parts []linkPart) {
 	// Pass 1 — require grafting: every require('pkg') call node gains
 	// value edges to the dependency's real exports, replaying the
 	// resolved-require branch of the abstract interpreter.
@@ -219,24 +229,26 @@ func (ln *treeLinker) graft(lives []liveFrag, offsets []mdg.Loc) {
 	// a placeholder-derived node are linked to the real dependency
 	// function summaries, replaying the interpreter's summary linking
 	// (argument → parameter, this → ThisLoc, RetLoc → call).
-	for i, lv := range lives {
-		off := offsets[i]
-		cls := make([]mdg.Loc, 0, len(lv.fe.calleeLocs))
-		for cl := range lv.fe.calleeLocs {
-			cls = append(cls, cl)
-		}
-		sort.Slice(cls, func(a, b int) bool { return cls[a] < cls[b] })
-		for _, cl := range cls {
-			ncl := cl.Shift(off)
+	for _, part := range parts {
+		off := part.off
+		this := part.callThis
+		for _, row := range part.calleeLocs {
+			ncl := row.loc.Shift(off)
 			cn := ln.g.Node(ncl)
 			if cn == nil {
 				continue
 			}
-			var this []mdg.Loc
-			for _, tl := range lv.fe.callThis[cl] {
-				this = append(this, tl.Shift(off))
+			// Both tables ascend by call location: advance to row's.
+			for len(this) > 0 && this[0].loc < row.loc {
+				this = this[1:]
 			}
-			for _, x := range lv.fe.calleeLocs[cl] {
+			var thisLocs []mdg.Loc
+			if len(this) > 0 && this[0].loc == row.loc {
+				for _, tl := range this[0].vals {
+					thisLocs = append(thisLocs, tl.Shift(off))
+				}
+			}
+			for _, x := range row.vals {
 				for _, t := range ln.resolved[x.Shift(off)] {
 					sum := ln.byLoc[t]
 					if sum == nil {
@@ -250,7 +262,7 @@ func (ln *treeLinker) graft(lives []liveFrag, offsets []mdg.Loc) {
 							ln.g.AddDep(al, sum.Params[ai])
 						}
 					}
-					for _, tl := range this {
+					for _, tl := range thisLocs {
 						ln.g.AddDep(tl, sum.ThisLoc)
 					}
 					ln.g.AddDep(sum.RetLoc, ncl)
